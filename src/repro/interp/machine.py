@@ -7,10 +7,34 @@ branch is reported to an optional ``on_branch(site, taken)`` callback —
 this is the instrumentation channel the paper's assembly-level tracing
 tool provides, and everything downstream (profiles, predictors,
 replication measurements) consumes only this event stream.
+
+The interpreter is pre-decoded.  On first entry to a block in a run,
+the block's instructions are split at ``call``s into straight-line
+segments, and each segment is lowered to one Python function together
+with the exit that closes it: the call's arguments, or the block's
+branch comparison or return value.  The function is generated from
+source in which register names and immediates appear only through
+``repr()`` and opcodes only through the fixed tables below; registers
+live in Python locals inside a segment and are written back to the
+frame's register dict at its end.
+
+Compiled segments are cached process-wide, keyed by content —
+``(instructions, exit)`` — so the replicated copies of one loop body,
+which differ only in their terminator targets, share one function.
+:data:`MAX_COMPILED_SEGMENTS` bounds the cache; the oldest entries are
+evicted first, so a long-lived service process cannot grow without
+limit.
+
+Fuel is charged per segment: its instructions plus the call or
+terminator that ends it.  Only the one segment that would cross
+``max_steps`` runs instruction by instruction, so :class:`FuelExhausted`
+fires at exactly the step, and after exactly the side effects, of a
+machine that charged every instruction on its own.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -58,62 +82,236 @@ class RunResult:
         yield self.output
 
 
-@dataclass
-class _Frame:
-    function: Function
-    env: Dict[str, int]
-    block: BasicBlock
-    index: int
-    ret_dest: Optional[str]
-    #: frame-local branch history (bit 0 = most recent outcome); only
-    #: maintained when the machine tracks path history
-    history: int = 0
+# -- segment compiler ----------------------------------------------------------
 
+#: Upper bound on the process-wide cache of compiled segments.
+MAX_COMPILED_SEGMENTS = 4096
 
-_CMP = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+#: Python operator of each comparison opcode (``cmp`` and ``br``).
+_CMP_OPS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+
+#: Python expression of each binary opcode over operand expressions
+#: ``{a}`` and ``{b}``.  Shift counts are masked to 6 bits; division
+#: truncates toward zero, like the C programs the paper traces.
+_BINOP_EXPRS = {
+    "add": "{a} + {b}",
+    "sub": "{a} - {b}",
+    "mul": "{a} * {b}",
+    "div": "_div({a}, {b})",
+    "mod": "_mod({a}, {b})",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "shl": "{a} << ({b} & 63)",
+    "shr": "{a} >> ({b} & 63)",
+    "min": "{a} if {a} <= {b} else {b}",
+    "max": "{a} if {a} >= {b} else {b}",
 }
 
-_SHIFT_MASK = 63
+#: Python expression of each unary opcode over operand expression ``{a}``.
+_UNOP_EXPRS = {"neg": "-{a}", "not": "~{a}", "abs": "{a} if {a} >= 0 else -{a}"}
 
 
-def _binop(op: str, a: int, b: int) -> int:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise TrapError("division by zero")
-        # Truncating division, like the C programs the paper traces.
-        q = abs(a) // abs(b)
-        return q if (a >= 0) == (b >= 0) else -q
-    if op == "mod":
-        if b == 0:
-            raise TrapError("modulo by zero")
-        return a - b * (_binop("div", a, b))
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "shl":
-        return a << (b & _SHIFT_MASK)
-    if op == "shr":
-        return a >> (b & _SHIFT_MASK)
-    if op == "min":
-        return a if a <= b else b
-    if op == "max":
-        return a if a >= b else b
-    raise TrapError(f"unknown binop {op!r}")
+def _div(a: int, b: int) -> int:
+    if b == 0:
+        raise TrapError("division by zero")
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def _mod(a: int, b: int) -> int:
+    if b == 0:
+        raise TrapError("modulo by zero")
+    return a - b * _div(a, b)
+
+
+_NAMESPACE = {"_div": _div, "_mod": _mod, "TrapError": TrapError}
+
+_compiled: Dict[tuple, Callable] = {}
+_compiled_lock = threading.Lock()
+
+
+class _Lowering:
+    """Source lines of one segment function; registers map to locals
+    ``r0, r1, ...``, loaded from ``env`` just before their first read."""
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.locals: Dict[str, str] = {}
+        self.written: Dict[str, str] = {}
+
+    def local(self, register: str) -> str:
+        name = self.locals.get(register)
+        if name is None:
+            name = self.locals[register] = f"r{len(self.locals)}"
+        return name
+
+    def read(self, operand) -> str:
+        if type(operand) is not str:
+            return f"({operand!r})"
+        if operand not in self.locals:
+            self.lines.append(f"{self.local(operand)} = env[{operand!r}]")
+        return self.locals[operand]
+
+    def assign(self, dest: str, expr: str) -> None:
+        name = self.written[dest] = self.local(dest)
+        self.lines.append(f"{name} = {expr}")
+
+    def instr(self, instr) -> None:
+        cls = instr.__class__
+        if cls is BinOp:
+            a, b = self.read(instr.lhs), self.read(instr.rhs)
+            self.assign(instr.dest, _BINOP_EXPRS[instr.op].format(a=a, b=b))
+        elif cls is Cmp:
+            a, b = self.read(instr.lhs), self.read(instr.rhs)
+            self.assign(instr.dest, f"1 if {a} {_CMP_OPS[instr.op]} {b} else 0")
+        elif cls is UnOp:
+            self.assign(instr.dest, _UNOP_EXPRS[instr.op].format(a=self.read(instr.src)))
+        elif cls is Load:
+            a = self.read(instr.addr)
+            self.assign(instr.dest, f"memory.get({a} + ({instr.offset!r}), 0)")
+        elif cls is Store:
+            a, v = self.read(instr.addr), self.read(instr.value)
+            self.lines.append(f"memory[{a} + ({instr.offset!r})] = {v}")
+        elif cls is Const:
+            self.assign(instr.dest, f"({instr.value!r})")
+        elif cls is Move:
+            self.assign(instr.dest, self.read(instr.src))
+        elif cls is Alloc:
+            self.assign(instr.dest, f"m.allocate({self.read(instr.size)})")
+        elif cls is In:
+            self.assign(instr.dest, "m._next_input()")
+        elif cls is Out:
+            self.lines.append(f"m.output.append({self.read(instr.value)})")
+        else:
+            message = f"cannot execute {instr!r}"
+            self.lines.append(f"raise TrapError({message!r})")
+
+    def exit(self, exit) -> str:
+        """The returned expression: ``None``, a branch outcome (bool), a
+        return value, or a call's argument tuple."""
+        if exit is None:
+            return "None"
+        kind = exit[0]
+        if kind == "br":
+            _, op, lhs, rhs = exit
+            a, b = self.read(lhs), self.read(rhs)
+            return f"{a} {_CMP_OPS[op]} {b}"
+        if kind == "ret":
+            return "None" if exit[1] is None else self.read(exit[1])
+        return "(" + "".join(f"{self.read(arg)}, " for arg in exit[1]) + ")"
+
+
+def _compile(instrs: tuple, exit) -> Callable:
+    lowering = _Lowering()
+    for instr in instrs:
+        lowering.instr(instr)
+    result = lowering.exit(exit)
+    body = lowering.lines
+    body += [f"env[{register!r}] = {name}" for register, name in lowering.written.items()]
+    body.append(f"return {result}")
+    source = "def segment(env, memory, m):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<repro.interp segment>", "exec"), namespace)
+    return namespace["segment"]
+
+
+def _segment(instrs: tuple, exit) -> Callable:
+    """The compiled function ``(env, memory, machine) -> exit value`` of
+    a straight-line segment, from the process-wide cache.
+
+    *exit* is ``None``, ``("br", op, lhs, rhs)``, ``("ret", value)`` or
+    ``("call", args)``.
+    """
+    key = (instrs, exit)
+    function = _compiled.get(key)
+    if function is None:
+        function = _compile(instrs, exit)
+        with _compiled_lock:
+            while len(_compiled) >= MAX_COMPILED_SEGMENTS:
+                del _compiled[next(iter(_compiled))]
+            _compiled[key] = function
+    return function
+
+
+# -- decoded blocks -------------------------------------------------------------
+
+_BRANCH, _JUMP, _RETURN, _BROKEN = range(4)
+
+
+class _CallSite:
+    """A segment ending at a call, plus the call's resolved callee."""
+
+    __slots__ = ("instrs", "run", "cost", "callee", "dest", "trap", "entry")
+
+    def __init__(self, instrs: tuple, call: Call, program: Program) -> None:
+        self.instrs = instrs
+        self.cost = len(instrs) + 1
+        self.dest = call.dest
+        self.entry: Optional[_Block] = None
+        callee = program.functions.get(call.func)
+        self.trap: Optional[str] = None
+        if callee is None:
+            self.trap = f"call to unknown function {call.func!r}"
+        elif len(call.args) != len(callee.params):
+            self.trap = f"bad arity calling {call.func!r}"
+        self.callee = None if self.trap else callee
+        self.run = _segment(instrs, None if self.trap else ("call", tuple(call.args)))
+
+
+class _Block:
+    """A block decoded for one run: its call segments, its tail segment
+    (closed by the terminator) and its successors, resolved lazily.
+    ``next``, ``targets`` and ``edges`` are indexed by the branch
+    outcome (``False``/``True``), or by 0 for a jump."""
+
+    __slots__ = (
+        "function", "label", "calls", "n_calls", "instrs", "run", "cost",
+        "kind", "site", "targets", "edges", "next", "trap",
+    )
+
+    def __init__(self, function: Function, block: BasicBlock, program: Program) -> None:
+        self.function = function
+        self.label = block.label
+        calls = []
+        start = 0
+        for index, instr in enumerate(block.instrs):
+            if instr.__class__ is Call:
+                calls.append(_CallSite(tuple(block.instrs[start:index]), instr, program))
+                start = index + 1
+        self.calls = tuple(calls)
+        self.n_calls = len(calls)
+        self.instrs = tuple(block.instrs[start:])
+        self.cost = len(self.instrs) + 1
+        self.site: Optional[BranchSite] = None
+        self.targets: Tuple[str, ...] = ()
+        self.trap: Optional[str] = None
+        term = block.terminator
+        cls = term.__class__
+        exit = None
+        if cls is Branch:
+            self.kind = _BRANCH
+            self.site = BranchSite(function.name, block.label)
+            self.targets = (term.not_taken, term.taken)
+            exit = ("br", term.op, term.lhs, term.rhs)
+        elif cls is Jump:
+            self.kind = _JUMP
+            self.targets = (term.target,)
+        elif cls is Return:
+            self.kind = _RETURN
+            exit = ("ret", term.value)
+        else:
+            self.kind = _BROKEN
+            self.trap = f"block {block.label!r} has no terminator"
+        self.run = _segment(self.instrs, exit)
+        self.edges = tuple((function.name, block.label, target) for target in self.targets)
+        self.next: List[Optional[_Block]] = [None] * len(self.targets)
+
+
+def _undefined(block: _Block, error: KeyError) -> TrapError:
+    return TrapError(
+        f"{block.function.name}:{block.label}: read of undefined register {error.args[0]!r}"
+    )
 
 
 class Machine:
@@ -170,11 +368,6 @@ class Machine:
         self.output: List[int] = []
         self._brk = 0x10000
         self._input_pos = 0
-        self._sites: Dict[int, BranchSite] = {}
-        for function in program:
-            for block in function:
-                if block.branch is not None:
-                    self._sites[id(block)] = BranchSite(function.name, block.label)
 
     # -- memory --------------------------------------------------------------
 
@@ -194,6 +387,13 @@ class Machine:
         """Read a memory word directly."""
         return self.memory.get(addr, 0)
 
+    def _next_input(self) -> int:
+        """Consume the next word of the input stream (``in``)."""
+        if self._input_pos >= len(self.input_values):
+            raise TrapError("input exhausted")
+        self._input_pos += 1
+        return self.input_values[self._input_pos - 1]
+
     # -- execution -------------------------------------------------------------
 
     def run(self, *args: int) -> RunResult:
@@ -207,157 +407,113 @@ class Machine:
             raise TrapError(
                 f"{func_name} expects {len(function.params)} args, got {len(args)}"
             )
+        program = self.program
+        decoded: Dict[int, _Block] = {}
+
+        def decode(function: Function, block: BasicBlock) -> _Block:
+            found = decoded.get(id(block))
+            if found is None:
+                found = decoded[id(block)] = _Block(function, block, program)
+            return found
+
         env = dict(zip(function.params, args))
-        frame = _Frame(function, env, function.entry_block(), 0, None)
-        stack: List[_Frame] = [frame]
+        block = decode(function, function.entry_block())
         on_block = self.on_block
         if on_block is not None:
             on_block(function.name, function.entry)
+        # Saved caller frames: (env, block, next segment, result register,
+        # branch history).
+        stack: List[tuple] = []
+        segment = 0
+        history = 0
         steps = 0
         branches = 0
         memory = self.memory
         on_branch = self.on_branch
-        sites = self._sites
+        bits = self.track_history_bits
+        mask = (1 << bits) - 1 if bits > 0 else 0
+        count_edges = self.count_edges
+        edge_counts = self.edge_counts
         max_steps = self.max_steps
-        return_value: Optional[int] = None
 
-        while stack:
-            frame = stack[-1]
-            env = frame.env
-            instrs = frame.block.instrs
-            index = frame.index
-            size = len(instrs)
-            # Straight-line section.
-            advanced = False
-            while index < size:
-                instr = instrs[index]
-                index += 1
-                steps += 1
-                if steps > max_steps:
-                    raise FuelExhausted(f"exceeded {max_steps} steps")
-                cls = instr.__class__
-                if cls is BinOp:
-                    a = env[instr.lhs] if type(instr.lhs) is str else instr.lhs
-                    b = env[instr.rhs] if type(instr.rhs) is str else instr.rhs
-                    env[instr.dest] = _binop(instr.op, a, b)
-                elif cls is Cmp:
-                    a = env[instr.lhs] if type(instr.lhs) is str else instr.lhs
-                    b = env[instr.rhs] if type(instr.rhs) is str else instr.rhs
-                    env[instr.dest] = 1 if _CMP[instr.op](a, b) else 0
-                elif cls is Load:
-                    a = env[instr.addr] if type(instr.addr) is str else instr.addr
-                    env[instr.dest] = memory.get(a + instr.offset, 0)
-                elif cls is Store:
-                    a = env[instr.addr] if type(instr.addr) is str else instr.addr
-                    v = env[instr.value] if type(instr.value) is str else instr.value
-                    memory[a + instr.offset] = v
-                elif cls is Const:
-                    env[instr.dest] = instr.value
-                elif cls is Move:
-                    env[instr.dest] = (
-                        env[instr.src] if type(instr.src) is str else instr.src
-                    )
-                elif cls is UnOp:
-                    v = env[instr.src] if type(instr.src) is str else instr.src
-                    if instr.op == "neg":
-                        env[instr.dest] = -v
-                    elif instr.op == "not":
-                        env[instr.dest] = ~v
-                    else:  # abs
-                        env[instr.dest] = v if v >= 0 else -v
-                elif cls is Alloc:
-                    v = env[instr.size] if type(instr.size) is str else instr.size
-                    env[instr.dest] = self.allocate(v)
-                elif cls is In:
-                    if self._input_pos >= len(self.input_values):
-                        raise TrapError("input exhausted")
-                    env[instr.dest] = self.input_values[self._input_pos]
-                    self._input_pos += 1
-                elif cls is Out:
-                    v = env[instr.value] if type(instr.value) is str else instr.value
-                    self.output.append(v)
-                elif cls is Call:
-                    callee = self.program.functions.get(instr.func)
-                    if callee is None:
-                        raise TrapError(f"call to unknown function {instr.func!r}")
-                    if len(instr.args) != len(callee.params):
-                        raise TrapError(f"bad arity calling {instr.func!r}")
-                    callee_env = {}
-                    for param, arg in zip(callee.params, instr.args):
-                        callee_env[param] = env[arg] if type(arg) is str else arg
-                    frame.index = index
-                    stack.append(
-                        _Frame(callee, callee_env, callee.entry_block(), 0, instr.dest)
-                    )
-                    if on_block is not None:
-                        on_block(callee.name, callee.entry)
-                    advanced = True
-                    break
-                else:
-                    raise TrapError(f"cannot execute {instr!r}")
-            if advanced:
+        while True:
+            if segment < block.n_calls:
+                site = block.calls[segment]
+                if steps + site.cost > max_steps:
+                    self._exhaust(block, site.instrs, max_steps - steps, env)
+                steps += site.cost
+                try:
+                    argv = site.run(env, memory, self)
+                except KeyError as error:
+                    raise _undefined(block, error) from None
+                callee = site.callee
+                if callee is None:
+                    raise TrapError(site.trap)
+                stack.append((env, block, segment + 1, site.dest, history))
+                env = dict(zip(callee.params, argv))
+                block = site.entry
+                if block is None:
+                    block = site.entry = decode(callee, callee.entry_block())
+                segment = 0
+                history = 0
+                if on_block is not None:
+                    on_block(callee.name, callee.entry)
                 continue
 
-            # Terminator.
-            term = frame.block.terminator
-            steps += 1
-            if steps > max_steps:
-                raise FuelExhausted(f"exceeded {max_steps} steps")
-            cls = term.__class__
-            if cls is Branch:
-                a = env[term.lhs] if type(term.lhs) is str else term.lhs
-                b = env[term.rhs] if type(term.rhs) is str else term.rhs
-                taken = _CMP[term.op](a, b)
+            if steps + block.cost > max_steps:
+                self._exhaust(block, block.instrs, max_steps - steps, env)
+            steps += block.cost
+            try:
+                result = block.run(env, memory, self)
+            except KeyError as error:
+                raise _undefined(block, error) from None
+            kind = block.kind
+            if kind is _BRANCH:
                 branches += 1
+                if bits > 0:
+                    self.path_history = history
+                    history = ((history << 1) | result) & mask
                 if on_branch is not None:
-                    if self.track_history_bits:
-                        self.path_history = frame.history
-                        frame.history = (
-                            (frame.history << 1) | (1 if taken else 0)
-                        ) & ((1 << self.track_history_bits) - 1)
-                    on_branch(sites[id(frame.block)], taken)
-                elif self.track_history_bits:
-                    self.path_history = frame.history
-                    frame.history = (
-                        (frame.history << 1) | (1 if taken else 0)
-                    ) & ((1 << self.track_history_bits) - 1)
-                target = term.taken if taken else term.not_taken
-                if self.count_edges:
-                    key = (frame.function.name, frame.block.label, target)
-                    self.edge_counts[key] = self.edge_counts.get(key, 0) + 1
-                if on_block is not None:
-                    on_block(frame.function.name, target)
-                frame.block = frame.function.blocks[target]
-                frame.index = 0
-            elif cls is Jump:
-                if self.count_edges:
-                    key = (frame.function.name, frame.block.label, term.target)
-                    self.edge_counts[key] = self.edge_counts.get(key, 0) + 1
-                if on_block is not None:
-                    on_block(frame.function.name, term.target)
-                frame.block = frame.function.blocks[term.target]
-                frame.index = 0
-            elif cls is Return:
-                if term.value is None:
-                    value = None
-                else:
-                    value = env[term.value] if type(term.value) is str else term.value
-                stack.pop()
-                if stack:
-                    caller = stack[-1]
-                    if frame.ret_dest is not None:
-                        if value is None:
-                            raise TrapError(
-                                f"void return but caller expects a value in "
-                                f"{frame.ret_dest!r}"
-                            )
-                        caller.env[frame.ret_dest] = value
-                else:
-                    return_value = value
+                    on_branch(block.site, result)
+                way = result
+            elif kind is _JUMP:
+                way = 0
+            elif kind is _RETURN:
+                if not stack:
+                    return RunResult(result, self.output, steps, branches)
+                env, block, segment, dest, history = stack.pop()
+                if dest is not None:
+                    if result is None:
+                        raise TrapError(
+                            f"void return but caller expects a value in {dest!r}"
+                        )
+                    env[dest] = result
+                continue
             else:
-                raise TrapError(f"block {frame.block.label!r} has no terminator")
+                raise TrapError(block.trap)
+            if count_edges:
+                edge = block.edges[way]
+                edge_counts[edge] = edge_counts.get(edge, 0) + 1
+            if on_block is not None:
+                on_block(block.function.name, block.targets[way])
+            successor = block.next[way]
+            if successor is None:
+                owner = block.function
+                successor = block.next[way] = decode(
+                    owner, owner.blocks[block.targets[way]]
+                )
+            block = successor
+            segment = 0
 
-        return RunResult(return_value, self.output, steps, branches)
+    def _exhaust(self, block: _Block, instrs: tuple, budget: int, env: Dict[str, int]) -> None:
+        """Run the *budget* instructions of a segment that still fit in
+        the fuel limit, one at a time, then raise :class:`FuelExhausted`."""
+        for instr in instrs[: max(budget, 0)]:
+            try:
+                _segment((instr,), None)(env, self.memory, self)
+            except KeyError as error:
+                raise _undefined(block, error) from None
+        raise FuelExhausted(f"exceeded {self.max_steps} steps")
 
 
 def run_program(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.interp import FuelExhausted, Machine, TrapError, run_program
-from repro.ir import parse_program
+from repro.ir import Jump, parse_program, validate_program
 
 
 def run_body(body: str, args=(), input_values=()):
@@ -144,6 +144,55 @@ class TestControlFlow:
         )
         with pytest.raises(FuelExhausted):
             run_program(program, max_steps=100)
+
+    def test_fuel_boundary_is_exact_with_calls_mid_block(self):
+        program = parse_program(
+            "func inc(v) {\nentry:\n  out v\n  w = add v, 1\n  ret w\n}\n"
+            "func main() {\nentry:\n  a = const 1\n  b = call inc(a)\n  out b\n"
+            "  c = call inc(b)\n  d = add b, c\n  out d\n  ret d\n}"
+        )
+        # Step at which each output word is written, counted by hand.
+        writes = [(3, 1), (6, 2), (8, 2), (12, 5)]
+        result = run_program(program, max_steps=13)
+        assert (result.value, result.output, result.steps) == (5, [1, 2, 2, 5], 13)
+        for budget in range(13):
+            machine = Machine(program, max_steps=budget)
+            with pytest.raises(FuelExhausted, match=f"exceeded {budget} steps"):
+                machine.run()
+            assert machine.output == [word for step, word in writes if step <= budget]
+
+    def test_undefined_register_read_traps(self):
+        program = parse_program(
+            "func main(n) {\nentry:\n  br lt n, 1 ? a : b\n"
+            "a:\n  x = const 1\n  jump b\nb:\n  y = add x, 1\n  ret y\n}"
+        )
+        validate_program(program)
+        assert run_program(program, [0]).value == 2
+        with pytest.raises(TrapError, match="main:b: read of undefined register 'x'"):
+            run_program(program, [5])
+
+    def test_undefined_register_in_call_and_return_traps(self):
+        program = parse_program(
+            "func id(v) {\nentry:\n  ret v\n}\n"
+            "func main(n) {\nentry:\n  br lt n, 1 ? a : b\n"
+            "a:\n  x = const 1\n  jump b\nb:\n  y = call id(x)\n  ret z\n}"
+        )
+        with pytest.raises(TrapError, match="main:b: read of undefined register 'x'"):
+            run_program(program, [5])
+        with pytest.raises(TrapError, match="main:b: read of undefined register 'z'"):
+            run_program(program, [0])
+
+    def test_malformed_blocks_trap(self):
+        # Unvalidated programs: a missing terminator, and a terminator
+        # smuggled into the straight-line instructions.
+        program = parse_program("func main() {\nentry:\n  ret 1\n}")
+        block = program.main_function().entry_block()
+        block.terminator = None
+        with pytest.raises(TrapError, match="has no terminator"):
+            run_program(program)
+        block.instrs.append(Jump("entry"))
+        with pytest.raises(TrapError, match="cannot execute"):
+            run_program(program)
 
     def test_wrong_arity_traps(self):
         program = parse_program("func main(a, b) {\nentry:\n  ret a\n}")

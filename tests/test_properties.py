@@ -6,10 +6,11 @@ programs with randomly chosen branches and machines.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.cfg import CFG, DominatorTree, LoopForest, classify_branches
-from repro.interp import run_program
+from repro.interp import FuelExhausted, Machine, run_program
 from repro.ir import BranchSite, format_program, parse_program, validate_program
 from repro.profiling import (
     PatternTable,
@@ -161,6 +162,28 @@ def test_random_programs_roundtrip(seed):
     program = random_program(seed)
     text = format_program(program)
     assert format_program(parse_program(text)) == text
+
+
+@given(st.integers(0, 200), st.integers(0, 20))
+@settings(
+    deadline=None,
+    max_examples=30,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_fuel_boundary_is_exact(seed, arg):
+    """A budget of exactly the steps a run takes succeeds identically;
+    one step less raises FuelExhausted having run everything but the
+    final ``ret``, so with the whole output written."""
+    program = random_program(seed, helpers=seed % 3)
+    full = run_program(program, [arg], max_steps=2_000_000)
+    exact = run_program(program, [arg], max_steps=full.steps)
+    assert (exact.value, exact.output, exact.steps, exact.branches) == (
+        full.value, full.output, full.steps, full.branches
+    )
+    short = Machine(program, max_steps=full.steps - 1)
+    with pytest.raises(FuelExhausted):
+        short.run(arg)
+    assert short.output == full.output
 
 
 @given(st.integers(0, 150), st.integers(0, 20))
