@@ -10,7 +10,7 @@ what the correlated-branch replication duplicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..ir import BranchSite, Function
 from .graph import CFG
@@ -60,6 +60,7 @@ def predecessor_paths(
     target: str,
     max_branches: int,
     max_paths: int = 4096,
+    cfg: Optional[CFG] = None,
 ) -> List[Path]:
     """Enumerate CFG paths ending at block *target*.
 
@@ -68,9 +69,11 @@ def predecessor_paths(
     function entry, when it would revisit a block already on it (one
     unrolling only), or when *max_branches* decisions were gathered.
     Enumeration is cut off at *max_paths* paths to bound work on
-    pathological CFGs.
+    pathological CFGs.  *cfg*, when given, is *function*'s current CFG;
+    otherwise one is built.
     """
-    cfg = CFG.from_function(function)
+    if cfg is None:
+        cfg = CFG.from_function(function)
     results: List[Path] = []
     # Worklist of (current block, steps newest-last reversed order,
     # block route target-first, visited set).

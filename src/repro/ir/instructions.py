@@ -313,10 +313,19 @@ def retarget(term: Terminator, mapping) -> Terminator:
     *mapping* is a callable ``old_label -> new_label``; labels it leaves
     unchanged are kept.  Used by the code-replication transform.
     """
+    # Direct construction: replication retargets tens of thousands of
+    # terminators, and dataclasses.replace introspects on every call.
+    # Every field is copied; keep this in step with the classes.
     if isinstance(term, Jump):
-        return dataclasses.replace(term, target=mapping(term.target))
+        return Jump(mapping(term.target))
     if isinstance(term, Branch):
-        return dataclasses.replace(
-            term, taken=mapping(term.taken), not_taken=mapping(term.not_taken)
+        return Branch(
+            term.op,
+            term.lhs,
+            term.rhs,
+            mapping(term.taken),
+            mapping(term.not_taken),
+            term.pointer,
+            term.predict,
         )
     return term

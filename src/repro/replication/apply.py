@@ -11,6 +11,10 @@ When several selections touch the same loop, later transforms are
 cascaded onto every surviving copy the earlier ones produced — this is
 exactly the paper's observation that "the code size is multiplied if
 more than one branch in a loop should be improved".
+
+Each function's CFG is built once, when a selection first touches the
+function, and every transform keeps it current, so loop analysis and
+unreachable-block removal never rebuild the graph.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cfg import CFG, LoopForest
-from ..ir import BranchSite, Program, validate_program
+from ..ir import BranchSite, Function, Program, validate_program
 from ..profiling import ProfileData
 from ..statemachines import CorrelatedMachine, PredictionMachine
 from .annotate import annotate_profile_predictions
@@ -65,11 +69,12 @@ def apply_replication(
 
     # Each pending selection tracks the current locations of its branch.
     tracked: List[List[BranchSite]] = [[site] for site, _ in selections]
+    cfgs = _LiveCFGs()
 
     for index, (site, machine) in enumerate(selections):
         if isinstance(machine, CorrelatedMachine):
             for current in list(tracked[index]):
-                result = _apply_correlated(work, current, machine)
+                result = _apply_correlated(work, cfgs, current, machine)
                 if result is None:
                     continue
                 report.tail_results.append(result)
@@ -77,9 +82,11 @@ def apply_replication(
         else:
             # Copies of the same static branch living in one loop share
             # the machine, so they are transformed together.
-            for function_name, loop, labels in _group_by_loop(work, tracked[index]):
+            for function_name, loop, labels in _group_by_loop(work, cfgs, tracked[index]):
                 function = work.function(function_name)
-                result = replicate_loop_branch(function, loop, labels, machine)
+                result = replicate_loop_branch(
+                    function, loop, labels, machine, cfg=cfgs.of(function)
+                )
                 report.loop_results.append(result)
                 _cascade_loop(
                     tracked, index, BranchSite(function_name, labels[0]), result
@@ -91,7 +98,17 @@ def apply_replication(
     return report
 
 
-def _group_by_loop(program: Program, sites: List[BranchSite]):
+class _LiveCFGs(dict):
+    """Function name -> that function's CFG, built on first use."""
+
+    def of(self, function: Function) -> CFG:
+        cfg = self.get(function.name)
+        if cfg is None:
+            cfg = self[function.name] = CFG.from_function(function)
+        return cfg
+
+
+def _group_by_loop(program: Program, cfgs: _LiveCFGs, sites: List[BranchSite]):
     """Group surviving branch copies by (function, innermost loop)."""
     by_function: Dict[str, List[str]] = {}
     for site in sites:
@@ -100,7 +117,7 @@ def _group_by_loop(program: Program, sites: List[BranchSite]):
             by_function.setdefault(site.function, []).append(site.block)
     for function_name, labels in by_function.items():
         function = program.function(function_name)
-        forest = LoopForest(CFG.from_function(function))
+        forest = LoopForest(cfgs.of(function))
         groups: Dict[str, Tuple[object, List[str]]] = {}
         for label in labels:
             loop = forest.loop_of(label)
@@ -137,12 +154,12 @@ def _group_by_loop(program: Program, sites: List[BranchSite]):
 
 
 def _apply_correlated(
-    program: Program, site: BranchSite, machine: CorrelatedMachine
+    program: Program, cfgs: _LiveCFGs, site: BranchSite, machine: CorrelatedMachine
 ) -> Optional[TailDuplicationResult]:
     function = program.function(site.function)
     if site.block not in function.blocks:
         return None
-    return duplicate_correlated_branch(function, site.block, machine)
+    return duplicate_correlated_branch(function, site.block, machine, cfg=cfgs.of(function))
 
 
 def _cascade_loop(

@@ -102,8 +102,8 @@ def replicate_loop_joint(
     machine: JointLoopMachine,
 ) -> LoopReplicationResult:
     """Realise *machine* for all its member branches at once."""
-    forest = LoopForest(CFG.from_function(function))
-    loop = forest.loop_with_header(loop_header)
+    cfg = CFG.from_function(function)
+    loop = LoopForest(cfg).loop_with_header(loop_header)
     if loop is None:
         raise ValueError(f"no loop with header {loop_header!r}")
     labels = [site.block for site in machine.sites]
@@ -112,6 +112,4 @@ def replicate_loop_joint(
     def prediction_for(state_index: int, label: str) -> bool:
         return machine.states[state_index].prediction_for(label_of[label])
 
-    return replicate_loop_branch(
-        function, loop, labels, machine, prediction_for
-    )
+    return replicate_loop_branch(function, loop, labels, machine, prediction_for, cfg)

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..cfg import Loop, remove_unreachable_blocks
+from ..cfg import CFG, Loop
 from ..ir import BranchSite, Function, IRError, retarget
 from ..statemachines import PredictionMachine
 
@@ -57,6 +57,7 @@ def replicate_loop_branch(
     branch_labels: Union[str, Sequence[str]],
     machine: PredictionMachine,
     prediction_for=None,
+    cfg: Optional[CFG] = None,
 ) -> LoopReplicationResult:
     """Replicate *loop* in *function* to realise *machine* for the
     branch(es) terminating the *branch_labels* blocks.
@@ -70,6 +71,9 @@ def replicate_loop_branch(
     ``prediction_for(state_index, label)`` overrides the planted
     prediction per copy — joint machines predict per branch, not per
     state, and pass their own resolver here.
+
+    *cfg*, when given, is *function*'s current CFG and is kept current;
+    otherwise one is built.
     """
     if isinstance(branch_labels, str):
         branch_labels = [branch_labels]
@@ -84,7 +88,9 @@ def replicate_loop_branch(
             raise IRError(f"branch block {label!r} is not in the loop")
         if function.block(label).branch is None:
             raise IRError(f"block {label!r} has no conditional branch")
-    size_before = function.size()
+    if cfg is None:
+        cfg = CFG.from_function(function)
+    size_before = cfg.size
     site = BranchSite(function.name, branch_labels[0])
 
     # Loop.body is a set; iterate it in the function's block-layout
@@ -99,7 +105,7 @@ def replicate_loop_branch(
             fresh = function.fresh_label(f"{label}@{state.name}.{state_index}")
             labels[(state_index, label)] = fresh
             # Reserve the label immediately so fresh_label stays unique.
-            function.blocks[fresh] = None  # type: ignore[assignment]
+            cfg.reserve(fresh)
 
     # Build the copies.
     for state_index, state in enumerate(machine.states):
@@ -138,20 +144,24 @@ def replicate_loop_branch(
     def to_entry(target: str) -> str:
         return entry_label if target == loop.header else target
 
-    original_labels = set(loop.body)
-    copy_labels = set(labels.values())
-    for block in list(function):
-        if block.label in original_labels or block.label in copy_labels:
-            continue
+    # The copies are not synced yet, so the header's predecessors are
+    # the original loop body plus the entering blocks.
+    entering = [
+        label for label in dict.fromkeys(cfg.preds[loop.header]) if label not in loop.body
+    ]
+    for label in entering:
+        block = function.blocks[label]
         block.terminator = retarget(block.terminator, to_entry)
 
     # The original loop body is now unreachable (unless the header is
     # the function entry, in which case we re-point the entry).
-    if function.entry in original_labels:
+    if function.entry in loop.body:
         if function.entry != loop.header:
             raise IRError("function entry inside loop but not the header")
-        function.entry = entry_label
-    removed = remove_unreachable_blocks(function)
+        cfg.set_entry(entry_label)
+    cfg.sync(labels.values())
+    cfg.sync(entering)
+    removed = cfg.remove_unreachable()
 
     surviving: Dict[str, Dict[int, str]] = {}
     for (state_index, label), copy_label in labels.items():
@@ -163,5 +173,5 @@ def replicate_loop_branch(
         copies=surviving,
         removed=removed,
         size_before=size_before,
-        size_after=function.size(),
+        size_after=cfg.size,
     )

@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..cfg import predecessor_paths, remove_unreachable_blocks
+from ..cfg import CFG, predecessor_paths
 from ..ir import BranchSite, Function, IRError, retarget
 from ..statemachines import CorrelatedMachine, is_suffix
 
@@ -79,12 +79,15 @@ def duplicate_correlated_branch(
     target: str,
     machine: CorrelatedMachine,
     depth: Optional[int] = None,
+    cfg: Optional[CFG] = None,
 ) -> TailDuplicationResult:
     """Give every decision path of length ≤ *depth* ending at *target*
     its own copy of the path's blocks, and plant the machine's
     predictions in the copies of the target branch.
 
-    *depth* defaults to the machine's longest path.
+    *depth* defaults to the machine's longest path.  *cfg*, when given,
+    is *function*'s current CFG and is kept current; otherwise one is
+    built.
     """
     block = function.block(target)
     if block.branch is None:
@@ -92,17 +95,17 @@ def duplicate_correlated_branch(
     if depth is None:
         depth = max((length for _, length in machine.paths), default=0)
     site = BranchSite(function.name, target)
-    size_before = function.size()
+    if cfg is None:
+        cfg = CFG.from_function(function)
+    size_before = cfg.size
     if depth == 0:
         # Nothing to duplicate; just annotate the catch-all prediction.
         block.terminator = dataclasses.replace(
             block.branch, predict=machine.fallback
         )
-        return TailDuplicationResult(
-            site, {}, {}, [], size_before, function.size()
-        )
+        return TailDuplicationResult(site, {}, {}, [], size_before, size_before)
 
-    paths = predecessor_paths(function, target, depth)
+    paths = predecessor_paths(function, target, depth, cfg=cfg)
 
     # One copy per distinct path prefix (beyond the first, uncopied
     # block).  Prefix key: the block route from the path start.
@@ -113,12 +116,13 @@ def duplicate_correlated_branch(
         if label is None:
             label = function.fresh_label(f"{prefix[-1]}~{len(copy_labels)}")
             copy_labels[prefix] = label
-            function.blocks[label] = None  # type: ignore  # reserve
+            cfg.reserve(label)
         return label
 
     # Materialise copies: iterate path prefixes; each copy's edge to
     # the next block on the path is retargeted to the next copy.
     target_copies: Dict[Tuple[Tuple[int, int], Tuple[str, ...]], str] = {}
+    heads: Dict[str, None] = {}
     for path in paths:
         route = path.blocks
         if len(route) < 2:
@@ -154,11 +158,14 @@ def duplicate_correlated_branch(
             return _new if old == _succ else old
 
         head.terminator = retarget(head.terminator, into_chain)
+        heads[route[0]] = None
 
     # The original target (and possibly some join blocks) may now be
     # unreachable.
     block.terminator = dataclasses.replace(block.branch, predict=machine.fallback)
-    removed = remove_unreachable_blocks(function)
+    cfg.sync(copy_labels.values())
+    cfg.sync(heads)
+    removed = cfg.remove_unreachable()
     surviving = {
         key: label for key, label in target_copies.items() if label in function.blocks
     }
@@ -167,5 +174,5 @@ def duplicate_correlated_branch(
         if label in function.blocks:
             block_copies.setdefault(prefix[-1], []).append(label)
     return TailDuplicationResult(
-        site, surviving, block_copies, removed, size_before, function.size()
+        site, surviving, block_copies, removed, size_before, cfg.size
     )

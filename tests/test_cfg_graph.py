@@ -1,7 +1,9 @@
 """CFG construction, traversal orders and unreachable-block removal."""
 
+import pytest
+
 from repro.cfg import CFG, remove_unreachable_blocks
-from repro.ir import parse_function, parse_program
+from repro.ir import BasicBlock, Branch, IRError, Jump, Return, parse_function, parse_program
 
 DIAMOND = """
 func f(n) {
@@ -81,3 +83,73 @@ def test_remove_unreachable_keeps_live_cycle():
         "exit:\n  ret i\n}"
     )
     assert remove_unreachable_blocks(program.main_function()) == []
+
+
+def test_dangling_edge_is_an_ir_error():
+    function = parse_function("func f() {\nentry:\n  jump nowhere\n}")
+    with pytest.raises(IRError, match="'entry'.*'nowhere'"):
+        CFG.from_function(function)
+
+
+def _assert_current(cfg, function):
+    fresh = CFG.from_function(function)
+    assert list(cfg.succs.items()) == list(fresh.succs.items())
+    assert cfg.preds == fresh.preds
+    assert cfg.entry == fresh.entry
+    assert cfg.size == function.size()
+
+
+def test_edits_keep_the_cfg_current():
+    function = parse_function(DIAMOND)
+    cfg = CFG.from_function(function)
+    assert cfg.size == function.size() == 4
+    # Route entry's taken edge through a new block that joins late.
+    cfg.reserve("left2")
+    function.blocks["left2"] = BasicBlock("left2", [], Jump("join"))
+    function.blocks["entry"].terminator = Branch("lt", "n", 0, "left2", "right")
+    cfg.sync(["left2", "entry"])
+    assert cfg.preds["join"] == ["left", "right", "left2"]
+    assert cfg.remove_unreachable() == ["left"]
+    _assert_current(cfg, function)
+    # A new source earlier in the layout is inserted in layout order.
+    function.blocks["right"].terminator = Jump("left2")
+    cfg.sync(["right"])
+    assert cfg.preds["left2"] == ["entry", "right"]
+    assert cfg.remove_unreachable() == []
+    _assert_current(cfg, function)
+
+
+def test_remove_unreachable_finds_dead_cycles():
+    function = parse_function(
+        "func f(n) {\nentry:\n  jump head\nhead:\n"
+        "  br lt n, 0 ? body : exit\nbody:\n  jump head\nexit:\n  ret n\n}"
+    )
+    cfg = CFG.from_function(function)
+    assert cfg.remove_unreachable() == []
+    # Bypass the loop: head and body keep each other as predecessors.
+    function.blocks["entry"].terminator = Jump("exit")
+    cfg.sync(["entry"])
+    assert cfg.remove_unreachable() == ["head", "body"]
+    _assert_current(cfg, function)
+
+
+def test_set_entry_moves_the_entry():
+    function = parse_function("func f() {\nentry:\n  jump done\ndone:\n  ret\n}")
+    cfg = CFG.from_function(function)
+    cfg.reserve("start")
+    function.blocks["start"] = BasicBlock("start", [], Return())
+    cfg.sync(["start"])
+    cfg.set_entry("start")
+    assert cfg.remove_unreachable() == ["entry", "done"]
+    assert function.entry == "start"
+    _assert_current(cfg, function)
+
+
+def test_edit_errors():
+    with pytest.raises(IRError):
+        CFG("a", {"a": ()}).reserve("b")
+    function = parse_function(DIAMOND)
+    cfg = CFG.from_function(function)
+    function.blocks["left"].terminator = Jump("nowhere")
+    with pytest.raises(IRError, match="'left'.*'nowhere'"):
+        cfg.sync(["left"])

@@ -161,6 +161,19 @@ class TestTerminators:
         assert out.pointer is True
         assert out.predict is False
 
+    def test_retarget_copies_every_field(self):
+        # retarget builds terminators field by field; a new field must
+        # be added there too.
+        assert [f.name for f in dataclasses.fields(Jump)] == ["target"]
+        assert [f.name for f in dataclasses.fields(Branch)] == [
+            "op", "lhs", "rhs", "taken", "not_taken", "pointer", "predict",
+        ]
+        branch = Branch("le", "x", 7, "a", "b", pointer=True, predict=True)
+        out = retarget(branch, {"a": "a2", "b": "b2"}.get)
+        assert out == dataclasses.replace(branch, taken="a2", not_taken="b2")
+        assert type(out) is Branch
+        assert retarget(Jump("a"), {"a": "a2"}.get) == Jump("a2")
+
     def test_retarget_return_noop(self):
         ret = Return("v")
         assert retarget(ret, lambda l: "x") is ret

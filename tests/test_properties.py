@@ -21,6 +21,7 @@ from repro.profiling import (
     trace_program,
 )
 from repro.replication import ReplicationPlanner, apply_replication
+from repro.replication import apply as apply_module
 from repro.statemachines import (
     best_intra_machine,
     greedy_intra_machine,
@@ -260,6 +261,24 @@ def test_inlining_preserves_semantics(seed, arg):
     assert result.output == reference.output
 
 
+def _planned_random_program(seed, arg):
+    """A random program, its profile on input *arg* and the planner's
+    best machine per improvable branch; the profile is None when the
+    run takes no branch."""
+    program = random_program(seed, helpers=seed % 3)
+    trace, _ = trace_program(program.copy(), [arg], max_steps=2_000_000)
+    if len(trace) == 0:
+        return program, None, []
+    profile = ProfileData.from_trace(trace)
+    planner = ReplicationPlanner(program, profile, max_states=4)
+    selections = []
+    for plan in planner.improvable_plans():
+        option = plan.best_option(4)
+        if option is not None:
+            selections.append((plan.site, option.scored.machine))
+    return program, profile, selections
+
+
 @given(st.integers(0, 80), st.integers(0, 30))
 @settings(
     deadline=None,
@@ -268,20 +287,62 @@ def test_inlining_preserves_semantics(seed, arg):
 )
 def test_replication_preserves_semantics(seed, arg):
     """The headline property: replicated programs behave identically."""
-    program = random_program(seed, helpers=seed % 3)
-    reference = run_program(program.copy(), [arg], max_steps=2_000_000)
-    trace, _ = trace_program(program.copy(), [arg], max_steps=2_000_000)
-    if len(trace) == 0:
+    program, profile, selections = _planned_random_program(seed, arg)
+    if profile is None:
         return
-    profile = ProfileData.from_trace(trace)
-    planner = ReplicationPlanner(program, profile, max_states=4)
-    selections = []
-    for plan in planner.improvable_plans():
-        option = plan.best_option(4)
-        if option is not None:
-            selections.append((plan.site, option.scored.machine))
+    reference = run_program(program.copy(), [arg], max_steps=2_000_000)
     report = apply_replication(program, selections, profile)
     validate_program(report.program)
     transformed = run_program(report.program, [arg], max_steps=8_000_000)
     assert transformed.value == reference.value
     assert transformed.output == reference.output
+
+
+@given(st.integers(0, 80), st.integers(0, 30))
+@settings(
+    deadline=None,
+    max_examples=25,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_live_cfg_matches_a_fresh_rebuild(seed, arg):
+    """After every transform, the CFG ``apply_replication`` keeps current
+    equals one rebuilt from the edited function, its tracked size is the
+    function's size, and the blocks it dropped are exactly those a fresh
+    reachability walk drops, in layout order."""
+    program, profile, selections = _planned_random_program(seed, arg)
+    if profile is None:
+        return
+    checked = []
+
+    def check_current(function, cfg):
+        fresh = CFG.from_function(function)
+        assert list(cfg.succs.items()) == list(fresh.succs.items())
+        assert list(cfg.preds.items()) == list(fresh.preds.items())
+        assert cfg.entry == fresh.entry
+        assert cfg.size == function.size()
+        checked.append(function.name)
+
+    def checking(transform):
+        def run(function, *args, cfg, **kwargs):
+            result = transform(function, *args, cfg=cfg, **kwargs)
+            check_current(function, cfg)
+            return result
+
+        return run
+
+    remove_unreachable = CFG.remove_unreachable
+
+    def checked_remove(cfg):
+        live = CFG.from_function(cfg.function).reachable()
+        expected = [label for label in cfg.function.blocks if label not in live]
+        assert remove_unreachable(cfg) == expected
+        return expected
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("replicate_loop_branch", "duplicate_correlated_branch"):
+            patch.setattr(apply_module, name, checking(getattr(apply_module, name)))
+        patch.setattr(CFG, "remove_unreachable", checked_remove)
+        # Realising the plan twice cascades every transform onto the
+        # copies the first pass made.
+        report = apply_replication(program, selections * 2, profile)
+    assert len(checked) == len(report.loop_results) + len(report.tail_results)

@@ -7,6 +7,7 @@ i-cache-sensitive measurement) would vary from process to process with
 different hash seeds and requires identical rendered programs.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -80,3 +81,34 @@ def test_replicated_layout_is_hashseed_independent(seeds):
         outputs.append(result.stdout)
     assert outputs[0]  # the pipeline really produced a program
     assert all(output == outputs[0] for output in outputs)
+
+
+SWEEP_SCRIPT = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_repl_golden import record
+sys.stdout.write(json.dumps(record("c-compiler")))
+"""
+
+
+def test_sweep_prefixes_are_hashseed_independent():
+    """c-compiler's whole trade-off sweep (14 prefixes, up to x72 real
+    growth) renders the same programs and the same per-transform results
+    under different hash seeds — and the recorded golden ones."""
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    fingerprints = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        result = subprocess.run(
+            [sys.executable, "-c", SWEEP_SCRIPT, tests_dir],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        fingerprints.append(json.loads(result.stdout))
+    with open(os.path.join(tests_dir, "data", "replication_golden.json")) as handle:
+        golden = json.load(handle)["c-compiler"]
+    assert len(fingerprints[0]) == 14
+    assert fingerprints[0] == fingerprints[1] == golden
