@@ -8,12 +8,8 @@ serves trace, path tables and step count together (previously three
 separate passes); the warm number is a pure ``KBT1`` + envelope decode.
 """
 
-from repro.workloads.artifacts import (
-    cache_stats,
-    clear_memory_cache,
-    get_artifacts,
-    reset_cache_stats,
-)
+from repro.obs import OBS
+from repro.workloads.artifacts import clear_memory_cache, get_artifacts
 
 
 def _cold(name, scale):
@@ -30,23 +26,23 @@ def _warm(name, scale):
 
 
 def test_artifacts_cold(benchmark, bench_scale):
-    reset_cache_stats()
+    OBS.reset(prefix="artifacts.")
     artifacts = benchmark.pedantic(
         _cold, args=("compress", bench_scale), rounds=3, iterations=1
     )
     assert len(artifacts.trace) > 0
-    stats = cache_stats()
-    benchmark.extra_info["interpreter_runs"] = stats.interpreter_runs
+    benchmark.extra_info["interpreter_runs"] = OBS.counter(
+        "artifacts.interpreter.runs"
+    )
     benchmark.extra_info["events"] = len(artifacts.trace)
 
 
 def test_artifacts_warm(benchmark, bench_scale):
     get_artifacts("compress", scale=bench_scale)  # ensure the disk entry exists
-    reset_cache_stats()
+    OBS.reset(prefix="artifacts.")
     artifacts = benchmark.pedantic(
         _warm, args=("compress", bench_scale), rounds=3, iterations=1
     )
-    stats = cache_stats()
-    assert stats.interpreter_runs == 0
-    benchmark.extra_info["hits"] = stats.hits
+    assert OBS.counter("artifacts.interpreter.runs") == 0
+    benchmark.extra_info["hits"] = OBS.counter("artifacts.cache.hits")
     benchmark.extra_info["events"] = len(artifacts.trace)

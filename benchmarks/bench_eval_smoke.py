@@ -1,27 +1,26 @@
-"""Bench smoke: columnar batch engine vs the PR-2 stepper engine.
+"""Bench smoke: columnar batch engine vs the sequential reference.
 
 Standalone script (not a pytest-benchmark suite) so CI can run it as a
-gate: it times table1's eight-strategy predictor set per benchmark
-three ways — the legacy path (one `evaluate` call — one trace scan —
-per predictor), the PR-2 single-pass stepper engine
-(`evaluate_many(..., batch=False)`, the gated baseline) and the
-columnar batch-kernel engine (`evaluate_many`) — verifies all three
-produce identical results, and writes the wall-clocks, events/sec and
-speedups to a JSON report.  Exits non-zero when the batch engine's
-speedup over the stepper engine falls below the threshold.
+gate: it times table1's eight-strategy predictor set per benchmark two
+ways — the legacy path (one sequential `evaluate` call — one trace
+scan — per predictor, the gated baseline) and the columnar
+batch-kernel engine (`evaluate_many`) — verifies both produce
+identical results, and writes the wall-clocks, events/sec and the
+batch-over-legacy speedup to a JSON report.  Exits non-zero when that
+speedup falls below the threshold.
 
-It also gates the observability layer: the single-pass region is timed
-once with span recording disabled (the default) and once enabled, and
-the run fails when the obs-disabled hot path is more than
-``--max-obs-overhead`` slower than the enabled measurement implies.
-(The enabled run is a superset of the disabled run's work, so the
-enabled/disabled ratio bounds the instrumentation cost from above.)
+It also gates the observability layer: the batch region is timed once
+with no trace active (spans are no-ops, the default) and once under an
+active trace that collects every span, and the run fails when the
+traced run is more than ``--max-obs-overhead`` slower.  (The traced
+run is a superset of the untraced run's work, so the ratio bounds the
+instrumentation cost from above.)
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_eval_smoke.py \
         --output BENCH_eval.json [--names a,b] [--scale 1] \
-        [--repeats 3] [--min-speedup 10.0] [--max-obs-overhead 0.05]
+        [--repeats 3] [--min-speedup 31.0] [--max-obs-overhead 0.05]
 
 The tracked metrics (speedup, events/s) also append one row to
 ``BENCH_history.jsonl`` (see ``benchmarks/history.py``).
@@ -81,15 +80,15 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument(
         "--min-speedup",
         type=float,
-        default=10.0,
-        help="required batch-engine speedup over the stepper engine",
+        default=31.0,
+        help="required batch-engine speedup over the legacy sequential path",
     )
     parser.add_argument(
         "--max-obs-overhead",
         type=float,
         default=0.05,
         help="maximum allowed fractional slowdown of the engine hot path "
-        "with span recording enabled (bounds the obs-disabled overhead)",
+        "under an active trace (bounds the untraced overhead)",
     )
     parser.add_argument("--output", default="BENCH_eval.json")
     parser.add_argument(
@@ -105,7 +104,7 @@ def main(argv: List[str] = None) -> int:
 
     # Warm every artifact — and build the predictor sets — outside the
     # timed regions: profile marginalization is identical setup work
-    # for all three engines and would only dilute the measured ratios.
+    # for both paths and would only dilute the measured ratio.
     # Reuse across passes is safe: every evaluation path resets
     # predictor state first and the batch kernels never mutate it.
     profiles = {name: get_profile(name, args.scale) for name in names}
@@ -114,7 +113,7 @@ def main(argv: List[str] = None) -> int:
     events = sum(len(traces[name]) for name in names)
     n_predictors = len(predictors[names[0]])
 
-    legacy_seconds = stepper_seconds = batch_seconds = float("inf")
+    legacy_seconds = batch_seconds = float("inf")
     mismatches: List[str] = []
     for _ in range(args.repeats):
         started = time.perf_counter()
@@ -125,13 +124,6 @@ def main(argv: List[str] = None) -> int:
         legacy_seconds = min(legacy_seconds, time.perf_counter() - started)
 
         started = time.perf_counter()
-        stepper: Dict[str, list] = {
-            name: evaluate_many(predictors[name], traces[name], batch=False)
-            for name in names
-        }
-        stepper_seconds = min(stepper_seconds, time.perf_counter() - started)
-
-        started = time.perf_counter()
         batch: Dict[str, list] = {
             name: evaluate_many(predictors[name], traces[name])
             for name in names
@@ -139,30 +131,29 @@ def main(argv: List[str] = None) -> int:
         batch_seconds = min(batch_seconds, time.perf_counter() - started)
 
         mismatches = [
-            f"{name}/{a.predictor}[{label}]"
+            f"{name}/{a.predictor}"
             for name in names
-            for label, other in (("stepper", stepper), ("batch", batch))
-            for a, b in zip(legacy[name], other[name])
+            for a, b in zip(legacy[name], batch[name])
             if not results_equal(a, b)
         ]
         if mismatches:
             break
 
-    # Obs gate: re-time the batch region with span recording on, against
-    # a freshly measured recording-off baseline.  The batch pass is only
+    # Obs gate: re-time the batch region under an active trace, against
+    # a freshly measured untraced baseline.  The batch pass is only
     # a few milliseconds now, so each sample loops enough inner passes
     # to push the timed region above scheduler/timer noise — otherwise
     # the gate would compare two sub-10ms samples and flap.
     inner = max(1, min(32, round(0.05 / max(batch_seconds, 1e-6))))
 
-    def time_batch_sample(record_spans: bool) -> float:
-        # GC pauses land preferentially in the recording samples (spans
+    def time_batch_sample(traced: bool) -> float:
+        # GC pauses land preferentially in the traced samples (spans
         # are the only extra allocations here), which reads as phantom
         # obs overhead; collect up front and hold GC off while timing.
         gc.collect()
         gc.disable()
-        if record_spans:
-            OBS.enable()
+        if traced:
+            OBS.start_trace()
         try:
             started = time.perf_counter()
             for _ in range(inner):
@@ -170,32 +161,29 @@ def main(argv: List[str] = None) -> int:
                     evaluate_many(predictors[name], traces[name])
             return (time.perf_counter() - started) / inner
         finally:
-            OBS.disable()
+            if traced:
+                OBS.end_trace()
             gc.enable()
-            if record_spans:
-                OBS.reset()
 
     # Each round measures both sides back to back (flipping which goes
-    # first) and contributes one *paired* enabled/disabled ratio, so
+    # first) and contributes one *paired* traced/untraced ratio, so
     # clock-frequency drift over the measurement window cancels within
     # the pair.  The gate takes the minimum ratio across rounds: the
     # overhead is a fixed cost, so any one clean round bounds it from
     # above, and a transient stall in a single round cannot flap a ~5%
     # gate the way comparing two independent best-of minima can.
-    obs_disabled_seconds = obs_enabled_seconds = float("inf")
+    obs_untraced_seconds = obs_traced_seconds = float("inf")
     obs_ratio = float("inf")
     for round_index in range(max(args.repeats, 9)):
         pair = {}
-        for record_spans in (
-            (False, True) if round_index % 2 == 0 else (True, False)
-        ):
-            pair[record_spans] = time_batch_sample(record_spans)
-        obs_enabled_seconds = min(obs_enabled_seconds, pair[True])
-        obs_disabled_seconds = min(obs_disabled_seconds, pair[False])
+        for traced in (False, True) if round_index % 2 == 0 else (True, False):
+            pair[traced] = time_batch_sample(traced)
+        obs_traced_seconds = min(obs_traced_seconds, pair[True])
+        obs_untraced_seconds = min(obs_untraced_seconds, pair[False])
         obs_ratio = min(obs_ratio, pair[True] / pair[False])
     obs_overhead = obs_ratio - 1.0
 
-    speedup = stepper_seconds / batch_seconds
+    speedup = legacy_seconds / batch_seconds
     report = {
         "benchmarks": list(names),
         "scale": args.scale,
@@ -206,23 +194,17 @@ def main(argv: List[str] = None) -> int:
             "trace_scans": len(names) * n_predictors,
             "events_per_second": events * n_predictors / legacy_seconds,
         },
-        "stepper": {
-            "seconds": stepper_seconds,
-            "trace_scans": len(names),
-            "events_per_second": events * n_predictors / stepper_seconds,
-        },
         "batch": {
             "seconds": batch_seconds,
             "trace_scans": 0,
             "events_per_second": events * n_predictors / batch_seconds,
         },
         "speedup": speedup,
-        "speedup_vs_legacy": legacy_seconds / batch_seconds,
         "events_per_second": events * n_predictors / batch_seconds,
         "min_speedup": args.min_speedup,
         "obs": {
-            "enabled_seconds": obs_enabled_seconds,
-            "disabled_seconds": obs_disabled_seconds,
+            "traced_seconds": obs_traced_seconds,
+            "untraced_seconds": obs_untraced_seconds,
             "inner_passes": inner,
             "overhead": obs_overhead,
             "max_overhead": args.max_obs_overhead,
@@ -234,8 +216,8 @@ def main(argv: List[str] = None) -> int:
         json.dump(report, stream, indent=2)
         stream.write("\n")
     print(
-        f"legacy {legacy_seconds:.3f}s vs stepper {stepper_seconds:.3f}s vs "
-        f"batch {batch_seconds:.3f}s ({speedup:.2f}x over stepper, "
+        f"legacy {legacy_seconds:.3f}s vs batch {batch_seconds:.3f}s "
+        f"({speedup:.2f}x over legacy, "
         f"{events} events x {n_predictors} predictors); "
         f"obs overhead {obs_overhead:+.1%} -> {args.output}"
     )

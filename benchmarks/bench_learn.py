@@ -2,10 +2,9 @@
 
 Standalone script (not a pytest-benchmark suite) so CI can run it as a
 gate: it times ``fit`` over every default learned config (training
-events/s) and frozen-model inference three ways — the sequential
-reference ``evaluate``, the single-pass stepper engine
-(``evaluate_many(..., batch=False)``) and the columnar LUT kernels
-(``evaluate_many``) — verifies all three produce identical results, and
+events/s) and frozen-model inference two ways — the sequential
+reference ``evaluate`` and the columnar LUT kernels
+(``evaluate_many``) — verifies both produce identical results, and
 writes the wall-clocks and events/s to a JSON report.  Exits non-zero
 on a result mismatch or when either throughput falls below its floor.
 
@@ -93,7 +92,7 @@ def main(argv: List[str] = None) -> int:
     def predictors(name: str) -> List[LearnedPredictor]:
         return [LearnedPredictor(model) for model in models[name]]
 
-    sequential_seconds = stepper_seconds = batch_seconds = float("inf")
+    sequential_seconds = batch_seconds = float("inf")
     mismatches: List[str] = []
     for _ in range(args.repeats):
         started = time.perf_counter()
@@ -104,13 +103,6 @@ def main(argv: List[str] = None) -> int:
         sequential_seconds = min(sequential_seconds, time.perf_counter() - started)
 
         started = time.perf_counter()
-        stepper = {
-            name: evaluate_many(predictors(name), holdouts[name], batch=False)
-            for name in names
-        }
-        stepper_seconds = min(stepper_seconds, time.perf_counter() - started)
-
-        started = time.perf_counter()
         batch = {
             name: evaluate_many(predictors(name), holdouts[name])
             for name in names
@@ -118,10 +110,9 @@ def main(argv: List[str] = None) -> int:
         batch_seconds = min(batch_seconds, time.perf_counter() - started)
 
         mismatches = [
-            f"{name}/{a.predictor}[{label}]"
+            f"{name}/{a.predictor}"
             for name in names
-            for label, other in (("stepper", stepper), ("batch", batch))
-            for a, b in zip(sequential[name], other[name])
+            for a, b in zip(sequential[name], batch[name])
             if not results_equal(a, b)
         ]
         if mismatches:
@@ -142,10 +133,6 @@ def main(argv: List[str] = None) -> int:
             "seconds": sequential_seconds,
             "events_per_second": infer_events / sequential_seconds,
         },
-        "stepper": {
-            "seconds": stepper_seconds,
-            "events_per_second": infer_events / stepper_seconds,
-        },
         "batch": {
             "seconds": batch_seconds,
             "events_per_second": infer_eps,
@@ -163,8 +150,8 @@ def main(argv: List[str] = None) -> int:
     print(
         f"train {train_seconds:.3f}s ({train_eps:,.0f} ev/s over "
         f"{len(configs)} configs) | infer sequential "
-        f"{sequential_seconds:.3f}s vs stepper {stepper_seconds:.3f}s vs "
-        f"batch {batch_seconds:.3f}s ({infer_eps:,.0f} ev/s) -> {args.output}"
+        f"{sequential_seconds:.3f}s vs batch {batch_seconds:.3f}s "
+        f"({infer_eps:,.0f} ev/s) -> {args.output}"
     )
     if args.history:
         import history

@@ -19,12 +19,14 @@ fanned out across ``--jobs`` worker processes that fill the shared
 on-disk artifact cache before any table renders; a warm cache makes
 every target a pure replay.
 
-Observability: ``--timings`` and ``--trace-out`` enable span recording
-on the process observer (:mod:`repro.obs`).  ``--timings`` prints the
-observer's stage summary — span aggregates, engine throughput, cache
-counters — on stderr *after* all table output, so stdout stays
-machine-parseable under ``--format json|csv``; ``--trace-out FILE``
-writes the whole run as Chrome ``trace_event`` JSON, loadable in
+Observability: ``--timings`` and ``--trace-out`` run the whole batch
+as one trace (:mod:`repro.obs`) whose top-level spans are
+``artifacts.prewarm`` and ``experiment:<target>``; prewarm worker
+processes join it.  ``--timings`` prints the stage summary — that
+trace's span aggregates, engine throughput, cache counters — on stderr
+*after* all table output, so stdout stays machine-parseable under
+``--format json|csv``; ``--trace-out FILE`` writes the trace and the
+final counters as Chrome ``trace_event`` JSON, loadable in
 ``chrome://tracing`` or https://ui.perfetto.dev.  ``--snapshot-out``
 saves the final observer snapshot as JSON (feed it to
 ``python -m repro obs-export``) and ``--metrics-out`` writes the same
@@ -34,6 +36,7 @@ data directly as Prometheus text exposition.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -43,12 +46,11 @@ from ..obs import (
     OBS,
     render_prometheus,
     summary_lines,
-    write_chrome_trace,
+    trace_chrome_doc,
     write_snapshot,
 )
-from ..predictors import engine_stats
 from ..workloads import BENCHMARK_NAMES, artifacts as artifact_store
-from ..workloads.artifacts import cache_stats, generate_artifacts
+from ..workloads.artifacts import generate_artifacts
 from . import crosseval
 from .registry import RunContext, all_experiments, get_experiment
 from .report import Table, tables_to_csv, tables_to_json
@@ -76,6 +78,16 @@ def _parse_names(parser: argparse.ArgumentParser, raw: Optional[str]) -> Optiona
     return names or None
 
 
+def _cache_summary() -> str:
+    """This process's artifact-cache hits, misses and interpreter runs."""
+    counters = OBS.counters("artifacts.")
+    return (
+        f"{counters.get('artifacts.cache.hits', 0)} hit(s), "
+        f"{counters.get('artifacts.cache.misses', 0)} miss(es), "
+        f"{counters.get('artifacts.interpreter.runs', 0)} interpreter run(s)"
+    )
+
+
 def _run_cache_command(action: str) -> int:
     directory = artifact_store.cache_dir()
     if action == "clear":
@@ -88,11 +100,7 @@ def _run_cache_command(action: str) -> int:
     print(f"entries: {len(entries)} file(s), {artifact_store.disk_cache_bytes()} bytes")
     for entry in entries:
         print(f"  {entry}")
-    stats = cache_stats()
-    print(
-        f"this process: {stats.hits} hit(s), {stats.misses} miss(es), "
-        f"{stats.interpreter_runs} interpreter run(s)"
-    )
+    print(f"this process: {_cache_summary()}")
     return 0
 
 
@@ -173,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=str,
         default=None,
         metavar="FILE",
-        help="write the run's spans and counters as Chrome trace_event "
+        help="write the run's trace and counters as Chrome trace_event "
         "JSON to FILE (chrome://tracing / Perfetto)",
     )
     parser.add_argument(
@@ -182,7 +190,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="FILE",
         help="write the final observer snapshot (counters, gauges, "
-        "histograms, spans) as JSON to FILE — the input format of "
+        "histograms) as JSON to FILE — the input format of "
         "'python -m repro obs-export'",
     )
     parser.add_argument(
@@ -213,11 +221,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     targets = _all_targets() if args.experiment == "all" else [args.experiment]
 
-    # Span recording is opt-in: without --timings/--trace-out the
-    # observer only keeps its (cheap, always-on) counters and the run's
-    # stdout/stderr match previous releases byte for byte.
-    if args.timings or args.trace_out:
-        OBS.enable()
+    # Spans are collected only under a trace: without --timings/
+    # --trace-out the observer keeps just its (cheap, always-on)
+    # counters and the run's stdout/stderr match previous releases byte
+    # for byte.
+    trace = OBS.start_trace() if args.timings or args.trace_out else None
 
     with OBS.span("artifacts.prewarm", jobs=jobs, scale=args.scale):
         generate_artifacts(
@@ -236,23 +244,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             names=tuple(names) if names is not None else None,
             jobs=jobs,
             output=args.format,
-            obs=OBS,
-            trace_out=args.trace_out,
             options={"csv_dir": args.csv_dir} if target == "figures" else {},
         )
         with OBS.span(
             f"experiment:{target}", scale=args.scale, format=args.format
         ) as span:
-            engine_before = engine_stats()
+            events_before = OBS.counter("engine.events")
             started = time.perf_counter()
             tables = experiment.tables(ctx)
             elapsed = time.perf_counter() - started
-            engine_after = engine_stats()
             span.set(
                 seconds=round(elapsed, 6),
                 tables=len(tables),
-                engine_events=engine_after.events - engine_before.events,
-                engine_scans=engine_after.scans - engine_before.scans,
+                engine_events=OBS.counter("engine.events") - events_before,
             )
         if args.format == "text":
             for table in tables:
@@ -269,33 +273,38 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Telemetry is emitted only after every table has been written, so
     # stdout stays machine-parseable and stderr never interleaves with
     # partially rendered output.
+    OBS.end_trace()
+    spans = trace.span_dicts() if trace is not None else []
     snapshot = OBS.snapshot()
     if args.trace_out:
-        write_chrome_trace(args.trace_out, snapshot)
+        doc = trace_chrome_doc(trace.trace_id, spans, snapshot.counters)
+        with open(args.trace_out, "w") as stream:
+            json.dump(doc, stream, indent=1)
+            stream.write("\n")
     if args.snapshot_out:
         write_snapshot(args.snapshot_out, snapshot)
     if args.metrics_out:
         with open(args.metrics_out, "w") as stream:
             stream.write(render_prometheus(snapshot))
     if args.timings:
-        engine = engine_stats()
-        stats = cache_stats()
-        for line in summary_lines(snapshot):
+        counters = snapshot.counters
+        for line in summary_lines(snapshot, spans):
             print(line, file=sys.stderr)
         print(
-            f"[timings] cache: {stats.hits} hit(s), {stats.misses} miss(es), "
-            f"{stats.interpreter_runs} interpreter run(s) "
-            f"({stats.interpreter_seconds:.2f}s interp, "
-            f"{stats.load_seconds:.2f}s load)",
+            f"[timings] cache: {_cache_summary()} "
+            f"({counters.get('artifacts.interpreter.seconds', 0.0):.2f}s interp, "
+            f"{counters.get('artifacts.cache.load_seconds', 0.0):.2f}s load)",
             file=sys.stderr,
         )
-        if engine.events:
-            rate = engine.events / engine.seconds if engine.seconds else float("inf")
+        events = counters.get("engine.events", 0)
+        if events:
+            seconds = counters.get("engine.seconds", 0.0)
+            rate = events / seconds if seconds else float("inf")
             print(
-                f"[timings] engine: {engine.events} event(s) in {engine.scans} "
-                f"single-pass scan(s), {engine.online_predictors} online + "
-                f"{engine.closed_form_predictors} closed-form result(s), "
-                f"{rate:,.0f} events/s",
+                f"[timings] engine: {events} event(s), "
+                f"{counters.get('engine.batch_predictors', 0)} batch + "
+                f"{counters.get('engine.closed_form_predictors', 0)} "
+                f"closed-form result(s), {rate:,.0f} events/s",
                 file=sys.stderr,
             )
     return 0

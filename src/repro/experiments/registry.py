@@ -8,12 +8,9 @@ hand-maintained dicts.
 
 Experiments execute against a :class:`RunContext` — one frozen value
 object carrying every cross-cutting knob (scale, benchmark subset,
-worker processes, observer handle, output format, trace export path,
-per-target options) — so adding a knob no longer requires threading a
-new positional parameter through every runner signature.  The previous
-positional contract, ``Experiment.run(scale, names, **kwargs)``, is
-kept as a thin shim that emits :class:`DeprecationWarning` and builds a
-context.
+worker processes, output format, per-target options) — so adding a
+knob never requires threading a new positional parameter through every
+runner signature.
 
 The predictor-comparison tables (table1, the two-level zoo, statics,
 instper, crossdata, tracelen) also share one driver,
@@ -24,21 +21,9 @@ hand-rolled benchmark × predictor loops that each re-scan the trace.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..obs import Observer, default_observer
 from ..predictors import EvaluationResult, Predictor, evaluate_many
 from ..profiling import Trace
 from .report import Table
@@ -55,11 +40,9 @@ Metric = Callable[[EvaluationResult, str], Any]
 class RunContext:
     """Everything one experiment execution needs, in one value object.
 
-    The context replaces the positional ``run(scale, names, **kwargs)``
-    contract: cross-cutting knobs (worker processes, the observer that
-    collects spans/counters, the output format, the trace export path)
-    travel together, and per-target options ride in ``options`` instead
-    of forcing every runner signature to grow.
+    Cross-cutting knobs (worker processes, the output format) travel
+    together, and per-target options ride in ``options`` instead of
+    forcing every runner signature to grow.
     """
 
     scale: int = 1
@@ -69,10 +52,6 @@ class RunContext:
     jobs: int = 1
     #: output format the caller will render ("text", "json" or "csv")
     output: str = "text"
-    #: observer collecting this run's spans and counters
-    obs: Observer = field(default_factory=default_observer)
-    #: Chrome trace_event export path (None = no export)
-    trace_out: Optional[str] = None
     #: per-target options (e.g. ``max_states``, ``csv_dir``)
     options: Mapping[str, Any] = field(default_factory=dict)
 
@@ -117,43 +96,8 @@ class Experiment:
             return self.runner(ctx)
         return self.runner(ctx.scale, ctx.names_list, **dict(ctx.options))
 
-    def run(self, scale: int = 1, names: Optional[List[str]] = None, **kwargs):
-        """Deprecated positional entry point; use :meth:`execute`."""
-        warnings.warn(
-            "Experiment.run(scale, names, ...) is deprecated; build a "
-            "RunContext and call Experiment.execute(ctx)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(
-            RunContext(
-                scale=scale,
-                names=tuple(names) if names is not None else None,
-                options=kwargs,
-            )
-        )
-
-    def tables(
-        self,
-        ctx: Union[RunContext, int] = 1,
-        names: Optional[List[str]] = None,
-        **kwargs,
-    ) -> List[Table]:
-        """Run and normalise the result to a list of tables.
-
-        Accepts a :class:`RunContext` (the redesigned API) or the
-        legacy positional ``(scale, names, **kwargs)`` shape.
-        """
-        if not isinstance(ctx, RunContext):
-            ctx = RunContext(
-                scale=ctx,
-                names=tuple(names) if names is not None else None,
-                options=kwargs,
-            )
-        elif names is not None or kwargs:
-            raise TypeError(
-                "pass benchmark names and options inside the RunContext"
-            )
+    def tables(self, ctx: RunContext) -> List[Table]:
+        """Run against *ctx* and normalise the result to a list of tables."""
         result = self.execute(ctx)
         if self.multi:
             return list(result.values())

@@ -242,8 +242,8 @@ class LearnedPredictor(Predictor):
         self, sites: Sequence[BranchSite]
     ) -> Tuple[List[Optional[List[int]]], List[int]]:
         """``(per-site rows, shared row)`` for this site table, built
-        once per (predictor, site list) — shared by the stepper, the
-        fallback kernel and the numpy LUT bake."""
+        once per (predictor, site list) — shared by the pure-Python
+        kernel and the numpy LUT bake."""
         key = tuple(sites)
         cache = self.__dict__.setdefault("_row_cache", {})
         entry = cache.get(key)
@@ -257,32 +257,6 @@ class LearnedPredictor(Predictor):
             entry = (site_rows, guess_row(self.model.shared))
             cache[key] = entry
         return entry
-
-    def make_stepper(self, sites):
-        rows, shared_row = self._frozen_rows(sites)
-        scope = self.scope
-        bits = self.bits
-        mask = self._mask
-        ghist = self._ghist
-        lhists = [0] * len(sites)
-
-        def step(sid: int, direction: int) -> bool:
-            nonlocal ghist
-            row = rows[sid]
-            if row is None:
-                guess = shared_row[ghist]
-            elif scope == "global":
-                guess = row[ghist]
-            elif scope == "peraddr":
-                guess = row[lhists[sid]]
-            else:
-                guess = row[(lhists[sid] << bits) | ghist]
-            ghist = ((ghist << 1) | direction) & mask
-            if scope != "global":
-                lhists[sid] = ((lhists[sid] << 1) | direction) & mask
-            return guess != direction
-
-        return step
 
     # -- columnar batch kernel -------------------------------------------------
 
@@ -375,7 +349,7 @@ class LearnedPredictor(Predictor):
         return entry
 
     def _step_batch_sequential(self, columns) -> List[int]:
-        """Pure-Python kernel: the stepper loop over the columns —
+        """Pure-Python kernel: one loop over the columns —
         byte-identical to the numpy gathers by construction."""
         counts = [0] * columns.n_sites
         rows, shared_row = self._frozen_rows(columns.sites)

@@ -11,12 +11,13 @@ Instrumented modules report to the process-wide default observer::
     with OBS.span("workload.run", benchmark=name, scale=scale):
         ...
 
-Span recording is opt-in (``OBS.enable()``, or the experiment CLI's
-``--timings`` / ``--trace-out`` flags); counters, histograms and rates
-are always live.  The service daemon additionally runs every request
-under an :class:`~repro.obs.tracing.ActiveTrace` feeding the always-on
-:class:`~repro.obs.flight.FlightRecorder` — see :mod:`repro.obs.core`
-for the model, :mod:`repro.obs.tracing` for trace-context propagation,
+Spans are collected by an :class:`~repro.obs.tracing.ActiveTrace`:
+the service daemon runs every request under one, feeding the
+always-on :class:`~repro.obs.flight.FlightRecorder`, and the experiment
+CLI runs a whole batch run under one when ``--timings`` or
+``--trace-out`` is given.  Counters, histograms and rates are always
+live.  See :mod:`repro.obs.core` for the model,
+:mod:`repro.obs.tracing` for trace-context propagation,
 :mod:`repro.obs.flight` for tail-sampled request traces,
 :mod:`repro.obs.profiler` for the sampling wall-clock profiler,
 :mod:`repro.obs.hist` for the log-bucketed histogram and rate window,
@@ -30,19 +31,16 @@ from .core import (
     OBS,
     Observer,
     ObsSnapshot,
-    SpanRecord,
     default_observer,
     merge_snapshots,
 )
 from .export import (
-    chrome_trace,
     format_span_tree,
     snapshot_from_dict,
     snapshot_to_dict,
     snapshot_to_json,
     summary_lines,
     trace_chrome_doc,
-    write_chrome_trace,
     write_snapshot,
 )
 from .flight import FlightRecorder, sample_decision
@@ -61,7 +59,6 @@ from .tracing import (
     new_span_id,
     new_trace_id,
     parse_traceparent,
-    span_to_dict,
 )
 
 __all__ = [
@@ -76,9 +73,7 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "ProfilerBusy",
     "RateWindow",
-    "SpanRecord",
     "StackSampler",
-    "chrome_trace",
     "collapsed_stacks",
     "default_observer",
     "format_span_tree",
@@ -96,10 +91,8 @@ __all__ = [
     "snapshot_from_dict",
     "snapshot_to_dict",
     "snapshot_to_json",
-    "span_to_dict",
     "summary_lines",
     "trace_chrome_doc",
     "validate_exposition",
-    "write_chrome_trace",
     "write_snapshot",
 ]

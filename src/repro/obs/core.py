@@ -4,17 +4,18 @@ One :class:`Observer` per process holds everything the pipeline reports
 about itself:
 
 * **spans** — timed, nestable regions opened with
-  :meth:`Observer.span` as a context manager.  Nesting is tracked per
-  thread (a thread-local stack), finished spans are appended to a
-  process-wide list, and each record carries its pid/tid so records
-  merged from worker processes stay distinguishable.  Span *recording*
-  is off by default; a disabled observer hands out a shared no-op span
-  so instrumented code pays only one method call.
+  :meth:`Observer.span` as a context manager.  A span is collected only
+  while a trace (:class:`~repro.obs.tracing.ActiveTrace`) is active on
+  the opening thread: a service request, a control-socket ``invoke``,
+  or an experiment CLI run under ``--timings``/``--trace-out``.
+  Nesting is tracked per thread (a thread-local stack) and each span
+  carries its trace, span and parent ids plus its pid/tid.  With no
+  trace active the observer hands out a shared no-op span, so
+  instrumented code pays only one method call.
 * **counters and gauges** — named numeric cells with a uniform
   ``add``/``set_gauge``/``counters``/``reset`` API.  Counters are
-  always live (they subsume the pre-obs ``CacheStats``/``EngineStats``
-  bookkeeping, which callers expect to work without opting in) and are
-  cheap: one lock acquisition per *call site*, never per trace event.
+  always live and cheap: one lock acquisition per *call site*, never
+  per trace event.
   Counters and gauges share one value namespace but carry different
   merge semantics: counters **sum** across workers, gauges are
   **last-write-wins** (a worker's ``sm.intra.best_score`` is a level,
@@ -33,13 +34,12 @@ Names are dotted paths, ``<subsystem>.<detail>`` (``artifacts.cache.hits``,
 the exporters group on those dots.  Worker processes report their
 observer's :meth:`snapshot` back to the parent, which folds it in with
 :meth:`merge` — counters under a namespace prefix so per-process
-semantics survive, spans verbatim (``perf_counter`` is system-wide
-monotonic on the platforms we target, so timestamps stay comparable).
+semantics survive.  Their spans travel separately, as the span dicts of
+the trace they joined (:meth:`~repro.obs.tracing.ActiveTrace.span_dicts`).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -52,49 +52,22 @@ Number = Union[int, float]
 
 
 @dataclass(frozen=True)
-class SpanRecord:
-    """One finished span: a named, attributed slice of wall-clock time.
-
-    The three trailing trace-context fields are ``None`` for spans
-    finished outside an active trace (the experiment CLI's opt-in
-    recording), and carry the distributed-tracing identity otherwise.
-    """
-
-    name: str
-    start: float  #: raw ``perf_counter`` seconds (exporters normalise)
-    duration: float  #: seconds
-    depth: int  #: nesting depth within its thread (0 = top level)
-    pid: int
-    tid: int
-    attrs: Mapping[str, Any] = field(default_factory=dict)
-    trace_id: Optional[str] = None
-    span_id: Optional[str] = None
-    parent_id: Optional[str] = None
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-
-@dataclass(frozen=True)
 class ObsSnapshot:
-    """A point-in-time copy of an observer's counters, spans, histograms.
+    """A point-in-time copy of an observer's counters and histograms.
 
     ``counters`` includes gauge values (they share the namespace);
     ``gauges`` names which of them carry last-write-wins merge
     semantics.  ``hists`` maps name to a private :class:`Histogram`
-    copy.  The two trailing fields default empty so older
-    ``ObsSnapshot(counters, spans)`` constructions keep working.
+    copy.
     """
 
     counters: Dict[str, Number]
-    spans: List[SpanRecord]
     gauges: FrozenSet[str] = frozenset()
     hists: Dict[str, Histogram] = field(default_factory=dict)
 
 
 class _NullSpan:
-    """The shared no-op span handed out while recording is disabled."""
+    """The shared no-op span handed out while no trace is active."""
 
     __slots__ = ()
 
@@ -118,22 +91,24 @@ class _Span:
         "_observer",
         "name",
         "attrs",
+        "_trace",
         "_start",
         "_depth",
-        "_trace",
         "_span_id",
         "_parent_id",
     )
 
-    def __init__(self, observer: "Observer", name: str, attrs: Dict[str, Any]):
+    def __init__(
+        self,
+        observer: "Observer",
+        name: str,
+        attrs: Dict[str, Any],
+        trace: ActiveTrace,
+    ):
         self._observer = observer
         self.name = name
         self.attrs = attrs
-        self._start = 0.0
-        self._depth = 0
-        self._trace: Optional[ActiveTrace] = None
-        self._span_id: Optional[str] = None
-        self._parent_id: Optional[str] = None
+        self._trace = trace
 
     def set(self, **attrs) -> "_Span":
         """Attach (or overwrite) attributes; chainable."""
@@ -143,21 +118,16 @@ class _Span:
     def __enter__(self) -> "_Span":
         stack = self._observer._stack()
         self._depth = len(stack)
-        trace = self._observer.current_trace()
-        if trace is not None:
-            # Parent: the enclosing span on this thread, else the span
-            # the trace was adopted under (a pool-thread hop), else the
-            # remote caller's span (an HTTP/control hop).
-            self._trace = trace
-            self._span_id = new_span_id()
-            parent = None
-            for enclosing in reversed(stack):
-                if enclosing._span_id is not None:
-                    parent = enclosing._span_id
-                    break
-            if parent is None:
-                parent = self._observer._trace_parent() or trace.remote_parent_id
-            self._parent_id = parent
+        # Parent: the enclosing span on this thread, else the span the
+        # trace was adopted under (a pool-thread hop), else the remote
+        # caller's span (an HTTP/control/process hop).
+        if stack:
+            self._parent_id = stack[-1]._span_id
+        else:
+            self._parent_id = (
+                self._observer._trace_parent() or self._trace.remote_parent_id
+            )
+        self._span_id = new_span_id()
         stack.append(self)
         self._start = perf_counter()
         return self
@@ -174,15 +144,24 @@ class _Span:
             del stack[stack.index(self) :]
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        self._observer._finish(
-            self.name,
-            self._start,
-            duration,
-            self._depth,
-            self.attrs,
-            trace=self._trace,
-            span_id=self._span_id,
-            parent_id=self._parent_id,
+        # A bare tuple: ~99% of service traces are dropped by
+        # tail-sampling, so dict construction is deferred to
+        # ``span_dicts()``, which only kept traces reach.  Field order
+        # must match ``repro.obs.tracing.SPAN_TUPLE_KEYS``.
+        trace = self._trace
+        trace.add_span(
+            (
+                self.name,
+                trace.trace_id,
+                self._span_id,
+                self._parent_id,
+                self._start,
+                duration,
+                self._depth,
+                trace.pid,
+                threading.get_ident(),
+                self.attrs,
+            )
         )
         return False
 
@@ -223,30 +202,14 @@ class _TraceAdoption:
 class Observer:
     """Process-local spans, counters and gauges (see module docstring)."""
 
-    def __init__(self, record_spans: bool = False) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Number] = {}
         self._gauge_names: set = set()
         self._hists: Dict[str, Histogram] = {}
         self._rates: Dict[str, RateWindow] = {}
-        self._spans: List[SpanRecord] = []
-        self._record_spans = record_spans
         self._local = threading.local()
         self._epoch = 0
-
-    # -- span recording ------------------------------------------------------
-
-    @property
-    def recording(self) -> bool:
-        """Whether spans are currently being recorded."""
-        return self._record_spans
-
-    def enable(self) -> None:
-        """Start recording spans (counters are always live)."""
-        self._record_spans = True
-
-    def disable(self) -> None:
-        self._record_spans = False
 
     def _stack(self) -> List[_Span]:
         stack = getattr(self._local, "stack", None)
@@ -254,13 +217,14 @@ class Observer:
             stack = self._local.stack = []
         return stack
 
-    # -- distributed trace context --------------------------------------------
+    # -- trace context ----------------------------------------------------------
     #
     # At most one ActiveTrace per thread.  The service's request thread
-    # starts one per HTTP request; pool threads and control-invoke
-    # handler threads *adopt* it so every span of one request — across
-    # threads and (via the control socket) processes — collects under
-    # one trace_id.  Trace-context state is thread-local, so none of it
+    # starts one per HTTP request and the experiment CLI one per run;
+    # pool threads and control-invoke handler threads *adopt* it, and
+    # worker processes join it by id, so every span of one request or
+    # run — across threads and processes — collects under one
+    # trace_id.  Trace-context state is thread-local, so none of it
     # takes the observer lock.
 
     def current_trace(self) -> Optional[ActiveTrace]:
@@ -278,14 +242,15 @@ class Observer:
     ) -> ActiveTrace:
         """Begin a trace on this thread (honouring inbound context).
 
-        While a trace is active, :meth:`span` returns real spans even
-        with full recording off; they collect on the trace only, so an
-        always-on flight recorder never grows the process-wide span
-        list.  Balance with :meth:`end_trace`.
+        While a trace is active, :meth:`span` returns real spans that
+        collect on the trace.  The span stack starts empty, so a
+        process forked from a thread with open spans does not parent
+        under spans it inherited.  Balance with :meth:`end_trace`.
         """
         trace = ActiveTrace(trace_id, remote_parent_id)
         self._local.trace = trace
         self._local.trace_parent = None
+        self._local.stack = []
         return trace
 
     def end_trace(self) -> Optional[ActiveTrace]:
@@ -308,95 +273,34 @@ class Observer:
         return _TraceAdoption(self, trace, parent_hint)
 
     def current_span_id(self) -> Optional[str]:
-        """The innermost traced span id on this thread, or ``None``."""
-        for span in reversed(self._stack()):
-            if span._span_id is not None:
-                return span._span_id
-        return None
+        """The innermost open span id on this thread, or ``None``."""
+        stack = self._stack()
+        return stack[-1]._span_id if stack else None
 
     def span(self, name: str, **attrs: Any):
         """Open a timed span; use as a context manager.
 
         Attributes identify the work (``benchmark="doduc"``,
         ``scale=2``); more can be attached mid-flight with
-        :meth:`_Span.set`.  While recording is disabled *and* no trace
-        is active on this thread, this returns the shared no-op span.
+        :meth:`_Span.set`.  While no trace is active on this thread,
+        this returns the shared no-op span.
         """
-        if not self._record_spans and getattr(self._local, "trace", None) is None:
+        trace = getattr(self._local, "trace", None)
+        if trace is None:
             return NULL_SPAN
         # ``attrs`` is already a fresh dict owned by this call — hand it
         # over without copying.
-        return _Span(self, name, attrs)
-
-    def _finish(
-        self,
-        name: str,
-        start: float,
-        duration: float,
-        depth: int,
-        attrs: Dict[str, Any],
-        trace: Optional[ActiveTrace] = None,
-        span_id: Optional[str] = None,
-        parent_id: Optional[str] = None,
-    ) -> None:
-        if trace is not None and not self._record_spans:
-            # Hot path (always-on flight recorder): collect a bare
-            # tuple — ~99% of traces are dropped by tail-sampling, so
-            # deferring dict construction to ``span_dicts()`` (which
-            # only the kept 1% ever reach) keeps the per-request tax
-            # minimal.  Field order must match
-            # ``repro.obs.tracing.SPAN_TUPLE_KEYS``.
-            trace.add_span(
-                (
-                    name,
-                    trace.trace_id,
-                    span_id,
-                    parent_id,
-                    start,
-                    duration,
-                    depth,
-                    trace.pid,
-                    threading.get_ident(),
-                    attrs,
-                )
-            )
-            return
-        record = SpanRecord(
-            name,
-            start,
-            duration,
-            depth,
-            os.getpid(),
-            threading.get_ident(),
-            attrs,
-            None if trace is None else trace.trace_id,
-            span_id,
-            parent_id,
-        )
-        if trace is not None:
-            trace.add_span(record)
-        if self._record_spans:
-            with self._lock:
-                self._spans.append(record)
-
-    def spans(self) -> List[SpanRecord]:
-        """A copy of the finished spans, in completion order."""
-        with self._lock:
-            return list(self._spans)
+        return _Span(self, name, attrs, trace)
 
     # -- counters and gauges -------------------------------------------------
     #
     # Concurrency contract (relied on by the service daemon, whose
     # request threads hammer one shared observer): every read-modify-
-    # write of ``_counters``/``_hists``/``_rates`` and every append to
-    # ``_spans`` happens under ``self._lock``, so concurrent ``add``/
-    # ``set_gauge``/``observe``/``mark``/``merge``/``snapshot`` calls
-    # never lose updates — N threads adding M each always total exactly
-    # N*M
-    # (tests/test_obs.py::TestConcurrency asserts this).  The
-    # ``_record_spans`` flag is read without the lock: it is a single
-    # boolean toggled only at enable/disable time, and the worst a
-    # stale read can do is drop or record one span at the boundary.
+    # write of ``_counters``/``_hists``/``_rates`` happens under
+    # ``self._lock``, so concurrent ``add``/``set_gauge``/``observe``/
+    # ``mark``/``merge``/``snapshot`` calls never lose updates — N
+    # threads adding M each always total exactly N*M
+    # (tests/test_obs.py::TestConcurrency asserts this).
 
     def add(self, name: str, value: Number = 1) -> None:
         """Increment counter *name* (creating it at 0); thread-safe."""
@@ -500,9 +404,8 @@ class Observer:
         """Clear state.
 
         With *prefix*, only counters, gauges, histograms and rates
-        under that prefix are dropped and spans are kept — the
-        isolation the per-subsystem ``reset_*_stats()`` shims rely on.
-        Without, everything goes.
+        under that prefix are dropped, so one subsystem can be measured
+        in isolation.  Without, everything goes.
         """
         with self._lock:
             if prefix is None:
@@ -510,7 +413,6 @@ class Observer:
                 self._gauge_names.clear()
                 self._hists.clear()
                 self._rates.clear()
-                self._spans.clear()
             else:
                 for name in [n for n in self._counters if n.startswith(prefix)]:
                     del self._counters[name]
@@ -522,11 +424,10 @@ class Observer:
             self._epoch += 1
 
     def snapshot(self) -> ObsSnapshot:
-        """Counters, gauge names, histograms and spans, copied atomically."""
+        """Counters, gauge names and histograms, copied atomically."""
         with self._lock:
             return ObsSnapshot(
                 dict(self._counters),
-                list(self._spans),
                 frozenset(self._gauge_names),
                 {name: hist.copy() for name, hist in self._hists.items()},
             )
@@ -534,7 +435,6 @@ class Observer:
     def merge(
         self,
         counters: Mapping[str, Number],
-        spans: Iterable[SpanRecord] = (),
         counter_prefix: str = "",
         gauges: Iterable[str] = (),
         hists: Optional[Mapping[str, Histogram]] = None,
@@ -543,13 +443,11 @@ class Observer:
 
         *counter_prefix* namespaces everything merged (e.g.
         ``"workers."``) so the receiving process's own per-process
-        counters — and the ``cache_stats()``-style views built on them —
-        keep their meaning.  Names listed in *gauges* are **levels**,
+        counters keep their meaning.  Names listed in *gauges* are **levels**,
         not totals: they overwrite (last write wins per namespaced
         name) instead of summing — two workers each reporting a best
         score of 0.9 must not merge into 1.8.  Histograms in *hists*
-        merge bucket-wise (exact — see :mod:`repro.obs.hist`).  Spans
-        merge verbatim only while this observer is recording.
+        merge bucket-wise (exact — see :mod:`repro.obs.hist`).
         """
         gauge_names = set(gauges)
         with self._lock:
@@ -562,15 +460,12 @@ class Observer:
                     self._counters[key] = self._counters.get(key, 0) + value
             if hists:
                 merge_histogram_maps(self._hists, hists, counter_prefix)
-            if self._record_spans:
-                self._spans.extend(spans)
             self._epoch += 1
 
     def merge_snapshot(self, snapshot: ObsSnapshot, counter_prefix: str = "") -> None:
         """:meth:`merge`, taking a whole :class:`ObsSnapshot`."""
         self.merge(
             snapshot.counters,
-            snapshot.spans,
             counter_prefix=counter_prefix,
             gauges=snapshot.gauges,
             hists=snapshot.hists,
@@ -584,8 +479,7 @@ def merge_snapshots(snapshots: Iterable[ObsSnapshot]) -> ObsSnapshot:
     **last-write-wins**, histograms merge **exactly** (bucket indices
     are process-independent — see :mod:`repro.obs.hist`), so quantiles
     computed from the merged snapshot equal quantiles over the
-    concatenated per-worker streams.  Spans are dropped (a metrics
-    merge is not a trace merge).  Merging K snapshots shipped through
+    concatenated per-worker streams.  Merging K snapshots shipped through
     the control socket must equal merging them in-process —
     ``tests/test_obs_fleet_merge.py`` holds this to the bit.
     """

@@ -1,41 +1,43 @@
-"""Exporters for observer snapshots.
-
-Three views of the same :class:`~repro.obs.core.ObsSnapshot`:
+"""Exporters for observer snapshots and traces.
 
 * :func:`summary_lines` — the human-readable stage summary the CLI
-  prints on stderr under ``--timings`` (span aggregates by name, then
-  every counter grouped by subsystem);
-* :func:`snapshot_to_dict` / JSON — the machine-readable equivalent;
-* :func:`chrome_trace` — Chrome ``trace_event`` format, loadable in
-  ``chrome://tracing`` or https://ui.perfetto.dev: spans as complete
-  (``"ph": "X"``) events with their attributes as ``args``, counters as
-  counter (``"ph": "C"``) events stamped at the end of the trace.
+  prints on stderr under ``--timings`` (a trace's span aggregates by
+  name, then every counter grouped by subsystem);
+* :func:`snapshot_to_dict` / JSON — the machine-readable counters,
+  gauges and histograms;
+* :func:`trace_chrome_doc` — one trace in Chrome ``trace_event``
+  format, loadable in ``chrome://tracing`` or
+  https://ui.perfetto.dev: spans as complete (``"ph": "X"``) events
+  with their attributes and ids as ``args``, optional counters as
+  counter (``"ph": "C"``) events stamped at the end of the trace;
+* :func:`format_span_tree` — one trace as an indented text tree.
+
+Spans everywhere are span dicts, the
+:meth:`~repro.obs.tracing.ActiveTrace.span_dicts` wire form.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .core import ObsSnapshot, SpanRecord
+from .core import Number, ObsSnapshot
 from .hist import Histogram
 
 #: Schema marker for the JSON/Chrome exports.
 TRACE_METADATA = {"producer": "repro.obs"}
 
 
-def _aggregate_spans(snapshot: ObsSnapshot) -> List[Tuple[str, int, float]]:
+def _aggregate_spans(
+    spans: Iterable[Mapping[str, Any]]
+) -> List[Tuple[str, int, float]]:
     """``(name, call count, total seconds)`` per span name, first-seen order."""
-    order: List[str] = []
     totals: Dict[str, List[float]] = {}
-    for span in snapshot.spans:
-        if span.name not in totals:
-            totals[span.name] = [0, 0.0]
-            order.append(span.name)
-        entry = totals[span.name]
+    for span in spans:
+        entry = totals.setdefault(span["name"], [0, 0.0])
         entry[0] += 1
-        entry[1] += span.duration
-    return [(name, int(totals[name][0]), totals[name][1]) for name in order]
+        entry[1] += span["duration"]
+    return [(name, int(count), seconds) for name, (count, seconds) in totals.items()]
 
 
 def _format_value(value: Any) -> str:
@@ -44,10 +46,14 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
-def summary_lines(snapshot: ObsSnapshot, prefix: str = "[timings]") -> List[str]:
+def summary_lines(
+    snapshot: ObsSnapshot,
+    spans: Iterable[Mapping[str, Any]] = (),
+    prefix: str = "[timings]",
+) -> List[str]:
     """The stage summary: span aggregates, then counters by subsystem."""
     lines: List[str] = []
-    aggregates = _aggregate_spans(snapshot)
+    aggregates = _aggregate_spans(spans)
     if aggregates:
         lines.append(f"{prefix} spans (name, calls, total seconds):")
         width = max(len(name) for name, _, _ in aggregates)
@@ -82,7 +88,7 @@ def summary_lines(snapshot: ObsSnapshot, prefix: str = "[timings]") -> List[str]
 
 
 def snapshot_to_dict(snapshot: ObsSnapshot) -> Dict[str, Any]:
-    """JSON-shaped view: counters, gauges, histograms, one object per span."""
+    """JSON-shaped view: counters, gauges, histograms."""
     return {
         "metadata": dict(TRACE_METADATA),
         "counters": dict(snapshot.counters),
@@ -90,27 +96,6 @@ def snapshot_to_dict(snapshot: ObsSnapshot) -> Dict[str, Any]:
         "histograms": {
             name: hist.to_dict() for name, hist in sorted(snapshot.hists.items())
         },
-        "spans": [
-            {
-                "name": span.name,
-                "start": span.start,
-                "duration": span.duration,
-                "depth": span.depth,
-                "pid": span.pid,
-                "tid": span.tid,
-                "attrs": dict(span.attrs),
-                **(
-                    {
-                        "trace_id": span.trace_id,
-                        "span_id": span.span_id,
-                        "parent_id": span.parent_id,
-                    }
-                    if span.trace_id is not None
-                    else {}
-                ),
-            }
-            for span in snapshot.spans
-        ],
     }
 
 
@@ -124,28 +109,12 @@ def snapshot_from_dict(payload: Mapping[str, Any]) -> ObsSnapshot:
     The inverse used by ``python -m repro obs-export``, which turns a
     saved CLI-run snapshot into Prometheus text after the fact.
     """
-    spans = [
-        SpanRecord(
-            str(span["name"]),
-            float(span.get("start", 0.0)),
-            float(span.get("duration", 0.0)),
-            int(span.get("depth", 0)),
-            int(span.get("pid", 0)),
-            int(span.get("tid", 0)),
-            dict(span.get("attrs", {})),
-            span.get("trace_id"),
-            span.get("span_id"),
-            span.get("parent_id"),
-        )
-        for span in payload.get("spans", [])
-    ]
     hists = {
         str(name): Histogram.from_dict(doc)
         for name, doc in dict(payload.get("histograms", {})).items()
     }
     return ObsSnapshot(
         dict(payload.get("counters", {})),
-        spans,
         frozenset(payload.get("gauges", [])),
         hists,
     )
@@ -158,33 +127,55 @@ def write_snapshot(path: str, snapshot: ObsSnapshot) -> None:
         stream.write("\n")
 
 
-def chrome_trace(snapshot: ObsSnapshot) -> Dict[str, Any]:
-    """The snapshot as a Chrome ``trace_event`` document.
+def _jsonable(value: Any) -> Any:
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return str(value)
 
-    Timestamps are microseconds relative to the earliest span; counter
-    events are stamped once, after the last span, with their final
-    values.
+
+# -- stitched distributed traces ---------------------------------------------
+
+
+def trace_chrome_doc(
+    trace_id: str,
+    spans: List[Mapping[str, Any]],
+    counters: Optional[Mapping[str, Number]] = None,
+) -> Dict[str, Any]:
+    """One stitched trace as a Chrome/Perfetto ``trace_event`` doc.
+
+    *spans* are span dicts collected from every process that joined the
+    trace — ``perf_counter`` is system-wide monotonic on the platforms
+    we target, so per-process start times line up on one timeline.
+    Timestamps are microseconds relative to the earliest span.  Span
+    and parent ids ride in ``args`` so the causal tree survives the
+    export.  Each of *counters* becomes one counter event, stamped
+    after the last span with its final value.
     """
     events: List[Dict[str, Any]] = []
-    epoch = min((span.start for span in snapshot.spans), default=0.0)
+    epoch = min((float(span.get("start", 0.0)) for span in spans), default=0.0)
     end_ts = 0
-    for span in snapshot.spans:
-        ts = int((span.start - epoch) * 1_000_000)
-        dur = max(int(span.duration * 1_000_000), 1)
+    for span in spans:
+        args = {key: _jsonable(value) for key, value in dict(span.get("attrs", {})).items()}
+        args["trace_id"] = trace_id
+        args["span_id"] = span.get("span_id")
+        args["parent_id"] = span.get("parent_id")
+        name = str(span.get("name", "?"))
+        ts = int((float(span.get("start", 0.0)) - epoch) * 1_000_000)
+        dur = max(int(float(span.get("duration", 0.0)) * 1_000_000), 1)
         end_ts = max(end_ts, ts + dur)
         events.append(
             {
-                "name": span.name,
-                "cat": span.name.split(".", 1)[0],
+                "name": name,
+                "cat": name.split(".", 1)[0],
                 "ph": "X",
                 "ts": ts,
                 "dur": dur,
-                "pid": span.pid,
-                "tid": span.tid,
-                "args": {key: _jsonable(value) for key, value in span.attrs.items()},
+                "pid": int(span.get("pid", 0)),
+                "tid": int(span.get("tid", 0)),
+                "args": args,
             }
         )
-    for name, value in sorted(snapshot.counters.items()):
+    for name, value in sorted((counters or {}).items()):
         events.append(
             {
                 "name": name,
@@ -194,61 +185,6 @@ def chrome_trace(snapshot: ObsSnapshot) -> Dict[str, Any]:
                 "pid": 0,
                 "tid": 0,
                 "args": {"value": value},
-            }
-        )
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "metadata": dict(TRACE_METADATA),
-    }
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def write_chrome_trace(path: str, snapshot: ObsSnapshot) -> None:
-    """Serialise :func:`chrome_trace` to *path*."""
-    with open(path, "w") as stream:
-        json.dump(chrome_trace(snapshot), stream, indent=1)
-        stream.write("\n")
-
-
-# -- stitched distributed traces ---------------------------------------------
-
-
-def trace_chrome_doc(
-    trace_id: str, spans: List[Mapping[str, Any]]
-) -> Dict[str, Any]:
-    """One stitched request trace as a Chrome/Perfetto ``trace_event`` doc.
-
-    *spans* are span dicts (:func:`repro.obs.tracing.span_to_dict`
-    shape) collected from every worker that touched the request —
-    ``perf_counter`` is system-wide monotonic on the platforms we
-    target, so per-process start times line up on one timeline.  Span
-    and parent ids ride in ``args`` so the causal tree survives the
-    export.
-    """
-    events: List[Dict[str, Any]] = []
-    epoch = min((float(span.get("start", 0.0)) for span in spans), default=0.0)
-    for span in spans:
-        args = {key: _jsonable(value) for key, value in dict(span.get("attrs", {})).items()}
-        args["trace_id"] = trace_id
-        args["span_id"] = span.get("span_id")
-        args["parent_id"] = span.get("parent_id")
-        name = str(span.get("name", "?"))
-        events.append(
-            {
-                "name": name,
-                "cat": name.split(".", 1)[0],
-                "ph": "X",
-                "ts": int((float(span.get("start", 0.0)) - epoch) * 1_000_000),
-                "dur": max(int(float(span.get("duration", 0.0)) * 1_000_000), 1),
-                "pid": int(span.get("pid", 0)),
-                "tid": int(span.get("tid", 0)),
-                "args": args,
             }
         )
     metadata = dict(TRACE_METADATA)

@@ -1,12 +1,10 @@
 """The always-on flight recorder: a ring of recent request traces.
 
-Full span recording (``OBS.enable()``) is opt-in and unbounded — fine
-for one CLI run, wrong for a long-lived daemon.  The flight recorder is
-the daemon-shaped alternative: every request runs under an
-:class:`~repro.obs.tracing.ActiveTrace` (cheap — spans collect on the
-request object, never the process-wide list), and when the request
-finishes a **tail-sampling** decision keeps the interesting ones in a
-bounded per-worker ring:
+Every request runs under an :class:`~repro.obs.tracing.ActiveTrace`
+(cheap — spans collect as bare tuples on the request's trace object),
+and a daemon cannot keep them all.  When the request finishes a
+**tail-sampling** decision keeps the interesting ones in a bounded
+per-worker ring:
 
 * every error (status >= 400, which covers 429 and 503) is kept;
 * every slow-tail request (duration over ``slow_threshold``) is kept;

@@ -346,5 +346,5 @@ def delta_bucket_counts(
 
 def snapshot_histogram(hist: Histogram) -> str:  # pragma: no cover - convenience
     """Render a single histogram family (debugging aid)."""
-    snapshot = ObsSnapshot({}, [], frozenset(), {"histogram": hist})
+    snapshot = ObsSnapshot({}, frozenset(), {"histogram": hist})
     return render_prometheus(snapshot)

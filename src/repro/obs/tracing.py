@@ -20,9 +20,12 @@ pool thread that ran the heavy compute, and — for cross-shard requests
   observer keeps at most one active trace per thread
   (:meth:`~repro.obs.core.Observer.start_trace`); pool threads and
   control-invoke handlers *adopt* the caller's trace so their spans
-  land in the same collection.  Finished traces feed the flight
-  recorder (:mod:`repro.obs.flight`), independent of the opt-in
-  full-recording span list.
+  land in the same collection.  Worker processes join a trace by id
+  (``start_trace(trace_id, remote_parent_id)``) and hand their
+  :meth:`~ActiveTrace.span_dicts` back for
+  :meth:`~ActiveTrace.add_span_dicts`.  Finished service traces feed
+  the flight recorder (:mod:`repro.obs.flight`); an experiment CLI run
+  under ``--timings``/``--trace-out`` is one trace too.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ def parse_traceparent(header: Optional[str]) -> Optional[Tuple[str, str]]:
     return trace_id, span_id
 
 
-#: Field order of the bare-tuple span form the observer's hot path
-#: collects (see ``Observer._finish``); zipped with these keys when a
+#: Field order of the bare-tuple span form the observer collects (see
+#: ``repro.obs.core._Span.__exit__``); zipped with these keys when a
 #: kept trace is exported via :meth:`ActiveTrace.span_dicts`.
 SPAN_TUPLE_KEYS = (
     "name",
@@ -104,7 +107,7 @@ SPAN_TUPLE_KEYS = (
 
 
 class ActiveTrace:
-    """The span collection for one in-flight request.
+    """The span collection for one in-flight request or CLI run.
 
     Thread-safe: the request thread, its pool thread and (on the owner
     side of an ``invoke``) a control handler thread may all finish
@@ -127,8 +130,9 @@ class ActiveTrace:
         #: (HTTP traceparent or control-socket invoke), else ``None``
         self.remote_parent_id = remote_parent_id
         #: the process this trace was started in — spans finished into
-        #: it are stamped with this pid (one getpid per request, not per
-        #: span; traces never cross a fork, they exist per-request only)
+        #: it are stamped with this pid (one getpid per trace, not per
+        #: span; a worker process joins by starting its own ActiveTrace
+        #: under the same trace id)
         self.pid = os.getpid()
         self.notes: Dict[str, Any] = {}
         self._spans: List[Any] = []
@@ -146,40 +150,13 @@ class ActiveTrace:
     def span_dicts(self) -> List[Dict[str, Any]]:
         """Every finished span as a JSON-able dict, completion order.
 
-        Accepts all three collected forms: wire dicts (merged remote
-        spans), bare tuples (the observer's hot path) and
-        :class:`~repro.obs.core.SpanRecord` objects (full recording).
+        Accepts both collected forms: wire dicts (merged remote spans)
+        and bare tuples (spans finished in this process).
         """
-        spans = list(self._spans)
-        out = []
-        for span in spans:
-            if isinstance(span, dict):
-                out.append(span)
-            elif isinstance(span, tuple):
-                out.append(dict(zip(SPAN_TUPLE_KEYS, span)))
-            else:
-                out.append(span_to_dict(span))
-        return out
+        return [
+            span if isinstance(span, dict) else dict(zip(SPAN_TUPLE_KEYS, span))
+            for span in list(self._spans)
+        ]
 
     def __len__(self) -> int:
         return len(self._spans)
-
-
-def span_to_dict(span: Any) -> Dict[str, Any]:
-    """A :class:`~repro.obs.core.SpanRecord` as a JSON-able dict.
-
-    The wire form spans travel in: flight-recorder entries, control
-    ``trace`` replies, and ``GET /trace/{id}`` stitched documents.
-    """
-    return {
-        "name": span.name,
-        "trace_id": span.trace_id,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "start": span.start,
-        "duration": span.duration,
-        "depth": span.depth,
-        "pid": span.pid,
-        "tid": span.tid,
-        "attrs": dict(span.attrs),
-    }

@@ -2,7 +2,7 @@
 
 from .base import EvaluationResult, Predictor, SiteStats, evaluate
 from .dynamic import LastDirection, SaturatingCounter
-from .engine import EngineStats, engine_stats, evaluate_many, reset_engine_stats
+from .engine import evaluate_many
 from .semistatic import (
     CorrelationPredictor,
     LoopCorrelationPredictor,
@@ -30,7 +30,6 @@ __all__ = [
     "AlwaysNotTaken",
     "AlwaysTaken",
     "CorrelationPredictor",
-    "EngineStats",
     "EvaluationResult",
     "FixedMapPredictor",
     "LastDirection",
@@ -45,11 +44,9 @@ __all__ = [
     "all_yeh_patt_variants",
     "backward_taken",
     "ball_larus",
-    "engine_stats",
     "evaluate",
     "evaluate_many",
     "opcode_heuristic",
-    "reset_engine_stats",
     "semistatic_suite",
     "static_predictors",
     "two_level_4k",

@@ -1,26 +1,26 @@
-"""Predictor interface and the trace-driven evaluation engine.
+"""Predictor interface and the sequential reference evaluation.
 
 Every strategy in the paper — static, dynamic or semi-static — is
 modelled as a :class:`Predictor` that is asked for a prediction before
 each trace event and told the outcome after it.  Semi-static predictors
 are *fit* from a training profile first; dynamic predictors learn
 on-line; static predictors ignore the trace entirely.
+
+:func:`evaluate` replays a trace through ``predict``/``update`` one
+event at a time.  It is the parity oracle every columnar kernel is
+tested against, and the route :func:`~repro.predictors.evaluate_many`
+takes for a custom subclass without a ``step_batch`` kernel.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..ir import BranchSite
 from ..profiling import Trace
 from ..profiling.columns import TraceColumns
-
-#: A fused predict+observe step: ``step(site_id, direction) -> mispredicted``
-#: with ``direction`` the trace's 0/1 outcome.
-Stepper = Callable[[int, int], bool]
-
 
 class Predictor(abc.ABC):
     """A branch-direction predictor evaluated against a trace.
@@ -50,33 +50,6 @@ class Predictor(abc.ABC):
     def update(self, site: BranchSite, taken: bool) -> None:
         """Observe the actual outcome (after :meth:`predict`)."""
 
-    def make_stepper(self, sites: List[BranchSite]) -> Stepper:
-        """A fused per-event kernel for the evaluation engine.
-
-        *sites* is the trace's interned site table; the returned
-        ``step(site_id, direction) -> mispredicted`` is equivalent to
-        ``predict(sites[site_id]) is not bool(direction)`` followed by
-        ``update(sites[site_id], bool(direction))``.  Subclasses
-        override this to share work between the two halves (one state
-        lookup instead of two) and to replace per-event ``BranchSite``
-        hashing with precomputed per-site-id arrays; the contract is
-        exact *result* equivalence with the ``predict``/``update``
-        pair.  Call :meth:`reset` first; the stepper may keep its state
-        in the closure, so the predictor must be reset again (and a
-        fresh stepper made) before any reuse.
-        """
-        predict = self.predict
-        update = self.update
-
-        def step(sid: int, direction: int) -> bool:
-            site = sites[sid]
-            outcome = direction == 1
-            wrong = predict(site) is not outcome
-            update(site, outcome)
-            return wrong
-
-        return step
-
     def step_batch(self, columns: TraceColumns) -> Optional[List[int]]:
         """Columnar batch kernel: per-site-id misprediction counts.
 
@@ -87,8 +60,8 @@ class Predictor(abc.ABC):
         totals the sequential ``predict``/``update`` replay produces,
         whether or not numpy is importable (``columns.np`` is ``None``
         on the pure-Python fallback).  The default returns ``None``,
-        which sends the predictor down the fused per-event stepper scan
-        instead.
+        which has :func:`~repro.predictors.evaluate_many` score the
+        predictor with the sequential :func:`evaluate` instead.
 
         Kernels are pure functions of the frozen predictor
         configuration and the columns: they must not mutate predictor

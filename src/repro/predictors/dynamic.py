@@ -58,19 +58,6 @@ class LastDirection(Predictor):
     def update(self, site: BranchSite, taken: bool) -> None:
         self._last[site] = taken
 
-    def make_stepper(self, sites):
-        # Per-site-id array state: predictions and outcomes compare
-        # equal across bool/int (True == 1), so directions are stored
-        # as the trace's 0/1 ints.
-        last = [self.initial] * len(sites)
-
-        def step(sid: int, direction: int) -> bool:
-            wrong = last[sid] != direction
-            last[sid] = direction
-            return wrong
-
-        return step
-
     def step_batch(self, columns) -> List[int]:
         # Within one site's outcome sequence, every run boundary is
         # exactly one misprediction (the previous outcome differed),
@@ -127,23 +114,6 @@ class SaturatingCounter(Predictor):
         else:
             if value > 0:
                 self._counters[site] = value - 1
-
-    def make_stepper(self, sites):
-        values = [self.initial] * len(sites)
-        threshold = self.threshold
-        top = self.max
-
-        def step(sid: int, direction: int) -> bool:
-            value = values[sid]
-            if direction:
-                if value < top:
-                    values[sid] = value + 1
-                return value < threshold
-            if value > 0:
-                values[sid] = value - 1
-            return value >= threshold
-
-        return step
 
     def step_batch(self, columns) -> List[int]:
         # One independent counter per site: group the direction column

@@ -8,130 +8,50 @@ cheapest route that yields identical results:
 * **closed form** — order-independent predictors (static heuristics,
   :class:`~repro.predictors.semistatic.ProfilePredictor`) are scored
   from per-site taken counts alone, O(sites) instead of O(events);
-* **columnar batch kernels** — predictor families that implement
-  :meth:`Predictor.step_batch` score themselves against the trace's
+* **columnar batch kernels** — every built-in online family implements
+  :meth:`Predictor.step_batch` and scores itself against the trace's
   columnar view (:meth:`~repro.profiling.trace.Trace.columns`):
   vectorized numpy column passes when numpy is importable, pure-Python
   run/sequence kernels otherwise, both byte-identical to the
   sequential replay;
-* **a fused stepper scan** — anything else (custom ``Predictor``
-  subclasses) falls back to the single shared per-event scan: each
-  predictor contributes a ``step(site_id, direction) -> mispredicted``
-  closure (:meth:`Predictor.make_stepper`) and the per-event dispatch
-  over N steppers is generated (and cached) per N, so the hot loop has
-  no tuple unpacking or inner ``for``.
+* **the sequential reference** — a custom ``Predictor`` subclass whose
+  ``step_batch`` returns ``None`` is scored by
+  :func:`~repro.predictors.base.evaluate` itself, the same
+  ``predict``/``update`` replay the parity suites hold every kernel to.
 
 Per-site execution and taken counts are predictor-independent and come
 from the columnar view's C-speed aggregations, shared by every result.
 
-The engine reports process-wide counters (``engine.*``: scans, events,
-wall-clock) and an ``engine.evaluate_many`` span per call to the
-:mod:`repro.obs` observer, so the CLI's ``--timings`` and
-``--trace-out`` can show events/sec per stage.  ``engine.events``
-counts only events that did online work (batch kernels or a stepper
-scan); calls that were satisfied entirely in closed form book their
-events under ``engine.closed_form_events`` instead, so the
+The engine reports process-wide counters (``engine.*``: events,
+wall-clock, predictors per route) and an ``engine.evaluate_many`` span
+per call to the :mod:`repro.obs` observer, so the CLI's ``--timings``
+and ``--trace-out`` can show events/sec per stage.  ``engine.events``
+counts only events that did online work (batch kernels or a
+sequential replay); calls that were satisfied entirely in closed form
+book their events under ``engine.closed_form_events`` instead, so the
 ``--timings`` events/sec rate is never inflated by O(sites) calls.
-The per-event hot loop itself carries **no** instrumentation —
-counters are bumped once per call.
+The per-event work itself carries **no** instrumentation — counters
+are bumped once per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..ir import BranchSite
 from ..obs import OBS
 from ..profiling import Trace
-from .base import EvaluationResult, Predictor, SiteStats
-
-
-@dataclass
-class EngineStats:
-    """Process-wide evaluation counters (see :func:`engine_stats`).
-
-    Since the obs layer landed this is a *view* over the process
-    observer's ``engine.*`` counters, kept for callers of the original
-    API; new code should read :func:`repro.obs.default_observer`
-    directly.
-    """
-
-    scans: int = 0
-    events: int = 0
-    online_predictors: int = 0
-    closed_form_predictors: int = 0
-    seconds: float = 0.0
-    batch_predictors: int = 0
-    closed_form_events: int = 0
-
-    def snapshot(self) -> "EngineStats":
-        return EngineStats(
-            self.scans,
-            self.events,
-            self.online_predictors,
-            self.closed_form_predictors,
-            self.seconds,
-            self.batch_predictors,
-            self.closed_form_events,
-        )
-
-
-def engine_stats() -> EngineStats:
-    """This process's evaluation counters, as a fresh snapshot."""
-    counters = OBS.counters("engine.")
-    return EngineStats(
-        scans=int(counters.get("engine.scans", 0)),
-        events=int(counters.get("engine.events", 0)),
-        online_predictors=int(counters.get("engine.online_predictors", 0)),
-        closed_form_predictors=int(counters.get("engine.closed_form_predictors", 0)),
-        seconds=float(counters.get("engine.seconds", 0.0)),
-        batch_predictors=int(counters.get("engine.batch_predictors", 0)),
-        closed_form_events=int(counters.get("engine.closed_form_events", 0)),
-    )
-
-
-def reset_engine_stats() -> None:
-    """Reset the ``engine.*`` counters (other subsystems untouched)."""
-    OBS.reset(prefix="engine.")
-
-
-@lru_cache(maxsize=64)
-def _scan_fn(n_steppers: int) -> Callable:
-    """A scan loop unrolled over *n_steppers* stepper/counter pairs.
-
-    ``scan(events, s0, w0, s1, w1, ...)`` drives every stepper per
-    event and bumps its per-site misprediction array on a wrong guess.
-    """
-    params = ", ".join(f"s{i}, w{i}" for i in range(n_steppers))
-    body = "\n".join(
-        f"        if s{i}(sid, direction): w{i}[sid] += 1"
-        for i in range(n_steppers)
-    )
-    source = (
-        f"def scan(events, {params}):\n"
-        f"    for sid, direction in events:\n"
-        f"{body}\n"
-    )
-    namespace: Dict[str, Callable] = {}
-    exec(source, namespace)  # noqa: S102 - fixed template, ints only
-    return namespace["scan"]
+from .base import EvaluationResult, Predictor, SiteStats, evaluate
 
 
 def evaluate_many(
-    predictors: Sequence[Predictor], trace: Trace, batch: bool = True
+    predictors: Sequence[Predictor], trace: Trace
 ) -> List[EvaluationResult]:
     """Evaluate all *predictors* over *trace*, each by its fastest path.
 
     Returns one :class:`EvaluationResult` per predictor, in input
-    order, each identical to ``evaluate(predictor, trace)``.  With
-    *batch* (the default) predictors that implement
-    :meth:`Predictor.step_batch` are scored by their columnar kernel;
-    ``batch=False`` forces every non-closed-form predictor down the
-    shared per-event stepper scan (the PR-2 engine), which is what the
-    benchmark suite uses as its speedup baseline.
+    order, each identical to ``evaluate(predictor, trace)``.
     """
     predictors = list(predictors)
     started = perf_counter()
@@ -156,33 +76,21 @@ def evaluate_many(
             }
             results[index] = EvaluationResult(name, events, sum(wrong), per_site)
 
-        # Route each predictor: closed form, columnar kernel, or the
-        # shared stepper scan.
-        online: List[int] = []
+        # Route each predictor: closed form (below), columnar kernel, or
+        # the sequential reference replay.
         batched = 0
-        wrongs: List[List[int]] = []
-        flat: List = []
+        sequential = 0
         for index, predictor in enumerate(predictors):
             if predictor.order_independent:
                 continue
             predictor.reset()
-            counts: Optional[List[int]] = (
-                predictor.step_batch(columns) if batch else None
-            )
+            counts: Optional[List[int]] = predictor.step_batch(columns)
             if counts is not None:
                 batched += 1
                 finish(index, predictor.name, counts)
-                continue
-            wrong = [0] * len(sites)
-            online.append(index)
-            wrongs.append(wrong)
-            flat.append(predictor.make_stepper(sites))
-            flat.append(wrong)
-
-        if online:
-            _scan_fn(len(online))(trace.events(), *flat)
-        for index, wrong in zip(online, wrongs):
-            finish(index, predictors[index].name, wrong)
+            else:
+                sequential += 1
+                results[index] = evaluate(predictor, trace)
 
         # Closed-form fast path: O(sites) per order-independent predictor.
         closed_form = 0
@@ -206,21 +114,19 @@ def evaluate_many(
 
         span.set(
             events=events,
-            online=len(online),
             batched=batched,
+            sequential=sequential,
             closed_form=closed_form,
         )
 
     elapsed = perf_counter() - started
-    scanned = bool(online) or batched
-    OBS.add("engine.scans", 1 if online else 0)
+    scanned = batched or sequential
     # events/sec accounting: only events that did online work (batch
-    # kernels or a stepper scan) count as scanned; a call satisfied
+    # kernels or a sequential replay) count as scanned; a call satisfied
     # entirely in closed form books them separately so it cannot
     # inflate the ``--timings`` rate.
     OBS.add("engine.events", events if scanned else 0)
     OBS.add("engine.closed_form_events", 0 if scanned else events)
-    OBS.add("engine.online_predictors", len(online))
     OBS.add("engine.batch_predictors", batched)
     OBS.add("engine.closed_form_predictors", closed_form)
     OBS.add("engine.seconds", elapsed)

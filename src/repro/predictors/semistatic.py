@@ -169,27 +169,6 @@ class CorrelationPredictor(Predictor):
     def update(self, site: BranchSite, taken: bool) -> None:
         self._history = ((self._history << 1) | (1 if taken else 0)) & self._mask
 
-    def make_stepper(self, sites):
-        tables = [self._tables.get(site) for site in sites]
-        bias = [self._bias.get(site) for site in sites]
-        default = self.default
-        mask = self._mask
-        history = self._history
-
-        def step(sid: int, direction: int) -> bool:
-            nonlocal history
-            table = tables[sid]
-            if table is None:
-                guess = default
-            else:
-                guess = table.get(history)
-                if guess is None:
-                    guess = bias[sid]
-            history = ((history << 1) | direction) & mask
-            return guess != direction
-
-        return step
-
     def step_batch(self, columns) -> List[int]:
         # One *global* register: its contents before event t are just
         # the previous k outcomes of the whole stream, so the entire
@@ -266,26 +245,6 @@ class LoopPredictor(Predictor):
     def update(self, site: BranchSite, taken: bool) -> None:
         history = self._histories.get(site, 0)
         self._histories[site] = ((history << 1) | (1 if taken else 0)) & self._mask
-
-    def make_stepper(self, sites):
-        tables = [self._tables.get(site) for site in sites]
-        bias = [self._bias.get(site) for site in sites]
-        histories = [0] * len(sites)
-        default = self.default
-        mask = self._mask
-
-        def step(sid: int, direction: int) -> bool:
-            history = histories[sid]
-            histories[sid] = ((history << 1) | direction) & mask
-            table = tables[sid]
-            if table is None:
-                return default != direction
-            guess = table.get(history)
-            if guess is None:
-                guess = bias[sid]
-            return guess != direction
-
-        return step
 
     def step_batch(self, columns) -> List[int]:
         # One register *per branch*: grouping the direction column by
@@ -375,27 +334,6 @@ class LoopCorrelationPredictor(Predictor):
     def update(self, site: BranchSite, taken: bool) -> None:
         self.correlation.update(site, taken)
         self.loop.update(site, taken)
-
-    def make_stepper(self, sites):
-        # Both sub-predictors update their histories on every event (the
-        # sequential semantics), but only the chosen one's guess counts.
-        selectors = {"loop": 0, "correlation": 1}
-        chosen = [selectors.get(self.choice.get(site), 2) for site in sites]
-        default = self.default
-        corr_step = self.correlation.make_stepper(sites)
-        loop_step = self.loop.make_stepper(sites)
-
-        def step(sid: int, direction: int) -> bool:
-            corr_wrong = corr_step(sid, direction)
-            loop_wrong = loop_step(sid, direction)
-            choice = chosen[sid]
-            if choice == 0:
-                return loop_wrong
-            if choice == 1:
-                return corr_wrong
-            return default != direction
-
-        return step
 
     def step_batch(self, columns) -> List[int]:
         # Each sub-strategy's histories evolve from outcomes alone, so

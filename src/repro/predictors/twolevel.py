@@ -143,47 +143,6 @@ class TwoLevelPredictor(Predictor):
                 self._counters[ckey] = counter - 1
         self._histories[hkey] = ((history << 1) | (1 if taken else 0)) & self._mask
 
-    def make_stepper(self, sites):
-        # Keys are resolved once per *site* instead of once per event:
-        # per-site-id key arrays index dense history lists, and the
-        # pattern-table key packs (pattern entity, history) into one int.
-        threshold = self._threshold
-        top = self._max
-        mask = self._mask
-        shift = self.config.history_bits
-
-        def keys_for(scope: str, sets: int):
-            if scope == "global":
-                return [0] * len(sites), 1
-            if scope == "set":
-                return [_site_hash(site) % sets for site in sites], sets
-            return list(range(len(sites))), len(sites)
-
-        hkeys, n_histories = keys_for(
-            self.config.history_scope, self.config.history_sets
-        )
-        pkeys, _ = keys_for(self.config.pattern_scope, self.config.pattern_sets)
-        histories = [0] * n_histories
-        counters: Dict[int, int] = {}
-        counters_get = counters.get
-
-        def step(sid: int, direction: int) -> bool:
-            hkey = hkeys[sid]
-            history = histories[hkey]
-            ckey = (pkeys[sid] << shift) | history
-            counter = counters_get(ckey, threshold)
-            if direction:
-                if counter < top:
-                    counters[ckey] = counter + 1
-                histories[hkey] = ((history << 1) | 1) & mask
-                return counter < threshold
-            if counter > 0:
-                counters[ckey] = counter - 1
-            histories[hkey] = (history << 1) & mask
-            return counter >= threshold
-
-        return step
-
     def _scope_keys(self, scope: str, sets: int, n_sites: int, sites) -> List[int]:
         if scope == "global":
             return [0] * n_sites

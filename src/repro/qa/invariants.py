@@ -73,11 +73,9 @@ def _answered(world: LiveWorld) -> List[Any]:
 
 
 def check_envelope_v1(world: LiveWorld) -> Any:
-    """Every non-raw JSON response is a well-formed v1 envelope whose
-    ``ok`` agrees with the HTTP status; 429/503 carry ``retry_after``."""
+    """Every JSON response is a well-formed v1 envelope whose ``ok``
+    agrees with the HTTP status; 429/503 carry ``retry_after``."""
     for record in _answered(world):
-        if record.raw:
-            continue  # explicitly requested the legacy shape
         doc = record.document
         if not isinstance(doc, dict):
             return {"step": record.step, "path": record.path, "body": repr(doc)[:200]}
@@ -116,8 +114,6 @@ def check_source_field_valid(world: LiveWorld) -> Any:
     """Every heavy 200 names how it was served: lru|computed|coalesced."""
     for route in HEAVY_ROUTES:
         for record in world.calls_for(route, statuses=(200,)):
-            if record.raw:
-                continue
             source = record.data.get("source") if isinstance(record.data, dict) else None
             if source not in VALID_SOURCES:
                 return {"step": record.step, "route": route, "source": source}
@@ -149,7 +145,7 @@ def check_drain_contract(world: LiveWorld) -> Any:
     if not world.draining:
         return SKIP
     for record in _answered(world):
-        if record.status == 503 and not record.raw:
+        if record.status == 503:
             code = record.error_doc.get("code")
             if code != "draining":
                 return {"step": record.step, "status": 503, "code": code}
@@ -421,7 +417,6 @@ def check_trace_complete(world: LiveWorld) -> Any:
         record
         for route in HEAVY_ROUTES
         for record in world.calls_for(route, statuses=(200,))
-        if not record.raw
     ][-8:]
     for record in candidates:
         doc = record.document if isinstance(record.document, dict) else {}

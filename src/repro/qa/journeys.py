@@ -157,8 +157,7 @@ def build_cold_burst(world: LiveWorld) -> List[Step]:
 
 
 def build_error_paths(world: LiveWorld) -> List[Step]:
-    """Every error class the contract defines, plus the ``?raw=1``
-    legacy escape hatch."""
+    """Every error class the contract defines."""
 
     def unknown_route() -> None:
         record = world.call("GET", "/nope")
@@ -191,21 +190,12 @@ def build_error_paths(world: LiveWorld) -> List[Step]:
         expect(record.error_doc.get("code") == "unknown_predictor",
                "wrong code", code=record.error_doc.get("code"))
 
-    def legacy_raw() -> None:
-        record = world.call("GET", "/healthz", raw=True)
-        expect(record.status == 200, "raw healthz failed", status=record.status)
-        doc = record.document
-        expect(isinstance(doc, dict) and "v" not in doc and "status" in doc,
-               "?raw=1 did not produce the legacy body shape",
-               body=repr(doc)[:200])
-
     return [
         ("unknown-route", unknown_route),
         ("method-not-allowed", method_not_allowed),
         ("unknown-benchmark", unknown_benchmark),
         ("bad-body", bad_body),
         ("unknown-predictor", unknown_predictor),
-        ("legacy-raw", legacy_raw),
     ]
 
 
@@ -377,7 +367,7 @@ JOURNEYS: Dict[str, Journey] = {
         ),
         Journey(
             "error_paths",
-            "every error class of the v1 contract, plus the ?raw=1 escape hatch",
+            "every error class of the v1 contract",
             build_error_paths,
         ),
         Journey(

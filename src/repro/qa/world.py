@@ -60,8 +60,7 @@ class CallRecord:
     latency_s: float
     request_id: str
     echoed_id: Optional[str]
-    document: Any  # parsed response body (envelope unless raw)
-    raw: bool
+    document: Any  # parsed response body (the v1 envelope)
     error: Optional[str] = None
 
     @property
@@ -70,7 +69,7 @@ class CallRecord:
 
     @property
     def data(self) -> Any:
-        """The payload: envelope-unwrapped (pass-through for raw)."""
+        """The payload: envelope-unwrapped."""
         return unwrap_envelope(self.document)
 
     @property
@@ -180,13 +179,11 @@ class LiveWorld:
         method: str,
         path: str,
         body: Optional[dict] = None,
-        raw: bool = False,
         client: Optional[ServiceClient] = None,
         step: Optional[str] = None,
     ) -> CallRecord:
         """One recorded request; transport errors are recorded, not raised."""
         rid = self._next_rid()
-        target = path + ("?raw=1" if raw else "")
         active = client or self.client
         started = perf_counter()
         status: Optional[int] = None
@@ -194,7 +191,7 @@ class LiveWorld:
         error: Optional[str] = None
         echoed: Optional[str] = None
         try:
-            status, document = active.request_raw(method, target, body, request_id=rid)
+            status, document = active.request_raw(method, path, body, request_id=rid)
             echoed = active.last_request_id
         except OSError as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -208,7 +205,6 @@ class LiveWorld:
             request_id=rid,
             echoed_id=echoed,
             document=document,
-            raw=raw,
             error=error,
         )
         with self._lock:
@@ -218,7 +214,7 @@ class LiveWorld:
     def parallel(self, specs: Sequence[dict], timeout: float = 120.0) -> List[CallRecord]:
         """Barrier-started concurrent calls, one fresh client per thread.
 
-        Each spec: ``{"method", "path", "body"?, "raw"?}``.  Results come
+        Each spec: ``{"method", "path", "body"?}``.  Results come
         back in spec order (the shared record list fills in completion
         order, which is fine — invariants never depend on it).
         """
@@ -233,7 +229,6 @@ class LiveWorld:
                     spec.get("method", "POST"),
                     spec["path"],
                     spec.get("body"),
-                    raw=bool(spec.get("raw", False)),
                     client=cl,
                     step=step,
                 )

@@ -68,7 +68,7 @@ PredictKey = Union[Tuple[str, ...], Dict[str, Any]]
 
 def unwrap_envelope(document: Any) -> Any:
     """The ``data`` payload of a v1 success envelope; pass-through for
-    anything else (legacy ``?raw=1`` bodies, non-dict documents)."""
+    anything else (error envelopes, non-dict documents)."""
     if (
         isinstance(document, dict)
         and document.get("v") == 1
@@ -222,7 +222,7 @@ class ServiceClient:
     ) -> dict:
         """Like :meth:`request_raw` but envelope-aware: unwraps the v1
         success envelope to its ``data`` payload and raises a typed
-        :class:`ServiceError` on non-2xx (envelope or legacy body)."""
+        :class:`ServiceError` on non-2xx."""
         status, document = self.request_raw(method, path, body, request_id)
         if 200 <= status < 300:
             return unwrap_envelope(document)

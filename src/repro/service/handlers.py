@@ -88,7 +88,7 @@ def envelope(payload: Any, trace_id: Optional[str] = None) -> dict:
 
     Every JSON endpoint answers ``{"v": 1, "ok": true, "data": ...}``;
     handlers keep returning plain payload dicts and the HTTP layer wraps
-    at send time (``?raw=1`` skips the wrapping for one release).
+    at send time.
     *trace_id* (present whenever the tracing layer is live) names the
     request's distributed trace — resolvable via ``GET /trace/{id}``.
     """
@@ -296,7 +296,6 @@ def handle_stats(state: ServiceState, body: Optional[dict]) -> dict:
             }
             for name, hist in sorted(snapshot.hists.items())
         },
-        "spans_recorded": len(snapshot.spans),
         "service": {
             "in_flight": state.inflight_requests,
             "queue_depth": state.queue_depth,

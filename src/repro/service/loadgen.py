@@ -23,7 +23,7 @@ already fleet-exact — the fleet merges them before answering).
 Every request carries an ``X-Request-Id`` (generated per request by
 :class:`~repro.service.client.ServiceClient`), so any slow outlier in
 the report can be chased through the server's ``--log-json`` access
-log and ``--trace-out`` trace.
+log and its ``GET /trace/{id}`` stitched trace.
 """
 
 from __future__ import annotations

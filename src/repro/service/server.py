@@ -43,7 +43,7 @@ from typing import Optional, Tuple
 
 from urllib.parse import parse_qs
 
-from ..obs import OBS, PROMETHEUS_CONTENT_TYPE, parse_traceparent, write_chrome_trace
+from ..obs import OBS, PROMETHEUS_CONTENT_TYPE, parse_traceparent
 from ..obs.profiler import (
     DEFAULT_SECONDS as PROFILE_DEFAULT_SECONDS,
     MAX_SECONDS as PROFILE_MAX_SECONDS,
@@ -158,10 +158,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
     #: into the envelope and the access log.
     _trace_id: str = "-"
 
-    #: ``?raw=1`` was requested: answer with the legacy (pre-envelope)
-    #: body shape.  Kept for one release as a migration escape hatch.
-    _raw: bool = False
-
     #: parsed query string of the request currently being handled.
     _query: dict = {}
 
@@ -231,7 +227,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
         state = self.server.state
         path, _, query = self.path.partition("?")
         self._query = parse_qs(query)
-        self._raw = self._query.get("raw", ["0"])[-1] in ("1", "true")
         if path != "/" and path.endswith("/"):
             path = path.rstrip("/")
         name = route_name(path)
@@ -349,10 +344,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                     state, {"trace_id": path[len("/trace/") :]}
                 )
                 self._send_json(
-                    200,
-                    payload
-                    if self._raw
-                    else envelope(payload, trace_id=self._envelope_trace_id()),
+                    200, envelope(payload, trace_id=self._envelope_trace_id())
                 )
                 return 200
             if method == "GET" and path == "/debug/profile":
@@ -380,10 +372,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             body = self._read_body() if method == "POST" else None
             payload = handler(state, body)
             self._send_json(
-                200,
-                payload
-                if self._raw
-                else envelope(payload, trace_id=self._envelope_trace_id()),
+                200, envelope(payload, trace_id=self._envelope_trace_id())
             )
             return 200
         except ApiError as error:
@@ -404,17 +393,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._send_json(500, self._error_body(500, body))
             return 500
 
-    def _error_body(self, status: int, legacy: dict) -> dict:
-        """Envelope an error body (legacy shape verbatim under ``?raw=1``).
+    def _error_body(self, status: int, body: dict) -> dict:
+        """Envelope an error body.
 
         ``retry_after`` mirrors the Retry-After header _send_body puts
         on 429/503 so envelope-only clients never have to parse headers.
         """
-        if self._raw:
-            return legacy
         retry_after = 1 if status in (429, 503) else None
         return error_envelope(
-            legacy["error"],
+            body["error"],
             retry_after=retry_after,
             trace_id=self._envelope_trace_id(),
         )
@@ -539,8 +526,6 @@ def serve_worker(
         control = ControlServer(
             state, socket_path(state.config.control_dir, state.config.shard_index)
         ).start()
-    if state.config.trace_out:
-        OBS.enable()
     if state.config.ready_file and not state.is_fleet_worker:
         write_ready_file(
             state.config.ready_file,
@@ -595,13 +580,6 @@ def serve_worker(
             server.server_close()
         except OSError:
             pass
-        if state.config.trace_out:
-            write_chrome_trace(state.config.trace_out, OBS.snapshot())
-            print(
-                f"repro-service trace written to {state.config.trace_out}",
-                file=sys.stderr,
-                flush=True,
-            )
         print(
             "repro-service stopped"
             + ("" if drained else " (abandoned in-flight requests)"),

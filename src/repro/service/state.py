@@ -79,9 +79,6 @@ class ServiceConfig:
     #: emit one structured JSON access-log line per request on stderr
     #: (request id, route, status, duration); stdout stays untouched
     log_json: bool = False
-    #: record spans for the daemon's lifetime and write them as Chrome
-    #: trace_event JSON to this path on shutdown
-    trace_out: Optional[str] = None
     #: worker *processes*; > 1 runs the supervised pre-fork fleet
     workers: int = 1
     #: this process's shard index in ``[0, workers)``; set per worker

@@ -124,7 +124,6 @@ class FleetSupervisor:
             shard_index=shard,
             control_dir=self.control_dir,
             ready_file=None,  # the supervisor publishes readiness
-            trace_out=None,  # per-worker traces would clobber one path
         )
 
     def _spawn(self, shard: int) -> None:

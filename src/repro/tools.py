@@ -199,7 +199,6 @@ def cmd_serve(options) -> int:
             drain_seconds=options.drain_seconds,
             verbose=options.verbose,
             log_json=options.log_json,
-            trace_out=options.trace_out,
             ready_file=options.ready_file,
             trace_off=options.trace_off,
             trace_sample=options.trace_sample,
@@ -344,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-json", action="store_true",
                    help="one structured JSON access-log line per request "
                         "on stderr (request id, route, status, duration)")
-    p.add_argument("--trace-out", default=None, metavar="PATH",
-                   help="record spans for the daemon's lifetime and write "
-                        "a Chrome trace_event JSON file on shutdown")
     p.add_argument("--trace-off", action="store_true",
                    help="disable the always-on request tracing layer "
                         "(flight recorder, /trace, exemplars); "

@@ -12,12 +12,10 @@ from . import (
 )
 from .artifacts import (
     RunArtifacts,
-    cache_stats,
     clear_disk_cache,
     clear_memory_cache,
     generate_artifacts,
     get_artifacts,
-    reset_cache_stats,
 )
 from .benchmarks import (
     BENCHMARK_NAMES,
@@ -44,7 +42,6 @@ __all__ = [
     "Workload",
     "add_global_lcg",
     "add_lcg",
-    "cache_stats",
     "clear_disk_cache",
     "clear_memory_cache",
     "generate_artifacts",
@@ -54,7 +51,6 @@ __all__ = [
     "get_run_steps",
     "get_trace",
     "get_workload",
-    "reset_cache_stats",
     "random_program",
     "reference_global_lcg",
     "reference_lcg",

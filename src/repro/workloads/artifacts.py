@@ -37,13 +37,13 @@ import json
 import os
 import tempfile
 import time
-import warnings
 import zlib
+from itertools import repeat
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir import BranchSite
-from ..obs import OBS, SpanRecord
+from ..obs import OBS, ObsSnapshot
 from ..profiling import PatternTable, Trace
 from ..profiling.tracefile import (
     TraceFormatError,
@@ -83,62 +83,6 @@ class RunArtifacts:
     trace: Trace
     path_tables: Dict[BranchSite, PatternTable]
     steps: int
-
-
-@dataclass
-class CacheStats:
-    """Counters for the current process (see :func:`cache_stats`).
-
-    Since the obs layer landed this is a *view* over the process
-    observer's ``artifacts.*`` counters, kept for callers of the
-    original API; new code should read
-    :func:`repro.obs.default_observer` directly.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    interpreter_runs: int = 0
-    interpreter_seconds: float = 0.0
-    load_seconds: float = 0.0
-
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            self.hits,
-            self.misses,
-            self.stores,
-            self.interpreter_runs,
-            self.interpreter_seconds,
-            self.load_seconds,
-        )
-
-
-#: obs counter names backing the :class:`CacheStats` view.
-_COUNTER_PREFIX = "artifacts."
-
-
-def cache_stats() -> CacheStats:
-    """A snapshot of this process's artifact-cache counters.
-
-    A thin wrapper over the ``artifacts.*`` counters of the process
-    observer (worker-process counters merge under ``workers.`` and are
-    intentionally excluded — this view is per-process, as it always
-    was).
-    """
-    counters = OBS.counters(_COUNTER_PREFIX)
-    return CacheStats(
-        hits=int(counters.get("artifacts.cache.hits", 0)),
-        misses=int(counters.get("artifacts.cache.misses", 0)),
-        stores=int(counters.get("artifacts.cache.stores", 0)),
-        interpreter_runs=int(counters.get("artifacts.interpreter.runs", 0)),
-        interpreter_seconds=float(counters.get("artifacts.interpreter.seconds", 0.0)),
-        load_seconds=float(counters.get("artifacts.cache.load_seconds", 0.0)),
-    )
-
-
-def reset_cache_stats() -> None:
-    """Reset the ``artifacts.*`` counters (other subsystems untouched)."""
-    OBS.reset(prefix=_COUNTER_PREFIX)
 
 
 def cache_dir() -> Optional[str]:
@@ -333,42 +277,17 @@ def _store_entry(directory: str, artifacts: RunArtifacts) -> None:
 
 def get_artifacts(
     name: str,
-    *args: int,
+    *,
     scale: Optional[int] = None,
     seed_offset: Optional[int] = None,
     history_bits: Optional[int] = None,
 ) -> RunArtifacts:
     """The run artifacts of one (workload, scale, seed_offset) triple.
 
-    ``scale``, ``seed_offset`` and ``history_bits`` are keyword-only;
-    passing them positionally still works for one release but emits a
-    :class:`DeprecationWarning`.
-
     Checks the disk cache first; on a miss (or a corrupt/stale entry)
     performs exactly one instrumented interpreter pass and persists the
     result.  The returned bundle is shared — treat it as read-only.
     """
-    if args:
-        if len(args) > 3:
-            raise TypeError(
-                f"get_artifacts() takes at most 4 positional arguments "
-                f"({1 + len(args)} given)"
-            )
-        warnings.warn(
-            "passing scale/seed_offset/history_bits to get_artifacts() "
-            "positionally is deprecated; pass them as keywords",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        resolved = [scale, seed_offset, history_bits]
-        for index, value in enumerate(args):
-            if resolved[index] is not None:
-                keyword = ("scale", "seed_offset", "history_bits")[index]
-                raise TypeError(
-                    f"get_artifacts() got multiple values for argument {keyword!r}"
-                )
-            resolved[index] = value
-        scale, seed_offset, history_bits = resolved
     # Normalise before memoising so calls that spell the defaults out
     # and calls that omit them share one cache entry.
     return _get_artifacts_cached(
@@ -498,17 +417,22 @@ def _generate_one(spec: Spec) -> Tuple[Spec, float]:
 
 
 def _generate_one_worker(
-    spec: Spec,
-) -> Tuple[Spec, float, Dict[str, float], List[SpanRecord]]:
+    spec: Spec, trace_id: Optional[str], parent_id: Optional[str]
+) -> Tuple[Spec, float, ObsSnapshot, List[Dict[str, Any]]]:
     """Subprocess worker: generate one spec and report its telemetry.
 
-    The worker records spans unconditionally (a handful per run) and
-    ships its whole observer snapshot home, so the parent's trace can
-    show where the parallel prewarm actually spent its time.
+    The worker joins the parent's trace under the parent's open span
+    (the way a control-socket ``invoke`` joins a request) and ships its
+    span dicts home with this call's observer snapshot, so the parent's
+    trace can show where the parallel prewarm actually spent its time.
     """
-    OBS.enable()
-    spec, seconds = _generate_one(spec)
-    return spec, seconds, OBS.snapshot()
+    OBS.reset()  # a forked worker inherits the parent's counters
+    trace = OBS.start_trace(trace_id, parent_id)
+    try:
+        spec, seconds = _generate_one(spec)
+    finally:
+        OBS.end_trace()
+    return spec, seconds, OBS.snapshot(), trace.span_dicts()
 
 
 def generate_artifacts(
@@ -538,14 +462,22 @@ def generate_artifacts(
         return timings
     from concurrent.futures import ProcessPoolExecutor
 
+    trace = OBS.current_trace()
+    work = (
+        pending,
+        repeat(trace.trace_id if trace is not None else None),
+        repeat(OBS.current_span_id()),
+    )
     with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-        for spec, seconds, snapshot in pool.map(_generate_one_worker, pending):
+        for spec, seconds, snapshot, spans in pool.map(_generate_one_worker, *work):
             timings.append((spec, seconds))
             # The whole worker snapshot merges under ``workers.`` so the
-            # parent's own per-process view (``cache_stats()``) stays
-            # untouched: counters sum, gauges overwrite, histograms
-            # merge bucket-wise, spans land verbatim when recording.
+            # parent's own ``artifacts.*`` counters stay per-process:
+            # counters sum, gauges overwrite, histograms merge
+            # bucket-wise.  Worker spans join the parent's trace.
             OBS.merge_snapshot(snapshot, counter_prefix="workers.")
+            if trace is not None:
+                trace.add_span_dicts(spans)
     # Pull the worker-produced entries into this process's memo so the
     # experiment code that follows never re-runs the interpreter.
     for name, scale, seed_offset, history_bits in normalized:

@@ -15,12 +15,11 @@ from repro.workloads import (
     get_trace,
     get_workload,
 )
+from repro.obs import OBS
 from repro.workloads.artifacts import (
-    cache_stats,
     clear_memory_cache,
     generate_artifacts,
     get_artifacts,
-    reset_cache_stats,
 )
 
 NAME = "compress"
@@ -32,10 +31,10 @@ def fresh_cache(tmp_path, monkeypatch):
     directory = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(directory))
     clear_memory_cache()
-    reset_cache_stats()
+    OBS.reset(prefix="artifacts.")
     yield directory
     clear_memory_cache()
-    reset_cache_stats()
+    OBS.reset(prefix="artifacts.")
 
 
 class TestSinglePass:
@@ -43,15 +42,14 @@ class TestSinglePass:
         get_trace(NAME, 1)
         get_profile(NAME, 1)
         get_run_steps(NAME, 1)
-        stats = cache_stats()
-        assert stats.interpreter_runs == 1
-        assert stats.misses == 1
+        assert OBS.counter("artifacts.interpreter.runs") == 1
+        assert OBS.counter("artifacts.cache.misses") == 1
 
     def test_distinct_keys_each_run_once(self, fresh_cache):
         get_trace(NAME, 1)
         get_trace(NAME, 1, seed_offset=7)
         get_trace(NAME, 2)
-        assert cache_stats().interpreter_runs == 3
+        assert OBS.counter("artifacts.interpreter.runs") == 3
 
     def test_matches_legacy_three_pass_collection(self, fresh_cache):
         artifacts = get_artifacts(NAME, scale=1)
@@ -79,13 +77,13 @@ class TestDiskCache:
         cold = get_artifacts(NAME, scale=1)
         # Simulate a fresh process: drop the in-memory memo only.
         clear_memory_cache()
-        reset_cache_stats()
+        OBS.reset(prefix="artifacts.")
         warm = get_artifacts(NAME, scale=1)
         get_profile(NAME, 1)
         assert get_run_steps(NAME, 1) == cold.steps
-        stats = cache_stats()
-        assert stats.interpreter_runs == 0
-        assert stats.hits == 1 and stats.misses == 0
+        assert OBS.counter("artifacts.interpreter.runs") == 0
+        assert OBS.counter("artifacts.cache.hits") == 1
+        assert OBS.counter("artifacts.cache.misses") == 0
         assert list(warm.trace.events()) == list(cold.trace.events())
         assert {s: t.counts for s, t in warm.path_tables.items()} == {
             s: t.counts for s, t in cold.path_tables.items()
@@ -93,10 +91,10 @@ class TestDiskCache:
 
     def test_miss_then_hit_counters(self, fresh_cache):
         get_artifacts(NAME, scale=1)
-        assert cache_stats().misses == 1
+        assert OBS.counter("artifacts.cache.misses") == 1
         clear_memory_cache()
         get_artifacts(NAME, scale=1)
-        assert cache_stats().hits == 1
+        assert OBS.counter("artifacts.cache.hits") == 1
 
     def test_entries_written_atomically_named_with_version(self, fresh_cache):
         get_artifacts(NAME, scale=1)
@@ -110,12 +108,11 @@ class TestDiskCache:
     def test_version_stamp_invalidates(self, fresh_cache, monkeypatch):
         get_artifacts(NAME, scale=1)
         clear_memory_cache()
-        reset_cache_stats()
+        OBS.reset(prefix="artifacts.")
         monkeypatch.setattr(artifact_store, "FORMAT_VERSION", 99)
         get_artifacts(NAME, scale=1)
-        stats = cache_stats()
-        assert stats.hits == 0
-        assert stats.interpreter_runs == 1
+        assert OBS.counter("artifacts.cache.hits") == 0
+        assert OBS.counter("artifacts.interpreter.runs") == 1
 
     def test_stale_envelope_version_rejected(self, fresh_cache, monkeypatch):
         # Files written under an old FORMAT_VERSION but renamed to the
@@ -127,9 +124,9 @@ class TestDiskCache:
         for name, payload in old.items():
             (fresh_cache / name.replace("-v0.", "-v1.")).write_bytes(payload)
         clear_memory_cache()
-        reset_cache_stats()
+        OBS.reset(prefix="artifacts.")
         get_artifacts(NAME, scale=1)
-        assert cache_stats().interpreter_runs == 1
+        assert OBS.counter("artifacts.interpreter.runs") == 1
 
     @pytest.mark.parametrize("suffix", [".trace", ".aux"])
     def test_corrupt_entry_falls_back_to_recompute(self, fresh_cache, suffix):
@@ -139,10 +136,10 @@ class TestDiskCache:
                 path = fresh_cache / entry
                 path.write_bytes(b"garbage" + path.read_bytes()[:10])
         clear_memory_cache()
-        reset_cache_stats()
+        OBS.reset(prefix="artifacts.")
         recomputed = get_artifacts(NAME, scale=1)
-        stats = cache_stats()
-        assert stats.interpreter_runs == 1 and stats.hits == 0
+        assert OBS.counter("artifacts.interpreter.runs") == 1
+        assert OBS.counter("artifacts.cache.hits") == 0
         assert list(recomputed.trace.events()) == list(cold.trace.events())
         assert recomputed.steps == cold.steps
 
@@ -167,11 +164,11 @@ class TestParallelFanOut:
             serial_bytes[name] = (trace_to_bytes(artifacts.trace), artifacts.steps)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel-cache"))
         clear_memory_cache()
-        reset_cache_stats()
+        OBS.reset(prefix="artifacts.")
         timings = generate_artifacts([(NAME, 1, 0), ("ghostview", 1, 0)], jobs=2)
         assert len(timings) == 2
         # The parent must serve everything from the worker-filled cache.
-        assert cache_stats().interpreter_runs == 0
+        assert OBS.counter("artifacts.interpreter.runs") == 0
         for name, (blob, steps) in serial_bytes.items():
             artifacts = get_artifacts(name, scale=1)
             assert trace_to_bytes(artifacts.trace) == blob
@@ -184,10 +181,10 @@ class TestParallelFanOut:
     def test_serial_fallback_without_disk_cache(self, fresh_cache, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "")
         clear_memory_cache()
-        reset_cache_stats()
+        OBS.reset(prefix="artifacts.")
         timings = generate_artifacts([(NAME, 1, 0)], jobs=8)
         assert len(timings) == 1
-        assert cache_stats().interpreter_runs == 1
+        assert OBS.counter("artifacts.interpreter.runs") == 1
 
 
 class TestDiskCacheRaces:

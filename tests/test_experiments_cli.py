@@ -4,21 +4,18 @@ cold-vs-warm determinism."""
 import pytest
 
 from repro.experiments.cli import main
-from repro.workloads.artifacts import (
-    cache_stats,
-    clear_memory_cache,
-    reset_cache_stats,
-)
+from repro.obs import OBS
+from repro.workloads.artifacts import clear_memory_cache
 
 
 @pytest.fixture
 def fresh_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     clear_memory_cache()
-    reset_cache_stats()
+    OBS.reset(prefix="artifacts.")
     yield
     clear_memory_cache()
-    reset_cache_stats()
+    OBS.reset(prefix="artifacts.")
 
 
 class TestValidation:
@@ -75,13 +72,13 @@ class TestColdWarmDeterminism:
     ):
         assert main(["table1", "--names", "compress", "--jobs", "1"]) == 0
         cold = capsys.readouterr().out
-        assert cache_stats().interpreter_runs == 1
+        assert OBS.counter("artifacts.interpreter.runs") == 1
         clear_memory_cache()
-        reset_cache_stats()
+        OBS.reset(prefix="artifacts.")
         assert main(["table1", "--names", "compress", "--jobs", "1"]) == 0
         warm = capsys.readouterr().out
         assert warm == cold
-        assert cache_stats().interpreter_runs == 0
+        assert OBS.counter("artifacts.interpreter.runs") == 0
 
     def test_timings_go_to_stderr_not_stdout(self, fresh_cache, capsys):
         assert (

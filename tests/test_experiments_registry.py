@@ -17,6 +17,7 @@ import pytest
 from repro.experiments import table1
 from repro.experiments.cli import SIMPLE, main
 from repro.experiments.registry import (
+    RunContext,
     all_experiments,
     experiment_names,
     get_experiment,
@@ -80,7 +81,8 @@ class TestRegistry:
             assert experiment.description
 
     def test_tables_normalises_multi(self):
-        tables = get_experiment("figures").tables(1, ["doduc"], max_states=4)
+        ctx = RunContext(scale=1, names=("doduc",), options={"max_states": 4})
+        tables = get_experiment("figures").tables(ctx)
         assert len(tables) == 1
         assert "doduc" in tables[0].title
 
@@ -129,7 +131,7 @@ class TestDataParity:
                 assert result.data[label][column] == expected, (label, name)
 
     def test_statics_rows(self):
-        statics = get_experiment("statics").run(scale=1, names=NAMES)
+        statics = get_experiment("statics").execute(RunContext(names=NAMES))
         for column, name in enumerate(NAMES):
             program = get_program(name)
             trace = get_trace(name, 1)
@@ -145,7 +147,7 @@ class TestDataParity:
                 assert statics.data[label][column] == expected, (label, name)
 
     def test_instper_rows(self):
-        instper = get_experiment("instper").run(scale=1, names=NAMES)
+        instper = get_experiment("instper").execute(RunContext(names=NAMES))
         for column, name in enumerate(NAMES):
             profile = get_profile(name, 1)
             artifacts = get_artifacts(name, scale=1)

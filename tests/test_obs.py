@@ -1,4 +1,8 @@
-"""Observability core tests: spans, counters, exporters."""
+"""Observability core tests: spans, counters, exporters.
+
+Spans are collected only under a trace, so the span tests run with a
+trace active on the test thread and read back its span dicts.
+"""
 
 import json
 
@@ -8,53 +12,63 @@ from repro.obs import (
     NULL_SPAN,
     OBS,
     Observer,
-    SpanRecord,
-    chrome_trace,
     default_observer,
     snapshot_to_json,
     summary_lines,
-    write_chrome_trace,
+    trace_chrome_doc,
 )
 
 
 @pytest.fixture
 def obs():
-    """A private recording observer (the process OBS stays untouched)."""
+    """A private observer with a trace active on this thread (the
+    process OBS stays untouched)."""
     observer = Observer()
-    observer.enable()
-    return observer
+    observer.start_trace()
+    yield observer
+    observer.end_trace()
+
+
+def collected(observer):
+    """The span dicts the observer's active trace has collected."""
+    return observer.current_trace().span_dicts()
 
 
 class TestSpans:
     def test_records_name_duration_and_attrs(self, obs):
         with obs.span("stage.work", benchmark="compress") as span:
             span.set(events=42)
-        (record,) = obs.spans()
-        assert record.name == "stage.work"
-        assert record.duration >= 0
-        assert record.attrs == {"benchmark": "compress", "events": 42}
+        (record,) = collected(obs)
+        assert record["name"] == "stage.work"
+        assert record["duration"] >= 0
+        assert record["attrs"] == {"benchmark": "compress", "events": 42}
+        assert record["trace_id"] == obs.current_trace().trace_id
 
     def test_nesting_depth(self, obs):
         with obs.span("outer"):
             with obs.span("middle"):
                 with obs.span("inner"):
                     pass
-        depths = {record.name: record.depth for record in obs.spans()}
+        by_name = {record["name"]: record for record in collected(obs)}
+        depths = {name: record["depth"] for name, record in by_name.items()}
         assert depths == {"outer": 0, "middle": 1, "inner": 2}
+        assert by_name["outer"]["parent_id"] is None
+        assert by_name["middle"]["parent_id"] == by_name["outer"]["span_id"]
+        assert by_name["inner"]["parent_id"] == by_name["middle"]["span_id"]
 
     def test_depth_resets_between_top_level_spans(self, obs):
         with obs.span("first"):
             pass
         with obs.span("second"):
             pass
-        assert [record.depth for record in obs.spans()] == [0, 0]
+        assert [record["depth"] for record in collected(obs)] == [0, 0]
 
     def test_exception_still_records_span_with_error_attr(self, obs):
         with pytest.raises(ValueError):
             with obs.span("exploding"):
                 raise ValueError("boom")
-        (record,) = obs.spans()
-        assert record.attrs["error"] == "ValueError"
+        (record,) = collected(obs)
+        assert record["attrs"]["error"] == "ValueError"
 
     def test_exception_does_not_corrupt_later_depths(self, obs):
         with pytest.raises(RuntimeError):
@@ -63,27 +77,39 @@ class TestSpans:
                     raise RuntimeError
         with obs.span("after"):
             pass
-        by_name = {record.name: record for record in obs.spans()}
-        assert by_name["after"].depth == 0
+        by_name = {record["name"]: record for record in collected(obs)}
+        assert by_name["after"]["depth"] == 0
+        assert by_name["after"]["parent_id"] is None
+
+    def test_leaked_span_is_repaired_on_exit(self, obs):
+        # An inner span entered but never exited must not leave the
+        # stack one deeper: exiting the outer span pops both.
+        with obs.span("outer"):
+            obs.span("leaked").__enter__()
+        with obs.span("after"):
+            pass
+        by_name = {record["name"]: record for record in collected(obs)}
+        assert by_name["after"]["depth"] == 0
+        assert obs.current_span_id() is None
 
     def test_disabled_observer_hands_out_null_span(self):
+        # Without an active trace there is nothing to collect into.
         observer = Observer()
+        assert observer.current_trace() is None
         assert observer.span("anything") is NULL_SPAN
         with observer.span("anything") as span:
             span.set(ignored=True)
-        assert observer.spans() == []
+        assert observer.current_span_id() is None
 
-    def test_enable_disable_round_trip(self):
+    def test_spans_collect_only_while_a_trace_is_active(self):
         observer = Observer()
-        assert not observer.recording
-        observer.enable()
-        assert observer.recording
+        trace = observer.start_trace()
         with observer.span("seen"):
             pass
-        observer.disable()
+        assert observer.end_trace() is trace
         with observer.span("unseen"):
             pass
-        assert [record.name for record in observer.spans()] == ["seen"]
+        assert [record["name"] for record in trace.span_dicts()] == ["seen"]
 
     def test_span_records_pid_and_tid(self, obs):
         import os
@@ -91,9 +117,9 @@ class TestSpans:
 
         with obs.span("here"):
             pass
-        (record,) = obs.spans()
-        assert record.pid == os.getpid()
-        assert record.tid == threading.get_ident()
+        (record,) = collected(obs)
+        assert record["pid"] == os.getpid()
+        assert record["tid"] == threading.get_ident()
 
 
 class TestCounters:
@@ -105,7 +131,7 @@ class TestCounters:
 
     def test_counters_are_live_without_enable(self):
         observer = Observer()
-        assert not observer.recording
+        assert observer.current_trace() is None
         observer.add("a.x")
         assert observer.counters() == {"a.x": 1}
 
@@ -123,24 +149,23 @@ class TestCounters:
 
     def test_reset_prefix_isolates_subsystems(self):
         observer = Observer()
-        observer.enable()
         observer.add("engine.events", 10)
         observer.add("artifacts.cache.hits", 3)
-        with observer.span("kept"):
-            pass
+        observer.observe("engine.scan_seconds", 0.5)
         observer.reset(prefix="engine.")
         assert observer.counter("engine.events") == 0
         assert observer.counter("artifacts.cache.hits") == 3
-        # prefix reset keeps spans (the per-subsystem shims rely on it)
-        assert [record.name for record in observer.spans()] == ["kept"]
+        assert observer.histograms() == {}
 
-    def test_full_reset_clears_everything(self, obs):
-        obs.add("a.x")
-        with obs.span("gone"):
-            pass
-        obs.reset()
-        assert obs.counters() == {}
-        assert obs.spans() == []
+    def test_full_reset_clears_everything(self):
+        observer = Observer()
+        observer.add("a.x")
+        observer.set_gauge("a.level", 2)
+        observer.observe("a.seconds", 0.5)
+        observer.reset()
+        assert observer.counters() == {}
+        assert observer.histograms() == {}
+        assert observer.snapshot().gauges == frozenset()
 
     def test_snapshot_is_a_copy(self):
         observer = Observer()
@@ -198,21 +223,12 @@ class TestCounters:
         snapshot = observer.snapshot()
         assert snapshot.gauges == frozenset({"a.level"})
 
-    def test_merge_spans_only_while_recording(self):
-        observer = Observer()
-        span = SpanRecord("w", 0.0, 1.0, 0, 1, 1, {})
-        observer.merge({}, spans=[span])
-        assert observer.spans() == []
-        observer.enable()
-        observer.merge({}, spans=[span])
-        assert observer.spans() == [span]
-
     def test_default_observer_is_the_process_singleton(self):
         assert default_observer() is OBS
 
 
 class TestExporters:
-    def _snapshot(self, obs):
+    def _spans(self, obs):
         with obs.span("stage.one", benchmark="compress"):
             pass
         with obs.span("stage.one"):
@@ -221,10 +237,15 @@ class TestExporters:
             pass
         obs.add("engine.events", 1000)
         obs.add("artifacts.cache.hits", 2)
-        return obs.snapshot()
+        return collected(obs)
+
+    def _chrome_doc(self, obs):
+        spans = self._spans(obs)
+        return trace_chrome_doc("c" * 32, spans, obs.counters())
 
     def test_summary_lines_aggregate_spans_and_group_counters(self, obs):
-        lines = summary_lines(self._snapshot(obs))
+        spans = self._spans(obs)
+        lines = summary_lines(obs.snapshot(), spans)
         text = "\n".join(lines)
         assert all(line.startswith("[timings]") for line in lines)
         assert "stage.one" in text and "2x" in text.replace("     ", " ")
@@ -236,14 +257,15 @@ class TestExporters:
         assert lines == ["[timings] (no spans or counters recorded)"]
 
     def test_snapshot_to_json_round_trips(self, obs):
-        payload = json.loads(snapshot_to_json(self._snapshot(obs)))
+        obs.observe("engine.scan_seconds", 0.25)
+        self._spans(obs)
+        payload = json.loads(snapshot_to_json(obs.snapshot()))
         assert payload["counters"]["engine.events"] == 1000
-        assert len(payload["spans"]) == 3
-        assert payload["spans"][0]["name"] == "stage.one"
+        assert payload["histograms"]["engine.scan_seconds"]["count"] == 1
         assert payload["metadata"]["producer"] == "repro.obs"
 
     def test_chrome_trace_schema(self, obs):
-        doc = chrome_trace(self._snapshot(obs))
+        doc = self._chrome_doc(obs)
         assert doc["displayTimeUnit"] == "ms"
         assert doc["metadata"]["producer"] == "repro.obs"
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
@@ -253,29 +275,24 @@ class TestExporters:
             assert isinstance(event["ts"], int) and event["ts"] >= 0
             assert isinstance(event["dur"], int) and event["dur"] >= 1
             assert event["cat"] == event["name"].split(".", 1)[0]
-        assert complete[0]["args"] == {"benchmark": "compress"}
+        assert complete[0]["args"]["benchmark"] == "compress"
+        assert complete[0]["args"]["trace_id"] == "c" * 32
         end = max(e["ts"] + e["dur"] for e in complete)
         for event in counters:
             assert event["ts"] == end
             assert "value" in event["args"]
 
     def test_chrome_trace_timestamps_relative_to_first_span(self, obs):
-        doc = chrome_trace(self._snapshot(obs))
+        doc = self._chrome_doc(obs)
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert min(e["ts"] for e in complete) == 0
 
     def test_chrome_trace_stringifies_exotic_attrs(self, obs):
         with obs.span("stage.odd", site=("main", "loop")):
             pass
-        doc = chrome_trace(obs.snapshot())
+        doc = trace_chrome_doc("c" * 32, collected(obs))
         (event,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert event["args"]["site"] == "('main', 'loop')"
-
-    def test_write_chrome_trace(self, obs, tmp_path):
-        path = tmp_path / "trace.json"
-        write_chrome_trace(str(path), self._snapshot(obs))
-        doc = json.loads(path.read_text())
-        assert doc["traceEvents"]
 
 
 class TestConcurrency:
@@ -365,16 +382,22 @@ class TestConcurrency:
             )
 
     def test_concurrent_spans_all_recorded(self):
+        # Every hammer thread adopts one shared trace, the way pool and
+        # control-invoke threads join a request's trace.
         observer = Observer()
-        observer.enable()
+        trace = observer.start_trace()
+        observer.end_trace()
 
         def worker(index):
-            for _ in range(200):
-                with observer.span("hammer.span", worker=index):
-                    pass
+            with observer.adopt_trace(trace):
+                for _ in range(200):
+                    with observer.span("hammer.span", worker=index):
+                        pass
 
         self._hammer(worker)
-        spans = observer.spans()
+        spans = trace.span_dicts()
         assert len(spans) == self.THREADS * 200
+        assert len({span["span_id"] for span in spans}) == len(spans)
+        assert len({span["tid"] for span in spans}) == self.THREADS
         # Per-thread nesting stayed flat despite the concurrency.
-        assert {span.depth for span in spans} == {0}
+        assert {span["depth"] for span in spans} == {0}

@@ -1,7 +1,8 @@
 """Observability wired through the pipeline: CLI parity, trace export,
-worker counter isolation, and the deprecation shims."""
+worker counter isolation, and the expired shims staying gone."""
 
 import json
+import os
 
 import pytest
 
@@ -9,20 +10,18 @@ from repro.experiments.cli import main
 from repro.experiments.registry import RunContext, get_experiment
 from repro.obs import OBS
 from repro.workloads.artifacts import (
-    cache_stats,
     clear_memory_cache,
     generate_artifacts,
     get_artifacts,
-    reset_cache_stats,
 )
 
 
 @pytest.fixture(autouse=True)
 def quiet_process_observer():
-    """The CLI enables span recording on the process singleton; make
-    sure no test leaks that (or its spans) into the rest of the suite."""
+    """Make sure no test leaks an active trace or counters from the
+    process singleton into the rest of the suite."""
     yield
-    OBS.disable()
+    assert OBS.current_trace() is None
     OBS.reset()
 
 
@@ -30,10 +29,10 @@ def quiet_process_observer():
 def fresh_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     clear_memory_cache()
-    reset_cache_stats()
+    OBS.reset(prefix="artifacts.")
     yield
     clear_memory_cache()
-    reset_cache_stats()
+    OBS.reset(prefix="artifacts.")
 
 
 class TestCliParity:
@@ -118,6 +117,33 @@ class TestCliParity:
         assert "engine.events" in counters
         assert "artifacts.cache.misses" in counters
 
+    def test_parallel_prewarm_spans_join_the_run_trace(
+        self, fresh_cache, capsys, tmp_path
+    ):
+        trace = tmp_path / "trace.json"
+        argv = ["table1", "--names", "compress,predict", "--jobs", "2"]
+        assert main(argv + ["--trace-out", str(trace)]) == 0
+        capsys.readouterr()
+        doc = json.loads(trace.read_text())
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        by_id = {e["args"]["span_id"]: e for e in spans}
+        assert len(by_id) == len(spans)
+        trace_id = doc["metadata"]["trace_id"]
+        for event in spans:
+            assert event["args"]["trace_id"] == trace_id
+            parent = event["args"]["parent_id"]
+            if parent is None:
+                assert event["name"] in ("artifacts.prewarm", "experiment:table1")
+            else:
+                assert parent in by_id, event["name"]
+        # The interpreter ran in the two worker processes, and each run
+        # parents under the parent process's prewarm span.
+        runs = [e for e in spans if e["name"] == "workload.run"]
+        assert len(runs) == 2
+        for event in runs:
+            assert event["pid"] != os.getpid()
+            assert by_id[event["args"]["parent_id"]]["name"] == "artifacts.prewarm"
+
 
 class TestWorkerIsolation:
     def test_parallel_generation_merges_counters_under_workers(
@@ -127,9 +153,7 @@ class TestWorkerIsolation:
             [("compress", 1, 0), ("abalone", 1, 0)], jobs=2
         )
         # The interpreter ran only in the worker processes; the parent's
-        # own per-process counters (and cache_stats() built on them)
-        # must not claim that work ...
-        assert cache_stats().interpreter_runs == 0
+        # own per-process counters must not claim that work ...
         assert OBS.counter("artifacts.interpreter.runs") == 0
         # ... it lands namespaced instead.
         assert OBS.counter("workers.artifacts.interpreter.runs") == 2
@@ -137,37 +161,14 @@ class TestWorkerIsolation:
 
 
 class TestDeprecationShims:
-    def test_positional_get_artifacts_warns(self, fresh_cache):
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            positional = get_artifacts("compress", 1)
-        assert positional is get_artifacts("compress", scale=1)
-
-    def test_positional_plus_keyword_duplicate_rejected(self, fresh_cache):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                get_artifacts("compress", 1, scale=1)
+    """The expired positional shims are gone: old call shapes fail loudly."""
 
     def test_too_many_positionals_rejected(self, fresh_cache):
         with pytest.raises(TypeError):
             get_artifacts("compress", 1, 0, 8, 9)
 
-    def test_experiment_run_warns_and_matches_execute(self, fresh_cache):
-        experiment = get_experiment("table1")
-        ctx = RunContext(scale=1, names=("compress",))
-        via_context = experiment.execute(ctx)
-        with pytest.warns(DeprecationWarning, match="RunContext"):
-            legacy = experiment.run(1, ["compress"])
-        assert legacy.render() == via_context.render()
-
     def test_tables_rejects_context_plus_extras(self, fresh_cache):
         experiment = get_experiment("table1")
         ctx = RunContext(scale=1, names=("compress",))
-        with pytest.raises(TypeError, match="inside the RunContext"):
+        with pytest.raises(TypeError, match="names"):
             experiment.tables(ctx, names=["compress"])
-
-    def test_tables_accepts_legacy_positional_form(self, fresh_cache):
-        experiment = get_experiment("table1")
-        ctx = RunContext(scale=1, names=("compress",))
-        assert [t.render() for t in experiment.tables(1, ["compress"])] == [
-            t.render() for t in experiment.tables(ctx)
-        ]

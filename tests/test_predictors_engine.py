@@ -4,15 +4,16 @@ The property test drives every predictor family — static heuristics,
 dynamic counters, all nine Yeh/Patt two-level variants and the
 semi-static table strategies — over random traces and requires exact
 result identity (events, mispredictions, per-site breakdown *and* site
-ordering) between the fused single-pass engine and the sequential
-reference implementation, for both the stepper path and the closed-form
-fast path.
+ordering) between the single-pass engine and the sequential reference
+implementation, for the batch kernels, the closed-form fast path and
+the sequential route a custom subclass without a kernel takes.
 """
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.ir import BranchSite
+from repro.obs import OBS
 from repro.predictors import (
     AlwaysNotTaken,
     AlwaysTaken,
@@ -21,13 +22,12 @@ from repro.predictors import (
     LastDirection,
     LoopCorrelationPredictor,
     LoopPredictor,
+    Predictor,
     ProfilePredictor,
     SaturatingCounter,
     all_yeh_patt_variants,
-    engine_stats,
     evaluate,
     evaluate_many,
-    reset_engine_stats,
 )
 from repro.profiling import ProfileData, Trace
 
@@ -68,6 +68,27 @@ def predictor_families(trace):
     return predictors
 
 
+class NoKernelLastDirection(Predictor):
+    """A custom online predictor without a ``step_batch`` kernel."""
+
+    def __init__(self):
+        super().__init__("custom-last-direction")
+        self._last = {}
+
+    def reset(self):
+        self._last = {}
+
+    def predict(self, site):
+        return self._last.get(site, True)
+
+    def update(self, site, taken):
+        self._last[site] = taken
+
+
+def engine_counters():
+    return OBS.counters("engine.")
+
+
 def assert_results_identical(actual, expected):
     assert actual.predictor == expected.predictor
     assert actual.events == expected.events
@@ -90,22 +111,24 @@ def test_evaluate_many_matches_sequential(events):
 
 @given(events_strategy)
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_evaluate_many_stepper_path_matches_sequential(events):
-    # batch=False pins every online predictor to the fused stepper
-    # scan — the batch kernels and the scan must agree exactly.
+def test_evaluate_many_custom_subclass_matches_sequential(events):
+    # A subclass whose step_batch returns None is scored by the
+    # sequential reference itself, alongside the kernel families.
     trace = build_trace(events)
-    predictors = predictor_families(trace)
+    predictors = predictor_families(trace) + [NoKernelLastDirection()]
     expected = [evaluate(predictor, trace) for predictor in predictors]
-    actual = evaluate_many(predictors, trace, batch=False)
+    actual = evaluate_many(predictors, trace)
     for act, exp in zip(actual, expected):
         assert_results_identical(act, exp)
+    # ... and agrees with the built-in family it mirrors.
+    assert actual[-1].per_site == evaluate(LastDirection(), trace).per_site
 
 
 @given(events_strategy)
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_evaluate_many_is_repeatable(events):
-    # Fresh steppers per pass: a second pass over the same predictors
-    # must not be polluted by the first pass's state.
+    # A second pass over the same predictors must not be polluted by
+    # the first pass's state.
     trace = build_trace(events)
     predictors = predictor_families(trace)
     first = evaluate_many(predictors, trace)
@@ -127,64 +150,61 @@ def test_closed_form_set_does_not_scan():
     # All-order-independent predictor sets are scored from per-site
     # counts alone; the trace is never replayed — and the events land
     # in the closed_form_events bucket, not the scanned-events rate.
-    reset_engine_stats()
+    OBS.reset(prefix="engine.")
     results = evaluate_many([AlwaysTaken(), AlwaysNotTaken()], small_trace())
-    stats = engine_stats()
-    assert stats.scans == 0
-    assert stats.events == 0
-    assert stats.closed_form_events == 6
-    assert stats.closed_form_predictors == 2
-    assert stats.online_predictors == 0
-    assert stats.batch_predictors == 0
+    stats = engine_counters()
+    assert stats["engine.events"] == 0
+    assert stats["engine.closed_form_events"] == 6
+    assert stats["engine.closed_form_predictors"] == 2
+    assert stats["engine.batch_predictors"] == 0
     assert results[0].mispredictions == 3  # not-taken events
     assert results[1].mispredictions == 3  # taken events
 
 
 def test_mixed_set_uses_batch_kernels():
-    # The dynamic families score through their columnar kernels: no
-    # stepper scan runs, but the events still count as online work.
-    reset_engine_stats()
+    # The dynamic families score through their columnar kernels, and
+    # the events count as online work.
+    OBS.reset(prefix="engine.")
     evaluate_many(
         [AlwaysTaken(), LastDirection(), SaturatingCounter(2)], small_trace()
     )
-    stats = engine_stats()
-    assert stats.scans == 0
-    assert stats.events == 6
-    assert stats.closed_form_events == 0
-    assert stats.batch_predictors == 2
-    assert stats.online_predictors == 0
-    assert stats.closed_form_predictors == 1
-    assert stats.seconds > 0.0
+    stats = engine_counters()
+    assert stats["engine.events"] == 6
+    assert stats["engine.closed_form_events"] == 0
+    assert stats["engine.batch_predictors"] == 2
+    assert stats["engine.closed_form_predictors"] == 1
+    assert stats["engine.seconds"] > 0.0
 
 
 def test_mixed_set_scans_once_without_batch():
-    reset_engine_stats()
-    evaluate_many(
-        [AlwaysTaken(), LastDirection(), SaturatingCounter(2)],
-        small_trace(),
-        batch=False,
-    )
-    stats = engine_stats()
-    assert stats.scans == 1
-    assert stats.events == 6
-    assert stats.batch_predictors == 0
-    assert stats.online_predictors == 2
-    assert stats.closed_form_predictors == 1
-    assert stats.seconds > 0.0
+    # A predictor without a kernel is replayed sequentially, once, and
+    # its events count as online work.
+    OBS.reset(prefix="engine.")
+    trace = OBS.start_trace()
+    try:
+        evaluate_many([AlwaysTaken(), NoKernelLastDirection()], small_trace())
+    finally:
+        OBS.end_trace()
+    stats = engine_counters()
+    assert stats["engine.events"] == 6
+    assert stats["engine.batch_predictors"] == 0
+    assert stats["engine.closed_form_predictors"] == 1
+    (span,) = trace.span_dicts()
+    assert span["attrs"]["sequential"] == 1
+    assert span["attrs"]["batched"] == 0
 
 
 def test_events_split_accumulates_across_calls():
     # Regression: engine.events used to count every call's events even
     # when no online work ran, inflating the --timings events/sec rate.
-    reset_engine_stats()
+    OBS.reset(prefix="engine.")
     evaluate_many([AlwaysTaken()], small_trace())
     evaluate_many([LastDirection()], small_trace())
     evaluate_many([AlwaysNotTaken()], small_trace())
-    stats = engine_stats()
-    assert stats.events == 6
-    assert stats.closed_form_events == 12
-    assert stats.scans == 0
-    assert stats.batch_predictors == 1
+    stats = engine_counters()
+    assert stats["engine.events"] == 6
+    assert stats["engine.closed_form_events"] == 12
+    assert stats["engine.batch_predictors"] == 1
 
 
 def test_empty_predictor_set():
@@ -200,8 +220,8 @@ def test_empty_trace():
 
 
 def test_stats_snapshot_is_independent():
-    reset_engine_stats()
-    before = engine_stats().snapshot()
-    evaluate_many([LastDirection()], small_trace(), batch=False)
-    assert before.scans == 0
-    assert engine_stats().scans == 1
+    OBS.reset(prefix="engine.")
+    before = engine_counters()
+    evaluate_many([LastDirection()], small_trace())
+    assert before == {}
+    assert engine_counters()["engine.events"] == 6

@@ -235,7 +235,7 @@ class TestEnvelopeHelpers:
 
     def test_unwrap_envelope(self):
         assert unwrap_envelope(envelope({"a": 1})) == {"a": 1}
-        # legacy / raw / error bodies pass through untouched
+        # non-envelope and error bodies pass through untouched
         assert unwrap_envelope({"status": "ok"}) == {"status": "ok"}
         assert unwrap_envelope({"v": 1, "ok": False, "error": {}}) == {
             "v": 1,

@@ -414,12 +414,6 @@ class TestEnvelopeContract:
         assert document["ok"] is True
         assert document["data"]["status"] == "ok"
 
-    def test_raw_flag_returns_legacy_body(self, client):
-        status, document = client.request_raw("GET", "/healthz?raw=1")
-        assert status == 200
-        assert "v" not in document
-        assert document["status"] == "ok"
-
     def test_error_envelope_keeps_inner_error_shape(self, client):
         status, document = client.request_raw("GET", "/bogus")
         assert status == 404
@@ -428,12 +422,6 @@ class TestEnvelopeContract:
         assert document["error"]["code"] == "unknown_route"
         # retry_after is reserved for backpressure/drain statuses
         assert "retry_after" not in document["error"]
-
-    def test_raw_flag_returns_legacy_error_body(self, client):
-        status, document = client.request_raw("GET", "/bogus?raw=1")
-        assert status == 404
-        assert "v" not in document
-        assert document["error"]["code"] == "unknown_route"
 
     def test_draining_503_carries_retry_after_in_band(self, fresh_server):
         server = fresh_server(threads=2, queue_limit=8)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.obs import OBS, validate_exposition
+from repro.obs import validate_exposition
 from repro.obs.promtext import exposition_types, histogram_bucket_counts
 from repro.service import (
     ServiceClient,
@@ -76,25 +76,33 @@ class TestRequestIds:
         assert client.last_request_id == "err-id-1"
 
     def test_request_id_lands_in_span_attrs(self, server, client):
-        # The span closes on the server thread just after the client has
-        # read the response — poll briefly instead of racing it.
-        OBS.enable()
+        # Keep every trace while this runs, so GET /trace/{id} can serve
+        # it.  The trace is recorded just after the client has read the
+        # response — poll briefly instead of racing it.
+        flight = server.state.flight
+        rate, flight.sample_rate = flight.sample_rate, 1.0
         try:
-            client.request("GET", "/healthz", request_id="span-id-7")
-            attrs = []
+            _, document = client.request_raw(
+                "GET", "/healthz", request_id="span-id-7"
+            )
+            status, stitched = None, {}
             deadline = time.monotonic() + 5.0
-            while not attrs and time.monotonic() < deadline:
-                attrs = [
-                    span.attrs
-                    for span in OBS.spans()
-                    if span.name == "service.request"
-                    and span.attrs.get("request_id") == "span-id-7"
-                ]
-                if not attrs:
+            while status != 200 and time.monotonic() < deadline:
+                status, stitched = client.request_raw(
+                    "GET", f"/trace/{document['trace_id']}"
+                )
+                if status != 200:
                     time.sleep(0.01)
         finally:
-            OBS.disable()
-        assert attrs and attrs[0]["route"] == "healthz"
+            flight.sample_rate = rate
+        assert status == 200
+        attrs = [
+            span["attrs"]
+            for span in stitched["data"]["spans"]
+            if span["name"] == "service.request"
+        ]
+        assert attrs and attrs[0]["request_id"] == "span-id-7"
+        assert attrs[0]["route"] == "healthz"
 
     def test_access_log_line_is_json_with_request_id(self, client, capfd):
         # The log line is written by the server thread after the

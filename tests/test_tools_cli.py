@@ -160,12 +160,12 @@ def test_serve_parser_accepts_telemetry_flags():
     from repro.tools import build_parser
 
     options = build_parser().parse_args(
-        ["serve", "--log-json", "--trace-out", "svc_trace.json"]
+        ["serve", "--log-json", "--trace-sample", "1"]
     )
     assert options.log_json is True
-    assert options.trace_out == "svc_trace.json"
+    assert options.trace_sample == 1.0
     defaults = build_parser().parse_args(["serve"])
-    assert defaults.log_json is False and defaults.trace_out is None
+    assert defaults.log_json is False and defaults.trace_sample == 0.01
 
 
 def test_obs_export_renders_saved_snapshot(tmp_path, capsys):
