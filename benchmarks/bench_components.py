@@ -45,6 +45,16 @@ def test_machine_search(benchmark):
     assert scored.correct >= max(table.total())
 
 
+def test_planner_build(benchmark):
+    """Every budget 2..10 for every branch: the planner's search work."""
+    from repro.replication import ReplicationPlanner
+
+    program = get_program("predict")
+    profile = get_profile("predict", 1)
+    planner = benchmark(ReplicationPlanner, program, profile, max_states=10)
+    assert planner.improvable_plans()
+
+
 def test_shape_enumeration(benchmark):
     valid_shapes.cache_clear()
     shapes = benchmark.pedantic(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..cfg import BranchClass, classify_branches
-from ..statemachines import best_intra_machine, best_loop_exit_machine
+from ..statemachines import best_intra_machine, best_loop_exit_machine, node_counts
 from ..workloads import BENCHMARK_NAMES, get_profile, get_program
 from .registry import register
 from .report import Table, pct
@@ -28,15 +28,20 @@ def _subset_rate_full_history(profile, sites, bits: int) -> float:
     return (total - correct) / total if total else 0.0
 
 
-def _subset_rate_machines(profile, infos, sites, n_states: int, intra: bool) -> float:
+def _subset_rate_machines(
+    profile, infos, nodes, sites, n_states: int, intra: bool
+) -> float:
     total = correct = 0
     for site in sites:
         table = profile.local[site]
         if intra:
-            scored = best_intra_machine(table, n_states)
+            scored = best_intra_machine(table, n_states, nodes=nodes[site])
         else:
             scored = best_loop_exit_machine(
-                table, n_states, exit_on_taken=infos[site].taken_exits
+                table,
+                n_states,
+                exit_on_taken=infos[site].taken_exits,
+                nodes=nodes[site],
             )
         total += scored.total
         correct += scored.correct
@@ -67,7 +72,9 @@ def run(
             for site in profile.totals
             if site in infos and infos[site].kind is BranchClass.LOOP_EXIT
         ]
-        contexts[name] = (profile, infos, intra, exits)
+        # Every history depth searches the same tables: count once.
+        nodes = {site: node_counts(profile.local[site]) for site in intra + exits}
+        contexts[name] = (profile, infos, intra, exits, nodes)
 
     for label, subset_index in (("loop", 2), ("exit", 3)):
         profile_row = [
@@ -84,14 +91,14 @@ def run(
         for label, subset_index in (("loop", 2), ("exit", 3)):
             history_row, machine_row = [], []
             for name in names:
-                profile, infos, intra, exits = contexts[name]
+                profile, infos, intra, exits, nodes = contexts[name]
                 sites = contexts[name][subset_index]
                 history_row.append(
                     _subset_rate_full_history(profile, sites, bits)
                 )
                 machine_row.append(
                     _subset_rate_machines(
-                        profile, infos, sites, bits + 1, intra=(label == "loop")
+                        profile, infos, nodes, sites, bits + 1, intra=(label == "loop")
                     )
                 )
             table.add_row(

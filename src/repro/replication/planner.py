@@ -28,6 +28,7 @@ from ..statemachines import (
     best_loop_exit_machine,
     correlated_machine_options,
     minimize_machine,
+    node_counts,
 )
 from .tail_duplicate import estimate_duplication_cost
 
@@ -154,6 +155,13 @@ class ReplicationPlanner:
                 function.block(label).size() for label in loop.body
             )
         local_table = self.profile.local[site]
+        # Every budget searches the same table: count its nodes once.
+        local_nodes = (
+            node_counts(local_table)
+            if info.kind in (BranchClass.INTRA_LOOP, BranchClass.LOOP_EXIT)
+            else None
+        )
+        duplication_costs: Dict[int, int] = {}
 
         for n_states in range(2, self.max_states + 1):
             candidates: List[Tuple[ScoredMachine, int]] = []
@@ -161,13 +169,19 @@ class ReplicationPlanner:
                 corr = correlated[n_states - 1]
                 if corr.machine.paths:
                     depth = max(p[1] for p in corr.machine.paths)
-                    cost = estimate_duplication_cost(function, site.block, depth)
-                    candidates.append((corr, cost))
+                    if depth not in duplication_costs:
+                        duplication_costs[depth] = estimate_duplication_cost(
+                            function, site.block, depth
+                        )
+                    candidates.append((corr, duplication_costs[depth]))
             if info.kind is BranchClass.INTRA_LOOP:
-                scored = best_intra_machine(local_table, n_states)
+                scored = best_intra_machine(local_table, n_states, nodes=local_nodes)
             elif info.kind is BranchClass.LOOP_EXIT:
                 scored = best_loop_exit_machine(
-                    local_table, n_states, exit_on_taken=info.taken_exits
+                    local_table,
+                    n_states,
+                    exit_on_taken=info.taken_exits,
+                    nodes=local_nodes,
                 )
             else:
                 scored = None

@@ -13,20 +13,21 @@ charged to the longest chosen path matching its global history, or to
 the catch-all.
 
 ``best_correlated_machine`` selects the path set greedily by exact
-marginal gain: with at most a few hundred observed history patterns per
-branch, each candidate evaluation is a full recount, so nested paths
-and majority flips in the residual group are handled exactly.
+marginal gain.  Each table entry is tracked with the path that owns it,
+so a candidate's gain is computed from the entries it would take over;
+nested paths and majority flips in the losing groups are handled
+exactly, as a full recount (:func:`_score_paths`) would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..obs import OBS
 from ..profiling import PatternTable
 from .machine import Pattern, ScoredMachine, pattern_str
-from .scoring import longest_match_groups, majority, node_counts
+from .scoring import NodeCounts, longest_match_groups, majority, node_counts
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,71 @@ def _score_paths(
     return correct, predictions, fallback
 
 
+class _GreedyPaths:
+    """A growing path set and the entries each path owns.
+
+    Every full-depth table entry belongs to its longest matching chosen
+    path, or to the catch-all (cell 0).  A candidate path's gain is then
+    exact from just the entries it would take over: what their owners
+    lose plus the majority of what the new path collects.
+    """
+
+    def __init__(self, table: PatternTable, candidates: List[Pattern]) -> None:
+        self.entries = list(table.counts.values())
+        self.paths: List[Pattern] = []
+        self.cells = [list(table.total())]
+        self.owner = [0] * len(self.entries)
+        self.owner_length = [0] * len(self.entries)
+        self.matches: Dict[Pattern, List[int]] = {p: [] for p in candidates}
+        longest = max((length for _, length in candidates), default=0)
+        for index, history in enumerate(table.counts):
+            for length in range(1, longest + 1):
+                bucket = self.matches.get((history & ((1 << length) - 1), length))
+                if bucket is not None:
+                    bucket.append(index)
+
+    def _taken_over(self, pattern: Pattern) -> List[int]:
+        """Entries *pattern* would own: matched, and by no longer path."""
+        length = pattern[1]
+        return [i for i in self.matches[pattern] if self.owner_length[i] < length]
+
+    def gain(self, pattern: Pattern) -> int:
+        """Exact change in correct predictions from adding *pattern*."""
+        lost: Dict[int, List[int]] = {}
+        for index in self._taken_over(pattern):
+            entry = self.entries[index]
+            cell = lost.setdefault(self.owner[index], [0, 0])
+            cell[0] += entry[0]
+            cell[1] += entry[1]
+        gain = not_taken = taken = 0
+        for owner, (lost_not_taken, lost_taken) in lost.items():
+            cell = self.cells[owner]
+            gain += max(cell[0] - lost_not_taken, cell[1] - lost_taken) - max(cell)
+            not_taken += lost_not_taken
+            taken += lost_taken
+        return gain + max(not_taken, taken)
+
+    def add(self, pattern: Pattern) -> None:
+        new = [0, 0]
+        for index in self._taken_over(pattern):
+            entry = self.entries[index]
+            cell = self.cells[self.owner[index]]
+            cell[0] -= entry[0]
+            cell[1] -= entry[1]
+            new[0] += entry[0]
+            new[1] += entry[1]
+            self.owner[index] = len(self.cells)
+            self.owner_length[index] = pattern[1]
+        self.paths.append(pattern)
+        self.cells.append(new)
+
+
 def best_correlated_machine(
     table: PatternTable,
     max_states: int,
     max_path_length: Optional[int] = None,
     max_candidates: int = 64,
+    nodes: Optional[NodeCounts] = None,
 ) -> ScoredMachine:
     """Greedy exact-gain selection of at most ``max_states - 1`` paths.
 
@@ -94,12 +155,13 @@ def best_correlated_machine(
     longer than ``max_path_length`` (default: ``max_states - 1``, the
     paper's "maximum path length of n for an n state machine" bound to
     keep the replicated code small) are not considered.  Candidates are
-    the ``max_candidates`` most frequent observed patterns.
+    the ``max_candidates`` most frequent observed patterns.  *nodes* is
+    ``node_counts(table)`` when the caller already has it.
     """
     if max_states < 1:
         raise ValueError("need at least one state")
-    total = table.executions()
-    nodes = node_counts(table)
+    nodes = nodes if nodes is not None else node_counts(table)
+    total = nodes.executions
     default = majority(nodes.get((0, 0), (0, 0)))
     limit = max_path_length if max_path_length is not None else max(1, max_states - 1)
     limit = min(limit, table.bits)
@@ -111,8 +173,8 @@ def best_correlated_machine(
     candidates.sort(key=lambda item: -(item[1][0] + item[1][1]))
     candidates = [pattern for pattern, _ in candidates[:max_candidates]]
 
-    chosen: List[Pattern] = []
-    best_correct, predictions, fallback = _score_paths(table, chosen, default)
+    greedy = _GreedyPaths(table, candidates)
+    chosen = greedy.paths
     rounds = 0
     scored = 0
     with OBS.span("sm.search.correlated", max_states=max_states) as span:
@@ -124,18 +186,15 @@ def best_correlated_machine(
                 if pattern in chosen:
                     continue
                 scored += 1
-                correct, _, _ = _score_paths(table, chosen + [pattern], default)
-                gain = correct - best_correct
+                gain = greedy.gain(pattern)
                 if gain > best_gain:
                     best_gain = gain
                     best_pattern = pattern
             if best_pattern is None:
                 break
-            chosen.append(best_pattern)
-            best_correct, predictions, fallback = _score_paths(
-                table, chosen, default
-            )
+            greedy.add(best_pattern)
         span.set(candidates=scored, rounds=rounds, paths=len(chosen))
+    best_correct, predictions, fallback = _score_paths(table, chosen, default)
     OBS.add("sm.correlated.searches")
     OBS.add("sm.correlated.candidates", scored)
     OBS.add("sm.correlated.rounds", rounds)
@@ -159,11 +218,15 @@ def correlated_machine_options(
     rescoring exactly.  Returned machines are indexed so that
     ``options[n - 1]`` has at most *n* states.
     """
-    total = table.executions()
     nodes = node_counts(table)
+    total = nodes.executions
     default = majority(nodes.get((0, 0), (0, 0)))
     full = best_correlated_machine(
-        table, max_states, max_path_length=table.bits, max_candidates=max_candidates
+        table,
+        max_states,
+        max_path_length=table.bits,
+        max_candidates=max_candidates,
+        nodes=nodes,
     )
     sequence: Tuple[Pattern, ...] = full.machine.paths
     options: List[ScoredMachine] = []

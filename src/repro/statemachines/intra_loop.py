@@ -57,6 +57,7 @@ def best_intra_machine(
     max_states: int,
     require_connected: bool = True,
     exact_states: bool = False,
+    nodes: Optional[NodeCounts] = None,
 ) -> ScoredMachine:
     """Exhaustive search for the best intra-loop machine.
 
@@ -64,15 +65,16 @@ def best_intra_machine(
     *max_states* when *exact_states*), depth limited by the table's
     history length.  Returns the machine with the most correct
     predictions on the training profile; among equals, the one with
-    fewer states.
+    fewer states.  *nodes* is ``node_counts(table)``, shared by a
+    caller that searches the same table at several budgets.
     """
     if max_states < 1:
         raise ValueError("need at least one state")
-    nodes = node_counts(table)
-    total = table.executions()
+    nodes = nodes if nodes is not None else node_counts(table)
+    total = nodes.executions
     default = majority(nodes.get((0, 0), (0, 0)))
     best_machine = single_state_machine(default, "intra-loop")
-    best_correct = max(nodes.get((0, 0), (0, 0)))
+    best_correct = nodes.correct.get((0, 0), 0)
     sizes = [max_states] if exact_states else range(2, max_states + 1)
     # Search telemetry is aggregated locally and reported once per call
     # — the inner loop enumerates thousands of shapes and must stay
@@ -113,7 +115,7 @@ def greedy_intra_machine(
     exhaustive search finds (splits are monotone refinements).
     """
     nodes = node_counts(table)
-    total = table.executions()
+    total = nodes.executions
     leaves: List[Pattern] = [(0, 0)]  # the empty pattern: predict bias
 
     def score(current: List[Pattern]) -> int:

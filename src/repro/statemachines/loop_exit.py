@@ -13,7 +13,7 @@ better one per branch.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..obs import OBS
 from ..profiling import PatternTable
@@ -28,17 +28,43 @@ from .machine import (
 from .scoring import NodeCounts, majority, node_counts, partition_score
 
 
+def _stays(count: int, stay_bit: int) -> Pattern:
+    """*count* stay outcomes in a row — newest outcome in bit 0."""
+    return ((1 << count) - 1 if stay_bit else 0, count)
+
+
+def _since_exit(stays: int, stay_bit: int) -> Pattern:
+    """An exit followed by *stays* stay outcomes."""
+    value, length = _stays(stays, stay_bit)
+    return (value | ((1 - stay_bit) << length), length + 1)
+
+
 def _comb_patterns(n_states: int, stay_bit: int) -> List[Pattern]:
     """Patterns of the saturating chain: [exit], [stay,exit], ...,
     [stay^(n-1)] — in taken-bit terms, newest outcome in bit 0."""
-    exit_bit = 1 - stay_bit
-    patterns: List[Pattern] = []
-    for i in range(n_states - 1):
-        value = sum(stay_bit << j for j in range(i)) | (exit_bit << i)
-        patterns.append((value, i + 1))
-    catch_value = sum(stay_bit << j for j in range(n_states - 1))
-    patterns.append((catch_value, n_states - 1))
+    patterns = [_since_exit(i, stay_bit) for i in range(n_states - 1)]
+    patterns.append(_stays(n_states - 1, stay_bit))
     return patterns
+
+
+def _parity_cells(
+    nodes: NodeCounts, bits: int, n_states: int, stay_bit: int
+) -> Tuple[List[Pattern], List[List[int]]]:
+    """The parity machine's chain patterns, and its two parity cells
+    (index = parity of the stay count beyond the chain)."""
+    depth = n_states - 2  # chain states 0..depth-1, then parity pair
+    chain = [_since_exit(i, stay_bit) for i in range(depth)]
+    # Deep patterns [stay^k, exit] with k >= depth split by parity of k.
+    parity_counts = [[0, 0], [0, 0]]
+    deep = [(k % 2, _since_exit(k, stay_bit)) for k in range(depth, bits)]
+    # The all-stay pattern cannot reveal its exit distance; charge it to
+    # the parity of the full history depth (documented approximation).
+    deep.append((bits % 2, _stays(bits, stay_bit)))
+    for parity, pattern in deep:
+        counts = nodes.get(pattern, (0, 0))
+        parity_counts[parity][0] += counts[0]
+        parity_counts[parity][1] += counts[1]
+    return chain, parity_counts
 
 
 def comb_machine(
@@ -53,12 +79,12 @@ def comb_machine(
     if n_states - 1 > table.bits:
         raise ValueError("chain deeper than the recorded history")
     nodes = nodes if nodes is not None else node_counts(table)
-    total = table.executions()
+    total = nodes.executions
     default = majority(nodes.get((0, 0), (0, 0)))
     if n_states == 1:
         return ScoredMachine(
             single_state_machine(default, "loop-exit"),
-            max(nodes.get((0, 0), (0, 0))),
+            nodes.correct.get((0, 0), 0),
             total,
         )
     stay_bit = 0 if exit_on_taken else 1
@@ -94,29 +120,14 @@ def parity_machine(
     if n_states < 3:
         raise ValueError("parity machine needs at least 3 states")
     nodes = nodes if nodes is not None else node_counts(table)
-    total = table.executions()
+    total = nodes.executions
     default = majority(nodes.get((0, 0), (0, 0)))
     stay_bit = 0 if exit_on_taken else 1
-    exit_bit = 1 - stay_bit
-    depth = n_states - 2  # chain states 0..depth-1, then parity pair
-    chain_patterns: List[Pattern] = []
-    for i in range(depth):
-        value = sum(stay_bit << j for j in range(i)) | (exit_bit << i)
-        chain_patterns.append((value, i + 1))
+    depth = n_states - 2
+    chain_patterns, parity_counts = _parity_cells(
+        nodes, table.bits, n_states, stay_bit
+    )
     chain_counts = [nodes.get(p, (0, 0)) for p in chain_patterns]
-    # Deep patterns [stay^k, exit] with k >= depth split by parity of k.
-    parity_counts = [[0, 0], [0, 0]]  # index = k % 2
-    for k in range(depth, table.bits):
-        value = sum(stay_bit << j for j in range(k)) | (exit_bit << k)
-        counts = nodes.get((value, k + 1), (0, 0))
-        parity_counts[k % 2][0] += counts[0]
-        parity_counts[k % 2][1] += counts[1]
-    # The all-stay pattern cannot reveal its exit distance; charge it to
-    # the parity of the full history depth (documented approximation).
-    all_stay = (sum(stay_bit << j for j in range(table.bits)), table.bits)
-    counts = nodes.get(all_stay, (0, 0))
-    parity_counts[table.bits % 2][0] += counts[0]
-    parity_counts[table.bits % 2][1] += counts[1]
 
     states: List[MachineState] = []
     for i, pattern in enumerate(chain_patterns):
@@ -154,37 +165,54 @@ def parity_machine(
             )
         )
     machine = PredictionMachine(tuple(states), 0, "loop-exit-parity")
-    correct = sum(max(c) for c in chain_counts)
-    correct += max(parity_counts[0]) + max(parity_counts[1])
-    # Plus everything shorter than depth that the chain cannot see is
-    # already covered: chain + parity states partition all histories.
+    correct = _parity_score(nodes, chain_patterns, parity_counts)
     return ScoredMachine(machine, correct, total)
+
+
+def _parity_score(
+    nodes: NodeCounts, chain: List[Pattern], parity_counts: List[List[int]]
+) -> int:
+    """Correct predictions of a parity machine: its chain and parity
+    states partition all histories."""
+    return partition_score(nodes, chain) + max(parity_counts[0]) + max(parity_counts[1])
 
 
 def best_loop_exit_machine(
     table: PatternTable,
     max_states: int,
     exit_on_taken: bool,
+    nodes: Optional[NodeCounts] = None,
 ) -> ScoredMachine:
-    """Best chain or parity machine with at most *max_states* states."""
-    nodes = node_counts(table)
-    best: Optional[ScoredMachine] = None
+    """Best chain or parity machine with at most *max_states* states.
+
+    *nodes* is ``node_counts(table)``, shared by a caller that searches
+    the same table at several budgets.
+    """
+    if max_states < 1:
+        raise ValueError("need at least one state")
+    nodes = nodes if nodes is not None else node_counts(table)
+    stay_bit = 0 if exit_on_taken else 1
+    # Score every candidate first; only the winner is built.
+    best_correct = -1
+    winner = (comb_machine, 1)
     considered = 0
     improvements = 0
     with OBS.span("sm.search.loop_exit", max_states=max_states) as span:
         for n_states in range(1, min(max_states, table.bits + 1) + 1):
-            candidates = [comb_machine(table, n_states, exit_on_taken, nodes)]
+            comb = _comb_patterns(n_states, stay_bit)
+            candidates = [(comb_machine, partition_score(nodes, comb))]
             if n_states >= 3:
-                candidates.append(
-                    parity_machine(table, n_states, exit_on_taken, nodes)
-                )
-            for scored in candidates:
+                cells = _parity_cells(nodes, table.bits, n_states, stay_bit)
+                candidates.append((parity_machine, _parity_score(nodes, *cells)))
+            for build, correct in candidates:
                 considered += 1
-                if best is None or scored.correct > best.correct:
+                if correct > best_correct:
                     improvements += 1
-                    best = scored
+                    best_correct = correct
+                    winner = (build, n_states)
         span.set(candidates=considered, improvements=improvements)
-    assert best is not None
+    build, n_states = winner
+    best = build(table, n_states, exit_on_taken, nodes)
     OBS.add("sm.loop_exit.searches")
     OBS.add("sm.loop_exit.candidates", considered)
     OBS.add("sm.loop_exit.pruned", considered - improvements)

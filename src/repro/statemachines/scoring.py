@@ -15,13 +15,29 @@ machines).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..profiling import PatternTable
 from .machine import Pattern
 
 
-NodeCounts = Dict[Pattern, Tuple[int, int]]
+class NodeCounts(dict):
+    """``(not_taken, taken)`` per suffix pattern of one table, plus what
+    every search over that table derives from it.
+
+    ``correct[pattern]`` is the node's majority count (its correct
+    predictions as a state); ``executions`` is the table's total.  Build
+    it once per table with :func:`node_counts` and hand it to every
+    search over the table through their ``nodes=`` parameter.
+    """
+
+    __slots__ = ("correct", "executions")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.correct: Dict[Pattern, int] = {}
+        self.executions = 0
 
 
 def node_counts(table: PatternTable) -> NodeCounts:
@@ -42,7 +58,12 @@ def node_counts(table: PatternTable) -> NodeCounts:
             else:
                 cell[0] += entry[0]
                 cell[1] += entry[1]
-    return {key: (cell[0], cell[1]) for key, cell in acc.items()}
+    nodes = NodeCounts()
+    for key, (not_taken, taken) in acc.items():
+        nodes[key] = (not_taken, taken)
+        nodes.correct[key] = max(not_taken, taken)
+    nodes.executions = sum(nodes.get((0, 0), (0, 0)))
+    return nodes
 
 
 def leaf_counts(
@@ -53,8 +74,9 @@ def leaf_counts(
 
 
 def partition_score(nodes: NodeCounts, leaves: Iterable[Pattern]) -> int:
-    """Correct predictions when each leaf predicts its majority."""
-    return sum(max(nodes.get(leaf, (0, 0))) for leaf in leaves)
+    """Correct predictions when each leaf predicts its majority (a leaf
+    the table never reached scores 0)."""
+    return sum(map(nodes.correct.get, leaves, repeat(0)))
 
 
 def longest_match_groups(
