@@ -29,8 +29,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from ..service.handlers import ROUTES
 from .core import SKIP, WARNING, Invariant
-from .world import HEAVY_ROUTES, LiveWorld
+from .world import LiveWorld
+
+#: Names of the routes that run pipeline work through the compute caches.
+HEAVY = tuple(route.name for route in ROUTES if route.heavy)
 
 #: Upper slack for server-vs-client latency comparisons: the histogram
 #: grid's ~4.9% relative error (GROWTH=1.1) plus headroom for the
@@ -44,7 +48,7 @@ VALID_SOURCES = {"lru", "computed", "coalesced"}
 #: traffic does not, so the set is stable between two control sweeps
 #: when no journey request is in flight.
 MERGE_COMPARED_COUNTERS = tuple(
-    [f"service.requests.{route}" for route in HEAVY_ROUTES]
+    [f"service.requests.{route}" for route in HEAVY]
     + [
         f"service.cache.{cache}.{kind}"
         for cache in ("artifacts", "predict", "planner", "plan", "models")
@@ -112,7 +116,7 @@ def check_request_id_echoed(world: LiveWorld) -> Any:
 
 def check_source_field_valid(world: LiveWorld) -> Any:
     """Every heavy 200 names how it was served: lru|computed|coalesced."""
-    for route in HEAVY_ROUTES:
+    for route in HEAVY:
         for record in world.calls_for(route, statuses=(200,)):
             source = record.data.get("source") if isinstance(record.data, dict) else None
             if source not in VALID_SOURCES:
@@ -192,7 +196,7 @@ def check_requests_counter_matches_log(world: LiveWorld) -> Any:
     recorded client calls.  Three systems, one number."""
     counters = world.counters()
     entries = world.access_entries()
-    for route in HEAVY_ROUTES:
+    for route in HEAVY:
         recorded = len(world.calls_for(route, statuses=None))
         recorded_answered = len(_answered_route(world, route))
         if recorded != recorded_answered:
@@ -306,7 +310,7 @@ def check_coalesce_accounting(world: LiveWorld) -> Any:
     the access log — match ``service.coalesce.hits`` exactly."""
     coalesced = [
         record
-        for route in HEAVY_ROUTES
+        for route in HEAVY
         for record in world.calls_for(route, statuses=(200,))
         if isinstance(record.data, dict) and record.data.get("source") == "coalesced"
     ]
@@ -333,7 +337,7 @@ def check_latency_histogram_agreement(world: LiveWorld) -> Any:
     parsed = world.metrics_parsed()
     from ..obs.hist import quantile_from_counts
 
-    for route in HEAVY_ROUTES:
+    for route in HEAVY:
         records = _answered_route(world, route)
         if len(records) != len(world.calls_for(route)):
             return SKIP  # transport-failed call: server-side count unknowable
@@ -415,7 +419,7 @@ def check_trace_complete(world: LiveWorld) -> Any:
     verified = world.notes.setdefault("traces_verified", set())
     candidates = [
         record
-        for route in HEAVY_ROUTES
+        for route in HEAVY
         for record in world.calls_for(route, statuses=(200,))
     ][-8:]
     for record in candidates:

@@ -36,11 +36,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..obs.promtext import histogram_bucket_counts, parse_exposition
 from ..service.client import ServiceClient, unwrap_envelope
 from ..service.control import ControlError, control_request, socket_path
+from ..service.handlers import route_name
 from ..service.supervisor import FleetHandle, spawn_fleet
 from .core import expect
-
-#: Routes that run real pipeline work through the compute caches.
-HEAVY_ROUTES = ("artifacts", "predict", "machine", "plan", "train")
 
 #: How long ``settle()`` waits for the access log to catch up with the
 #: recorded calls.  The log line is written *after* the counters bump
@@ -65,7 +63,8 @@ class CallRecord:
 
     @property
     def route(self) -> str:
-        return self.path.strip("/").replace("/", ".") or "root"
+        """The route name the server logs and counts this call under."""
+        return route_name(self.path)
 
     @property
     def data(self) -> Any:
@@ -298,7 +297,7 @@ class LiveWorld:
         return counters.get(name, 0) - self._baseline_counters.get(name, 0)
 
     def fleet_doc(self) -> dict:
-        return self._probe.request("GET", "/fleet")
+        return self._probe.fleet()
 
     def metrics_parsed(self) -> Dict[str, list]:
         return parse_exposition(self._probe.metrics())
@@ -351,12 +350,6 @@ class LiveWorld:
         """
         return [
             entry for entry in self._log_entries() if entry.get("owner") is not True
-        ]
-
-    def invoke_entries(self) -> List[dict]:
-        """Owner-side access-log lines (cross-shard control invokes)."""
-        return [
-            entry for entry in self._log_entries() if entry.get("owner") is True
         ]
 
     # -- disk cache ----------------------------------------------------------

@@ -249,6 +249,13 @@ class ServiceClient:
     def stats(self) -> dict:
         return self.request("GET", "/stats")
 
+    def fleet(self) -> dict:
+        return self.request("GET", "/fleet")
+
+    def trace(self, trace_id: str) -> dict:
+        """The stitched span tree of one retained trace."""
+        return self.request("GET", f"/trace/{trace_id}")
+
     def metrics(self) -> str:
         """The Prometheus text exposition body from ``GET /metrics``."""
         status, text = self.request_text("GET", "/metrics")

@@ -22,10 +22,11 @@ Operations:
     gauges are last-write-wins, histogram buckets merge **exactly**, so
     fleet-wide p95/p99 are exact, not approximated.
 ``invoke``
-    Run one JSON endpoint handler on this worker (cross-shard request
-    proxying).  The call funnels through the worker's own handler —
-    compute caches, single-flight and 429 backpressure all apply as if
-    the request had arrived over HTTP.  When the request carries a
+    Run one endpoint on this worker (cross-shard request proxying)
+    through the same :func:`~repro.service.handlers.dispatch` as HTTP,
+    with ``proxy=False`` so the owner never hops again — compute caches,
+    single-flight and 429 backpressure all apply as if the request had
+    arrived over HTTP.  When the request carries a
     ``traceparent``, the handler runs under the caller's distributed
     trace: the owner's spans parent under the proxy's request span, ride
     back in the reply, and the owner keeps its own flight-recorder entry
@@ -110,23 +111,12 @@ def _op_snapshot(state: ServiceState, request: dict) -> dict:
 
 def _op_invoke(state: ServiceState, request: dict) -> dict:
     # Imported here: handlers imports this module for fleet aggregation.
-    from .handlers import ROUTES, enter_control_invoke, exit_control_invoke, route_name
+    from .handlers import dispatch, route_name
     from .logs import write_access_log
 
-    method = request.get("method")
-    path = request.get("path")
-    handler = ROUTES.get((method, path))
-    if handler is None:
-        return {
-            "ok": False,
-            "error": {
-                "status": 404,
-                "code": "unknown_route",
-                "message": f"no such endpoint: {method} {path}",
-            },
-        }
-    body = request.get("body")
-    route = route_name(str(path))
+    method = str(request.get("method"))
+    path = str(request.get("path"))
+    route = route_name(path)
     trace = None
     if state.flight.enabled:
         context = parse_traceparent(str(request.get("traceparent") or ""))
@@ -143,14 +133,14 @@ def _op_invoke(state: ServiceState, request: dict) -> dict:
     status = 200
     try:
         OBS.add("service.shard.invoked")
-        enter_control_invoke()
-        try:
-            with OBS.span(
-                "service.invoke", route=route, shard=state.config.shard_index
-            ):
-                payload = handler(state, body)
-        finally:
-            exit_control_invoke()
+        with OBS.span(
+            "service.invoke", route=route, shard=state.config.shard_index
+        ):
+            # proxy=False: the accepting worker already routed (and
+            # counted) this request, so the owner computes here.
+            _, payload = dispatch(
+                state, method, path, request.get("body"), proxy=False
+            )
         response = {"ok": True, "payload": payload}
     except ApiError as error:
         status = error.status
@@ -173,8 +163,8 @@ def _op_invoke(state: ServiceState, request: dict) -> dict:
             if state.config.log_json:
                 write_access_log(
                     str(trace.notes.get("request_id") or "-"),
-                    str(method),
-                    str(path),
+                    method,
+                    path,
                     route,
                     status,
                     elapsed,
@@ -322,6 +312,24 @@ def control_request(
 # -- fleet aggregation -------------------------------------------------------
 
 
+def ask_peers(
+    state: ServiceState, payload: dict, timeout: float = CONTROL_TIMEOUT
+) -> Tuple[Dict[int, dict], List[int]]:
+    """``({shard: reply}, unreachable shards)`` for one control request
+    sent to every peer worker; ``({}, [])`` outside fleet mode."""
+    replies: Dict[int, dict] = {}
+    unreachable: List[int] = []
+    if state.is_fleet_worker:
+        for shard in state.peer_shards():
+            try:
+                replies[shard] = control_request(
+                    socket_path(state.config.control_dir, shard), payload, timeout
+                )
+            except ControlError:
+                unreachable.append(shard)
+    return replies, unreachable
+
+
 def fleet_statuses(state: ServiceState, timeout: float = 2.0) -> Tuple[List[dict], List[int]]:
     """``(entries, unreachable shards)`` — one ``ping`` per worker.
 
@@ -329,21 +337,10 @@ def fleet_statuses(state: ServiceState, timeout: float = 2.0) -> Tuple[List[dict
     sockets.  A dead/restarting peer lands in *unreachable* instead of
     failing the whole listing — ``GET /fleet`` must stay useful mid-chaos.
     """
-    entries = [_op_ping(state, {})]
-    unreachable: List[int] = []
-    control_dir = state.config.control_dir
-    if not state.is_fleet_worker or control_dir is None:
-        return entries, unreachable
-    for shard in state.peer_shards():
-        try:
-            reply = control_request(
-                socket_path(control_dir, shard), {"op": "ping"}, timeout
-            )
-        except ControlError:
-            OBS.add("service.fleet.peer_unreachable")
-            unreachable.append(shard)
-            continue
-        entries.append(reply)
+    replies, unreachable = ask_peers(state, {"op": "ping"}, timeout)
+    if unreachable:
+        OBS.add("service.fleet.peer_unreachable", len(unreachable))
+    entries = [_op_ping(state, {}), *replies.values()]
     entries.sort(key=lambda entry: entry.get("shard") or 0)
     return entries, unreachable
 
@@ -360,19 +357,15 @@ def fleet_snapshot(
     """
     snapshots = [OBS.snapshot()]
     rates: Dict[str, float] = dict(OBS.rates())
-    unreachable: List[int] = []
-    control_dir = state.config.control_dir
-    if state.is_fleet_worker and control_dir is not None:
-        for shard in state.peer_shards():
-            try:
-                reply = control_request(
-                    socket_path(control_dir, shard), {"op": "snapshot"}, timeout
-                )
-                snapshots.append(snapshot_from_dict(reply["snapshot"]))
-            except (ControlError, KeyError, TypeError, ValueError):
-                OBS.add("service.fleet.peer_unreachable")
-                unreachable.append(shard)
-                continue
-            for name, value in dict(reply.get("rates", {})).items():
-                rates[name] = rates.get(name, 0.0) + float(value)
-    return merge_snapshots(snapshots), rates, unreachable
+    replies, unreachable = ask_peers(state, {"op": "snapshot"}, timeout)
+    for shard, reply in replies.items():
+        try:
+            snapshots.append(snapshot_from_dict(reply["snapshot"]))
+        except (KeyError, TypeError, ValueError):
+            unreachable.append(shard)
+            continue
+        for name, value in dict(reply.get("rates", {})).items():
+            rates[name] = rates.get(name, 0.0) + float(value)
+    if unreachable:
+        OBS.add("service.fleet.peer_unreachable", len(unreachable))
+    return merge_snapshots(snapshots), rates, sorted(unreachable)

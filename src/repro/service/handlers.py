@@ -1,10 +1,12 @@
 """Endpoint implementations: validated JSON dict in, JSON dict out.
 
 Handlers are plain functions ``(state, body) -> payload`` so the
-contract can be tested without sockets; the HTTP layer
-(:mod:`repro.service.server`) owns parsing, routing, worker-pool
-dispatch and error envelopes.  Anything invalid raises
-:class:`~repro.service.state.ApiError` with a structured body.
+contract can be tested without sockets.  :data:`ROUTES` declares every
+endpoint once, and :func:`dispatch` runs one for both the HTTP layer
+(:mod:`repro.service.server`, which owns parsing and envelopes) and the
+control socket's ``invoke`` (:mod:`repro.service.control`).  Anything
+invalid raises :class:`~repro.service.state.ApiError` with a
+structured body.
 
 Each heavy endpoint funnels through the state's
 :class:`~repro.service.coalesce.ComputeCache`, so the response carries
@@ -16,8 +18,7 @@ in-flight request ran it and we shared the result).
 from __future__ import annotations
 
 import json
-import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..ir import BranchSite
 from ..learn import (
@@ -34,11 +35,18 @@ from ..learn import (
 from ..learn.serialize import FORMAT_VERSION as MODEL_FORMAT_VERSION
 from ..obs import (
     OBS,
+    PROMETHEUS_CONTENT_TYPE,
     format_span_tree,
     format_traceparent,
     new_span_id,
     render_prometheus,
     trace_chrome_doc,
+)
+from ..obs.profiler import (
+    DEFAULT_SECONDS as PROFILE_DEFAULT_SECONDS,
+    MAX_SECONDS as PROFILE_MAX_SECONDS,
+    ProfilerBusy,
+    profile_collapsed,
 )
 from ..predictors import (
     LastDirection,
@@ -58,6 +66,7 @@ from ..workloads import BENCHMARK_NAMES, artifacts as artifact_store
 from ..workloads.benchmarks import WORKLOADS, get_profile, get_program, get_trace
 from .control import (
     ControlError,
+    ask_peers,
     control_request,
     fleet_snapshot,
     fleet_statuses,
@@ -160,31 +169,7 @@ def _resolve_benchmark(body: Dict[str, Any]) -> Tuple[str, int, int]:
 # -- fleet routing -----------------------------------------------------------
 
 
-#: Set while a handler runs on behalf of a control-socket ``invoke``.
-#: The *proxying* worker already made (and counted) the routing
-#: decision, so the owner must compute directly — re-entering
-#: ``_shard_route`` would double-count ``service.shard.local`` and, if
-#: ownership views ever disagreed mid-resize, proxy in a loop.
-_control_invoke = threading.local()
-
-
-def enter_control_invoke() -> None:
-    _control_invoke.active = True
-
-
-def exit_control_invoke() -> None:
-    _control_invoke.active = False
-
-
-def _shard_route(
-    state: ServiceState,
-    method: str,
-    path: str,
-    body: dict,
-    name: str,
-    scale: int,
-    seed_offset: int,
-) -> Optional[dict]:
+def _shard_route(state: ServiceState, route: Route, body: dict) -> Optional[dict]:
     """Proxy to the artifact's owning shard; ``None`` → compute here.
 
     The shared listening socket hands a connection to *any* worker, but
@@ -195,16 +180,16 @@ def _shard_route(
     to the client).  If the owner is unreachable — killed mid-chaos,
     restarting — the accepting worker computes locally instead of
     failing, so a dead shard degrades cache locality, never requests.
+    The artifact triple is resolved here, so an invalid body is rejected
+    on the accepting worker and never proxied.
     """
     if not state.is_fleet_worker:
         return None
-    if getattr(_control_invoke, "active", False):
-        return None
-    owner = owner_shard(shard_key(name, scale, seed_offset), state.fleet_size)
+    owner = owner_shard(shard_key(*_resolve_benchmark(body)), state.fleet_size)
     if owner == state.config.shard_index:
         OBS.add("service.shard.local")
         return None
-    request = {"op": "invoke", "method": method, "path": path, "body": body}
+    request = {"op": "invoke", "method": route.method, "path": route.path, "body": body}
     trace = OBS.current_trace()
     if trace is not None:
         # Carry the trace context across the control-socket hop so the
@@ -351,7 +336,7 @@ def handle_fleet(state: ServiceState, body: Optional[dict]) -> dict:
     }
 
 
-def render_metrics(state: ServiceState) -> str:
+def handle_metrics(state: ServiceState, body: Optional[dict]) -> str:
     """The Prometheus text exposition body for ``GET /metrics``.
 
     Refreshes the level gauges (uptime, in-flight, queue depth) so a
@@ -375,6 +360,24 @@ def render_metrics(state: ServiceState) -> str:
         if bucket_exemplars:
             exemplars = {"service.latency_seconds": bucket_exemplars}
     return render_prometheus(snapshot, rates=rates, exemplars=exemplars)
+
+
+def handle_debug_profile(state: ServiceState, params: Optional[dict]) -> str:
+    """``GET /debug/profile?seconds=S``: collapsed stacks sampled from
+    this worker for *S* seconds (one profile at a time)."""
+    raw = (params or {}).get("seconds", str(PROFILE_DEFAULT_SECONDS))
+    try:
+        seconds = float(raw)
+    except (TypeError, ValueError):
+        raise _bad_request(f"unparseable seconds {raw!r}")
+    if not 0.0 < seconds <= PROFILE_MAX_SECONDS:
+        raise _bad_request(
+            f"seconds must be in (0, {PROFILE_MAX_SECONDS:.0f}]", got=seconds
+        )
+    try:
+        return profile_collapsed(seconds)
+    except ProfilerBusy:
+        raise ApiError(429, "profiler_busy", "a profile is already running")
 
 
 # -- distributed traces (flight recorder) ------------------------------------
@@ -404,20 +407,11 @@ def handle_trace(state: ServiceState, body: Optional[dict]) -> dict:
     local = state.flight.get(trace_id)
     if local is not None:
         holders.append((state.config.shard_index, local))
-    unreachable: List[int] = []
-    if state.is_fleet_worker:
-        for shard in state.peer_shards():
-            try:
-                reply = control_request(
-                    socket_path(state.config.control_dir, shard),
-                    {"op": "trace", "trace_id": trace_id},
-                )
-            except ControlError:
-                unreachable.append(shard)
-                continue
-            entry = reply.get("entry")
-            if reply.get("ok") and isinstance(entry, dict):
-                holders.append((shard, entry))
+    replies, unreachable = ask_peers(state, {"op": "trace", "trace_id": trace_id})
+    for shard, reply in replies.items():
+        entry = reply.get("entry")
+        if reply.get("ok") and isinstance(entry, dict):
+            holders.append((shard, entry))
     if not holders:
         raise ApiError(
             404,
@@ -471,25 +465,16 @@ def handle_debug_traces(state: ServiceState, body: Optional[dict]) -> dict:
             "traces": state.flight.summaries(),
         }
     ]
-    unreachable: List[int] = []
-    if state.is_fleet_worker:
-        for shard in state.peer_shards():
-            try:
-                reply = control_request(
-                    socket_path(state.config.control_dir, shard),
-                    {"op": "traces"},
-                )
-            except ControlError:
-                unreachable.append(shard)
-                continue
-            if reply.get("ok"):
-                recorders.append(
-                    {
-                        "shard": shard,
-                        "retained": reply.get("retained", 0),
-                        "traces": reply.get("traces") or [],
-                    }
-                )
+    replies, unreachable = ask_peers(state, {"op": "traces"})
+    recorders += [
+        {
+            "shard": shard,
+            "retained": reply.get("retained", 0),
+            "traces": reply.get("traces") or [],
+        }
+        for shard, reply in replies.items()
+        if reply.get("ok")
+    ]
     return {
         "enabled": state.flight.enabled,
         "sample_rate": state.flight.sample_rate,
@@ -533,9 +518,6 @@ def _artifact_summary(name: str, scale: int, seed_offset: int) -> dict:
 
 def handle_artifacts(state: ServiceState, body: dict) -> dict:
     name, scale, seed_offset = _resolve_benchmark(body)
-    proxied = _shard_route(state, "POST", "/artifacts", body, name, scale, seed_offset)
-    if proxied is not None:
-        return proxied
     key = (name, scale, seed_offset)
     summary, source = state.artifacts.get(
         key,
@@ -575,8 +557,23 @@ def _evaluate_predictor(
             f"unknown predictor {predictor_name!r}",
             available=sorted(zoo),
         )
-    trace = get_trace(name, scale, seed_offset)
-    result = evaluate(predictor, trace)
+    result = evaluate(predictor, get_trace(name, scale, seed_offset))
+    return _prediction_doc(name, scale, seed_offset, predictor_name, predictor, result)
+
+
+def _accuracy(result) -> dict:
+    return {
+        "events": result.events,
+        "mispredictions": result.mispredictions,
+        "misprediction_rate": round(result.misprediction_rate, 6),
+        "accuracy": round(result.accuracy, 6),
+    }
+
+
+def _prediction_doc(
+    name: str, scale: int, seed_offset: int, predictor_name: str, predictor, result
+) -> dict:
+    """The ``/predict`` payload for one evaluation of *predictor*."""
     sites = []
     predictor.reset()
     for site in sorted(result.per_site, key=str):
@@ -596,21 +593,15 @@ def _evaluate_predictor(
         "benchmark": name,
         "scale": scale,
         "seed_offset": seed_offset,
-        "predictor": predictor.name,
+        "predictor": predictor_name,
         "order_independent": predictor.order_independent,
-        "events": result.events,
-        "mispredictions": result.mispredictions,
-        "misprediction_rate": round(result.misprediction_rate, 6),
-        "accuracy": round(result.accuracy, 6),
+        **_accuracy(result),
         "sites": sites,
     }
 
 
 def handle_predict(state: ServiceState, body: dict) -> dict:
     name, scale, seed_offset = _resolve_benchmark(body)
-    proxied = _shard_route(state, "POST", "/predict", body, name, scale, seed_offset)
-    if proxied is not None:
-        return proxied
     predictor_name = _get_str(body, "predictor")
     key = (name, scale, seed_offset, predictor_name)
     if _learned_config(predictor_name) is not None:
@@ -682,13 +673,7 @@ def _train_model(
     }
     if split < 1.0:
         holdout = holdout_trace(trace, split)
-        result = evaluate(LearnedPredictor(model), holdout)
-        payload["holdout"] = {
-            "events": result.events,
-            "mispredictions": result.mispredictions,
-            "misprediction_rate": round(result.misprediction_rate, 6),
-            "accuracy": round(result.accuracy, 6),
-        }
+        payload["holdout"] = _accuracy(evaluate(LearnedPredictor(model), holdout))
     return payload
 
 
@@ -713,41 +698,19 @@ def _learned_prediction(
     # and round-tripping guarantees served predictions match what a
     # client downloading the model would compute.
     model = model_from_json(json.dumps(trained["model"]))
+    predictor = LearnedPredictor(model)
     trace = get_trace(name, scale, seed_offset)
-    result = evaluate(LearnedPredictor(model), holdout_trace(trace, DEFAULT_SPLIT))
-    return {
-        "benchmark": name,
-        "scale": scale,
-        "seed_offset": seed_offset,
-        "predictor": predictor_name,
-        "order_independent": False,
-        "events": result.events,
-        "mispredictions": result.mispredictions,
-        "misprediction_rate": round(result.misprediction_rate, 6),
-        "accuracy": round(result.accuracy, 6),
-        "sites": [
-            {
-                "site": str(site),
-                "executions": result.per_site[site].executions,
-                "mispredictions": result.per_site[site].mispredictions,
-                "rate": round(result.per_site[site].rate, 6),
-            }
-            for site in sorted(result.per_site, key=str)
-        ],
-        "learned": {
-            "split": trained["split"],
-            "train_events": trained["train_events"],
-            "sites_learned": trained["sites_learned"],
-            "model_format_version": trained["model_format_version"],
-        },
+    result = evaluate(predictor, holdout_trace(trace, DEFAULT_SPLIT))
+    payload = _prediction_doc(name, scale, seed_offset, predictor_name, predictor, result)
+    payload["learned"] = {
+        key: trained[key]
+        for key in ("split", "train_events", "sites_learned", "model_format_version")
     }
+    return payload
 
 
 def handle_train(state: ServiceState, body: dict) -> dict:
     name, scale, seed_offset = _resolve_benchmark(body)
-    proxied = _shard_route(state, "POST", "/train", body, name, scale, seed_offset)
-    if proxied is not None:
-        return proxied
     predictor_name = _get_str(body, "predictor")
     config = _learned_config(predictor_name)
     if config is None:
@@ -788,9 +751,6 @@ def _get_planner(
 
 def handle_machine(state: ServiceState, body: dict) -> dict:
     name, scale, seed_offset = _resolve_benchmark(body)
-    proxied = _shard_route(state, "POST", "/machine", body, name, scale, seed_offset)
-    if proxied is not None:
-        return proxied
     max_states = _get_int(body, "max_states", 6, 2, MAX_STATES_LIMIT)
     planner, source = _get_planner(state, name, scale, seed_offset, max_states)
     site_spec = body.get("site")
@@ -872,9 +832,6 @@ def _curve_payload(
 
 def handle_plan(state: ServiceState, body: dict) -> dict:
     name, scale, seed_offset = _resolve_benchmark(body)
-    proxied = _shard_route(state, "POST", "/plan", body, name, scale, seed_offset)
-    if proxied is not None:
-        return proxied
     max_states = _get_int(body, "max_states", 6, 2, MAX_STATES_LIMIT)
     max_size_factor = body.get("max_size_factor")
     if max_size_factor is not None:
@@ -908,27 +865,135 @@ def handle_plan(state: ServiceState, body: dict) -> dict:
 
 # -- routing table -----------------------------------------------------------
 
-Handler = Callable[[ServiceState, Optional[dict]], dict]
+#: A handler returns a JSON payload, or the body text of a raw route.
+Handler = Callable[[ServiceState, Optional[dict]], Any]
 
-ROUTES: Dict[Tuple[str, str], Handler] = {
-    ("GET", "/healthz"): handle_healthz,
-    ("GET", "/benchmarks"): handle_benchmarks,
-    ("GET", "/stats"): handle_stats,
-    ("GET", "/fleet"): handle_fleet,
-    ("GET", "/debug/traces"): handle_debug_traces,
-    ("POST", "/artifacts"): handle_artifacts,
-    ("POST", "/predict"): handle_predict,
-    ("POST", "/machine"): handle_machine,
-    ("POST", "/plan"): handle_plan,
-    ("POST", "/train"): handle_train,
-}
+#: ``Route.kind`` of endpoints answering the v1 JSON envelope; any other
+#: kind is the content type of a raw text body.
+JSON = "application/json"
 
-#: Paths that exist (for 405-vs-404 discrimination).  /metrics and
-#: /debug/profile are served as raw text by the HTTP layer, and
-#: /trace/{id} is a prefix route — all outside the JSON ROUTES table.
-KNOWN_PATHS = {path for _, path in ROUTES} | {"/metrics", "/debug/profile"}
+#: Route name of every request whose path matches no route: one fixed
+#: name, so client-chosen paths cannot mint per-path metric series.
+UNMATCHED = "unmatched"
+
+
+class Route(NamedTuple):
+    """One endpoint; the table below is the service's only route list."""
+
+    method: str
+    #: an exact path, or a template whose last segment ``{param}``
+    #: captures the rest of the path into the handler's params
+    path: str
+    handler: Handler
+    #: pipeline work behind the compute caches, owned by the shard of
+    #: the body's artifact triple
+    heavy: bool = False
+    kind: str = JSON
+    #: still served while the worker drains (the last scrape sees it)
+    while_draining: bool = False
+
+    @property
+    def prefix(self) -> str:
+        return self.path.partition("{")[0]
+
+    @property
+    def param(self) -> Optional[str]:
+        """The captured parameter's name; ``None`` for an exact path."""
+        _, brace, rest = self.path.partition("{")
+        return rest.rstrip("}") if brace else None
+
+    @property
+    def name(self) -> str:
+        """Span/counter suffix: ``/debug/traces`` → ``debug.traces``."""
+        return self.prefix.strip("/").replace("/", ".")
+
+
+ROUTES: Tuple[Route, ...] = (
+    Route("GET", "/healthz", handle_healthz),
+    Route("GET", "/benchmarks", handle_benchmarks),
+    Route("GET", "/stats", handle_stats),
+    Route("GET", "/fleet", handle_fleet),
+    Route(
+        "GET", "/metrics", handle_metrics,
+        kind=PROMETHEUS_CONTENT_TYPE, while_draining=True,
+    ),
+    Route("GET", "/trace/{trace_id}", handle_trace),
+    Route("GET", "/debug/traces", handle_debug_traces),
+    Route(
+        "GET", "/debug/profile", handle_debug_profile,
+        kind="text/plain; charset=utf-8",
+    ),
+    Route("POST", "/artifacts", handle_artifacts, heavy=True),
+    Route("POST", "/predict", handle_predict, heavy=True),
+    Route("POST", "/machine", handle_machine, heavy=True),
+    Route("POST", "/plan", handle_plan, heavy=True),
+    Route("POST", "/train", handle_train, heavy=True),
+)
+
+#: exact path -> {method: route}; templates as (prefix, param, {method: route})
+_EXACT: Dict[str, Dict[str, Route]] = {}
+_TEMPLATES: List[Tuple[str, str, Dict[str, Route]]] = []
+for _route in ROUTES:
+    if _route.param is None:
+        _EXACT.setdefault(_route.path, {})[_route.method] = _route
+    else:
+        _TEMPLATES.append((_route.prefix, _route.param, {_route.method: _route}))
+
+#: What a 404 lists: the JSON endpoints with fixed paths.
+_AVAILABLE = sorted(
+    f"{route.method} {route.path}"
+    for route in ROUTES
+    if route.kind == JSON and route.param is None
+)
+
+
+def match_route(path: str) -> Tuple[Dict[str, Route], Dict[str, str]]:
+    """``({method: route}, captured params)`` for *path*; ``({}, {})``
+    when no route has this path."""
+    methods = _EXACT.get(path)
+    if methods is not None:
+        return methods, {}
+    for prefix, param, methods in _TEMPLATES:
+        if len(path) > len(prefix) and path.startswith(prefix):
+            return methods, {param: path[len(prefix) :]}
+    return {}, {}
 
 
 def route_name(path: str) -> str:
-    """``/artifacts`` → ``artifacts`` (obs counter suffix)."""
-    return path.strip("/").replace("/", ".") or "root"
+    """The span/counter suffix for *path*, whatever the method: its
+    route's name, or :data:`UNMATCHED`."""
+    for route in match_route(path)[0].values():
+        return route.name
+    return UNMATCHED
+
+
+def dispatch(
+    state: ServiceState, method: str, path: str, params: Any, proxy: bool
+) -> Tuple[Route, Any]:
+    """Run the endpoint for ``method path``: ``(route, payload)``.
+
+    *params* is the request body for POST and the query parameters for
+    GET; a template route adds its captured path segment.  With *proxy*
+    (the worker that accepted the request), a heavy route hops to the
+    shard owning its artifact triple; an owner running a peer's
+    ``invoke`` passes ``proxy=False`` and computes here.
+    """
+    methods, captured = match_route(path)
+    route = methods.get(method)
+    if route is None:
+        if methods:
+            raise ApiError(
+                405, "method_not_allowed", f"{method} not allowed on {path}"
+            )
+        raise ApiError(
+            404, "unknown_route", f"no such endpoint: {path}", available=_AVAILABLE
+        )
+    if method == "POST" and not isinstance(params, dict):
+        raise _bad_request("body must be a JSON object")
+    if captured:
+        params = dict(params or {}, **captured)
+    if proxy and route.heavy:
+        proxied = _shard_route(state, route, params)
+        if proxied is not None:
+            return route, proxied
+    return route, route.handler(state, params)

@@ -35,7 +35,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import quantile_from_counts
 from ..obs.promtext import (
@@ -44,31 +44,22 @@ from ..obs.promtext import (
     parse_exposition,
 )
 from .client import ServiceClient, ServiceError
+from .handlers import JSON, ROUTES, Route
 
 #: /metrics family the server-side latency quantiles are read from.
 LATENCY_FAMILY = "repro_service_latency_seconds"
 
 DEFAULT_MIX = "artifacts=6,healthz=2,stats=1,benchmarks=1"
 
-#: endpoint name -> request builder ``(client, benchmark, scale, seed) -> (status, body)``
-ENDPOINTS: Dict[str, Callable[[ServiceClient, str, int, int], Tuple[int, dict]]] = {
-    "healthz": lambda c, n, s, o: c.request_raw("GET", "/healthz"),
-    "benchmarks": lambda c, n, s, o: c.request_raw("GET", "/benchmarks"),
-    "stats": lambda c, n, s, o: c.request_raw("GET", "/stats"),
-    "artifacts": lambda c, n, s, o: c.request_raw(
-        "POST", "/artifacts", {"name": n, "scale": s, "seed_offset": o}
-    ),
-    "predict": lambda c, n, s, o: c.request_raw(
-        "POST",
-        "/predict",
-        {"name": n, "scale": s, "seed_offset": o, "predictor": "profile"},
-    ),
-    "machine": lambda c, n, s, o: c.request_raw(
-        "POST", "/machine", {"name": n, "scale": s, "seed_offset": o}
-    ),
-    "plan": lambda c, n, s, o: c.request_raw(
-        "POST", "/plan", {"name": n, "scale": s, "seed_offset": o}
-    ),
+#: Every parameterless JSON route, by name (``healthz``, ``artifacts``...).
+ENDPOINTS: Dict[str, Route] = {
+    route.name: route for route in ROUTES if route.kind == JSON and route.param is None
+}
+
+#: Body fields a POST route needs beyond the artifact triple.
+BODY_DEFAULTS: Dict[str, dict] = {
+    "predict": {"predictor": "profile"},
+    "train": {"predictor": "learned-perceptron-global-8bit"},
 }
 
 
@@ -154,10 +145,15 @@ def _worker(
         deadline = time.monotonic() + duration
         while time.monotonic() < deadline:
             endpoint = rng.choices(names, weights)[0]
+            route = ENDPOINTS[endpoint]
             offset = seed_offset + (rng.randint(0, seed_jitter) if seed_jitter else 0)
+            body = None
+            if route.method == "POST":
+                body = {"name": benchmark, "scale": scale, "seed_offset": offset}
+                body.update(BODY_DEFAULTS.get(endpoint, {}))
             started = time.perf_counter()
             try:
-                status, _ = ENDPOINTS[endpoint](client, benchmark, scale, offset)
+                status, _ = client.request_raw(route.method, route.path, body)
             except OSError:
                 result.transport_errors += 1
                 client.close()
@@ -169,30 +165,23 @@ def _worker(
             result.note_slow(latency, endpoint, client.last_trace_id)
 
 
+def _scrape(host: str, port: int, read: Callable[[ServiceClient], Any], default: Any) -> Any:
+    """``read(client)`` over a fresh connection; *default* if the server
+    is unreachable or answers garbage."""
+    try:
+        with ServiceClient(host, port, timeout=5.0) as client:
+            return read(client)
+    except (ServiceError, OSError, ValueError):
+        return default
+
+
 def _server_counters(host: str, port: int) -> Dict[str, float]:
-    try:
-        with ServiceClient(host, port, timeout=5.0) as client:
-            return dict(client.stats().get("counters", {}))
-    except (ServiceError, OSError):
-        return {}
-
-
-def _fleet_view(host: str, port: int) -> Optional[dict]:
-    """One ``GET /fleet`` roster scrape, or None if unavailable."""
-    try:
-        with ServiceClient(host, port, timeout=5.0) as client:
-            return client.request("GET", "/fleet")
-    except (ServiceError, OSError):
-        return None
+    return _scrape(host, port, lambda c: dict(c.stats().get("counters", {})), {})
 
 
 def _server_latency_buckets(host: str, port: int) -> Dict[float, float]:
     """Non-cumulative latency bucket counts from one ``/metrics`` scrape."""
-    try:
-        with ServiceClient(host, port, timeout=5.0) as client:
-            parsed = parse_exposition(client.metrics())
-    except (ServiceError, OSError, ValueError):
-        return {}
+    parsed = _scrape(host, port, lambda c: parse_exposition(c.metrics()), {})
     return histogram_bucket_counts(parsed, LATENCY_FAMILY)
 
 
@@ -241,7 +230,7 @@ def _slowest_traces(
                 "retained": False,
             }
             try:
-                doc = client.request("GET", f"/trace/{trace_id}")
+                doc = client.trace(trace_id)
             except (ServiceError, OSError):
                 doc = None
             if doc is not None:
@@ -309,7 +298,7 @@ def run_load(
     elapsed = time.perf_counter() - started
     after = _server_counters(host, port)
     buckets_after = _server_latency_buckets(host, port)
-    fleet_doc = _fleet_view(host, port)
+    fleet_doc = _scrape(host, port, ServiceClient.fleet, None)
 
     latencies = sorted(
         latency for result in results for latency in result.latencies

@@ -39,25 +39,18 @@ import threading
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from urllib.parse import parse_qs
 
-from ..obs import OBS, PROMETHEUS_CONTENT_TYPE, parse_traceparent
-from ..obs.profiler import (
-    DEFAULT_SECONDS as PROFILE_DEFAULT_SECONDS,
-    MAX_SECONDS as PROFILE_MAX_SECONDS,
-    ProfilerBusy,
-    profile_collapsed,
-)
+from ..obs import OBS, parse_traceparent
 from .control import ControlServer, socket_path
 from .handlers import (
-    KNOWN_PATHS,
-    ROUTES,
+    JSON,
+    dispatch,
     envelope,
     error_envelope,
-    handle_trace,
-    render_metrics,
+    match_route,
     route_name,
 )
 from .logs import write_access_log
@@ -158,9 +151,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
     #: into the envelope and the access log.
     _trace_id: str = "-"
 
-    #: parsed query string of the request currently being handled.
-    _query: dict = {}
-
     # -- plumbing ------------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:
@@ -171,10 +161,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode()
-        self._send_body(status, body, "application/json")
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        self._send_body(status, text.encode(), content_type)
+        self._send_body(status, body, JSON)
 
     def _send_body(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)
@@ -189,7 +176,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
         OBS.add(f"service.responses.{status // 100}xx")
 
-    def _read_body(self) -> dict:
+    def _read_body(self) -> Any:
         length_header = self.headers.get("Content-Length")
         try:
             length = int(length_header or 0)
@@ -208,12 +195,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if not raw:
             raise ApiError(400, "bad_request", "request body is required")
         try:
-            body = json.loads(raw)
+            return json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise ApiError(400, "bad_request", f"body is not valid JSON: {error}")
-        if not isinstance(body, dict):
-            raise ApiError(400, "bad_request", "body must be a JSON object")
-        return body
 
     # -- dispatch ------------------------------------------------------------
 
@@ -226,7 +210,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         state = self.server.state
         path, _, query = self.path.partition("?")
-        self._query = parse_qs(query)
         if path != "/" and path.endswith("/"):
             path = path.rstrip("/")
         name = route_name(path)
@@ -255,7 +238,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 route=name,
                 request_id=self._request_id,
             ):
-                status = self._respond(state, method, path)
+                status = self._respond(state, method, path, query)
         finally:
             OBS.end_trace()
             state.request_finished()
@@ -314,66 +297,27 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _envelope_trace_id(self) -> Optional[str]:
         return None if self._trace_id == "-" else self._trace_id
 
-    def _profile_seconds(self) -> float:
-        raw = self._query.get("seconds", [str(PROFILE_DEFAULT_SECONDS)])[-1]
+    def _respond(
+        self, state: ServiceState, method: str, path: str, query: str
+    ) -> int:
         try:
-            seconds = float(raw)
-        except ValueError:
-            raise ApiError(400, "bad_request", f"unparseable seconds {raw!r}")
-        if not 0.0 < seconds <= PROFILE_MAX_SECONDS:
-            raise ApiError(
-                400,
-                "bad_request",
-                f"seconds must be in (0, {PROFILE_MAX_SECONDS:.0f}]",
-                got=seconds,
-            )
-        return seconds
-
-    def _respond(self, state: ServiceState, method: str, path: str) -> int:
-        try:
-            if method == "GET" and path == "/metrics":
-                # Served even while draining — the last scrape before
-                # shutdown is the one that captures the drain.
-                self._send_text(200, render_metrics(state), PROMETHEUS_CONTENT_TYPE)
-                return 200
-            if state.draining:
+            route = match_route(path)[0].get(method)
+            if state.draining and not (route and route.while_draining):
                 OBS.add("service.rejected.draining")
                 raise ApiError(503, "draining", "server is shutting down")
-            if method == "GET" and path.startswith("/trace/"):
-                payload = handle_trace(
-                    state, {"trace_id": path[len("/trace/") :]}
-                )
+            # The body is read only for a matched POST route, so a bad
+            # route answers 404/405 before any body error.
+            if route is not None and method == "POST":
+                params = self._read_body()
+            else:
+                params = {key: vals[-1] for key, vals in parse_qs(query).items()}
+            route, payload = dispatch(state, method, path, params, proxy=True)
+            if route.kind == JSON:
                 self._send_json(
                     200, envelope(payload, trace_id=self._envelope_trace_id())
                 )
-                return 200
-            if method == "GET" and path == "/debug/profile":
-                seconds = self._profile_seconds()
-                try:
-                    text = profile_collapsed(seconds)
-                except ProfilerBusy:
-                    raise ApiError(
-                        429, "profiler_busy", "a profile is already running"
-                    )
-                self._send_text(200, text, "text/plain; charset=utf-8")
-                return 200
-            handler = ROUTES.get((method, path))
-            if handler is None:
-                if path in KNOWN_PATHS:
-                    raise ApiError(
-                        405, "method_not_allowed", f"{method} not allowed on {path}"
-                    )
-                raise ApiError(
-                    404,
-                    "unknown_route",
-                    f"no such endpoint: {path}",
-                    available=sorted(f"{m} {p}" for m, p in ROUTES),
-                )
-            body = self._read_body() if method == "POST" else None
-            payload = handler(state, body)
-            self._send_json(
-                200, envelope(payload, trace_id=self._envelope_trace_id())
-            )
+            else:
+                self._send_body(200, payload.encode(), route.kind)
             return 200
         except ApiError as error:
             self._send_json(error.status, self._error_body(error.status, error.body()))

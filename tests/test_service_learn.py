@@ -150,5 +150,12 @@ def test_stats_reports_models_cache(state):
 
 
 def test_train_route_registered():
-    assert ("POST", "/train") in handlers.ROUTES
-    assert "/train" in handlers.KNOWN_PATHS
+    methods, _ = handlers.match_route("/train")
+    route = methods["POST"]
+    assert route.handler is handlers.handle_train
+    assert route.heavy and route.kind == handlers.JSON
+    assert route.name == "train"
+    # a known path: the wrong method is a 405, not a 404
+    with pytest.raises(ApiError) as excinfo:
+        handlers.dispatch(None, "GET", "/train", {}, proxy=False)
+    assert excinfo.value.status == 405
