@@ -1,29 +1,34 @@
-"""Bench smoke: columnar batch engine vs the sequential reference.
+"""Bench smoke: the evaluation engine and the learned predictors.
 
-Standalone script (not a pytest-benchmark suite) so CI can run it as a
-gate: it times table1's eight-strategy predictor set per benchmark two
-ways — the legacy path (one sequential `evaluate` call — one trace
-scan — per predictor, the gated baseline) and the columnar
-batch-kernel engine (`evaluate_many`) — verifies both produce
-identical results, and writes the wall-clocks, events/sec and the
-batch-over-legacy speedup to a JSON report.  Exits non-zero when that
-speedup falls below the threshold.
+Standalone script so CI can run it as a gate.  Per benchmark it warms
+the artifacts, then times two predictor sets two ways each — the
+sequential reference (one `evaluate` call, one trace scan, per
+predictor) and the columnar batch engine (`evaluate_many`) — and
+checks that both ways produce identical results:
 
-It also gates the observability layer: the batch region is timed once
-with no trace active (spans are no-ops, the default) and once under an
-active trace that collects every span, and the run fails when the
-traced run is more than ``--max-obs-overhead`` slower.  (The traced
-run is a superset of the untraced run's work, so the ratio bounds the
-instrumentation cost from above.)
+* **Table 1's eight strategies** over the whole trace.  The gated
+  figure is the batch-over-sequential speedup.
+* **The default learned configs**, each first trained with ``fit`` on
+  the first half of the trace (timed: training events/s), then frozen
+  and scored on the held-out half (gated: batch-inference events/s).
+
+It also gates the observability layer: the Table 1 batch region is
+timed once with no trace active (spans are no-ops, the default) and
+once under an active trace that collects every span, and the run fails
+when the traced run is more than ``--max-obs-overhead`` slower.  (The
+traced run is a superset of the untraced run's work, so the ratio
+bounds the instrumentation cost from above.)
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_eval_smoke.py \
         --output BENCH_eval.json [--names a,b] [--scale 1] \
-        [--repeats 3] [--min-speedup 31.0] [--max-obs-overhead 0.05]
+        [--repeats 3] [--min-speedup 31.0] [--max-obs-overhead 0.05] \
+        [--min-train-eps 5000] [--min-infer-eps 50000]
 
-The tracked metrics (speedup, events/s) also append one row to
-``BENCH_history.jsonl`` (see ``benchmarks/history.py``).
+The report goes to ``--output`` (the learned figures under ``learn``).
+The run exits 1 on a result mismatch or when any gated figure misses
+its bound or is not finite, and 2 on unusable arguments.
 """
 
 from __future__ import annotations
@@ -31,10 +36,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 import time
-from typing import Dict, List
+from typing import Callable, Dict, List
 
+from repro.learn import LearnedPredictor, default_learned_configs, fit, holdout_trace
 from repro.obs import OBS
 from repro.predictors import (
     CorrelationPredictor,
@@ -48,6 +55,10 @@ from repro.predictors import (
     two_level_4k,
 )
 from repro.workloads import BENCHMARK_NAMES, get_artifacts, get_profile
+
+# Learned models train on this leading fraction of each trace and are
+# scored on the rest.
+SPLIT = 0.5
 
 
 def predictor_set(profile):
@@ -72,16 +83,70 @@ def results_equal(a, b) -> bool:
     )
 
 
+def compare(names: List[str], make: Callable[[str], list], traces, repeats: int):
+    """Best-of-*repeats* wall-clock of the sequential reference and of
+    ``evaluate_many`` over every benchmark, plus the predictors whose
+    results differ between the two (the loop stops at the first
+    differing pass).  ``make(name)`` supplies each benchmark's
+    predictors inside the timed region."""
+    sequential_seconds = batch_seconds = float("inf")
+    mismatches: List[str] = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        sequential = {
+            name: [evaluate(p, traces[name]) for p in make(name)] for name in names
+        }
+        sequential_seconds = min(sequential_seconds, time.perf_counter() - started)
+
+        started = time.perf_counter()
+        batch = {name: evaluate_many(make(name), traces[name]) for name in names}
+        batch_seconds = min(batch_seconds, time.perf_counter() - started)
+
+        mismatches = [
+            f"{name}/{a.predictor}"
+            for name in names
+            for a, b in zip(sequential[name], batch[name])
+            if not results_equal(a, b)
+        ]
+        if mismatches:
+            break
+    return sequential_seconds, batch_seconds, mismatches
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def name_list(text: str) -> List[str]:
+    names = [n for n in text.split(",") if n]
+    if not names:
+        raise argparse.ArgumentTypeError("lists no benchmark")
+    return names
+
+
+def below(value: float, floor: float) -> bool:
+    """True when *value* fails a ``>= floor`` gate; NaN and inf fail."""
+    return not (math.isfinite(value) and value >= floor)
+
+
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--names", default=None, help="comma-separated benchmarks")
+    parser.add_argument(
+        "--names", type=name_list, default=None, help="comma-separated benchmarks"
+    )
     parser.add_argument("--scale", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=3, help="best-of timing")
+    parser.add_argument(
+        "--repeats", type=positive_int, default=3, help="best-of timing"
+    )
     parser.add_argument(
         "--min-speedup",
         type=float,
         default=31.0,
-        help="required batch-engine speedup over the legacy sequential path",
+        help="required batch-engine speedup over the sequential reference "
+        "on Table 1's predictor set",
     )
     parser.add_argument(
         "--max-obs-overhead",
@@ -90,54 +155,60 @@ def main(argv: List[str] = None) -> int:
         help="maximum allowed fractional slowdown of the engine hot path "
         "under an active trace (bounds the untraced overhead)",
     )
-    parser.add_argument("--output", default="BENCH_eval.json")
     parser.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="perf-history file to append the tracked metrics to "
-        "('' disables)",
+        "--min-train-eps",
+        type=float,
+        default=5_000.0,
+        help="required training throughput (events/s across all configs)",
     )
+    parser.add_argument(
+        "--min-infer-eps",
+        type=float,
+        default=50_000.0,
+        help="required learned batch-inference throughput (events/s)",
+    )
+    parser.add_argument("--output", default="BENCH_eval.json")
     args = parser.parse_args(argv)
-    names = (
-        [n for n in args.names.split(",") if n] if args.names else BENCHMARK_NAMES
-    )
+    names = args.names or BENCHMARK_NAMES
+    configs = default_learned_configs()
 
-    # Warm every artifact — and build the predictor sets — outside the
-    # timed regions: profile marginalization is identical setup work
-    # for both paths and would only dilute the measured ratio.
-    # Reuse across passes is safe: every evaluation path resets
-    # predictor state first and the batch kernels never mutate it.
+    # Warm every artifact, column set and holdout — and build Table 1's
+    # predictor sets — outside the timed regions: profile
+    # marginalization is identical setup work for both paths and would
+    # only dilute the measured ratio.  Reusing Table 1's predictors
+    # across passes is safe: every evaluation path resets predictor
+    # state first and the batch kernels never mutate it.
     profiles = {name: get_profile(name, args.scale) for name in names}
     traces = {name: get_artifacts(name, scale=args.scale).trace for name in names}
+    columns = {name: traces[name].columns() for name in names}
+    holdouts = {name: holdout_trace(traces[name], SPLIT) for name in names}
     predictors = {name: predictor_set(profiles[name]) for name in names}
     events = sum(len(traces[name]) for name in names)
     n_predictors = len(predictors[names[0]])
+    train_events = sum(int(len(traces[name]) * SPLIT) for name in names) * len(configs)
+    infer_events = sum(len(holdouts[name]) for name in names) * len(configs)
 
-    legacy_seconds = batch_seconds = float("inf")
-    mismatches: List[str] = []
+    legacy_seconds, batch_seconds, mismatches = compare(
+        names, predictors.__getitem__, traces, args.repeats
+    )
+
+    train_seconds = float("inf")
+    models: Dict[str, list] = {}
     for _ in range(args.repeats):
         started = time.perf_counter()
-        legacy: Dict[str, list] = {
-            name: [evaluate(p, traces[name]) for p in predictors[name]]
+        models = {
+            name: [fit(columns[name], config, SPLIT) for config in configs]
             for name in names
         }
-        legacy_seconds = min(legacy_seconds, time.perf_counter() - started)
-
-        started = time.perf_counter()
-        batch: Dict[str, list] = {
-            name: evaluate_many(predictors[name], traces[name])
-            for name in names
-        }
-        batch_seconds = min(batch_seconds, time.perf_counter() - started)
-
-        mismatches = [
-            f"{name}/{a.predictor}"
-            for name in names
-            for a, b in zip(legacy[name], batch[name])
-            if not results_equal(a, b)
-        ]
-        if mismatches:
-            break
+        train_seconds = min(train_seconds, time.perf_counter() - started)
+    # Fresh predictors per pass: a LearnedPredictor caches its lookup
+    # tables, and building them is part of the inference measured.
+    learn_sequential_seconds, learn_batch_seconds, learn_mismatches = compare(
+        names,
+        lambda name: [LearnedPredictor(model) for model in models[name]],
+        holdouts,
+        args.repeats,
+    )
 
     # Obs gate: re-time the batch region under an active trace, against
     # a freshly measured untraced baseline.  The batch pass is only
@@ -184,6 +255,8 @@ def main(argv: List[str] = None) -> int:
     obs_overhead = obs_ratio - 1.0
 
     speedup = legacy_seconds / batch_seconds
+    train_eps = train_events / train_seconds
+    infer_eps = infer_events / learn_batch_seconds
     report = {
         "benchmarks": list(names),
         "scale": args.scale,
@@ -211,6 +284,28 @@ def main(argv: List[str] = None) -> int:
         },
         "results_identical": not mismatches,
         "mismatches": mismatches,
+        "learn": {
+            "configs": [config.name for config in configs],
+            "train": {
+                "seconds": train_seconds,
+                "events": train_events,
+                "events_per_second": train_eps,
+            },
+            "sequential": {
+                "seconds": learn_sequential_seconds,
+                "events_per_second": infer_events / learn_sequential_seconds,
+            },
+            "batch": {
+                "seconds": learn_batch_seconds,
+                "events_per_second": infer_eps,
+            },
+            "train_events_per_second": train_eps,
+            "infer_events_per_second": infer_eps,
+            "min_train_eps": args.min_train_eps,
+            "min_infer_eps": args.min_infer_eps,
+            "results_identical": not learn_mismatches,
+            "mismatches": learn_mismatches,
+        },
     }
     with open(args.output, "w") as stream:
         json.dump(report, stream, indent=2)
@@ -219,37 +314,42 @@ def main(argv: List[str] = None) -> int:
         f"legacy {legacy_seconds:.3f}s vs batch {batch_seconds:.3f}s "
         f"({speedup:.2f}x over legacy, "
         f"{events} events x {n_predictors} predictors); "
-        f"obs overhead {obs_overhead:+.1%} -> {args.output}"
+        f"obs overhead {obs_overhead:+.1%}"
     )
-    if args.history:
-        import history
+    print(
+        f"learn: train {train_seconds:.3f}s ({train_eps:,.0f} ev/s over "
+        f"{len(configs)} configs) | infer sequential "
+        f"{learn_sequential_seconds:.3f}s vs batch {learn_batch_seconds:.3f}s "
+        f"({infer_eps:,.0f} ev/s) -> {args.output}"
+    )
 
-        history.append_row(
-            "eval",
-            report,
-            history_path=args.history,
-            context={"benchmarks": list(names), "scale": args.scale},
+    failures = []
+    if mismatches or learn_mismatches:
+        failures.append(
+            f"results differ: {', '.join(mismatches + learn_mismatches)}"
         )
-        print(f"history row appended to {args.history}")
-
-    if mismatches:
-        print(f"FAIL: results differ: {', '.join(mismatches)}", file=sys.stderr)
-        return 1
-    if speedup < args.min_speedup:
-        print(
-            f"FAIL: speedup {speedup:.2f}x below required "
-            f"{args.min_speedup:.2f}x",
-            file=sys.stderr,
+    if below(speedup, args.min_speedup):
+        failures.append(
+            f"speedup {speedup:.2f}x below required {args.min_speedup:.2f}x"
         )
-        return 1
-    if obs_overhead > args.max_obs_overhead:
-        print(
-            f"FAIL: obs overhead {obs_overhead:.1%} above allowed "
-            f"{args.max_obs_overhead:.1%}",
-            file=sys.stderr,
+    if not (math.isfinite(obs_overhead) and obs_overhead <= args.max_obs_overhead):
+        failures.append(
+            f"obs overhead {obs_overhead:.1%} above allowed "
+            f"{args.max_obs_overhead:.1%}"
         )
-        return 1
-    return 0
+    if below(train_eps, args.min_train_eps):
+        failures.append(
+            f"training throughput {train_eps:,.0f} ev/s below "
+            f"required {args.min_train_eps:,.0f}"
+        )
+    if below(infer_eps, args.min_infer_eps):
+        failures.append(
+            f"inference throughput {infer_eps:,.0f} ev/s below "
+            f"required {args.min_infer_eps:,.0f}"
+        )
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

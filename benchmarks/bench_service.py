@@ -1,8 +1,7 @@
 """Bench smoke: prediction-service throughput and coalescing.
 
-Standalone script (not a pytest-benchmark suite) so CI can run it as a
-gate.  It boots an in-process service on an ephemeral port, then runs
-two phases:
+Standalone script so CI can run it as a gate.  It boots an in-process
+service on an ephemeral port, then runs these phases:
 
 1. **Coalesce burst** — N barrier-synchronised clients POST the same
    ``/artifacts`` request for a key the server has never seen, so all
@@ -35,8 +34,7 @@ two phases:
 The combined report goes to ``BENCH_service.json`` and the run exits
 non-zero when throughput falls below ``--min-rps``, any 5xx is
 returned, no request ever coalesced, the server/client p95s disagree,
-or the fleet fails its scaling gate.  The tracked metrics also append
-one row to ``BENCH_history.jsonl`` (see ``benchmarks/history.py``).
+or the fleet fails its scaling gate.
 
 Usage::
 
@@ -476,12 +474,6 @@ def main(argv=None) -> int:
         "server's /metrics-delta p95 in the agreement phase",
     )
     parser.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="perf-history file to append the tracked metrics to "
-        "('' disables)",
-    )
-    parser.add_argument(
         "--skip-scaling",
         action="store_true",
         help="skip the fleet scaling phase (quick single-process runs)",
@@ -571,15 +563,12 @@ def main(argv=None) -> int:
         "sustained": sustained,
         "agreement": agreement,
         "trace_overhead": overhead,
-        # top-level so history.py tracks the ratio across commits
         "trace_overhead_ratio": overhead["ratio"],
     }
     report["five_xx"] += overhead["five_xx"]
     if scaling is not None:
         report["five_xx"] += scaling["five_xx"]
         report["scaling"] = scaling
-        # top-level so history.py can track the speedup as a metric
-        report["scaling_speedup"] = scaling["speedup"]
     with open(args.output, "w") as stream:
         json.dump(report, stream, indent=2, sort_keys=True)
         stream.write("\n")
@@ -618,17 +607,6 @@ def main(argv=None) -> int:
         f"untraced ({rounds} alternating round(s), "
         f"cpu ratios {overhead['round_ratios']})"
     )
-    if args.history:
-        import history
-
-        history.append_row(
-            "service",
-            report,
-            history_path=args.history,
-            context={"benchmark": args.benchmark, "clients": args.clients},
-        )
-        print(f"history row appended to {args.history}")
-
     if report["five_xx"]:
         print(f"FAIL: {report['five_xx']} 5xx response(s)", file=sys.stderr)
         return 1

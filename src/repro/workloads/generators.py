@@ -133,7 +133,7 @@ def random_program(
     With ``helpers > 0`` the program additionally contains that many
     single-argument helper functions (themselves random, call-free)
     which the main function may call — exercising the interpreter's
-    call stack, frame-local path history and the inliner.
+    call stack and frame-local path history.
     """
     rng = random.Random(seed)
     pb = ProgramBuilder()

@@ -18,6 +18,7 @@ from repro.experiments import (
     table5,
 )
 from repro.experiments.report import Table, pct
+from repro.workloads import BENCHMARK_NAMES
 
 NAMES = ["ghostview", "doduc"]
 
@@ -117,11 +118,14 @@ class TestTable4:
 
 class TestTable5:
     def test_monotone_and_bounded(self):
-        result = table5.run(scale=1, names=NAMES, max_states=5)
-        profile = result.data["profile"]
-        best = result.data["5 states"]
-        for p, b in zip(profile, best):
-            assert 0.0 <= b <= p + 1e-9
+        for names, max_states in ((NAMES, 5), (BENCHMARK_NAMES, 10)):
+            result = table5.run(scale=1, names=names, max_states=max_states)
+            profile = result.data["profile"]
+            best = result.data[f"{max_states} states"]
+            for p, b in zip(profile, best):
+                assert 0.0 <= b <= p + 1e-9
+            # Best-per-branch machines must improve on profile overall.
+            assert sum(best) < sum(profile)
 
 
 class TestFigures:
@@ -142,6 +146,12 @@ class TestFigures:
     def test_curve_helper(self):
         points = figures.curve_for("doduc", scale=1, max_states=4)
         assert points[0].size_factor == 1.0
+        # Every figure's curve starts at the original program and never
+        # hurts accuracy.
+        for name in BENCHMARK_NAMES:
+            points = figures.curve_for(name, scale=1)
+            assert points[0].size_factor == 1.0, name
+            assert points[-1].misprediction_rate <= points[0].misprediction_rate, name
 
 
 class TestExtensions:

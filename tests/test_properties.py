@@ -239,28 +239,6 @@ def test_scheduling_estimates_well_formed(seed):
     assert 0 <= region <= baseline
 
 
-@given(st.integers(0, 120), st.integers(0, 15))
-@settings(
-    deadline=None,
-    max_examples=20,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_inlining_preserves_semantics(seed, arg):
-    """Inlining random helper calls never changes behaviour, and the
-    pipeline still works on the inlined program."""
-    from repro.opt import inline_all_calls
-
-    program = random_program(seed, helpers=2)
-    validate_program(program)
-    reference = run_program(program.copy(), [arg], max_steps=2_000_000)
-    inlined = program.copy()
-    inline_all_calls(inlined)
-    validate_program(inlined)
-    result = run_program(inlined, [arg], max_steps=2_000_000)
-    assert result.value == reference.value
-    assert result.output == reference.output
-
-
 def _planned_random_program(seed, arg):
     """A random program, its profile on input *arg* and the planner's
     best machine per improvable branch; the profile is None when the

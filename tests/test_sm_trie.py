@@ -103,6 +103,8 @@ class TestTransitions:
 class TestValidShapes:
     def test_validity_filtering_reduces_count(self):
         assert len(valid_shapes(6, 9, False)) <= len(shapes_with_leaves(6))
+        # The planner's largest budget still leaves a real search space.
+        assert len(valid_shapes(10, 9)) > 50
 
     def test_connectivity_filtering_reduces_further(self):
         loose = len(valid_shapes(6, 9, require_connected=False))
