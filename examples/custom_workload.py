@@ -10,7 +10,7 @@ Run with:  python examples/custom_workload.py
 
 from repro.ir import ProgramBuilder, validate_program
 from repro.interp import run_program
-from repro.profiling import ProfileData, collect_path_tables, trace_program
+from repro.profiling import ProfileData, instrumented_run
 from repro.replication import (
     ReplicationPlanner,
     apply_replication,
@@ -68,12 +68,14 @@ def main() -> None:
     validate_program(program)
     args = [500, 42]
 
-    trace, result = trace_program(program, args)
+    # One instrumented run records the trace and the frame-local
+    # path-history tables the correlated-branch planner trains on.
+    trace, path_tables, result = instrumented_run(program, args, history_bits=8)
     print(f"parsed 500 messages, checksum={result.value}, "
           f"{len(trace)} branch events")
 
     profile = ProfileData.from_trace(trace)
-    profile.attach_path_tables(collect_path_tables(program, args))
+    profile.attach_path_tables(path_tables)
 
     planner = ReplicationPlanner(program, profile, max_states=6)
     print("\nimprovable branches:")

@@ -8,7 +8,6 @@ from .positioning import (
     build_chains,
     layout_program,
     order_blocks,
-    taken_transfer_rate,
     taken_transfer_stats,
     TransferStats,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "rotatable_loops",
     "rotate_loop",
     "rotate_program",
-    "taken_transfer_rate",
     "taken_transfer_stats",
     "TransferStats",
 ]

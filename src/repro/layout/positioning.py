@@ -11,9 +11,9 @@ both:
   chains, chains are emitted hottest-first, the entry chain first;
 * :func:`align_branches` — flip branch polarity so that the predicted
   direction is the fall-through edge whenever layout permits;
-* :func:`taken_transfer_rate` — the evaluation metric: the fraction of
-  executed control transfers that do NOT fall through to the next
-  block in layout order.
+* :func:`taken_transfer_stats` — the evaluation metric: the executed
+  control transfers that do NOT fall through to the next block in
+  layout order.
 """
 
 from __future__ import annotations
@@ -170,13 +170,3 @@ def taken_transfer_stats(
             taken += count
     return TransferStats(taken, total, result.steps)
 
-
-def taken_transfer_rate(
-    program: Program,
-    args: Sequence[int] = (),
-    input_values: Sequence[int] = (),
-    max_steps: int = 100_000_000,
-) -> Tuple[float, int]:
-    """Back-compat wrapper: ``(taken fraction, total transfers)``."""
-    stats = taken_transfer_stats(program, args, input_values, max_steps)
-    return stats.taken_rate, stats.transfers

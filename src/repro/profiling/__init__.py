@@ -1,7 +1,6 @@
 """Profiling: trace collection, trace files, pattern tables."""
 
-from .collect import collect_path_tables, trace_program
-from .online import OnlineProfiler, profile_program
+from .collect import instrumented_run, profile_program, trace_program
 from .patterns import PatternTable, ProfileData
 from .profilefile import (
     ProfileFormatError,
@@ -20,10 +19,9 @@ from .tracefile import (
 )
 
 __all__ = [
-    "OnlineProfiler",
     "PatternTable",
     "ProfileFormatError",
-    "collect_path_tables",
+    "instrumented_run",
     "load_profile",
     "profile_from_bytes",
     "profile_program",

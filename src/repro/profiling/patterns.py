@@ -91,6 +91,40 @@ class PatternTable:
         return len(self.counts), 1 << self.bits
 
 
+def is_count_pair(value: object) -> bool:
+    """Whether *value* is a ``[not_taken, taken]`` list of two counts."""
+    return (
+        type(value) is list
+        and len(value) == 2
+        and all(type(count) is int and count >= 0 for count in value)
+    )
+
+
+def counts_to_json(counts: Dict[int, List[int]]) -> Dict[str, List[int]]:
+    """A table's counts as a JSON object (keys are decimal strings)."""
+    return {str(pattern): entry for pattern, entry in counts.items()}
+
+
+def counts_from_json(blob: object, bits: int) -> Dict[int, List[int]]:
+    """Inverse of :func:`counts_to_json` for a *bits*-deep table.
+
+    Raises :class:`ValueError` unless every key is a canonical decimal
+    pattern below ``2**bits`` and every value is a count pair.
+    """
+    if type(blob) is not dict:
+        raise ValueError(f"pattern counts must be an object, not {blob!r:.40}")
+    limit = 1 << bits
+    counts: Dict[int, List[int]] = {}
+    for key, entry in blob.items():
+        pattern = int(key) if key.isdecimal() else -1
+        if not (0 <= pattern < limit and str(pattern) == key):
+            raise ValueError(f"pattern {key!r:.40} is not a {bits}-bit pattern")
+        if not is_count_pair(entry):
+            raise ValueError(f"pattern {key} counts {entry!r:.40} are not a pair")
+        counts[pattern] = entry
+    return counts
+
+
 class ProfileData:
     """All pattern tables extracted from one training trace.
 
@@ -116,9 +150,9 @@ class ProfileData:
         self.totals: Dict[BranchSite, Tuple[int, int]] = {}
         self.events = 0
         #: per-branch tables keyed by frame-local path history (see
-        #: :func:`repro.profiling.collect.collect_path_tables`); these
+        #: :func:`repro.profiling.collect.instrumented_run`); these
         #: cannot be derived from the flat trace, so they are attached
-        #: from a separate instrumented run when available.
+        #: from the run that recorded it when available.
         self.path_tables: Optional[Dict[BranchSite, PatternTable]] = None
 
     @classmethod
@@ -169,7 +203,7 @@ class ProfileData:
     def attach_path_tables(
         self, tables: Dict[BranchSite, PatternTable]
     ) -> None:
-        """Attach frame-local path-history tables from an extra run."""
+        """Attach frame-local path-history tables from the same run."""
         self.path_tables = tables
 
     def correlation_table(self, site: BranchSite) -> Optional[PatternTable]:

@@ -110,7 +110,7 @@ def cmd_analyze(options) -> int:
 
 
 def cmd_profile(options) -> int:
-    """One-pass streaming profile of a run, saved for later optimize."""
+    """Profile one run into pattern tables, saved for later optimize."""
     program = _load(options.program)
     profile, result = profile_program(program, _parse_args_list(options.args))
     print(f"{profile.events} branch events over {len(profile.totals)} "
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("profile", help="one-pass streaming profile")
+    p = sub.add_parser("profile", help="profile a run into pattern tables")
     common(p)
     p.add_argument("-o", "--output", help="write profile file here")
     p.set_defaults(func=cmd_profile)

@@ -44,7 +44,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir import BranchSite
 from ..obs import OBS, ObsSnapshot
-from ..profiling import PatternTable, Trace
+from ..profiling import PatternTable, Trace, instrumented_run
+from ..profiling.patterns import counts_from_json, counts_to_json
 from ..profiling.tracefile import (
     TraceFormatError,
     trace_from_bytes,
@@ -111,33 +112,16 @@ def _collect(
     name: str, scale: int, seed_offset: int, history_bits: int
 ) -> RunArtifacts:
     """Run the workload once, collecting trace, path tables and steps."""
-    from ..interp import Machine
     from .benchmarks import get_program, get_workload
 
-    workload = get_workload(name)
-    args, input_values = workload.seeded_args(scale, seed_offset)
-    trace = Trace()
-    tables: Dict[BranchSite, PatternTable] = {}
-
-    def record(site: BranchSite, taken: bool) -> None:
-        trace.record(site, taken)
-        table = tables.get(site)
-        if table is None:
-            table = tables[site] = PatternTable(history_bits)
-        table.add(machine.path_history, 1 if taken else 0)
-
-    machine = Machine(
-        get_program(name),
-        input_values,
-        MAX_STEPS,
-        record,
-        track_history_bits=history_bits,
-    )
+    args, input_values = get_workload(name).seeded_args(scale, seed_offset)
     started = time.perf_counter()
     with OBS.span(
         "workload.run", benchmark=name, scale=scale, seed_offset=seed_offset
     ) as span:
-        result = machine.run(*args)
+        trace, tables, result = instrumented_run(
+            get_program(name), args, input_values, MAX_STEPS, history_bits
+        )
         span.set(steps=result.steps, events=len(trace))
     elapsed = time.perf_counter() - started
     OBS.add("artifacts.interpreter.runs")
@@ -165,7 +149,7 @@ def _aux_to_bytes(artifacts: RunArtifacts) -> bytes:
             {
                 "function": site.function,
                 "block": site.block,
-                "counts": {str(k): v for k, v in table.counts.items()},
+                "counts": counts_to_json(table.counts),
             }
             for site, table in artifacts.path_tables.items()
         ],
@@ -215,8 +199,7 @@ def _load_entry(
         for entry in document["path_tables"]:
             site = BranchSite(entry["function"], entry["block"])
             tables[site] = PatternTable(
-                history_bits,
-                {int(k): list(v) for k, v in entry["counts"].items()},
+                history_bits, counts_from_json(entry["counts"], history_bits)
             )
         steps = document["steps"]
         if not isinstance(steps, int):

@@ -1,19 +1,18 @@
 """Run-artifact layer tests: single-pass collection, the on-disk cache,
 and the process-parallel fan-out."""
 
+import json
 import os
+import zlib
 
 import pytest
 
-from repro.interp import run_program
-from repro.profiling import collect_path_tables, trace_program, trace_to_bytes
+from repro.profiling import trace_to_bytes
 from repro.workloads import (
     artifacts as artifact_store,
     get_profile,
-    get_program,
     get_run_steps,
     get_trace,
-    get_workload,
 )
 from repro.obs import OBS
 from repro.workloads.artifacts import (
@@ -51,24 +50,35 @@ class TestSinglePass:
         get_trace(NAME, 2)
         assert OBS.counter("artifacts.interpreter.runs") == 3
 
-    def test_matches_legacy_three_pass_collection(self, fresh_cache):
-        artifacts = get_artifacts(NAME, scale=1)
-        workload = get_workload(NAME)
-        args, input_values = workload.default_args(1)
-        program = get_program(NAME)
-        legacy_trace, _ = trace_program(program, args, input_values)
-        assert list(artifacts.trace.events()) == list(legacy_trace.events())
-        assert artifacts.trace.sites == legacy_trace.sites
-        assert artifacts.steps == run_program(program, args, input_values).steps
-        legacy_tables = collect_path_tables(program, args, input_values, 8)
-        assert set(artifacts.path_tables) == set(legacy_tables)
-        for site, table in legacy_tables.items():
-            assert artifacts.path_tables[site].counts == table.counts
-
     def test_profile_reuses_artifact_path_tables(self, fresh_cache):
         profile = get_profile(NAME, 1)
         assert profile.path_tables is not None
         assert profile.path_tables is get_artifacts(NAME, scale=1).path_tables
+
+
+def _garble(path):
+    path.write_bytes(b"garbage" + path.read_bytes()[:10])
+
+
+def _edit_aux_counts(edit):
+    """A corruption that re-encodes a valid, correctly stamped aux entry
+    after applying *edit* to its first path table's counts."""
+
+    def corrupt(path):
+        payload = path.read_bytes()
+        document = json.loads(zlib.decompress(payload[4:]))
+        edit(document["path_tables"][0]["counts"])
+        path.write_bytes(payload[:4] + zlib.compress(json.dumps(document).encode()))
+
+    return corrupt
+
+
+def _set_first_counts(value):
+    return _edit_aux_counts(lambda counts: counts.update({next(iter(counts)): value}))
+
+
+def _add_pattern(pattern):
+    return _edit_aux_counts(lambda counts: counts.update({str(pattern): [1, 0]}))
 
 
 class TestDiskCache:
@@ -128,13 +138,20 @@ class TestDiskCache:
         get_artifacts(NAME, scale=1)
         assert OBS.counter("artifacts.interpreter.runs") == 1
 
-    @pytest.mark.parametrize("suffix", [".trace", ".aux"])
-    def test_corrupt_entry_falls_back_to_recompute(self, fresh_cache, suffix):
+    @pytest.mark.parametrize(
+        "suffix, corrupt",
+        [
+            pytest.param(".trace", _garble, id=".trace"),
+            pytest.param(".aux", _garble, id=".aux"),
+            pytest.param(".aux", _set_first_counts("ab"), id="aux-counts-not-a-pair"),
+            pytest.param(".aux", _add_pattern(1 << 8), id="aux-pattern-wider-than-8-bits"),
+        ],
+    )
+    def test_corrupt_entry_falls_back_to_recompute(self, fresh_cache, suffix, corrupt):
         cold = get_artifacts(NAME, scale=1)
         for entry in os.listdir(fresh_cache):
             if entry.endswith(suffix):
-                path = fresh_cache / entry
-                path.write_bytes(b"garbage" + path.read_bytes()[:10])
+                corrupt(fresh_cache / entry)
         clear_memory_cache()
         OBS.reset(prefix="artifacts.")
         recomputed = get_artifacts(NAME, scale=1)

@@ -11,7 +11,7 @@ from repro.layout import (
     layout_program,
     order_blocks,
     profile_edges,
-    taken_transfer_rate,
+    taken_transfer_stats,
 )
 from repro.replication import annotate_profile_predictions
 from repro.profiling import ProfileData, trace_program
@@ -93,16 +93,14 @@ class TestAlignment:
 
     def test_layout_reduces_taken_transfers(self, correlated_branches):
         args = [100]
-        before, total_before = taken_transfer_rate(
-            correlated_branches.copy(), args
-        )
+        before = taken_transfer_stats(correlated_branches.copy(), args)
         profile, edges = prepared(correlated_branches, args)
         work = correlated_branches.copy()
         annotate_profile_predictions(work, profile)
         layout_program(work, edges)
-        after, total_after = taken_transfer_rate(work, args)
-        assert total_after == total_before
-        assert after <= before
+        after = taken_transfer_stats(work, args)
+        assert after.transfers == before.transfers
+        assert after.taken_rate <= before.taken_rate
 
     def test_unannotated_branches_untouched(self, alternating_loop):
         flipped = align_branches(alternating_loop.main_function())
@@ -110,6 +108,6 @@ class TestAlignment:
 
 
 def test_rate_bounds(alternating_loop):
-    rate, total = taken_transfer_rate(alternating_loop.copy(), [10])
-    assert 0.0 <= rate <= 1.0
-    assert total > 0
+    stats = taken_transfer_stats(alternating_loop.copy(), [10])
+    assert 0.0 <= stats.taken_rate <= 1.0
+    assert stats.transfers > 0

@@ -1,14 +1,17 @@
-"""Online profiler and profile serialisation tests."""
+"""One-pass profiling (``profile_program``) and profile serialisation tests."""
+
+import json
+import zlib
 
 import pytest
 
+from repro.interp import Machine
 from repro.ir import BranchSite
 from repro.profiling import (
-    OnlineProfiler,
     ProfileData,
     ProfileFormatError,
     Trace,
-    collect_path_tables,
+    instrumented_run,
     load_profile,
     profile_from_bytes,
     profile_program,
@@ -16,6 +19,7 @@ from repro.profiling import (
     save_profile,
     trace_program,
 )
+from repro.profiling.profilefile import MAGIC
 
 
 def profiles_equal(a: ProfileData, b: ProfileData) -> bool:
@@ -30,20 +34,27 @@ def profiles_equal(a: ProfileData, b: ProfileData) -> bool:
 
 
 class TestOnlineProfiler:
+    """``profile_program``: one instrumented run folded into tables."""
+
     def test_matches_batch_profile(self, alternating_loop):
         trace, _ = trace_program(alternating_loop.copy(), [123])
-        batch = ProfileData.from_trace(trace)
-        online = OnlineProfiler()
-        for site, taken in trace:
-            online.record(site, taken)
-        assert profiles_equal(batch, online.finish())
+        streamed, _ = profile_program(alternating_loop, [123])
+        assert profiles_equal(ProfileData.from_trace(trace), streamed)
 
-    def test_profile_program_one_pass(self, alternating_loop):
-        trace, _ = trace_program(alternating_loop.copy(), [50])
-        batch = ProfileData.from_trace(trace)
+    def test_profile_program_one_pass(self, alternating_loop, monkeypatch):
+        runs = []
+        real_run = Machine.run
+
+        def counting_run(self, *args):
+            runs.append(args)
+            return real_run(self, *args)
+
+        monkeypatch.setattr(Machine, "run", counting_run)
         streamed, result = profile_program(alternating_loop, [50])
+        assert runs == [(50,)]
         assert result.value == 75
-        assert profiles_equal(batch, streamed)
+        assert streamed.events == result.branches
+        assert streamed.path_tables is None
 
     def test_custom_depths(self, alternating_loop):
         streamed, _ = profile_program(
@@ -55,12 +66,48 @@ class TestOnlineProfiler:
 
     def test_memory_stays_bounded(self):
         # A long biased stream creates exactly 1-2 live patterns.
-        profiler = OnlineProfiler()
         site = BranchSite("f", "b")
-        for _ in range(100_000):
-            profiler.record(site, True)
-        profile = profiler.finish()
+        profile = ProfileData.from_trace(Trace.from_events([(site, True)] * 100_000))
         assert len(profile.local[site].counts) <= 10  # warmup patterns only
+
+
+def _document(profile: ProfileData) -> dict:
+    return json.loads(zlib.decompress(profile_to_bytes(profile)[4:]))
+
+
+def _encode(document) -> bytes:
+    return MAGIC + zlib.compress(json.dumps(document).encode())
+
+
+def _set(path, value=None):
+    """A corruption that sets (or, with no value, deletes) *path*."""
+
+    def corrupt(document):
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        if value is None:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return document
+
+    return corrupt
+
+
+LOCAL_COUNTS = ("sites", 0, "local", "counts")
+
+MALFORMED_PROFILES = {
+    "missing-local-bits": _set(("local_bits",)),
+    "top-level-list": lambda document: [document],
+    "zero-local-bits": _set(("local_bits",), 0),
+    "sites-not-a-list": _set(("sites",), 5),
+    "missing-global-table": _set(("sites", 0, "global")),
+    "counts-not-a-pair": _set(LOCAL_COUNTS + ("0",), "ab"),
+    "counts-one-element": _set(LOCAL_COUNTS + ("0",), [5]),
+    "pattern-wider-than-table": _set(LOCAL_COUNTS + ("99999",), [1, 0]),
+    "totals-one-element": _set(("sites", 0, "totals"), [1]),
+}
 
 
 class TestProfileSerialisation:
@@ -74,9 +121,8 @@ class TestProfileSerialisation:
     def test_roundtrip_with_path_tables(self, correlated_branches):
         trace, _ = trace_program(correlated_branches.copy(), [80])
         profile = ProfileData.from_trace(trace)
-        profile.attach_path_tables(
-            collect_path_tables(correlated_branches, [80])
-        )
+        _, tables, _ = instrumented_run(correlated_branches, [80], history_bits=8)
+        profile.attach_path_tables(tables)
         loaded = profile_from_bytes(profile_to_bytes(profile))
         assert loaded.path_tables is not None
         for site, table in profile.path_tables.items():
@@ -92,6 +138,16 @@ class TestProfileSerialisation:
     def test_bad_magic(self):
         with pytest.raises(ProfileFormatError, match="magic"):
             profile_from_bytes(b"XXXX" + b"junk")
+
+    @pytest.mark.parametrize(
+        "corrupt", MALFORMED_PROFILES.values(), ids=list(MALFORMED_PROFILES)
+    )
+    def test_malformed_document_rejected(self, alternating_loop, corrupt):
+        trace, _ = trace_program(alternating_loop.copy(), [10])
+        document = _document(ProfileData.from_trace(trace))
+        profile_from_bytes(_encode(document))  # the untouched document loads
+        with pytest.raises(ProfileFormatError):
+            profile_from_bytes(_encode(corrupt(document)))
 
     def test_corrupt_payload(self, alternating_loop):
         trace, _ = trace_program(alternating_loop.copy(), [10])

@@ -6,7 +6,7 @@ unlike raw global history.
 """
 
 from repro.ir import BranchSite, parse_program
-from repro.profiling import ProfileData, collect_path_tables, trace_program
+from repro.profiling import ProfileData, instrumented_run, trace_program
 
 CALLS_BETWEEN = """
 func noisy() {
@@ -52,7 +52,7 @@ finish:
 
 def test_path_history_skips_callee_branches():
     program = parse_program(CALLS_BETWEEN)
-    tables = collect_path_tables(program, [40], bits=4)
+    _, tables, _ = instrumented_run(program, [40], history_bits=4)
     second = tables[BranchSite("main", "second")]
     # The most recent frame-local decision before `second` is the
     # `body` branch of the same iteration; despite the noisy() call in
@@ -81,14 +81,14 @@ def test_correlation_table_prefers_path_tables():
     profile = ProfileData.from_trace(trace)
     site = BranchSite("main", "second")
     assert profile.correlation_table(site) is profile.global_tables[site]
-    tables = collect_path_tables(program, [40])
+    _, tables, _ = instrumented_run(program, [40], history_bits=8)
     profile.attach_path_tables(tables)
     assert profile.correlation_table(site) is tables[site]
 
 
 def test_new_frames_start_with_empty_history():
     program = parse_program(CALLS_BETWEEN)
-    tables = collect_path_tables(program, [10], bits=8)
+    _, tables, _ = instrumented_run(program, [10], history_bits=8)
     head = tables[BranchSite("noisy", "head")]
     # Every call to noisy() starts a fresh frame: the first execution of
     # `head` in each call sees history 0.
@@ -101,9 +101,9 @@ def test_planner_rejects_call_polluted_correlation():
     from repro.replication import ReplicationPlanner
 
     program = parse_program(CALLS_BETWEEN)
-    trace, _ = trace_program(program, [60])
+    trace, tables, _ = instrumented_run(program, [60], history_bits=8)
     profile = ProfileData.from_trace(trace)
-    profile.attach_path_tables(collect_path_tables(program, [60]))
+    profile.attach_path_tables(tables)
     planner = ReplicationPlanner(program, profile, max_states=4)
     plan = planner.plans[BranchSite("main", "second")]
     best = plan.best_option(4)

@@ -106,25 +106,36 @@ def test_partition_score_conserves_counts(outcomes):
         assert partition_score(nodes, leaves) <= len(outcomes)
 
 
+def recount(events, local_bits=9, global_bits=8):
+    """Naive per-event reference for ``ProfileData.from_trace``: each
+    (site, taken) event is charged to its site's local and global
+    history pattern, then shifted into both histories."""
+    local, global_, totals, histories = {}, {}, {}, {}
+    ghist = 0
+    for site, taken in events:
+        bit = int(taken)
+        lhist = histories.get(site, 0)
+        local.setdefault(site, {}).setdefault(lhist, [0, 0])[bit] += 1
+        global_.setdefault(site, {}).setdefault(ghist, [0, 0])[bit] += 1
+        totals.setdefault(site, [0, 0])[bit] += 1
+        histories[site] = ((lhist << 1) | bit) % (1 << local_bits)
+        ghist = ((ghist << 1) | bit) % (1 << global_bits)
+    return local, global_, {site: tuple(c) for site, c in totals.items()}
+
+
 @given(events_strategy)
 def test_online_profiler_matches_batch(events):
-    from repro.profiling import OnlineProfiler
-
     trace = Trace()
     for site_index, taken in events:
         trace.record(BranchSite("f", f"b{site_index}"), taken)
     batch = ProfileData.from_trace(trace)
-    online = OnlineProfiler()
-    for site, taken in trace:
-        online.record(site, taken)
-    streamed = online.finish()
-    assert streamed.totals == batch.totals
-    for site in batch.totals:
-        assert streamed.local[site].counts == batch.local[site].counts
-        assert (
-            streamed.global_tables[site].counts
-            == batch.global_tables[site].counts
-        )
+    local, global_, totals = recount(trace)
+    assert batch.totals == totals
+    assert batch.events == len(events)
+    assert {site: table.counts for site, table in batch.local.items()} == local
+    assert {
+        site: table.counts for site, table in batch.global_tables.items()
+    } == global_
 
 
 @given(events_strategy)
