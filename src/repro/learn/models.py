@@ -157,8 +157,9 @@ class ModelWeights:
 
 def margin(model: ModelWeights, pattern: int) -> float:
     """``bias + Σ w[j]·x[j]`` with ``x[j] = +1`` if pattern bit j is set
-    else ``-1`` — the one dot-product implementation every path (train,
-    predict, LUT build) shares, so decisions agree bit for bit."""
+    else ``-1`` — the dot product ``predict`` and the LUT build share,
+    summed in the order the generated trainers in :mod:`.train` keep,
+    so decisions agree bit for bit."""
     total = model.bias
     for weight in model.weights:
         if pattern & 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import List
+from typing import List, Optional
 
 from ..ir import BranchSite
 from .models import LearnedConfig, LearnedModel, ModelWeights
@@ -57,17 +57,30 @@ def _require(condition: bool, message: str) -> None:
         raise ModelFormatError(f"malformed model document: {message}")
 
 
-def _number(value, what: str) -> float:
+def _number(value, what: str, limit: Optional[int]) -> float:
+    """A JSON number that a model could hold: any finite float, or, with
+    *limit* (a perceptron's ``weight_limit``), an int within ±limit —
+    the only values training produces."""
     _require(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{what} must be a number",
     )
-    _require(math.isfinite(value), f"{what} must be finite")
+    if limit is not None:
+        _require(
+            isinstance(value, int) and -limit <= value <= limit,
+            f"{what} must be an integer within ±{limit}",
+        )
+        return value
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    _require(finite, f"{what} must be finite")
     return value
 
 
-def _weights(entry: dict, what: str, width: int) -> ModelWeights:
-    bias = _number(entry.get("bias"), f"{what} bias")
+def _weights(entry: dict, what: str, width: int, limit: Optional[int]) -> ModelWeights:
+    bias = _number(entry.get("bias"), f"{what} bias", limit)
     weights = entry.get("weights")
     _require(isinstance(weights, list), f"{what} weights must be a list")
     _require(
@@ -75,7 +88,7 @@ def _weights(entry: dict, what: str, width: int) -> ModelWeights:
         f"{what} weights must have {width} entries, got {len(weights)}",
     )
     values: List[float] = [
-        _number(weight, f"{what} weight") for weight in weights
+        _number(weight, f"{what} weight", limit) for weight in weights
     ]
     return ModelWeights(bias=bias, weights=values)
 
@@ -110,9 +123,10 @@ def model_from_json(text: str) -> LearnedModel:
             )
         except ValueError as error:
             raise ModelFormatError(f"malformed model document: {error}") from None
+        limit = config.weight_limit if config.kind == "perceptron" else None
         shared_doc = document.get("shared")
         _require(isinstance(shared_doc, dict), "shared must be an object")
-        shared = _weights(shared_doc, "shared", config.history_bits)
+        shared = _weights(shared_doc, "shared", config.history_bits, limit)
         site_docs = document.get("sites")
         _require(isinstance(site_docs, list), "sites must be a list")
         sites = {}
@@ -126,7 +140,7 @@ def model_from_json(text: str) -> LearnedModel:
             )
             site = BranchSite(function, block)
             _require(site not in sites, f"duplicate site {site}")
-            sites[site] = _weights(entry, f"site {site}", config.feature_bits)
+            sites[site] = _weights(entry, f"site {site}", config.feature_bits, limit)
         return LearnedModel(config=config, shared=shared, sites=sites)
     except ModelFormatError:
         raise

@@ -63,8 +63,8 @@ def test_document_carries_version_stamp():
     ]
 
 
-def _valid_document():
-    model = fit(build_trace().columns(), CONFIGS[0], 0.5)
+def _valid_document(config=CONFIGS[0]):
+    model = fit(build_trace().columns(), config, 0.5)
     return json.loads(model_to_json(model))
 
 
@@ -127,6 +127,29 @@ def test_rejects_non_numeric_and_bool_weights():
     _reject(document)
     document = _valid_document()
     document["shared"]["bias"] = float("inf")
+    _reject(document)
+
+
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        (CONFIGS[3], ("shared", "weights", 0), 10**400),
+        (CONFIGS[0], ("shared", "weights", 0), 10**400),
+        (CONFIGS[0], ("shared", "weights", 0), 0.5),
+        (CONFIGS[0], ("sites", 0, "weights", 1), 10**9),
+        (CONFIGS[0], ("shared", "bias"), 2.5),
+    ],
+    ids=["logistic-huge-int", "perceptron-huge-int", "perceptron-fraction",
+         "perceptron-beyond-limit", "perceptron-fractional-bias"],
+)
+def test_rejects_values_training_cannot_produce(config, field, value):
+    """A perceptron holds only ints within ±weight_limit, and no model
+    holds a number beyond the float range."""
+    document = _valid_document(config)
+    target = document
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
     _reject(document)
 
 

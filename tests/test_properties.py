@@ -5,6 +5,9 @@ changes program behaviour* — checked on randomly generated structured
 programs with randomly chosen branches and machines.
 """
 
+import itertools
+import math
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +15,15 @@ from hypothesis import HealthCheck, given, settings
 from repro.cfg import CFG, DominatorTree, LoopForest, classify_branches
 from repro.interp import FuelExhausted, Machine, run_program
 from repro.ir import BranchSite, format_program, parse_program, validate_program
+from repro.learn import (
+    LearnedConfig,
+    LearnedModel,
+    ModelWeights,
+    fit,
+    model_to_json,
+    training_cut,
+)
+from repro.learn.models import margin
 from repro.profiling import (
     PatternTable,
     ProfileData,
@@ -20,6 +32,7 @@ from repro.profiling import (
     trace_to_bytes,
     trace_program,
 )
+from repro.profiling.columns import TraceColumns
 from repro.replication import ReplicationPlanner, apply_replication
 from repro.replication import apply as apply_module
 from repro.statemachines import (
@@ -150,6 +163,100 @@ def test_profile_serialisation_roundtrip(events):
     assert loaded.totals == profile.totals
     for site in profile.totals:
         assert loaded.local[site].counts == profile.local[site].counts
+
+
+def reference_fit(trace, config, split):
+    """Naive reference for ``learn.fit``: one interleaved pass per epoch
+    over the prefix, every event updating the shared model and then its
+    site's model through ``margin``."""
+    perceptron = config.kind == "perceptron"
+    zero = 0 if perceptron else 0.0
+    bits = config.history_bits
+    mask = (1 << bits) - 1
+    limit = config.weight_limit
+
+    def update(model, pattern, direction, theta):
+        total = margin(model, pattern)
+        if perceptron:
+            y = 1 if direction else -1
+            if (total >= 0) == (y > 0) and abs(total) > theta:
+                return
+            model.bias = max(-limit, min(limit, model.bias + y))
+            model.weights = [
+                max(-limit, min(limit, weight + (y if (pattern >> j) & 1 else -y)))
+                for j, weight in enumerate(model.weights)
+            ]
+        else:
+            clamped = max(-60.0, min(60.0, total))
+            gradient = config.learning_rate * (
+                float(direction) - 1.0 / (1.0 + math.exp(-clamped))
+            )
+            model.bias += gradient
+            model.weights = [
+                weight + gradient if (pattern >> j) & 1 else weight - gradient
+                for j, weight in enumerate(model.weights)
+            ]
+
+    shared = ModelWeights(bias=zero, weights=[zero] * bits)
+    sites = {}
+    cut = training_cut(len(trace), split)
+    for _ in range(config.epochs):
+        ghist, lhists = 0, {}
+        for sid, direction in itertools.islice(trace.events(), cut):
+            site = trace.sites[sid]
+            entry = sites.setdefault(
+                site, ModelWeights(bias=zero, weights=[zero] * config.feature_bits)
+            )
+            lhist = lhists.get(site, 0)
+            pattern = {
+                "global": ghist,
+                "peraddr": lhist,
+                "hybrid": (lhist << bits) | ghist,
+            }[config.scope]
+            update(shared, ghist, direction, config.resolved_theta(bits))
+            update(entry, pattern, direction, config.resolved_theta(config.feature_bits))
+            ghist = ((ghist << 1) | direction) & mask
+            lhists[site] = ((lhist << 1) | direction) & mask
+    return LearnedModel(config=config, shared=shared, sites=sites)
+
+
+@st.composite
+def learned_configs(draw):
+    scope = draw(st.sampled_from(["global", "peraddr", "hybrid"]))
+    return LearnedConfig(
+        kind=draw(st.sampled_from(["perceptron", "logistic"])),
+        scope=scope,
+        history_bits=draw(st.integers(1, 4 if scope == "hybrid" else 8)),
+        epochs=draw(st.integers(1, 3)),
+        weight_limit=draw(st.integers(1, 127)),
+        theta=draw(st.none() | st.integers(0, 60)),
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 4), st.booleans()), max_size=400
+    ),
+    learned_configs(),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fit_matches_interleaved_reference(events, config, split):
+    """Training each model alone over its pattern column gives exactly
+    the weights, and the site order, of the interleaved pass, on both
+    column representations."""
+    trace = Trace()
+    for function, block, taken in events:
+        trace.record(BranchSite(f"f{function}", f"b{block}"), taken)
+    expected = reference_fit(trace, config, split)
+    packed = trace.directions.packed()
+    for no_numpy in ("", "1"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_NO_NUMPY", no_numpy)
+            columns = TraceColumns(trace.sites, trace.site_ids, packed)
+            model = fit(columns, config, split)
+        assert model_to_json(model) == model_to_json(expected)
+        assert list(model.sites) == list(expected.sites)
 
 
 @given(st.integers(0, 200))
