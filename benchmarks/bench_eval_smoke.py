@@ -28,7 +28,9 @@ Usage::
 
 The report goes to ``--output`` (the learned figures under ``learn``).
 The run exits 1 on a result mismatch or when any gated figure misses
-its bound or is not finite, and 2 on unusable arguments.
+its bound or is not finite, and 2 on unusable arguments or when numpy
+is unavailable (``REPRO_NO_NUMPY`` set): ``evaluate_many`` then *is*
+the sequential reference, so there is nothing to compare.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from repro.predictors import (
     evaluate_many,
     two_level_4k,
 )
+from repro.profiling.columns import get_numpy
 from repro.workloads import BENCHMARK_NAMES, get_artifacts, get_profile
 
 # Learned models train on this leading fraction of each trace and are
@@ -169,6 +172,13 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument("--output", default="BENCH_eval.json")
     args = parser.parse_args(argv)
+    if get_numpy() is None:
+        print(
+            "bench_eval_smoke: numpy is unavailable or REPRO_NO_NUMPY is set; "
+            "evaluate_many would time the sequential reference against itself",
+            file=sys.stderr,
+        )
+        return 2
     names = args.names or BENCHMARK_NAMES
     configs = default_learned_configs()
 

@@ -55,15 +55,6 @@ from . import crosseval
 from .registry import RunContext, all_experiments, get_experiment
 from .report import Table, tables_to_csv, tables_to_json
 
-#: Backwards-compatible view of the single-table targets
-#: (``name -> runner(scale, names)``), derived from the registry.
-SIMPLE = {
-    name: experiment.runner
-    for name, experiment in all_experiments().items()
-    if not experiment.multi
-}
-
-
 def _parse_names(parser: argparse.ArgumentParser, raw: Optional[str]) -> Optional[List[str]]:
     """Split and validate ``--names`` against the benchmark registry."""
     if not raw:
@@ -102,11 +93,6 @@ def _run_cache_command(action: str) -> int:
         print(f"  {entry}")
     print(f"this process: {_cache_summary()}")
     return 0
-
-
-def _prewarm_specs(targets: List[str], names: List[str], scale: int):
-    """Artifact specs every scheduled target will need."""
-    return crosseval.prewarm_specs(targets, names, scale)
 
 
 def _all_targets() -> List[str]:
@@ -229,7 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     with OBS.span("artifacts.prewarm", jobs=jobs, scale=args.scale):
         generate_artifacts(
-            _prewarm_specs(targets, names or BENCHMARK_NAMES, args.scale),
+            crosseval.prewarm_specs(targets, names or BENCHMARK_NAMES, args.scale),
             jobs=jobs,
         )
 

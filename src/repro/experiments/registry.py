@@ -78,8 +78,6 @@ class Experiment:
     ``runner(scale, names, **kwargs)`` returns the experiment's
     :class:`~repro.experiments.report.Table` (or, for multi-table
     targets such as ``figures``, a dict of tables — see ``multi``).
-    Runners registered with ``takes_context=True`` are called as
-    ``runner(ctx)`` with the :class:`RunContext` instead.
     """
 
     name: str
@@ -87,13 +85,9 @@ class Experiment:
     description: str = ""
     #: True when the runner returns ``{key: Table}`` instead of one Table.
     multi: bool = False
-    #: True when the runner accepts a RunContext directly.
-    takes_context: bool = False
 
     def execute(self, ctx: RunContext):
         """Run this experiment against *ctx* and return its raw result."""
-        if self.takes_context:
-            return self.runner(ctx)
         return self.runner(ctx.scale, ctx.names_list, **dict(ctx.options))
 
     def tables(self, ctx: RunContext) -> List[Table]:
@@ -112,10 +106,9 @@ def register(
     runner: Callable[..., Any],
     description: str = "",
     multi: bool = False,
-    takes_context: bool = False,
 ) -> Experiment:
     """Register *runner* as the experiment *name* (idempotent by name)."""
-    experiment = Experiment(name, runner, description, multi, takes_context)
+    experiment = Experiment(name, runner, description, multi)
     _REGISTRY[name] = experiment
     return experiment
 

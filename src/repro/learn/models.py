@@ -23,10 +23,11 @@ sites (the ``transfer`` experiment).
 Deployment is frozen: a :class:`LearnedPredictor` never updates its
 weights at evaluation time, so its guess is a pure function of
 ``(site, history registers)`` and the whole family batch-evaluates
-through the same LUT kernels as the pattern-table strategies.  All
-margin arithmetic — training updates and LUT construction alike — runs
-in pure Python in a fixed order, which is what makes the numpy kernels,
-the pure-Python fallback and the sequential reference byte-identical.
+through the same numpy LUT kernels as the pattern-table strategies
+(without numpy, the engine scores it with the sequential reference).
+All margin arithmetic — training updates and LUT construction alike —
+runs in pure Python in a fixed order, which is what makes the numpy
+kernels and the sequential reference byte-identical.
 """
 
 from __future__ import annotations
@@ -242,33 +243,22 @@ class LearnedPredictor(Predictor):
     def _frozen_rows(
         self, sites: Sequence[BranchSite]
     ) -> Tuple[List[Optional[List[int]]], List[int]]:
-        """``(per-site rows, shared row)`` for this site table, built
-        once per (predictor, site list) — shared by the pure-Python
-        kernel and the numpy LUT bake."""
-        key = tuple(sites)
-        cache = self.__dict__.setdefault("_row_cache", {})
-        entry = cache.get(key)
-        if entry is None:
-            site_rows = [
-                guess_row(self.model.sites[site])
-                if site in self.model.sites
-                else None
-                for site in sites
-            ]
-            entry = (site_rows, guess_row(self.model.shared))
-            cache[key] = entry
-        return entry
+        """``(per-site rows, shared row)`` for this site table — the
+        pure-Python decisions the numpy LUT bake (:meth:`_cached_luts`,
+        which caches the result) gathers, so the kernel agrees with
+        ``predict``."""
+        site_rows = [
+            guess_row(self.model.sites[site]) if site in self.model.sites else None
+            for site in sites
+        ]
+        return site_rows, guess_row(self.model.shared)
 
     # -- columnar batch kernel -------------------------------------------------
 
     def step_batch(self, columns) -> List[int]:
-        counts = [0] * columns.n_sites
         if columns.n_events == 0:
-            return counts
+            return [0] * columns.n_sites
         np = columns.np
-        if np is None:
-            return self._step_batch_sequential(columns)
-        rows, shared_row = self._frozen_rows(columns.sites)
         bits = self.bits
         if self.scope == "global":
             # Seen and unseen sites index by the same global register,
@@ -329,7 +319,7 @@ class LearnedPredictor(Predictor):
     def _cached_luts(self, np, columns):
         """``(flat site LUT, shared LUT, per-sid seen mask)`` as numpy
         arrays, built from the pure-Python frozen rows (so the decisions
-        are the fallback's, merely gathered vectorially)."""
+        are ``predict``'s, merely gathered vectorially)."""
         key = ("lut", tuple(columns.sites))
         cache = self.__dict__.setdefault("_row_cache", {})
         entry = cache.get(key)
@@ -348,33 +338,6 @@ class LearnedPredictor(Predictor):
             entry = (flat, np.array(shared_row, dtype=np.uint8), seen)
             cache[key] = entry
         return entry
-
-    def _step_batch_sequential(self, columns) -> List[int]:
-        """Pure-Python kernel: one loop over the columns —
-        byte-identical to the numpy gathers by construction."""
-        counts = [0] * columns.n_sites
-        rows, shared_row = self._frozen_rows(columns.sites)
-        scope = self.scope
-        bits = self.bits
-        mask = self._mask
-        ghist = 0
-        lhists = [0] * columns.n_sites
-        for sid, direction in zip(columns.site_ids, columns.directions):
-            row = rows[sid]
-            if row is None:
-                guess = shared_row[ghist]
-            elif scope == "global":
-                guess = row[ghist]
-            elif scope == "peraddr":
-                guess = row[lhists[sid]]
-            else:
-                guess = row[(lhists[sid] << bits) | ghist]
-            if guess != direction:
-                counts[sid] += 1
-            ghist = ((ghist << 1) | direction) & mask
-            if scope != "global":
-                lhists[sid] = ((lhists[sid] << 1) | direction) & mask
-        return counts
 
 
 def default_learned_configs() -> Tuple[LearnedConfig, ...]:

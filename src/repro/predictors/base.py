@@ -7,9 +7,10 @@ are *fit* from a training profile first; dynamic predictors learn
 on-line; static predictors ignore the trace entirely.
 
 :func:`evaluate` replays a trace through ``predict``/``update`` one
-event at a time.  It is the parity oracle every columnar kernel is
-tested against, and the route :func:`~repro.predictors.evaluate_many`
-takes for a custom subclass without a ``step_batch`` kernel.
+event at a time.  It is the parity oracle every numpy kernel is tested
+against, and the route :func:`~repro.predictors.evaluate_many` takes
+when numpy is unavailable or a custom subclass has no ``step_batch``
+kernel.
 """
 
 from __future__ import annotations
@@ -51,17 +52,18 @@ class Predictor(abc.ABC):
         """Observe the actual outcome (after :meth:`predict`)."""
 
     def step_batch(self, columns: TraceColumns) -> Optional[List[int]]:
-        """Columnar batch kernel: per-site-id misprediction counts.
+        """numpy batch kernel: per-site-id misprediction counts.
 
         *columns* is the trace's columnar view
-        (:meth:`~repro.profiling.trace.Trace.columns`).  A family that
+        (:meth:`~repro.profiling.trace.Trace.columns`);
+        :func:`~repro.predictors.evaluate_many` calls this only when
+        numpy is active (``columns.np`` is the module).  A family that
         can score itself column-wise returns a list of
         ``columns.n_sites`` misprediction counts — exactly the per-site
-        totals the sequential ``predict``/``update`` replay produces,
-        whether or not numpy is importable (``columns.np`` is ``None``
-        on the pure-Python fallback).  The default returns ``None``,
-        which has :func:`~repro.predictors.evaluate_many` score the
-        predictor with the sequential :func:`evaluate` instead.
+        totals the sequential ``predict``/``update`` replay produces.
+        The default returns ``None``, which has the engine score the
+        predictor with the sequential :func:`evaluate` instead — the
+        same route every predictor takes without numpy.
 
         Kernels are pure functions of the frozen predictor
         configuration and the columns: they must not mutate predictor

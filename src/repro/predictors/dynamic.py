@@ -17,11 +17,7 @@ from typing import Dict, List
 
 from ..ir import BranchSite
 from .base import Predictor
-from .kernels import (
-    count_runs_seq,
-    saturating_run_wrongs,
-    saturating_wrongs_seq,
-)
+from .kernels import saturating_run_wrongs
 
 
 def _grouped_direction_runs(columns):
@@ -59,31 +55,21 @@ class LastDirection(Predictor):
         self._last[site] = taken
 
     def step_batch(self, columns) -> List[int]:
-        # Within one site's outcome sequence, every run boundary is
-        # exactly one misprediction (the previous outcome differed),
-        # plus one for the first event when it differs from the
-        # initial guess — no per-event state needed at all.
-        counts = [0] * columns.n_sites
+        # Mispredictions are exactly the direction-run starts of each
+        # site's outcome sequence: every non-first run's first event
+        # differs from the previous outcome, and a site's first event
+        # mispredicts when it differs from the initial guess.  Runs,
+        # not events — no per-event state needed at all.
         if columns.n_events == 0:
-            return counts
+            return [0] * columns.n_sites
         initial = 1 if self.initial else 0
-        np = columns.np
-        if np is not None:
-            # Mispredictions are exactly the direction-run starts: every
-            # non-first run's first event differs from the previous
-            # outcome, and a site's first event mispredicts when it
-            # differs from the initial guess.  Runs, not events.
-            sorted_ids, grouped_dirs, new_site = columns.grouped()
-            run_starts, _ = _grouped_direction_runs(columns)
-            wrong = grouped_dirs[run_starts] != initial
-            wrong |= ~new_site[run_starts]
-            return np.bincount(
-                sorted_ids[run_starts[wrong]], minlength=columns.n_sites
-            ).tolist()
-        for sid in columns.site_executions():
-            sequence = columns.site_directions(sid)
-            counts[sid] = count_runs_seq(sequence) - 1 + (sequence[0] != initial)
-        return counts
+        sorted_ids, grouped_dirs, new_site = columns.grouped()
+        run_starts, _ = _grouped_direction_runs(columns)
+        wrong = grouped_dirs[run_starts] != initial
+        wrong |= ~new_site[run_starts]
+        return columns.np.bincount(
+            sorted_ids[run_starts[wrong]], minlength=columns.n_sites
+        ).tolist()
 
 
 class SaturatingCounter(Predictor):
@@ -118,31 +104,23 @@ class SaturatingCounter(Predictor):
     def step_batch(self, columns) -> List[int]:
         # One independent counter per site: group the direction column
         # by site and score every counter with the shared closed-form
-        # run kernel (see repro.predictors.kernels).
-        counts = [0] * columns.n_sites
+        # run kernel (see repro.predictors.kernels).  Runs never span
+        # sites here, so per-run wrong counts attribute by the run's
+        # site directly — O(runs), no per-event expansion.
         if columns.n_events == 0:
-            return counts
+            return [0] * columns.n_sites
         np = columns.np
-        if np is not None:
-            # Runs never span sites here, so per-run wrong counts
-            # attribute by the run's site directly — O(runs), no
-            # per-event expansion.
-            sorted_ids, grouped_dirs, new_site = columns.grouped()
-            run_starts, _, wrongs = saturating_run_wrongs(
-                np,
-                new_site,
-                grouped_dirs,
-                self.threshold,
-                self.max,
-                self.initial,
-                runs=_grouped_direction_runs(columns),
-            )
-            return np.bincount(
-                np.repeat(sorted_ids[run_starts], wrongs),
-                minlength=columns.n_sites,
-            ).tolist()
-        for sid in columns.site_executions():
-            counts[sid] = saturating_wrongs_seq(
-                columns.site_directions(sid), self.threshold, self.max, self.initial
-            )
-        return counts
+        sorted_ids, grouped_dirs, new_site = columns.grouped()
+        run_starts, _, wrongs = saturating_run_wrongs(
+            np,
+            new_site,
+            grouped_dirs,
+            self.threshold,
+            self.max,
+            self.initial,
+            runs=_grouped_direction_runs(columns),
+        )
+        return np.bincount(
+            np.repeat(sorted_ids[run_starts], wrongs),
+            minlength=columns.n_sites,
+        ).tolist()

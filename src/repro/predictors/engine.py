@@ -8,14 +8,13 @@ cheapest route that yields identical results:
 * **closed form** — order-independent predictors (static heuristics,
   :class:`~repro.predictors.semistatic.ProfilePredictor`) are scored
   from per-site taken counts alone, O(sites) instead of O(events);
-* **columnar batch kernels** — every built-in online family implements
-  :meth:`Predictor.step_batch` and scores itself against the trace's
-  columnar view (:meth:`~repro.profiling.trace.Trace.columns`):
-  vectorized numpy column passes when numpy is importable, pure-Python
-  run/sequence kernels otherwise, both byte-identical to the
-  sequential replay;
-* **the sequential reference** — a custom ``Predictor`` subclass whose
-  ``step_batch`` returns ``None`` is scored by
+* **numpy kernels** — every built-in online family implements
+  :meth:`Predictor.step_batch` as vectorized numpy passes over the
+  trace's columnar view (:meth:`~repro.profiling.trace.Trace.columns`),
+  byte-identical to the sequential replay;
+* **else the sequential reference** — without numpy (not importable,
+  or ``REPRO_NO_NUMPY`` set), and for a custom ``Predictor`` subclass
+  whose ``step_batch`` returns ``None``, the predictor is scored by
   :func:`~repro.predictors.base.evaluate` itself, the same
   ``predict``/``update`` replay the parity suites hold every kernel to.
 
@@ -76,7 +75,7 @@ def evaluate_many(
             }
             results[index] = EvaluationResult(name, events, sum(wrong), per_site)
 
-        # Route each predictor: closed form (below), columnar kernel, or
+        # Route each predictor: closed form (below), numpy kernel, or
         # the sequential reference replay.
         batched = 0
         sequential = 0
@@ -84,7 +83,9 @@ def evaluate_many(
             if predictor.order_independent:
                 continue
             predictor.reset()
-            counts: Optional[List[int]] = predictor.step_batch(columns)
+            counts: Optional[List[int]] = (
+                predictor.step_batch(columns) if columns.np else None
+            )
             if counts is not None:
                 batched += 1
                 finish(index, predictor.name, counts)

@@ -1,4 +1,4 @@
-"""Shared building blocks for the columnar batch kernels.
+"""Shared building blocks for the numpy batch kernels.
 
 Every predictor family's :meth:`~repro.predictors.base.Predictor.step_batch`
 kernel decomposes into the same few primitives over the trace's
@@ -10,25 +10,24 @@ columnar view (:class:`~repro.profiling.columns.TraceColumns`):
   actual outcomes, so the whole history column is computable up front —
   the observation that makes even the *adaptive* two-level predictor
   batchable.
-* **saturating-counter scoring** (:func:`saturating_wrong_flags`,
-  :func:`saturating_wrongs_seq`) — mispredictions of independent n-bit
-  saturating counters.  Within one counter's event stream, a *run* of
-  equal outcomes mispredicts a closed-form prefix of its events (an
-  up-run starting below threshold mispredicts exactly
-  ``threshold - value`` times, capped by the run length) and leaves the
-  counter in a closed-form state, so the per-event recurrence collapses
-  to a per-run one: the Python-level work drops from O(events) to
-  O(direction runs).
+* **saturating-counter scoring** (:func:`saturating_run_wrongs`) —
+  mispredictions of independent n-bit saturating counters.  Within one
+  counter's event stream, a *run* of equal outcomes mispredicts a
+  closed-form prefix of its events (an up-run starting below threshold
+  mispredicts exactly ``threshold - value`` times, capped by the run
+  length) and leaves the counter in a closed-form state, so the
+  per-event recurrence collapses to a per-run one: the work drops from
+  O(events) to O(direction runs).
 
-The numpy variants return per-event columns (so callers can attribute
-mispredictions back to sites with one ``bincount``); the pure-sequence
-variants return plain counts and run on any 0/1 byte sequence — both
-produce results identical to stepping the predictor event by event.
+Every function takes the numpy module as its first argument; the
+kernels run only when numpy is active, and without it the engine
+scores each predictor with the sequential reference instead.  Results
+are identical to stepping the predictor event by event.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 
 def history_pack(np, dirs, bits: int, group_start=None):
@@ -78,39 +77,6 @@ def group_starts(np, new_group, indices=None):
         starts[new_group] = indices[new_group]
         np.maximum.accumulate(starts, out=starts)
     return starts
-
-
-def _run_mispredictions(
-    value: int, direction: int, length: int, threshold: int, top: int
-) -> Tuple[int, int]:
-    """``(mispredictions, value_after)`` for one run of equal outcomes.
-
-    Entering a run of *length* consecutive *direction* outcomes with
-    counter *value*: an up-run mispredicts while the counter is still
-    below *threshold* (``threshold - value`` events, capped), a
-    down-run while it is still at or above it (``value - threshold + 1``
-    events, capped); afterwards the counter sits at the clamped
-    ``value ± length``.
-    """
-    if direction:
-        wrong = threshold - value
-        if wrong < 0:
-            wrong = 0
-        elif wrong > length:
-            wrong = length
-        value += length
-        if value > top:
-            value = top
-    else:
-        wrong = value - threshold + 1
-        if wrong < 0:
-            wrong = 0
-        elif wrong > length:
-            wrong = length
-        value -= length
-        if value < 0:
-            value = 0
-    return wrong, value
 
 
 def saturating_run_wrongs(
@@ -226,58 +192,8 @@ def wrong_positions(np, run_starts, wrongs):
     )
 
 
-def iter_runs(sequence: Sequence[int]):
-    """``(direction, length)`` for each maximal run of a 0/1 byte
-    sequence, scanning for boundaries at C speed via ``bytes.find``."""
-    data = bytes(sequence)
-    position = 0
-    n = len(data)
-    while position < n:
-        direction = data[position]
-        boundary = data.find(b"\x01" if direction == 0 else b"\x00", position)
-        if boundary < 0:
-            boundary = n
-        yield direction, boundary - position
-        position = boundary
-
-
-def saturating_wrongs_seq(
-    sequence: Sequence[int], threshold: int, top: int, initial: int
-) -> int:
-    """Total mispredictions of one saturating counter over *sequence*
-    (pure-Python fallback of :func:`saturating_wrong_flags`)."""
-    total = 0
-    value = initial
-    for direction, length in iter_runs(sequence):
-        wrong, value = _run_mispredictions(value, direction, length, threshold, top)
-        total += wrong
-    return total
-
-
-def count_runs_seq(sequence: Sequence[int]) -> int:
-    """Number of maximal runs in a 0/1 byte sequence."""
-    return sum(1 for _ in iter_runs(sequence))
-
-
 def bincount_bool(np, site_ids, flags, n_sites: int) -> List[int]:
     """Per-site totals of a boolean per-event column, as Python ints."""
     # Filtering then counting stays integer end to end (bincount with
     # weights would round-trip through float64).
     return np.bincount(site_ids[flags], minlength=n_sites).tolist()
-
-
-def fixed_guess_wrongs(columns, guesses: Sequence[bool]) -> List[int]:
-    """Per-site mispredictions of frozen per-site *guesses*.
-
-    A fixed guess is wrong on every not-taken execution when it guesses
-    taken, and on every taken execution otherwise, so per-site taken
-    totals score the whole static family without touching the event
-    columns.
-    """
-    taken = columns.site_taken()
-    counts = [0] * columns.n_sites
-    for sid, executions in columns.site_executions().items():
-        counts[sid] = (
-            executions - taken[sid] if guesses[sid] else taken[sid]
-        )
-    return counts

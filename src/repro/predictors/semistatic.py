@@ -20,41 +20,17 @@ Strategies:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..ir import BranchSite
 from ..profiling import ProfileData
 from .base import Predictor
-from .kernels import bincount_bool, fixed_guess_wrongs, history_pack
+from .kernels import bincount_bool, history_pack
 
 
 def _majority_map(counts: Dict[int, list]) -> Dict[int, bool]:
     """pattern -> majority direction (ties predict taken)."""
     return {pattern: entry[1] >= entry[0] for pattern, entry in counts.items()}
-
-
-def _pattern_rows(
-    sites, tables, bias, bits: int, default: bool
-) -> List[Optional[List[int]]]:
-    """Per site id, the frozen pattern -> guess lookup row.
-
-    ``None`` marks an unprofiled site (always guess *default*); a row is
-    ``2**bits`` guesses, pre-filled with the site's bias so unseen
-    patterns fall back exactly like ``predict`` does.
-    """
-    mask = (1 << bits) - 1
-    rows: List[Optional[List[int]]] = []
-    for site in sites:
-        table = tables.get(site)
-        if table is None:
-            rows.append(None)
-            continue
-        row = [1 if bias[site] else 0] * (1 << bits)
-        for pattern, guess in table.items():
-            if 0 <= pattern <= mask:
-                row[pattern] = 1 if guess else 0
-        rows.append(row)
-    return rows
 
 
 def _pattern_lut(np, sites, tables, bias, bits: int, default: bool):
@@ -124,12 +100,6 @@ class ProfilePredictor(Predictor):
     def predict(self, site: BranchSite) -> bool:
         return self._bias.get(site, self.default)
 
-    def step_batch(self, columns) -> List[int]:
-        return fixed_guess_wrongs(
-            columns,
-            [self._bias.get(site, self.default) for site in columns.sites],
-        )
-
 
 class CorrelationPredictor(Predictor):
     """k-bit *global* history, per-branch pattern table, frozen majority
@@ -174,25 +144,10 @@ class CorrelationPredictor(Predictor):
         # the previous k outcomes of the whole stream, so the entire
         # history column vectorizes and the frozen tables become one
         # (site, pattern) lookup.
-        counts = [0] * columns.n_sites
         if columns.n_events == 0:
-            return counts
+            return [0] * columns.n_sites
         bits = self.bits
-        default = 1 if self.default else 0
         np = columns.np
-        if np is None:
-            rows = _pattern_rows(
-                columns.sites, self._tables, self._bias, bits, self.default
-            )
-            mask = self._mask
-            history = 0
-            for sid, direction in zip(columns.site_ids, columns.directions):
-                row = rows[sid]
-                guess = default if row is None else row[history]
-                if guess != direction:
-                    counts[sid] += 1
-                history = ((history << 1) | direction) & mask
-            return counts
         lut = _cached_flat_lut(self, np, columns)
 
         def build_index():
@@ -250,26 +205,10 @@ class LoopPredictor(Predictor):
         # One register *per branch*: grouping the direction column by
         # site makes every register's history a within-group window, so
         # one boundary-masked pack scores all of them together.
-        counts = [0] * columns.n_sites
         if columns.n_events == 0:
-            return counts
+            return [0] * columns.n_sites
         bits = self.bits
-        default = 1 if self.default else 0
         np = columns.np
-        if np is None:
-            rows = _pattern_rows(
-                columns.sites, self._tables, self._bias, bits, self.default
-            )
-            mask = self._mask
-            histories = [0] * columns.n_sites
-            for sid, direction in zip(columns.site_ids, columns.directions):
-                row = rows[sid]
-                history = histories[sid]
-                guess = default if row is None else row[history]
-                if guess != direction:
-                    counts[sid] += 1
-                histories[sid] = ((history << 1) | direction) & mask
-            return counts
         lut = _cached_flat_lut(self, np, columns)
         sorted_ids, grouped_dirs, _ = columns.grouped()
 

@@ -8,12 +8,11 @@ profile, no run-time state — and produce a fixed per-site prediction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..cfg import CFG, DominatorTree, LoopForest
 from ..ir import Branch, BranchSite, Call, Program, Return, Store
 from .base import Predictor
-from .kernels import fixed_guess_wrongs
 
 
 class FixedMapPredictor(Predictor):
@@ -34,12 +33,6 @@ class FixedMapPredictor(Predictor):
     def predict(self, site: BranchSite) -> bool:
         return self.predictions.get(site, self.default)
 
-    def step_batch(self, columns) -> List[int]:
-        return fixed_guess_wrongs(
-            columns,
-            [self.predictions.get(site, self.default) for site in columns.sites],
-        )
-
 
 class AlwaysTaken(Predictor):
     """Smith: predict that all branches will be taken."""
@@ -52,9 +45,6 @@ class AlwaysTaken(Predictor):
     def predict(self, site: BranchSite) -> bool:
         return True
 
-    def step_batch(self, columns) -> List[int]:
-        return fixed_guess_wrongs(columns, [True] * columns.n_sites)
-
 
 class AlwaysNotTaken(Predictor):
     """Predict that no branch is taken (baseline)."""
@@ -66,9 +56,6 @@ class AlwaysNotTaken(Predictor):
 
     def predict(self, site: BranchSite) -> bool:
         return False
-
-    def step_batch(self, columns) -> List[int]:
-        return fixed_guess_wrongs(columns, [False] * columns.n_sites)
 
 
 def _block_order(program: Program) -> Dict[BranchSite, int]:

@@ -164,10 +164,9 @@ class TwoLevelPredictor(Predictor):
         closed-form run kernel the plain saturating counter uses.
         """
         n_sites = columns.n_sites
-        counts = [0] * n_sites
         n = columns.n_events
         if n == 0:
-            return counts
+            return [0] * n_sites
         bits = self.config.history_bits
         threshold, top = self._threshold, self._max
         hkeys = self._scope_keys(
@@ -177,9 +176,6 @@ class TwoLevelPredictor(Predictor):
             self.config.pattern_scope, self.config.pattern_sets, n_sites, columns.sites
         )
         np = columns.np
-        if np is None:
-            return self._step_batch_sequential(columns, hkeys, pkeys)
-
         site_ids = columns.site_ids
         dirs = columns.directions
 
@@ -274,35 +270,6 @@ class TwoLevelPredictor(Predictor):
         )
         wrong_events = order[wrong_positions(np, starts, wrongs)]
         return np.bincount(site_ids[wrong_events], minlength=n_sites).tolist()
-
-    def _step_batch_sequential(self, columns, hkeys, pkeys) -> List[int]:
-        """Pure-Python columnar fallback: one pass over the two columns
-        with per-site key arrays (no BranchSite hashing, no closures)."""
-        counts = [0] * columns.n_sites
-        threshold, top = self._threshold, self._max
-        mask = self._mask
-        shift = self.config.history_bits
-        histories = [0] * (max(hkeys) + 1)
-        counters: Dict[int, int] = {}
-        counters_get = counters.get
-        for sid, direction in zip(columns.site_ids, columns.directions):
-            hkey = hkeys[sid]
-            history = histories[hkey]
-            ckey = (pkeys[sid] << shift) | history
-            counter = counters_get(ckey, threshold)
-            if direction:
-                if counter < top:
-                    counters[ckey] = counter + 1
-                histories[hkey] = ((history << 1) | 1) & mask
-                if counter < threshold:
-                    counts[sid] += 1
-            else:
-                if counter > 0:
-                    counters[ckey] = counter - 1
-                histories[hkey] = (history << 1) & mask
-                if counter >= threshold:
-                    counts[sid] += 1
-        return counts
 
 
 def two_level_4k(history_bits: int = 9) -> TwoLevelPredictor:

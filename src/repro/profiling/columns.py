@@ -6,24 +6,26 @@ columns instead of per-event tuples:
 
 * **site-id column** — the interned site-id stream, run-length
   partitioned (``run_sites``/``run_starts``/``run_lengths``): the trace
-  is a sequence of maximal runs of equal site id, so a per-site kernel
-  processes contiguous slices of the direction column instead of
-  filtering event by event;
+  is a sequence of maximal runs of equal site id, so per-site counts
+  and per-key groupings work on runs instead of events;
 * **direction column** — the 0/1 outcomes, unpacked on demand from the
   trace's bit-packed storage (``numpy.unpackbits`` when numpy is
   importable, a pure-Python table expansion otherwise);
 * **site grouping (CSR)** — a stable permutation of events grouped by
-  site id plus per-site offsets, giving every kernel each site's full
-  direction sequence, in trace order, as one contiguous slice;
+  site id plus per-site offsets, giving every numpy kernel each site's
+  full direction sequence, in trace order, as one contiguous slice;
 * **shared bookkeeping** — per-site execution/taken counts and the
   first-occurrence site order, computed once per view and shared by
   every predictor result and the closed-form fast path.
 
 numpy is strictly optional: :func:`get_numpy` returns ``None`` when it
-is not importable or when ``REPRO_NO_NUMPY`` is set (the CI fallback
-leg), and every accessor then serves plain ``array``/``bytes`` objects.
-Kernels must produce identical results either way; only the speed
-differs.
+is not importable or when ``REPRO_NO_NUMPY`` is set (the CI no-numpy
+leg).  The columns are then plain ``array``/``bytes`` objects and the
+evaluation engine scores every online predictor with the sequential
+reference instead of its numpy kernel, so only the accessors the
+closed form and training need (``runs``, ``site_executions``,
+``site_taken``) keep a pure-Python branch.  Results are identical
+either way; only the speed differs.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ def get_numpy():
     """The ``numpy`` module, or ``None`` when unavailable or disabled.
 
     Set ``REPRO_NO_NUMPY`` (to any non-empty value) to force the
-    pure-Python fallback path — the environment guard the CI fallback
-    leg and the parity tests use.  The import result is cached; the
-    environment variable is consulted live.
+    no-numpy route (the sequential reference for online predictors) —
+    the environment guard the CI no-numpy leg and the parity tests use.
+    The import result is cached; the environment variable is consulted
+    live.
     """
     global _numpy_module, _numpy_checked
     if os.environ.get("REPRO_NO_NUMPY"):
@@ -77,8 +80,9 @@ class TraceColumns:
 
     Instances are built by :meth:`Trace.columns` and cached per event
     count; they must be treated as immutable.  ``np`` is the numpy
-    module when the vectorized path is active, ``None`` on the
-    pure-Python fallback — kernels branch on it once per call.
+    module when the vectorized path is active, ``None`` without numpy —
+    the engine consults it once per call to pick kernels or the
+    sequential reference.
     """
 
     def __init__(self, sites, site_ids: array, packed_directions: bytes) -> None:
@@ -106,8 +110,6 @@ class TraceColumns:
         self._grouped = None
         self._grouped_starts = None
         self._kernel_cache: Dict[tuple, object] = {}
-        self._site_slices: Optional[List[List[Tuple[int, int]]]] = None
-        self._site_dirs: Dict[int, Sequence[int]] = {}
         self._executions: Optional[Dict[int, int]] = None
         self._taken: Optional[List[int]] = None
 
@@ -169,16 +171,6 @@ class TraceColumns:
                 self._runs = (run_sites, run_starts, run_lengths)
         return self._runs
 
-    def site_run_slices(self) -> List[List[Tuple[int, int]]]:
-        """Per site id, its ``(start, stop)`` run slices in trace order."""
-        if self._site_slices is None:
-            slices: List[List[Tuple[int, int]]] = [[] for _ in range(self.n_sites)]
-            run_sites, run_starts, run_lengths = self.runs()
-            for sid, start, length in zip(run_sites, run_starts, run_lengths):
-                slices[sid].append((int(start), int(start) + int(length)))
-            self._site_slices = slices
-        return self._site_slices
-
     # -- site grouping (CSR) ---------------------------------------------------
 
     def grouped(self):
@@ -216,26 +208,6 @@ class TraceColumns:
                 np.maximum.accumulate(starts, out=starts)
             self._grouped_starts = starts
         return self._grouped_starts
-
-    def site_directions(self, sid: int) -> Sequence[int]:
-        """Site *sid*'s direction sequence, in trace order.
-
-        numpy path: a contiguous slice of the grouped direction column;
-        fallback: the site's run slices of the direction bytes, joined.
-        """
-        cached = self._site_dirs.get(sid)
-        if cached is None:
-            if self.np is not None:
-                sorted_ids, grouped_dirs, _ = self.grouped()
-                start, stop = self.np.searchsorted(sorted_ids, [sid, sid + 1])
-                cached = grouped_dirs[start:stop]
-            else:
-                dirs = self.directions
-                cached = b"".join(
-                    dirs[start:stop] for start, stop in self.site_run_slices()[sid]
-                )
-            self._site_dirs[sid] = cached
-        return cached
 
     # -- shared bookkeeping ----------------------------------------------------
 

@@ -54,6 +54,7 @@ from ..predictors import (
     SaturatingCounter,
     all_yeh_patt_variants,
     evaluate,
+    evaluate_many,
     semistatic_suite,
     static_predictors,
     two_level_4k,
@@ -557,6 +558,8 @@ def _evaluate_predictor(
             f"unknown predictor {predictor_name!r}",
             available=sorted(zoo),
         )
+    # The sequential reference, not evaluate_many: the engine's columnar
+    # view imports numpy, ~15 MB of RSS per worker that never trains.
     result = evaluate(predictor, get_trace(name, scale, seed_offset))
     return _prediction_doc(name, scale, seed_offset, predictor_name, predictor, result)
 
@@ -673,7 +676,8 @@ def _train_model(
     }
     if split < 1.0:
         holdout = holdout_trace(trace, split)
-        payload["holdout"] = _accuracy(evaluate(LearnedPredictor(model), holdout))
+        (result,) = evaluate_many([LearnedPredictor(model)], holdout)
+        payload["holdout"] = _accuracy(result)
     return payload
 
 
@@ -700,7 +704,7 @@ def _learned_prediction(
     model = model_from_json(json.dumps(trained["model"]))
     predictor = LearnedPredictor(model)
     trace = get_trace(name, scale, seed_offset)
-    result = evaluate(predictor, holdout_trace(trace, DEFAULT_SPLIT))
+    (result,) = evaluate_many([predictor], holdout_trace(trace, DEFAULT_SPLIT))
     payload = _prediction_doc(name, scale, seed_offset, predictor_name, predictor, result)
     payload["learned"] = {
         key: trained[key]

@@ -48,9 +48,8 @@ def test_every_bench_script_runs_in_ci():
         assert f"benchmarks/{script}" in commands, f"{script} runs in no CI step"
 
 
-@pytest.mark.parametrize("argv", [["--repeats", "0"], ["--names", ","]])
-def test_eval_gate_rejects_arguments_that_measure_nothing(argv, tmp_path):
-    env = dict(os.environ)
+def run_eval_gate(argv, tmp_path, **env_overrides):
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
@@ -61,6 +60,21 @@ def test_eval_gate_rejects_arguments_that_measure_nothing(argv, tmp_path):
         capture_output=True,
         text=True,
     )
+    return result, output
+
+
+@pytest.mark.parametrize("argv", [["--repeats", "0"], ["--names", ","]])
+def test_eval_gate_rejects_arguments_that_measure_nothing(argv, tmp_path):
+    result, output = run_eval_gate(argv, tmp_path)
     assert result.returncode == 2, result.stderr
     assert argv[0] in result.stderr
+    assert not output.exists()
+
+
+def test_eval_gate_refuses_to_run_without_numpy(tmp_path):
+    # Without numpy evaluate_many scores every online predictor with the
+    # sequential reference, so a speedup gate would compare it to itself.
+    result, output = run_eval_gate([], tmp_path, REPRO_NO_NUMPY="1")
+    assert result.returncode == 2, result.stderr
+    assert "numpy" in result.stderr
     assert not output.exists()

@@ -3,9 +3,10 @@
 Same contract as ``test_predictors_batch_parity``: for every learned
 kind × scope, ``evaluate_many`` (LUT batch kernels) must be byte-
 identical to the sequential reference ``evaluate`` — and the numpy and
-pure-Python fallback modes must agree with each other — on arbitrary
-traces.  Training itself must also be mode-independent: the weights a
-``fit`` produces under numpy columns equal the fallback's exactly.
+no-numpy (``REPRO_NO_NUMPY``, sequential reference) modes must agree
+with each other — on arbitrary traces.  Training itself must also be
+mode-independent: the weights a ``fit`` produces under numpy columns
+equal the pure-Python column pass's exactly.
 """
 
 import os

@@ -3,9 +3,9 @@
 The batch engine's contract is *byte identity*: for every registered
 predictor family, ``evaluate_many`` must produce exactly the results of
 the sequential reference ``evaluate`` — same totals, same per-site
-attribution — on any trace, on both the numpy kernels and the
-pure-Python fallback (``REPRO_NO_NUMPY``).  Hypothesis drives random
-traces through the full family zoo in both modes.
+attribution — on any trace, with numpy (the kernels) and without it
+(``REPRO_NO_NUMPY``: the engine's sequential route).  Hypothesis drives
+random traces through the full family zoo in both modes.
 
 The second half pins the bit-unpack boundaries of the packed-direction
 path: event counts straddling byte edges (0, 1, 7, 8, 9, 63, 64, 65)
@@ -42,13 +42,13 @@ from repro.profiling.columns import get_numpy, unpack_bits
 
 @contextmanager
 def numpy_mode(disabled: bool):
-    """Force (or release) the pure-Python fallback within the block.
+    """Force (or release) the no-numpy route within the block.
 
     ``get_numpy`` consults ``REPRO_NO_NUMPY`` live, so flipping the
-    environment variable is the sanctioned way to exercise the fallback
-    kernels without uninstalling numpy.  The previous value is restored
+    environment variable is the sanctioned way to exercise the no-numpy
+    route without uninstalling numpy.  The previous value is restored
     so the test never leaks mode into the rest of the session (the CI
-    fallback leg sets the variable globally).
+    no-numpy leg sets the variable globally).
     """
     saved = os.environ.get("REPRO_NO_NUMPY")
     if disabled:

@@ -6,7 +6,9 @@ semi-static table strategies — over random traces and requires exact
 result identity (events, mispredictions, per-site breakdown *and* site
 ordering) between the single-pass engine and the sequential reference
 implementation, for the batch kernels, the closed-form fast path and
-the sequential route a custom subclass without a kernel takes.
+the sequential route a custom subclass without a kernel takes.  Without
+numpy (``REPRO_NO_NUMPY``) every online predictor takes that sequential
+route, so the route-counting tests expect it there.
 """
 
 import hypothesis.strategies as st
@@ -30,6 +32,7 @@ from repro.predictors import (
     evaluate_many,
 )
 from repro.profiling import ProfileData, Trace
+from repro.profiling.columns import get_numpy
 
 SITES = [BranchSite("f", f"b{i}") for i in range(6)]
 
@@ -162,18 +165,29 @@ def test_closed_form_set_does_not_scan():
 
 
 def test_mixed_set_uses_batch_kernels():
-    # The dynamic families score through their columnar kernels, and
-    # the events count as online work.
+    # The dynamic families score through their numpy kernels (without
+    # numpy, through the sequential reference), and the events count
+    # as online work either way.
     OBS.reset(prefix="engine.")
-    evaluate_many(
-        [AlwaysTaken(), LastDirection(), SaturatingCounter(2)], small_trace()
-    )
+    trace = OBS.start_trace()
+    try:
+        evaluate_many(
+            [AlwaysTaken(), LastDirection(), SaturatingCounter(2)], small_trace()
+        )
+    finally:
+        OBS.end_trace()
     stats = engine_counters()
     assert stats["engine.events"] == 6
     assert stats["engine.closed_form_events"] == 0
-    assert stats["engine.batch_predictors"] == 2
     assert stats["engine.closed_form_predictors"] == 1
     assert stats["engine.seconds"] > 0.0
+    (span,) = trace.span_dicts()
+    if get_numpy() is None:
+        assert stats["engine.batch_predictors"] == 0
+        assert span["attrs"]["sequential"] == 2
+    else:
+        assert stats["engine.batch_predictors"] == 2
+        assert span["attrs"]["batched"] == 2
 
 
 def test_mixed_set_scans_once_without_batch():
@@ -198,13 +212,44 @@ def test_events_split_accumulates_across_calls():
     # Regression: engine.events used to count every call's events even
     # when no online work ran, inflating the --timings events/sec rate.
     OBS.reset(prefix="engine.")
-    evaluate_many([AlwaysTaken()], small_trace())
-    evaluate_many([LastDirection()], small_trace())
-    evaluate_many([AlwaysNotTaken()], small_trace())
+    trace = OBS.start_trace()
+    try:
+        evaluate_many([AlwaysTaken()], small_trace())
+        evaluate_many([LastDirection()], small_trace())
+        evaluate_many([AlwaysNotTaken()], small_trace())
+    finally:
+        OBS.end_trace()
     stats = engine_counters()
     assert stats["engine.events"] == 6
     assert stats["engine.closed_form_events"] == 12
-    assert stats["engine.batch_predictors"] == 1
+    online = trace.span_dicts()[1]["attrs"]
+    if get_numpy() is None:
+        assert stats["engine.batch_predictors"] == 0
+        assert online["sequential"] == 1
+    else:
+        assert stats["engine.batch_predictors"] == 1
+        assert online["batched"] == 1
+
+
+class RaisingKernelLastDirection(NoKernelLastDirection):
+    """Last-direction whose ``step_batch`` must never run."""
+
+    def step_batch(self, columns):
+        raise AssertionError("step_batch called without numpy")
+
+
+def test_no_numpy_scores_online_predictors_sequentially(monkeypatch):
+    # Without numpy the engine never calls a kernel: every online
+    # predictor is scored, exactly, by the sequential reference.
+    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    trace = small_trace()
+    predictors = [AlwaysTaken(), RaisingKernelLastDirection(), SaturatingCounter(2)]
+    OBS.reset(prefix="engine.")
+    actual = evaluate_many(predictors, trace)
+    assert engine_counters()["engine.batch_predictors"] == 0
+    for act, predictor in zip(actual, predictors):
+        assert_results_identical(act, evaluate(predictor, trace))
+    assert actual[1].per_site == evaluate(LastDirection(), trace).per_site
 
 
 def test_empty_predictor_set():
