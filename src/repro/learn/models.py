@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir import BranchSite
 from ..predictors.base import Predictor
-from ..predictors.kernels import bincount_bool
+from ..predictors.kernels import bincount_bool, lut_misses
 
 _KINDS = ("perceptron", "logistic")
 _SCOPES = ("global", "peraddr", "hybrid")
@@ -263,57 +263,21 @@ class LearnedPredictor(Predictor):
         if self.scope == "global":
             # Seen and unseen sites index by the same global register,
             # so the shared row bakes straight into the flat LUT and the
-            # whole scope is one gather (same cached columns as the
-            # correlation kernel).
+            # whole scope is one gather (as in the correlation kernel).
             lut = self._cached_luts(np, columns)[0]
-
-            def build_index():
-                from ..predictors.kernels import history_pack
-
-                histories = columns.cached(
-                    ("ghist", bits),
-                    lambda: history_pack(np, columns.directions, bits),
-                )
-                return (columns.site_ids.astype(np.int32) << bits) | histories
-
-            guesses = lut[columns.cached(("ghist-idx", bits), build_index)]
-            return bincount_bool(
-                np, columns.site_ids, guesses != columns.directions, columns.n_sites
-            )
+            return lut_misses(np, columns, lut, "global", bits)
         # peraddr/hybrid: score in site-grouped order (one local register
         # per site is a boundary-masked window there), with unseen sites
         # routed to the shared global-history row.
-        from ..predictors.kernels import history_pack
-
-        sorted_ids, grouped_dirs, _ = columns.grouped()
-        lhist = columns.cached(
-            ("lhist", bits),
-            lambda: history_pack(np, grouped_dirs, bits, columns.grouped_starts()),
-        )
-        perm = columns.cached(
-            ("site-perm",), lambda: np.argsort(columns.site_ids, kind="stable")
-        )
-        ghist_grouped = columns.cached(
-            ("ghist-grouped", bits),
-            lambda: columns.cached(
-                ("ghist", bits),
-                lambda: history_pack(np, columns.directions, bits),
-            )[perm],
-        )
+        _, sorted_ids, grouped_dirs, _ = columns.grouped()
+        ghist = columns.history("global-grouped", bits)
+        pattern = columns.history("local", bits)
+        if self.scope == "hybrid":
+            pattern = (pattern << bits) | ghist
+        width = self.model.config.feature_bits
+        index = (sorted_ids.astype(np.int32) << width) | pattern
         site_lut, shared_lut, seen = self._cached_luts(np, columns)
-        if self.scope == "peraddr":
-            index = columns.cached(
-                ("lhist-idx", bits),
-                lambda: (sorted_ids.astype(np.int32) << bits) | lhist,
-            )
-        else:
-            index = columns.cached(
-                ("hybrid-idx", bits),
-                lambda: (sorted_ids.astype(np.int32) << (2 * bits))
-                | (lhist << bits)
-                | ghist_grouped,
-            )
-        guesses = np.where(seen[sorted_ids], site_lut[index], shared_lut[ghist_grouped])
+        guesses = np.where(seen[sorted_ids], site_lut[index], shared_lut[ghist])
         return bincount_bool(np, sorted_ids, guesses != grouped_dirs, columns.n_sites)
 
     def _cached_luts(self, np, columns):

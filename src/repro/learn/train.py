@@ -25,7 +25,6 @@ import itertools
 import math
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..predictors.kernels import history_pack
 from ..profiling.trace import Trace
 from .models import LearnedConfig, LearnedModel, ModelWeights
 
@@ -78,34 +77,25 @@ def _pattern_columns(
     if np is None:
         return _pattern_columns_sequential(columns, cut, config)
     bits = config.history_bits
-    ghist = columns.cached(
-        ("ghist", bits), lambda: history_pack(np, columns.directions, bits)
-    )
+    ghist = columns.history("global", bits)
     # The register before event t depends only on events < t, so the
-    # whole-trace columns' prefixes are exactly the prefix's registers.
+    # whole-trace columns' prefixes are exactly the prefix's registers;
+    # the grouping is stable, so a site's prefix events are the first
+    # entries of its group, and ``events`` — the prefix's event indices
+    # grouped by site id, each site's in trace order — is the grouping
+    # filtered to the prefix.
     site_ids = columns.site_ids[:cut]
-    # ``events``: the prefix's event indices grouped by site id, each
-    # site's events in trace order.
+    order = columns.grouped()[0]
+    keep = order < cut
+    events = order[keep]
     if config.scope == "global":
-        events = np.argsort(site_ids, kind="stable")
         patterns = ghist[events]
     else:
         # A local register restarts with its site, so it comes from the
-        # grouped column the local-history kernels share.  The grouping
-        # is stable: a site's prefix events are the first entries of
-        # its group.
-        perm = columns.cached(
-            ("site-perm",), lambda: np.argsort(columns.site_ids, kind="stable")
-        )
-        keep = perm < cut
-        events = perm[keep]
-        lhist = columns.cached(
-            ("lhist", bits),
-            lambda: history_pack(
-                np, columns.grouped()[1], bits, columns.grouped_starts()
-            ),
-        )[keep]
-        patterns = lhist if config.scope == "peraddr" else (lhist << bits) | ghist[events]
+        # grouped local column.
+        patterns = columns.history("local", bits)[keep]
+        if config.scope == "hybrid":
+            patterns = (patterns << bits) | ghist[events]
     patterns = patterns.tolist()
     directions = columns.directions[events].tolist()
     counts = np.bincount(site_ids, minlength=columns.n_sites).tolist()

@@ -27,7 +27,7 @@ def _grouped_direction_runs(columns):
     np = columns.np
 
     def build():
-        _, grouped_dirs, new_site = columns.grouped()
+        _, _, grouped_dirs, new_site = columns.grouped()
         run_break = np.array(new_site, dtype=bool, copy=True)
         run_break[1:] |= grouped_dirs[1:] != grouped_dirs[:-1]
         run_starts = np.flatnonzero(run_break)
@@ -63,7 +63,7 @@ class LastDirection(Predictor):
         if columns.n_events == 0:
             return [0] * columns.n_sites
         initial = 1 if self.initial else 0
-        sorted_ids, grouped_dirs, new_site = columns.grouped()
+        _, sorted_ids, grouped_dirs, new_site = columns.grouped()
         run_starts, _ = _grouped_direction_runs(columns)
         wrong = grouped_dirs[run_starts] != initial
         wrong |= ~new_site[run_starts]
@@ -110,7 +110,7 @@ class SaturatingCounter(Predictor):
         if columns.n_events == 0:
             return [0] * columns.n_sites
         np = columns.np
-        sorted_ids, grouped_dirs, new_site = columns.grouped()
+        _, sorted_ids, grouped_dirs, new_site = columns.grouped()
         run_starts, _, wrongs = saturating_run_wrongs(
             np,
             new_site,

@@ -10,6 +10,9 @@ columnar view (:class:`~repro.profiling.columns.TraceColumns`):
   actual outcomes, so the whole history column is computable up front —
   the observation that makes even the *adaptive* two-level predictor
   batchable.
+* **frozen-table scoring** (:func:`lut_misses`) — mispredictions of a
+  frozen ``(site, history) -> guess`` grid, gathered in one lookup over
+  a register column of the trace's view.
 * **saturating-counter scoring** (:func:`saturating_run_wrongs`) —
   mispredictions of independent n-bit saturating counters.  Within one
   counter's event stream, a *run* of equal outcomes mispredicts a
@@ -77,6 +80,23 @@ def group_starts(np, new_group, indices=None):
         starts[new_group] = indices[new_group]
         np.maximum.accumulate(starts, out=starts)
     return starts
+
+
+def lut_misses(np, columns, lut, kind: str, bits: int) -> List[int]:
+    """Per-site mispredictions of a frozen pattern table.
+
+    *lut* is the flat ``(site << bits) | history -> guess`` grid (one
+    uint8 row of ``2**bits`` guesses per site id) and *kind* names the
+    register it reads (``"global"`` or ``"local"``, see
+    :meth:`~repro.profiling.columns.TraceColumns.history`); events are
+    scored in that register's order.
+    """
+    if kind == "global":
+        site_ids, dirs = columns.site_ids, columns.directions
+    else:
+        _, site_ids, dirs, _ = columns.grouped()
+    index = (site_ids.astype(np.int32) << bits) | columns.history(kind, bits)
+    return bincount_bool(np, site_ids, lut[index] != dirs, columns.n_sites)
 
 
 def saturating_run_wrongs(

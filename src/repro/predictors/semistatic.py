@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 from ..ir import BranchSite
 from ..profiling import ProfileData
 from .base import Predictor
-from .kernels import bincount_bool, history_pack
+from .kernels import lut_misses
 
 
 def _majority_map(counts: Dict[int, list]) -> Dict[int, bool]:
@@ -146,21 +146,9 @@ class CorrelationPredictor(Predictor):
         # (site, pattern) lookup.
         if columns.n_events == 0:
             return [0] * columns.n_sites
-        bits = self.bits
         np = columns.np
         lut = _cached_flat_lut(self, np, columns)
-
-        def build_index():
-            histories = columns.cached(
-                ("ghist", bits),
-                lambda: history_pack(np, columns.directions, bits),
-            )
-            return (columns.site_ids.astype(np.int32) << bits) | histories
-
-        guesses = lut[columns.cached(("ghist-idx", bits), build_index)]
-        return bincount_bool(
-            np, columns.site_ids, guesses != columns.directions, columns.n_sites
-        )
+        return lut_misses(np, columns, lut, "global", self.bits)
 
 
 class LoopPredictor(Predictor):
@@ -207,24 +195,9 @@ class LoopPredictor(Predictor):
         # one boundary-masked pack scores all of them together.
         if columns.n_events == 0:
             return [0] * columns.n_sites
-        bits = self.bits
         np = columns.np
         lut = _cached_flat_lut(self, np, columns)
-        sorted_ids, grouped_dirs, _ = columns.grouped()
-
-        def build_index():
-            histories = columns.cached(
-                ("lhist", bits),
-                lambda: history_pack(
-                    np, grouped_dirs, bits, columns.grouped_starts()
-                ),
-            )
-            return (sorted_ids.astype(np.int32) << bits) | histories
-
-        guesses = lut[columns.cached(("lhist-idx", bits), build_index)]
-        return bincount_bool(
-            np, sorted_ids, guesses != grouped_dirs, columns.n_sites
-        )
+        return lut_misses(np, columns, lut, "local", self.bits)
 
 
 class LoopCorrelationPredictor(Predictor):

@@ -186,10 +186,9 @@ class TwoLevelPredictor(Predictor):
         #    rather than argsorting the event column.  The whole column
         #    depends only on the trace and (scope, sets, bits) — never
         #    on predictor state — so it is cached on the snapshot and
-        #    shared by every variant with the same first level.
+        #    shared by every variant with the same first level.  The
+        #    global scope's single register is the view's own column.
         def build_histories():
-            if self.config.history_scope == "global":
-                return history_pack(np, dirs, bits)
             indices = columns.event_indices()
             run_sites, run_starts, run_lengths = columns.runs()
             hkey_table = np.asarray(hkeys, dtype=np.int64)
@@ -218,16 +217,12 @@ class TwoLevelPredictor(Predictor):
             return scattered
 
         if self.config.history_scope == "global":
-            # Same column as the correlation strategy's global register.
-            cache_key = ("ghist", bits)
+            histories = columns.history("global", bits)
         else:
-            cache_key = (
-                "tl-hist",
-                self.config.history_scope,
-                self.config.history_sets,
-                bits,
+            histories = columns.cached(
+                ("tl-hist", self.config.history_scope, self.config.history_sets, bits),
+                build_histories,
             )
-        histories = columns.cached(cache_key, build_histories)
         # 2. Joint counter key, one independent saturating counter per
         #    distinct (pattern entity, history) value, built and sorted
         #    in the narrowest dtype that fits.  Like the history column,

@@ -14,6 +14,13 @@ columns instead of per-event tuples:
 * **site grouping (CSR)** — a stable permutation of events grouped by
   site id plus per-site offsets, giving every numpy kernel each site's
   full direction sequence, in trace order, as one contiguous slice;
+* **history registers** (:meth:`TraceColumns.history`) — the k-bit
+  shift-register contents before every event, for the two registers
+  the paper's strategies read: the *global* register of the last k
+  outcomes (event order, and the same column in grouped order) and the
+  *local* per-site register (grouped order, reset at each site's first
+  event).  This module is the only one that knows how a register
+  column is packed, ordered and cached;
 * **shared bookkeeping** — per-site execution/taken counts and the
   first-occurrence site order, computed once per view and shared by
   every predictor result and the closed-form fast path.
@@ -33,6 +40,8 @@ from __future__ import annotations
 import os
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from ..predictors.kernels import group_starts, history_pack
 
 _numpy_module = None
 _numpy_checked = False
@@ -109,18 +118,21 @@ class TraceColumns:
         self._indices = None
         self._grouped = None
         self._grouped_starts = None
+        self._histories: Dict[Tuple[str, int], object] = {}
         self._kernel_cache: Dict[tuple, object] = {}
         self._executions: Optional[Dict[int, int]] = None
         self._taken: Optional[List[int]] = None
 
     def cached(self, key: tuple, build):
-        """Memoize a derived column under *key* for this snapshot.
+        """Memoize a family-specific derived column under *key* for
+        this snapshot.
 
-        Kernels share outcome-derived columns (history packs, run
-        boundaries, scoped groupings) across predictor instances: the
-        values depend only on the trace contents and the key's
-        parameters, never on predictor state, so one snapshot computes
-        each at most once.
+        Kernels share outcome-derived columns (run boundaries, scoped
+        groupings) across predictor instances: the values depend only on
+        the trace contents and the key's parameters, never on predictor
+        state, so one snapshot computes each at most once.  The global
+        and local history registers are not among them: they come from
+        :meth:`history`.
         """
         try:
             return self._kernel_cache[key]
@@ -174,40 +186,70 @@ class TraceColumns:
     # -- site grouping (CSR) ---------------------------------------------------
 
     def grouped(self):
-        """``(sorted_ids, grouped_dirs, new_site)`` — events stably
+        """``(order, sorted_ids, grouped_dirs, new_site)`` — events stably
         sorted by site id (numpy path only).
 
-        ``new_site[i]`` is True where ``sorted_ids[i]`` starts a new
-        site's segment; each segment is that site's direction sequence
-        in original trace order.
+        ``order`` is the stable permutation itself (event indices grouped
+        by site, each site's in trace order); ``new_site[i]`` is True
+        where ``sorted_ids[i]`` starts a new site's segment; each segment
+        of ``grouped_dirs`` is that site's direction sequence in original
+        trace order.
         """
         if self._grouped is None:
             np = self.np
             if np is None:
                 raise RuntimeError("grouped() is numpy-path only")
-            perm = np.argsort(self.site_ids, kind="stable")
-            sorted_ids = self.site_ids[perm]
-            grouped_dirs = self.directions[perm]
+            order = np.argsort(self.site_ids, kind="stable")
+            sorted_ids = self.site_ids[order]
+            grouped_dirs = self.directions[order]
             new_site = np.empty(self.n_events, dtype=bool)
             if self.n_events:
                 new_site[0] = True
                 np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new_site[1:])
-            self._grouped = (sorted_ids, grouped_dirs, new_site)
+            self._grouped = (order, sorted_ids, grouped_dirs, new_site)
         return self._grouped
 
     def grouped_starts(self):
         """Per grouped event, the index where its site's segment starts
         (cached companion of :meth:`grouped` for history kernels)."""
         if self._grouped_starts is None:
-            np = self.np
-            _, _, new_site = self.grouped()
-            starts = np.zeros(self.n_events, dtype=np.int64)
-            if self.n_events:
-                indices = self.event_indices()
-                starts[new_site] = indices[new_site]
-                np.maximum.accumulate(starts, out=starts)
-            self._grouped_starts = starts
+            self._grouped_starts = group_starts(
+                self.np, self.grouped()[3], self.event_indices()
+            )
         return self._grouped_starts
+
+    # -- history registers -----------------------------------------------------
+
+    def history(self, kind: str, bits: int):
+        """The *bits*-bit history register before every event (numpy
+        path only), cached per ``(kind, bits)``.
+
+        * ``"global"`` — the register of the last *bits* outcomes of the
+          whole stream, in event order;
+        * ``"global-grouped"`` — the same column in :meth:`grouped`
+          order;
+        * ``"local"`` — one register per site, in :meth:`grouped` order,
+          starting from zero at each site's first event.
+
+        Registers hold the newest outcome in the LSB and start all-zero,
+        exactly like a freshly reset predictor (see
+        :func:`~repro.predictors.kernels.history_pack`).
+        """
+        key = (kind, bits)
+        column = self._histories.get(key)
+        if column is None:
+            if kind == "global":
+                column = history_pack(self.np, self.directions, bits)
+            elif kind == "global-grouped":
+                column = self.history("global", bits)[self.grouped()[0]]
+            elif kind == "local":
+                column = history_pack(
+                    self.np, self.grouped()[2], bits, self.grouped_starts()
+                )
+            else:
+                raise ValueError(f"unknown history register kind {kind!r}")
+            self._histories[key] = column
+        return column
 
     # -- shared bookkeeping ----------------------------------------------------
 

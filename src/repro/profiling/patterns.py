@@ -215,9 +215,6 @@ class ProfileData:
 
     # -- queries ---------------------------------------------------------------
 
-    def executed_sites(self) -> List[BranchSite]:
-        return list(self.totals)
-
     def executions(self, site: BranchSite) -> int:
         not_taken, taken = self.totals.get(site, (0, 0))
         return not_taken + taken

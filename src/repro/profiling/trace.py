@@ -176,16 +176,6 @@ class Trace:
             )
         return self._columns
 
-    def executed_sites(self) -> List[BranchSite]:
-        """Sites that appear at least once, in first-appearance order."""
-        seen = [False] * len(self.sites)
-        order: List[BranchSite] = []
-        for sid in self.site_ids:
-            if not seen[sid]:
-                seen[sid] = True
-                order.append(self.sites[sid])
-        return order
-
     def taken_counts(self) -> Dict[BranchSite, Tuple[int, int]]:
         """Per-site (not_taken, taken) totals."""
         counts = [[0, 0] for _ in self.sites]

@@ -559,7 +559,10 @@ def _evaluate_predictor(
             available=sorted(zoo),
         )
     # The sequential reference, not evaluate_many: the engine's columnar
-    # view imports numpy, ~15 MB of RSS per worker that never trains.
+    # view imports numpy into a worker that never trains.  Routing this
+    # call through evaluate_many measured +29 MB of service-warm peak
+    # RSS (81.6 -> 110.6 MB over the fleet), although service-warm asks
+    # /predict only for "profile", which scores in closed form.
     result = evaluate(predictor, get_trace(name, scale, seed_offset))
     return _prediction_doc(name, scale, seed_offset, predictor_name, predictor, result)
 

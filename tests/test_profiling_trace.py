@@ -36,14 +36,6 @@ def test_iteration_yields_sites():
     assert events[3] == (BranchSite("f", "a"), False)
 
 
-def test_executed_sites_in_first_appearance_order():
-    trace = Trace()
-    trace.site_id(BranchSite("f", "never"))  # interned but not executed
-    trace.record(BranchSite("f", "b"), True)
-    trace.record(BranchSite("f", "a"), True)
-    assert trace.executed_sites() == [BranchSite("f", "b"), BranchSite("f", "a")]
-
-
 def test_taken_counts():
     counts = sample_trace().taken_counts()
     assert counts[BranchSite("f", "a")] == (1, 2)

@@ -10,7 +10,7 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.cfg import CFG, DominatorTree, LoopForest, classify_branches
 from repro.interp import FuelExhausted, Machine, run_program
@@ -32,7 +32,7 @@ from repro.profiling import (
     trace_to_bytes,
     trace_program,
 )
-from repro.profiling.columns import TraceColumns
+from repro.profiling.columns import TraceColumns, get_numpy
 from repro.replication import ReplicationPlanner, apply_replication
 from repro.replication import apply as apply_module
 from repro.statemachines import (
@@ -149,6 +149,37 @@ def test_online_profiler_matches_batch(events):
     assert {
         site: table.counts for site, table in batch.global_tables.items()
     } == global_
+
+
+@pytest.mark.skipif(get_numpy() is None, reason="history columns are numpy-only")
+@given(events_strategy, st.integers(1, 12))
+@example([], 1)
+@example([(0, True), (0, False), (0, True)], 12)
+def test_history_columns_match_shift_registers(events, bits):
+    """Every register column of the view equals per-event Python shift
+    registers: the global one in event order and in grouped order, the
+    per-site one (reset per site) in grouped order."""
+    trace = Trace()
+    for site_index, taken in events:
+        trace.record(BranchSite("f", f"b{site_index}"), taken)
+    mask = (1 << bits) - 1
+    ghist, lhists = 0, {}
+    global_, per_site_global, per_site_local = [], {}, {}
+    for sid, direction in trace.events():
+        lhist = lhists.get(sid, 0)
+        global_.append(ghist)
+        per_site_global.setdefault(sid, []).append(ghist)
+        per_site_local.setdefault(sid, []).append(lhist)
+        ghist = ((ghist << 1) | direction) & mask
+        lhists[sid] = ((lhist << 1) | direction) & mask
+
+    def grouped(per_site):
+        return [history for sid in sorted(per_site) for history in per_site[sid]]
+
+    columns = trace.columns()
+    assert columns.history("global", bits).tolist() == global_
+    assert columns.history("global-grouped", bits).tolist() == grouped(per_site_global)
+    assert columns.history("local", bits).tolist() == grouped(per_site_local)
 
 
 @given(events_strategy)
