@@ -179,15 +179,16 @@ class TwoLevelPredictor(Predictor):
         site_ids = columns.site_ids
         dirs = columns.directions
 
-        # 1. Per-event history-register contents: group by history key,
-        #    pack each group's previous outcomes, scatter back.  The
-        #    history key is constant within every site-id run, so the
-        #    grouping permutation comes from sorting *runs* (cheap)
-        #    rather than argsorting the event column.  The whole column
-        #    depends only on the trace and (scope, sets, bits) — never
-        #    on predictor state — so it is cached on the snapshot and
-        #    shared by every variant with the same first level.  The
-        #    global scope's single register is the view's own column.
+        # 1. Per-event history-register contents.  Registers depend
+        #    only on outcomes, never on the counters, so the global and
+        #    per-address scopes read the view's own register columns
+        #    (the local one scattered back to event order); the set
+        #    scope groups events by set and packs each group's previous
+        #    outcomes.  The set key is constant within every site-id
+        #    run, so the grouping permutation comes from sorting *runs*
+        #    (cheap) rather than argsorting the event column; the result
+        #    is cached on the snapshot and shared by every variant with
+        #    the same first level.
         def build_histories():
             indices = columns.event_indices()
             run_sites, run_starts, run_lengths = columns.runs()
@@ -216,13 +217,19 @@ class TwoLevelPredictor(Predictor):
             scattered[order] = histories_sorted
             return scattered
 
-        if self.config.history_scope == "global":
-            histories = columns.history("global", bits)
-        else:
-            histories = columns.cached(
-                ("tl-hist", self.config.history_scope, self.config.history_sets, bits),
-                build_histories,
+        def histories():
+            scope = self.config.history_scope
+            if scope == "global":
+                return columns.history("global", bits)
+            if scope == "peraddr":
+                local = columns.history("local", bits)
+                scattered = np.empty(n, dtype=local.dtype)
+                scattered[columns.grouped()[0]] = local
+                return scattered
+            return columns.cached(
+                ("tl-hist", self.config.history_sets, bits), build_histories
             )
+
         # 2. Joint counter key, one independent saturating counter per
         #    distinct (pattern entity, history) value, built and sorted
         #    in the narrowest dtype that fits.  Like the history column,
@@ -233,7 +240,7 @@ class TwoLevelPredictor(Predictor):
         def build_counter_grouping():
             counter_keys = (
                 np.asarray(pkeys, dtype=np.int32)[site_ids] << bits
-            ) | histories.astype(np.int32, copy=False)
+            ) | histories().astype(np.int32, copy=False)
             top_key = int(max(pkeys)) << bits | self._mask
             if top_key < 1 << 16:
                 counter_keys = counter_keys.astype(np.uint16)

@@ -25,6 +25,12 @@ columns instead of per-event tuples:
   first-occurrence site order, computed once per view and shared by
   every predictor result and the closed-form fast path.
 
+Three consumers read the view: the evaluation engine's kernels, the
+learned-model trainer and the pattern tables of
+:meth:`~repro.profiling.patterns.ProfileData.from_columns`, which
+aggregate the grouped site ids and the ``"local"``/``"global-grouped"``
+registers instead of replaying the events.
+
 numpy is strictly optional: :func:`get_numpy` returns ``None`` when it
 is not importable or when ``REPRO_NO_NUMPY`` is set (the CI no-numpy
 leg).  The columns are then plain ``array``/``bytes`` objects and the
@@ -32,12 +38,15 @@ evaluation engine scores every online predictor with the sequential
 reference instead of its numpy kernel, so only the accessors the
 closed form and training need (``runs``, ``site_executions``,
 ``site_taken``) keep a pure-Python branch.  Results are identical
-either way; only the speed differs.
+either way; only the speed differs.  :func:`loaded_numpy` is the
+non-importing twin for callers that must not pull numpy into a process
+that has not loaded it yet (the profile build in fleet workers).
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,6 +77,19 @@ def get_numpy():
         except ImportError:
             _numpy_module = None
     return _numpy_module
+
+
+def loaded_numpy():
+    """The ``numpy`` module if this process has already imported it and
+    ``REPRO_NO_NUMPY`` is unset, else ``None`` — never imports it.
+
+    Importing numpy costs a fresh process tens of megabytes, so code
+    that runs in service workers uses this to take a numpy route only
+    where the memory is already paid for.
+    """
+    if os.environ.get("REPRO_NO_NUMPY"):
+        return None
+    return sys.modules.get("numpy")
 
 
 #: 256-entry table: packed byte -> its eight LSB-first bits, used by the
@@ -258,12 +280,20 @@ class TraceColumns:
         first-occurrence order (the per-site result ordering the
         sequential reference produces)."""
         if self._executions is None:
-            executions: Dict[int, int] = {}
-            run_sites, _, run_lengths = self.runs()
-            for sid, length in zip(run_sites, run_lengths):
-                sid = int(sid)
-                executions[sid] = executions.get(sid, 0) + int(length)
-            self._executions = executions
+            np = self.np
+            if np is not None:
+                # Each site's first event is where its grouped segment
+                # starts; sorting those event indices gives the order.
+                order, sorted_ids, _, new_site = self.grouped()
+                sids = sorted_ids[new_site][np.argsort(order[new_site])]
+                counts = np.bincount(self.site_ids, minlength=self.n_sites)
+                self._executions = dict(zip(sids.tolist(), counts[sids].tolist()))
+            else:
+                executions: Dict[int, int] = {}
+                run_sites, _, run_lengths = self.runs()
+                for sid, length in zip(run_sites, run_lengths):
+                    executions[sid] = executions.get(sid, 0) + length
+                self._executions = executions
         return self._executions
 
     def site_taken(self) -> List[int]:

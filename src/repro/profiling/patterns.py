@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ir import BranchSite
+from .columns import TraceColumns, loaded_numpy
 from .trace import Trace
 
 
@@ -162,7 +163,27 @@ class ProfileData:
         local_bits: int = 9,
         global_bits: int = 8,
     ) -> "ProfileData":
-        """Single pass over *trace* building every table.
+        """Every table of *trace*.
+
+        Built from the trace's columnar view (:meth:`from_columns`) when
+        numpy is already loaded, else by one pass over its events
+        (:meth:`from_events`); both give equal tables in the same dict
+        order.  numpy is never imported here: a service worker that has
+        not loaded it keeps the pass and saves the import's memory.
+        """
+        if loaded_numpy() is not None:
+            return cls.from_columns(trace.columns(), local_bits, global_bits)
+        return cls.from_events(trace, local_bits, global_bits)
+
+    @classmethod
+    def from_events(
+        cls,
+        trace: Trace,
+        local_bits: int = 9,
+        global_bits: int = 8,
+    ) -> "ProfileData":
+        """Single pass over *trace* building every table (the reference
+        :meth:`from_columns` must match).
 
         Histories start as all-zero (the convention hardware shift
         registers use), so early events are charged to the zero
@@ -198,6 +219,66 @@ class ProfileData:
                     global_bits, global_counts[index]
                 )
                 data.totals[site] = (totals[index][0], totals[index][1])
+        return data
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: TraceColumns,
+        local_bits: int = 9,
+        global_bits: int = 8,
+    ) -> "ProfileData":
+        """Every table from a numpy :class:`TraceColumns` view.
+
+        Each event's ``(site << bits) | register`` key, in
+        :meth:`~TraceColumns.grouped` order, is counted with one
+        ``unique`` and two ``bincount`` calls per table kind.  Grouped
+        order is site-major and keeps trace order within a site, so
+        sorting the keys by their first index yields each site's
+        patterns in first-seen order — the dict order of
+        :meth:`from_events`, which the ``KBP1`` bytes follow.
+        """
+        np = columns.np
+        data = cls(local_bits, global_bits)
+        data.events = columns.n_events
+        sites = columns.sites
+        executions = columns.site_executions()
+        taken = columns.site_taken()
+        executed = sorted(executions)
+        for sid in executed:
+            data.totals[sites[sid]] = (executions[sid] - taken[sid], taken[sid])
+        _, sorted_ids, grouped_dirs, _ = columns.grouped()
+        site_keys = sorted_ids.astype(np.int64)
+        for kind, bits, tables in (
+            ("local", local_bits, data.local),
+            ("global-grouped", global_bits, data.global_tables),
+        ):
+            # The narrowest key dtype sorts fastest (radix up to 16 bits).
+            keys = ((site_keys << bits) | columns.history(kind, bits)).astype(
+                np.min_scalar_type(max(columns.n_sites, 1) << bits)
+            )
+            unique, first, inverse = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
+            order = np.argsort(first)
+            unique = unique[order]
+            seen = np.bincount(inverse)[order].tolist()
+            hits = np.bincount(inverse, weights=grouped_dirs)[order]
+            hits = hits.astype(np.int64).tolist()
+            patterns = (unique & ((1 << bits) - 1)).tolist()
+            bounds = np.searchsorted(unique >> bits, executed).tolist()
+            bounds.append(len(patterns))
+            for index, sid in enumerate(executed):
+                start, stop = bounds[index], bounds[index + 1]
+                tables[sites[sid]] = PatternTable(
+                    bits,
+                    {
+                        pattern: [count - hit, hit]
+                        for pattern, count, hit in zip(
+                            patterns[start:stop], seen[start:stop], hits[start:stop]
+                        )
+                    },
+                )
         return data
 
     def attach_path_tables(

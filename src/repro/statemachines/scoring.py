@@ -46,22 +46,42 @@ def node_counts(table: PatternTable) -> NodeCounts:
     Key ``(value, length)`` with LSB = most recent outcome; value
     ``(not_taken, taken)``.  Includes the empty pattern ``(0, 0)``
     holding the branch totals.
+
+    Folded one length at a time: a length's counts are the next
+    length's with the top bit masked off.  Nodes are inserted ordered by
+    (index of the first table entry they suffix, length), the order
+    searches break ties in.
     """
-    acc: Dict[Pattern, List[int]] = {}
-    bits = table.bits
-    for history, entry in table.counts.items():
-        for length in range(0, bits + 1):
-            key = (history & ((1 << length) - 1), length)
-            cell = acc.get(key)
-            if cell is None:
-                acc[key] = [entry[0], entry[1]]
-            else:
-                cell[0] += entry[0]
-                cell[1] += entry[1]
+    # value -> [not_taken, taken, first entry index]; each level's dict
+    # is in first-index order, so a node's first child carries its index.
+    level = {
+        history: [entry[0], entry[1], index]
+        for index, (history, entry) in enumerate(table.counts.items())
+    }
+    ranked: List[Tuple[int, int, int, int, int]] = []
+    for length in range(table.bits, -1, -1):
+        if length < table.bits:
+            mask = (1 << length) - 1
+            shorter: Dict[int, List[int]] = {}
+            for value, cell in level.items():
+                acc = shorter.get(value & mask)
+                if acc is None:
+                    shorter[value & mask] = cell[:]
+                else:
+                    acc[0] += cell[0]
+                    acc[1] += cell[1]
+            level = shorter
+        ranked.extend(
+            (first, length, value, not_taken, taken)
+            for value, (not_taken, taken, first) in level.items()
+        )
+    ranked.sort()
     nodes = NodeCounts()
-    for key, (not_taken, taken) in acc.items():
+    correct = nodes.correct
+    for _, length, value, not_taken, taken in ranked:
+        key = (value, length)
         nodes[key] = (not_taken, taken)
-        nodes.correct[key] = max(not_taken, taken)
+        correct[key] = max(not_taken, taken)
     nodes.executions = sum(nodes.get((0, 0), (0, 0)))
     return nodes
 

@@ -1,5 +1,9 @@
 """Pattern-table and profile-data tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.ir import BranchSite
@@ -173,3 +177,36 @@ class TestFillRateNeverExecutedSites:
         sites = get_program("compress").branch_sites()
         rate = profile.fill_rate(4, sites=sites)
         assert 0.0 < rate <= 1.0
+
+
+_COLD_PLAN_SCRIPT = """
+import sys
+from repro.replication import ReplicationPlanner, tradeoff_curve
+from repro.workloads import get_profile, get_program
+
+planner = ReplicationPlanner(get_program("compress"), get_profile("compress", 1))
+tradeoff_curve(planner)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+def test_cold_profile_and_plan_never_import_numpy(tmp_path):
+    """A fresh process that profiles and plans from an empty artifact
+    cache (a service worker's cold ``POST /plan``) must not import
+    numpy: the import would add tens of megabytes to every fleet
+    worker.  ``ProfileData.from_trace`` takes the columnar route only
+    where numpy is already loaded."""
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
+    env.pop("REPRO_NO_NUMPY", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath("src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_PLAN_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+    assert list(tmp_path.iterdir())  # the run really went through the cache

@@ -182,6 +182,62 @@ def test_history_columns_match_shift_registers(events, bits):
     assert columns.history("local", bits).tolist() == grouped(per_site_local)
 
 
+def profile_dump(profile):
+    """Everything a profile's consumers can observe, in dict order."""
+
+    def tables(by_site):
+        return [
+            (site, table.bits, list(table.counts.items()))
+            for site, table in by_site.items()
+        ]
+
+    return (
+        profile.events,
+        list(profile.totals.items()),
+        tables(profile.local),
+        tables(profile.global_tables),
+    )
+
+
+@pytest.mark.skipif(get_numpy() is None, reason="the columnar routes are numpy-only")
+@given(
+    events_strategy,
+    st.lists(st.integers(0, 5), unique=True, max_size=6),
+    st.integers(1, 12),
+    st.integers(1, 12),
+)
+@example([], [], 12, 9)
+@example([], [2, 0], 3, 5)
+@example([(3, True), (3, False), (3, True), (3, True)], [], 12, 1)
+@example([(3, True), (3, False), (3, True), (3, True)], [5, 3], 1, 12)
+def test_columnar_profile_matches_event_loop(events, interned, local_bits, global_bits):
+    """The profile built from the columnar view equals the per-event
+    loop's (events, site order, totals, every table in dict order and
+    the KBP1 bytes), and the numpy ``site_executions`` equals the run
+    loop's, order included.  Sites interned up front in a drawn order,
+    some never executed, make site-id order differ from first-seen
+    order."""
+    from repro.profiling import profile_to_bytes
+
+    trace = Trace()
+    for site_index in interned:
+        trace.site_id(BranchSite("f", f"b{site_index}"))
+    for site_index, taken in events:
+        trace.record(BranchSite("f", f"b{site_index}"), taken)
+    columns = trace.columns()
+    reference = ProfileData.from_events(trace, local_bits, global_bits)
+    columnar = ProfileData.from_columns(columns, local_bits, global_bits)
+    assert profile_dump(columnar) == profile_dump(reference)
+    assert profile_to_bytes(columnar) == profile_to_bytes(reference)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_NO_NUMPY", "1")
+        runs = TraceColumns(trace.sites, trace.site_ids, trace.directions.packed())
+    assert runs.np is None
+    assert list(columns.site_executions().items()) == list(
+        runs.site_executions().items()
+    )
+
+
 @given(events_strategy)
 def test_profile_serialisation_roundtrip(events):
     from repro.profiling import profile_from_bytes, profile_to_bytes
