@@ -228,8 +228,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ctx = RunContext(
             scale=args.scale,
             names=tuple(names) if names is not None else None,
-            jobs=jobs,
-            output=args.format,
             options={"csv_dir": args.csv_dir} if target == "figures" else {},
         )
         with OBS.span(

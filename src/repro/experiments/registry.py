@@ -8,9 +8,8 @@ hand-maintained dicts.
 
 Experiments execute against a :class:`RunContext` — one frozen value
 object carrying every cross-cutting knob (scale, benchmark subset,
-worker processes, output format, per-target options) — so adding a
-knob never requires threading a new positional parameter through every
-runner signature.
+per-target options) — so adding a knob never requires threading a new
+positional parameter through every runner signature.
 
 The predictor-comparison tables (table1, the two-level zoo, statics,
 instper, crossdata, tracelen) also share one driver,
@@ -40,18 +39,13 @@ Metric = Callable[[EvaluationResult, str], Any]
 class RunContext:
     """Everything one experiment execution needs, in one value object.
 
-    Cross-cutting knobs (worker processes, the output format) travel
-    together, and per-target options ride in ``options`` instead of
-    forcing every runner signature to grow.
+    Per-target options ride in ``options`` instead of forcing every
+    runner signature to grow.
     """
 
     scale: int = 1
     #: benchmark subset, or None for the full suite
     names: Optional[Tuple[str, ...]] = None
-    #: worker processes for artifact generation
-    jobs: int = 1
-    #: output format the caller will render ("text", "json" or "csv")
-    output: str = "text"
     #: per-target options (e.g. ``max_states``, ``csv_dir``)
     options: Mapping[str, Any] = field(default_factory=dict)
 

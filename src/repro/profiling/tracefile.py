@@ -24,6 +24,7 @@ sites — skip the varint loop entirely.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import mmap
 import struct
@@ -180,35 +181,22 @@ def load_trace(source: Union[str, BinaryIO]) -> Trace:
     Paths are memory-mapped and parsed through ``memoryview`` slices so
     the compressed payload is never copied before decompression; an
     unmappable file (empty, or a pseudo-file) falls back to a plain
-    read.
+    read, and so does a binary stream.
     """
-    if isinstance(source, str):
-        with open(source, "rb") as stream:
-            try:
-                mapped = mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ)
-            except (ValueError, OSError):
-                return _parse_view(memoryview(stream.read()))
-            try:
-                with memoryview(mapped) as view:
-                    return _parse_view(view)
-            finally:
+    if not isinstance(source, str):
+        return trace_from_bytes(source.read())
+    with open(source, "rb") as stream:
+        try:
+            mapped = mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            return trace_from_bytes(stream.read())
+        try:
+            return trace_from_bytes(mapped)
+        finally:
+            # A parse error's traceback can still hold views into the
+            # map, which then unmaps when the last of them goes.
+            with contextlib.suppress(BufferError):
                 mapped.close()
-    stream = source
-    magic = stream.read(4)
-    if magic != MAGIC:
-        raise TraceFormatError(f"bad magic {magic!r}")
-    header = stream.read(_HEADER_SIZE)
-    if len(header) != _HEADER_SIZE:
-        raise TraceFormatError("truncated trace header")
-    site_count, event_count, site_len, id_len, dir_len = struct.unpack(
-        _HEADER, header
-    )
-    site_blob = stream.read(site_len)
-    id_blob = stream.read(id_len)
-    dir_blob = stream.read(dir_len)
-    if len(site_blob) != site_len or len(id_blob) != id_len or len(dir_blob) != dir_len:
-        raise TraceFormatError("truncated trace file")
-    return _build_trace(site_blob, id_blob, dir_blob, site_count, event_count)
 
 
 def trace_to_bytes(trace: Trace) -> bytes:
@@ -218,6 +206,8 @@ def trace_to_bytes(trace: Trace) -> bytes:
     return buffer.getvalue()
 
 
-def trace_from_bytes(data: bytes) -> Trace:
-    """Deserialise a trace from bytes."""
-    return load_trace(io.BytesIO(data))
+def trace_from_bytes(data) -> Trace:
+    """Deserialise a trace from a bytes-like buffer, without copying the
+    compressed payloads."""
+    with memoryview(data) as view:
+        return _parse_view(view)

@@ -238,7 +238,8 @@ def check_cache_accounting(world: LiveWorld) -> Any:
                 "successful_calls": expected, "cache_transactions": observed,
             }
     # Planners: consulted by every /machine call that survives body
-    # validation (200 or a post-planner 404) and by every /plan miss.
+    # validation (200 or a post-planner 404; dispatch rejects any bad
+    # field, `site` included, before the handler) and by every /plan miss.
     machine_valid = len(world.calls_for("machine", statuses=(200,)))
     for record in world.calls_for("machine"):
         if record.status is not None and record.status != 200:

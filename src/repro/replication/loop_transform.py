@@ -42,14 +42,6 @@ class LoopReplicationResult:
     size_before: int
     size_after: int
 
-    def surviving_sites(self, original: BranchSite) -> List[BranchSite]:
-        """Where copies of *original* (a branch block in the loop) live
-        after the transform."""
-        mapping = self.copies.get(original.block)
-        if mapping is None:
-            return [original]
-        return [BranchSite(original.function, label) for label in mapping.values()]
-
 
 def replicate_loop_branch(
     function: Function,

@@ -40,10 +40,6 @@ class TailDuplicationResult:
     size_before: int
     size_after: int
 
-    def surviving_sites(self) -> List[BranchSite]:
-        labels = set(self.copies.values())
-        return [BranchSite(self.site.function, label) for label in sorted(labels)]
-
 
 def _prediction_for(machine: CorrelatedMachine, pattern: Tuple[int, int]) -> bool:
     """Prediction for a path with known decision bits *pattern*: the

@@ -1,12 +1,12 @@
 """Endpoint implementations: validated JSON dict in, JSON dict out.
 
-Handlers are plain functions ``(state, body) -> payload`` so the
-contract can be tested without sockets.  :data:`ROUTES` declares every
-endpoint once, and :func:`dispatch` runs one for both the HTTP layer
-(:mod:`repro.service.server`, which owns parsing and envelopes) and the
-control socket's ``invoke`` (:mod:`repro.service.control`).  Anything
-invalid raises :class:`~repro.service.state.ApiError` with a
-structured body.
+Handlers are plain functions ``(state, params) -> payload``.
+:data:`ROUTES` declares every endpoint and POST body field once, and
+:func:`dispatch` validates a body and runs its handler for both the HTTP
+layer (:mod:`repro.service.server`, which owns parsing and envelopes)
+and the control socket's ``invoke`` (:mod:`repro.service.control`), so
+the contract can be tested without sockets.  Anything invalid raises
+:class:`~repro.service.state.ApiError` with a structured body.
 
 Each heavy endpoint funnels through the state's
 :class:`~repro.service.coalesce.ComputeCache`, so the response carries
@@ -84,10 +84,6 @@ ENVELOPE_VERSION = 1
 MAX_TOP_SITES = 20
 #: Cap on trade-off points echoed back by /plan.
 MAX_CURVE_POINTS = 100
-#: Bounds accepted from clients (a 429-guarded server must also bound
-#: per-request work, or one request DoSes the pool).
-MAX_SCALE = 16
-MAX_STATES_LIMIT = 10
 
 
 # -- response envelope -------------------------------------------------------
@@ -128,49 +124,84 @@ def error_envelope(
     return doc
 
 
-# -- validation helpers ------------------------------------------------------
+# -- request bodies ----------------------------------------------------------
 
 
 def _bad_request(message: str, **details: Any) -> ApiError:
     return ApiError(400, "bad_request", message, **details)
 
 
-def _get_int(
-    body: Dict[str, Any], key: str, default: int, low: int, high: int
-) -> int:
-    value = body.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _bad_request(f"{key!r} must be an integer", got=repr(value))
-    if not (low <= value <= high):
-        raise _bad_request(f"{key!r} must be in [{low}, {high}]", got=value)
-    return value
+#: ``Field.default`` of a field every body must carry.
+REQUIRED: Any = object()
 
 
-def _get_str(body: Dict[str, Any], key: str) -> str:
-    value = body.get(key)
-    if not isinstance(value, str) or not value:
-        raise _bad_request(f"{key!r} is required and must be a non-empty string")
-    return value
+class Field(NamedTuple):
+    """One POST body field, declared in its route's ``body``.
+
+    ``kind`` is ``int``, ``float`` (any JSON number, read as a float),
+    ``str`` (non-empty) or :class:`~repro.ir.BranchSite` (a
+    ``function:block`` string); a bool is never a number.  An absent
+    field reads as ``default``, and so does ``null`` if that is ``None``.
+    """
+
+    name: str
+    kind: type
+    default: Any = REQUIRED
+    #: numeric bounds, inclusive unless ``low_open``
+    low: Any = None
+    high: Any = None
+    low_open: bool = False
+    #: a ``str`` field's accepted values (benchmark names: else a 404)
+    choices: Tuple[str, ...] = ()
+
+    def read(self, body: Dict[str, Any]) -> Any:
+        """This field's value in *body*, or the ``ApiError`` rejecting it."""
+        value = body.get(self.name, self.default)
+        if value is None and self.default is None:
+            return None
+        if self.kind is str:
+            if not isinstance(value, str) or not value:
+                raise _bad_request(
+                    f"{self.name!r} is required and must be a non-empty string"
+                )
+            if self.choices and value not in self.choices:
+                raise ApiError(404, "unknown_benchmark", f"unknown benchmark {value!r}",
+                               available=list(self.choices))
+            return value
+        if self.kind is BranchSite:
+            if not isinstance(value, str) or ":" not in value:
+                raise _bad_request(f"{self.name!r} must be a 'function:block' string")
+            function, _, block = value.partition(":")
+            return BranchSite(function, block)
+        if isinstance(value, bool) or not isinstance(
+            value, int if self.kind is int else (int, float)
+        ):
+            noun = "an integer" if self.kind is int else "a number"
+            raise _bad_request(f"{self.name!r} must be {noun}", got=repr(value))
+        # Compared before the conversion: float(10**400) would overflow.
+        above_low = self.low < value if self.low_open else self.low <= value
+        if not (above_low and value <= self.high):
+            bounds = f"{'(' if self.low_open else '['}{self.low}, {self.high}]"
+            raise _bad_request(f"{self.name!r} must be in {bounds}", got=value)
+        return self.kind(value)
 
 
-def _resolve_benchmark(body: Dict[str, Any]) -> Tuple[str, int, int]:
-    name = _get_str(body, "name")
-    if name not in BENCHMARK_NAMES:
-        raise ApiError(
-            404,
-            "unknown_benchmark",
-            f"unknown benchmark {name!r}",
-            available=list(BENCHMARK_NAMES),
-        )
-    scale = _get_int(body, "scale", 1, 1, MAX_SCALE)
-    seed_offset = _get_int(body, "seed_offset", 0, -(2**31), 2**31)
-    return name, scale, seed_offset
+def _artifact(args: Dict[str, Any]) -> Tuple[str, int, int]:
+    """The validated artifact triple ``(name, scale, seed_offset)``."""
+    return args["name"], args["scale"], args["seed_offset"]
+
+
+def _artifact_doc(artifact: Tuple[str, int, int]) -> dict:
+    """The triple as every heavy payload echoes it."""
+    return dict(zip(("benchmark", "scale", "seed_offset"), artifact))
 
 
 # -- fleet routing -----------------------------------------------------------
 
 
-def _shard_route(state: ServiceState, route: Route, body: dict) -> Optional[dict]:
+def _shard_route(
+    state: ServiceState, route: Route, body: dict, args: dict
+) -> Optional[dict]:
     """Proxy to the artifact's owning shard; ``None`` → compute here.
 
     The shared listening socket hands a connection to *any* worker, but
@@ -181,12 +212,14 @@ def _shard_route(state: ServiceState, route: Route, body: dict) -> Optional[dict
     to the client).  If the owner is unreachable — killed mid-chaos,
     restarting — the accepting worker computes locally instead of
     failing, so a dead shard degrades cache locality, never requests.
-    The artifact triple is resolved here, so an invalid body is rejected
-    on the accepting worker and never proxied.
+    :func:`dispatch` has already validated *body* into *args*, so an
+    invalid body is rejected on the accepting worker and never proxied;
+    the owner is keyed on the validated triple, and validates the
+    forwarded *body* again because it must not trust the wire.
     """
     if not state.is_fleet_worker:
         return None
-    owner = owner_shard(shard_key(*_resolve_benchmark(body)), state.fleet_size)
+    owner = owner_shard(shard_key(*_artifact(args)), state.fleet_size)
     if owner == state.config.shard_index:
         OBS.add("service.shard.local")
         return None
@@ -499,9 +532,7 @@ def _artifact_summary(name: str, scale: int, seed_offset: int) -> dict:
         profile.totals.items(), key=lambda item: -(item[1][0] + item[1][1])
     )
     return {
-        "benchmark": name,
-        "scale": scale,
-        "seed_offset": seed_offset,
+        **_artifact_doc((name, scale, seed_offset)),
         "events": profile.events,
         "steps": steps,
         "sites": len(profile.totals),
@@ -517,27 +548,23 @@ def _artifact_summary(name: str, scale: int, seed_offset: int) -> dict:
     }
 
 
-def handle_artifacts(state: ServiceState, body: dict) -> dict:
-    name, scale, seed_offset = _resolve_benchmark(body)
-    key = (name, scale, seed_offset)
+def handle_artifacts(state: ServiceState, args: dict) -> dict:
+    artifact = _artifact(args)
     summary, source = state.artifacts.get(
-        key,
-        lambda: state.run_heavy(lambda: _artifact_summary(name, scale, seed_offset)),
+        artifact, lambda: state.run_heavy(lambda: _artifact_summary(*artifact))
     )
     return dict(summary, source=source)
 
 
-def _build_zoo(name: str, scale: int, seed_offset: int) -> Dict[str, Predictor]:
+def _build_zoo(artifact: Tuple[str, int, int]) -> Dict[str, Predictor]:
     """Fresh instances of the whole predictor zoo, keyed by name.
 
     Fresh per call because dynamic predictors carry run-time state; the
     evaluation result is what gets cached, never the predictor.
     """
-    program = get_program(name)
-    profile = get_profile(name, scale, seed_offset)
     zoo: List[Predictor] = [
-        *static_predictors(program),
-        *semistatic_suite(profile),
+        *static_predictors(get_program(artifact[0])),
+        *semistatic_suite(get_profile(*artifact)),
         LastDirection(),
         SaturatingCounter(2),
         *all_yeh_patt_variants().values(),
@@ -546,10 +573,8 @@ def _build_zoo(name: str, scale: int, seed_offset: int) -> Dict[str, Predictor]:
     return {predictor.name: predictor for predictor in zoo}
 
 
-def _evaluate_predictor(
-    name: str, scale: int, seed_offset: int, predictor_name: str
-) -> dict:
-    zoo = _build_zoo(name, scale, seed_offset)
+def _evaluate_predictor(artifact: Tuple[str, int, int], predictor_name: str) -> dict:
+    zoo = _build_zoo(artifact)
     predictor = zoo.get(predictor_name)
     if predictor is None:
         raise ApiError(
@@ -563,8 +588,8 @@ def _evaluate_predictor(
     # call through evaluate_many measured +29 MB of service-warm peak
     # RSS (81.6 -> 110.6 MB over the fleet), although service-warm asks
     # /predict only for "profile", which scores in closed form.
-    result = evaluate(predictor, get_trace(name, scale, seed_offset))
-    return _prediction_doc(name, scale, seed_offset, predictor_name, predictor, result)
+    result = evaluate(predictor, get_trace(*artifact))
+    return _prediction_doc(artifact, predictor_name, predictor, result)
 
 
 def _accuracy(result) -> dict:
@@ -577,7 +602,7 @@ def _accuracy(result) -> dict:
 
 
 def _prediction_doc(
-    name: str, scale: int, seed_offset: int, predictor_name: str, predictor, result
+    artifact: Tuple[str, int, int], predictor_name: str, predictor, result
 ) -> dict:
     """The ``/predict`` payload for one evaluation of *predictor*."""
     sites = []
@@ -596,9 +621,7 @@ def _prediction_doc(
             entry["predicted_taken"] = predictor.predict(site)
         sites.append(entry)
     return {
-        "benchmark": name,
-        "scale": scale,
-        "seed_offset": seed_offset,
+        **_artifact_doc(artifact),
         "predictor": predictor_name,
         "order_independent": predictor.order_independent,
         **_accuracy(result),
@@ -606,24 +629,15 @@ def _prediction_doc(
     }
 
 
-def handle_predict(state: ServiceState, body: dict) -> dict:
-    name, scale, seed_offset = _resolve_benchmark(body)
-    predictor_name = _get_str(body, "predictor")
-    key = (name, scale, seed_offset, predictor_name)
-    if _learned_config(predictor_name) is not None:
-        payload, source = state.predictions.get(
-            key,
-            lambda: state.run_heavy(
-                lambda: _learned_prediction(
-                    state, name, scale, seed_offset, predictor_name
-                )
-            ),
-        )
-        return dict(payload, source=source)
+def handle_predict(state: ServiceState, args: dict) -> dict:
+    artifact, predictor_name = _artifact(args), args["predictor"]
+    learned = _learned_config(predictor_name) is not None
     payload, source = state.predictions.get(
-        key,
+        (*artifact, predictor_name),
         lambda: state.run_heavy(
-            lambda: _evaluate_predictor(name, scale, seed_offset, predictor_name)
+            lambda: _learned_prediction(state, artifact, predictor_name)
+            if learned
+            else _evaluate_predictor(artifact, predictor_name)
         ),
     )
     return dict(payload, source=source)
@@ -642,24 +656,12 @@ def _learned_config(predictor_name: str):
         raise _bad_request(str(error), predictor=predictor_name)
 
 
-def _get_split(body: Dict[str, Any]) -> float:
-    value = body.get("split", DEFAULT_SPLIT)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _bad_request("'split' must be a number in (0, 1]", got=repr(value))
-    value = float(value)
-    if not 0.0 < value <= 1.0:
-        raise _bad_request("'split' must be in (0, 1]", got=value)
-    return value
-
-
-def _train_model(
-    name: str, scale: int, seed_offset: int, config, split: float
-) -> dict:
+def _train_model(artifact: Tuple[str, int, int], config, split: float) -> dict:
     """Train one model and summarise it (runs on the worker pool; the
     result is what the models cache stores)."""
     from time import perf_counter
 
-    trace = get_trace(name, scale, seed_offset)
+    trace = get_trace(*artifact)
     started = perf_counter()
     model = fit(trace.columns(), config, split)
     OBS.observe("learn.train_seconds", perf_counter() - started)
@@ -667,9 +669,7 @@ def _train_model(
     train_events = training_cut(len(trace), split)
     OBS.add("learn.train.events", train_events)
     payload = {
-        "benchmark": name,
-        "scale": scale,
-        "seed_offset": seed_offset,
+        **_artifact_doc(artifact),
         "predictor": config.name,
         "split": split,
         "train_events": train_events,
@@ -685,7 +685,7 @@ def _train_model(
 
 
 def _learned_prediction(
-    state: ServiceState, name: str, scale: int, seed_offset: int, predictor_name: str
+    state: ServiceState, artifact: Tuple[str, int, int], predictor_name: str
 ) -> dict:
     """Evaluate a learned predictor on the holdout suffix, training (or
     fetching) the model through the models cache.
@@ -695,10 +695,9 @@ def _learned_prediction(
     would turn one admitted request into a spurious 429.
     """
     config = _learned_config(predictor_name)
-    key = (name, scale, seed_offset, predictor_name, DEFAULT_SPLIT)
     trained, _ = state.models.get(
-        key,
-        lambda: _train_model(name, scale, seed_offset, config, DEFAULT_SPLIT),
+        (*artifact, predictor_name, DEFAULT_SPLIT),
+        lambda: _train_model(artifact, config, DEFAULT_SPLIT),
     )
     # Deploy from the wire format, not a live object: the cache holds
     # the JSON-able /train payload (it may have crossed a shard proxy),
@@ -706,9 +705,9 @@ def _learned_prediction(
     # client downloading the model would compute.
     model = model_from_json(json.dumps(trained["model"]))
     predictor = LearnedPredictor(model)
-    trace = get_trace(name, scale, seed_offset)
-    (result,) = evaluate_many([predictor], holdout_trace(trace, DEFAULT_SPLIT))
-    payload = _prediction_doc(name, scale, seed_offset, predictor_name, predictor, result)
+    holdout = holdout_trace(get_trace(*artifact), DEFAULT_SPLIT)
+    (result,) = evaluate_many([predictor], holdout)
+    payload = _prediction_doc(artifact, predictor_name, predictor, result)
     payload["learned"] = {
         key: trained[key]
         for key in ("split", "train_events", "sites_learned", "model_format_version")
@@ -716,9 +715,8 @@ def _learned_prediction(
     return payload
 
 
-def handle_train(state: ServiceState, body: dict) -> dict:
-    name, scale, seed_offset = _resolve_benchmark(body)
-    predictor_name = _get_str(body, "predictor")
+def handle_train(state: ServiceState, args: dict) -> dict:
+    artifact, predictor_name, split = _artifact(args), args["predictor"], args["split"]
     config = _learned_config(predictor_name)
     if config is None:
         raise ApiError(
@@ -728,50 +726,37 @@ def handle_train(state: ServiceState, body: dict) -> dict:
             "(expected learned-<kind>-<scope>-<k>bit)",
             available=[config.name for config in default_learned_configs()],
         )
-    split = _get_split(body)
-    key = (name, scale, seed_offset, predictor_name, split)
     payload, source = state.models.get(
-        key,
-        lambda: state.run_heavy(
-            lambda: _train_model(name, scale, seed_offset, config, split)
-        ),
+        (*artifact, predictor_name, split),
+        lambda: state.run_heavy(lambda: _train_model(artifact, config, split)),
     )
     OBS.add("learn.train.requests")
     return dict(payload, source=source)
 
 
 def _get_planner(
-    state: ServiceState, name: str, scale: int, seed_offset: int, max_states: int
+    state: ServiceState, artifact: Tuple[str, int, int], max_states: int
 ) -> Tuple[ReplicationPlanner, str]:
-    key = (name, scale, seed_offset, max_states)
     return state.planners.get(
-        key,
+        (*artifact, max_states),
         lambda: state.run_heavy(
             lambda: ReplicationPlanner(
-                get_program(name),
-                get_profile(name, scale, seed_offset),
-                max_states,
+                get_program(artifact[0]), get_profile(*artifact), max_states
             )
         ),
     )
 
 
-def handle_machine(state: ServiceState, body: dict) -> dict:
-    name, scale, seed_offset = _resolve_benchmark(body)
-    max_states = _get_int(body, "max_states", 6, 2, MAX_STATES_LIMIT)
-    planner, source = _get_planner(state, name, scale, seed_offset, max_states)
-    site_spec = body.get("site")
-    if site_spec is not None:
-        if not isinstance(site_spec, str) or ":" not in site_spec:
-            raise _bad_request("'site' must be a 'function:block' string")
-        function, _, block = site_spec.partition(":")
-        site = BranchSite(function, block)
+def handle_machine(state: ServiceState, args: dict) -> dict:
+    artifact, max_states, site = _artifact(args), args["max_states"], args["site"]
+    planner, source = _get_planner(state, artifact, max_states)
+    if site is not None:
         plan = planner.plans.get(site)
         if plan is None:
             raise ApiError(
                 404,
                 "unknown_site",
-                f"no executed branch {site_spec!r} in {name!r}",
+                f"no executed branch {str(site)!r} in {artifact[0]!r}",
                 available=sorted(str(s) for s in planner.plans),
             )
     else:
@@ -780,7 +765,7 @@ def handle_machine(state: ServiceState, body: dict) -> dict:
             raise ApiError(
                 404,
                 "no_improvable_branch",
-                f"no branch of {name!r} improves on profile prediction",
+                f"no branch of {artifact[0]!r} improves on profile prediction",
             )
         plan = max(improvable, key=lambda p: p.executions)
     option = plan.best_option(max_states)
@@ -792,9 +777,7 @@ def handle_machine(state: ServiceState, body: dict) -> dict:
             f"prediction for {plan.site}",
         )
     return {
-        "benchmark": name,
-        "scale": scale,
-        "seed_offset": seed_offset,
+        **_artifact_doc(artifact),
         "site": str(plan.site),
         "branch_class": plan.info.kind.value,
         "executions": plan.executions,
@@ -837,36 +820,22 @@ def _curve_payload(
     }
 
 
-def handle_plan(state: ServiceState, body: dict) -> dict:
-    name, scale, seed_offset = _resolve_benchmark(body)
-    max_states = _get_int(body, "max_states", 6, 2, MAX_STATES_LIMIT)
-    max_size_factor = body.get("max_size_factor")
-    if max_size_factor is not None:
-        if isinstance(max_size_factor, bool) or not isinstance(
-            max_size_factor, (int, float)
-        ):
-            raise _bad_request("'max_size_factor' must be a number")
-        max_size_factor = float(max_size_factor)
-        if not (1.0 <= max_size_factor <= 100.0):
-            raise _bad_request(
-                "'max_size_factor' must be in [1.0, 100.0]", got=max_size_factor
-            )
-    key = (name, scale, seed_offset, max_states, max_size_factor)
+def handle_plan(state: ServiceState, args: dict) -> dict:
+    artifact = _artifact(args)
+    max_states, max_size_factor = args["max_states"], args["max_size_factor"]
 
     def compute() -> dict:
-        planner, _ = _get_planner(state, name, scale, seed_offset, max_states)
+        planner, _ = _get_planner(state, artifact, max_states)
         points = state.run_heavy(lambda: tradeoff_curve(planner, max_size_factor))
         payload = _curve_payload(planner, points)
         payload.update(
-            benchmark=name,
-            scale=scale,
-            seed_offset=seed_offset,
+            _artifact_doc(artifact),
             max_states=max_states,
             max_size_factor=max_size_factor,
         )
         return payload
 
-    payload, source = state.plans.get(key, compute)
+    payload, source = state.plans.get((*artifact, max_states, max_size_factor), compute)
     return dict(payload, source=source)
 
 
@@ -892,12 +861,16 @@ class Route(NamedTuple):
     #: captures the rest of the path into the handler's params
     path: str
     handler: Handler
-    #: pipeline work behind the compute caches, owned by the shard of
-    #: the body's artifact triple
-    heavy: bool = False
     kind: str = JSON
     #: still served while the worker drains (the last scrape sees it)
     while_draining: bool = False
+    #: a POST body's fields; :func:`dispatch` reads them for the handler
+    body: Tuple[Field, ...] = ()
+
+    @property
+    def heavy(self) -> bool:
+        """Compute-cache work, owned by the shard of the body's triple."""
+        return self.body[: len(ARTIFACT_FIELDS)] == ARTIFACT_FIELDS
 
     @property
     def prefix(self) -> str:
@@ -915,6 +888,17 @@ class Route(NamedTuple):
         return self.prefix.strip("/").replace("/", ".")
 
 
+#: The artifact triple every heavy route's body starts with: its compute
+#: caches' key and its owner shard's.  The bounds also bound per-request
+#: work, or one request could DoS a 429-guarded pool.
+ARTIFACT_FIELDS: Tuple[Field, ...] = (
+    Field("name", str, choices=tuple(BENCHMARK_NAMES)),
+    Field("scale", int, 1, 1, 16),
+    Field("seed_offset", int, 0, -(2**31), 2**31),
+)
+_PREDICTOR = Field("predictor", str)
+_MAX_STATES = Field("max_states", int, 6, 2, 10)
+
 ROUTES: Tuple[Route, ...] = (
     Route("GET", "/healthz", handle_healthz),
     Route("GET", "/benchmarks", handle_benchmarks),
@@ -930,11 +914,22 @@ ROUTES: Tuple[Route, ...] = (
         "GET", "/debug/profile", handle_debug_profile,
         kind="text/plain; charset=utf-8",
     ),
-    Route("POST", "/artifacts", handle_artifacts, heavy=True),
-    Route("POST", "/predict", handle_predict, heavy=True),
-    Route("POST", "/machine", handle_machine, heavy=True),
-    Route("POST", "/plan", handle_plan, heavy=True),
-    Route("POST", "/train", handle_train, heavy=True),
+    Route("POST", "/artifacts", handle_artifacts, body=ARTIFACT_FIELDS),
+    Route("POST", "/predict", handle_predict, body=ARTIFACT_FIELDS + (_PREDICTOR,)),
+    Route(
+        "POST", "/machine", handle_machine,
+        body=ARTIFACT_FIELDS + (_MAX_STATES, Field("site", BranchSite, None)),
+    ),
+    Route(
+        "POST", "/plan", handle_plan,
+        body=ARTIFACT_FIELDS
+        + (_MAX_STATES, Field("max_size_factor", float, None, 1.0, 100.0)),
+    ),
+    Route(
+        "POST", "/train", handle_train,
+        body=ARTIFACT_FIELDS
+        + (_PREDICTOR, Field("split", float, DEFAULT_SPLIT, 0, 1, low_open=True)),
+    ),
 )
 
 #: exact path -> {method: route}; templates as (prefix, param, {method: route})
@@ -980,10 +975,12 @@ def dispatch(
     """Run the endpoint for ``method path``: ``(route, payload)``.
 
     *params* is the request body for POST and the query parameters for
-    GET; a template route adds its captured path segment.  With *proxy*
-    (the worker that accepted the request), a heavy route hops to the
-    shard owning its artifact triple; an owner running a peer's
-    ``invoke`` passes ``proxy=False`` and computes here.
+    GET; a template route adds its captured path segment.  A POST body
+    is read field by field from ``route.body``, so an invalid one is
+    rejected before any routing or compute.  With *proxy* (the worker
+    that accepted the request), a heavy route hops to the shard owning
+    its artifact triple; an owner running a peer's ``invoke`` passes
+    ``proxy=False`` and computes here.
     """
     methods, captured = match_route(path)
     route = methods.get(method)
@@ -997,10 +994,13 @@ def dispatch(
         )
     if method == "POST" and not isinstance(params, dict):
         raise _bad_request("body must be a JSON object")
+    body = params
+    if route.body:
+        params = {field.name: field.read(body) for field in route.body}
     if captured:
         params = dict(params or {}, **captured)
     if proxy and route.heavy:
-        proxied = _shard_route(state, route, params)
+        proxied = _shard_route(state, route, body, params)
         if proxied is not None:
             return route, proxied
     return route, route.handler(state, params)

@@ -149,3 +149,32 @@ class TestVarintBoundaries:
         )
         with pytest.raises(TraceFormatError):
             trace_from_bytes(corrupted)
+
+
+def test_corrupt_file_on_disk_is_a_format_error(tmp_path, alternating_loop):
+    # A memory-mapped load must reject a corrupt file as cleanly as a
+    # bytes load: closing the map must not mask the parse error.
+    trace, _ = trace_program(alternating_loop, [20])
+    blob = trace_to_bytes(trace)
+    path = tmp_path / "corrupt.trace"
+    for position in range(4, len(blob)):
+        mutated = bytearray(blob)
+        mutated[position] ^= 0xFF
+        path.write_bytes(bytes(mutated))
+        try:
+            loaded = load_trace(str(path))
+        except TraceFormatError:
+            continue
+        assert len(loaded.directions) == len(loaded.site_ids)
+    path.write_bytes(blob[:-1])
+    with pytest.raises(TraceFormatError):
+        load_trace(str(path))
+
+
+def test_stream_and_bytes_loads_agree(alternating_loop):
+    trace, _ = trace_program(alternating_loop, [50])
+    blob = trace_to_bytes(trace)
+    for loaded in (load_trace(io.BytesIO(blob)), trace_from_bytes(memoryview(blob))):
+        assert list(loaded.events()) == list(trace.events())
+    with pytest.raises(TraceFormatError, match="truncated trace header"):
+        load_trace(io.BytesIO(blob[:10]))

@@ -91,10 +91,10 @@ class TestFigure1:
             "body",
             scored.machine,
         )
-        sites = result.surviving_sites(BranchSite("main", "body"))
-        assert len(sites) == 2
-        for site in sites:
-            assert site.block in work.main_function().blocks
+        labels = list(result.copies["body"].values())
+        assert len(labels) == 2
+        for label in labels:
+            assert label in work.main_function().blocks
 
 
 class TestLoopExitReplication:

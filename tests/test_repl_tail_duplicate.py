@@ -74,8 +74,8 @@ class TestDuplication:
             work.main_function(), "second", scored.machine
         )
         predictions = set()
-        for site in result.surviving_sites():
-            branch = work.main_function().block(site.block).branch
+        for label in set(result.copies.values()):
+            branch = work.main_function().block(label).branch
             predictions.add(branch.predict)
         assert predictions == {True, False}
 

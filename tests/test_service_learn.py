@@ -1,5 +1,6 @@
 """Train-as-a-service contract: POST /train, learned /predict, the
-models cache, and the learn.* counters — handler-level, no sockets."""
+models cache, and the learn.* counters — through ``handlers.dispatch``
+(which validates each body before its handler runs), no sockets."""
 
 import json
 
@@ -24,10 +25,18 @@ def _counter(name):
     return OBS.snapshot().counters.get(name, 0)
 
 
+def _train(state, body):
+    return handlers.dispatch(state, "POST", "/train", body, proxy=False)[1]
+
+
+def _predict(state, body):
+    return handlers.dispatch(state, "POST", "/predict", body, proxy=False)[1]
+
+
 def test_train_payload_contract(state):
     before = _counter("learn.train.requests")
     fits_before = _counter("learn.train.fits")
-    payload = handlers.handle_train(
+    payload = _train(
         state, {"name": "compress", "predictor": LEARNED}
     )
     assert payload["source"] == "computed"
@@ -48,15 +57,15 @@ def test_train_payload_contract(state):
 
 def test_train_warm_replay_served_from_lru(state):
     body = {"name": "compress", "predictor": LEARNED}
-    first = handlers.handle_train(state, dict(body))
-    second = handlers.handle_train(state, dict(body))
+    first = _train(state, dict(body))
+    second = _train(state, dict(body))
     assert first["source"] == "computed"
     assert second["source"] == "lru"
     assert second["model"] == first["model"]
 
 
 def test_train_full_split_omits_holdout(state):
-    payload = handlers.handle_train(
+    payload = _train(
         state, {"name": "compress", "predictor": LEARNED, "split": 1.0}
     )
     assert "holdout" not in payload
@@ -65,7 +74,7 @@ def test_train_full_split_omits_holdout(state):
 
 def test_train_rejects_non_learned_predictor(state):
     with pytest.raises(ApiError) as excinfo:
-        handlers.handle_train(state, {"name": "compress", "predictor": "profile"})
+        _train(state, {"name": "compress", "predictor": "profile"})
     assert excinfo.value.status == 404
     assert excinfo.value.code == "unknown_predictor"
     assert LEARNED in excinfo.value.details["available"]
@@ -74,12 +83,12 @@ def test_train_rejects_non_learned_predictor(state):
 def test_train_rejects_bad_split_and_bad_width(state):
     for split in (0.0, -0.1, 2, True, "half"):
         with pytest.raises(ApiError) as excinfo:
-            handlers.handle_train(
+            _train(
                 state, {"name": "compress", "predictor": LEARNED, "split": split}
             )
         assert excinfo.value.status == 400
     with pytest.raises(ApiError) as excinfo:
-        handlers.handle_train(
+        _train(
             state,
             {"name": "compress", "predictor": "learned-perceptron-global-99bit"},
         )
@@ -88,13 +97,13 @@ def test_train_rejects_bad_split_and_bad_width(state):
 
 def test_train_unknown_benchmark_is_404(state):
     with pytest.raises(ApiError) as excinfo:
-        handlers.handle_train(state, {"name": "nope", "predictor": LEARNED})
+        _train(state, {"name": "nope", "predictor": LEARNED})
     assert excinfo.value.status == 404
     assert excinfo.value.code == "unknown_benchmark"
 
 
 def test_predict_accepts_learned_names(state):
-    payload = handlers.handle_predict(
+    payload = _predict(
         state, {"name": "compress", "predictor": LEARNED}
     )
     assert payload["source"] == "computed"
@@ -106,15 +115,15 @@ def test_predict_accepts_learned_names(state):
     total = sum(entry["mispredictions"] for entry in payload["sites"])
     assert total == payload["mispredictions"]
     # Warm replay comes from the predictions cache.
-    again = handlers.handle_predict(state, {"name": "compress", "predictor": LEARNED})
+    again = _predict(state, {"name": "compress", "predictor": LEARNED})
     assert again["source"] == "lru"
 
 
 def test_predict_learned_agrees_with_train_holdout(state):
-    trained = handlers.handle_train(
+    trained = _train(
         state, {"name": "compress", "predictor": LEARNED}
     )
-    predicted = handlers.handle_predict(
+    predicted = _predict(
         state, {"name": "compress", "predictor": LEARNED}
     )
     assert predicted["events"] == trained["holdout"]["events"]
@@ -123,27 +132,27 @@ def test_predict_learned_agrees_with_train_holdout(state):
 
 def test_predict_learned_reuses_cached_model(state):
     fits_before = _counter("learn.train.fits")
-    handlers.handle_train(state, {"name": "compress", "predictor": LEARNED})
-    handlers.handle_predict(state, {"name": "compress", "predictor": LEARNED})
+    _train(state, {"name": "compress", "predictor": LEARNED})
+    _predict(state, {"name": "compress", "predictor": LEARNED})
     # train + predict at the default split share one models-cache entry.
     assert _counter("learn.train.fits") == fits_before + 1
     assert len(state.models) == 1
 
 
 def test_classic_predictors_unaffected(state):
-    payload = handlers.handle_predict(
+    payload = _predict(
         state, {"name": "compress", "predictor": "profile"}
     )
     assert payload["predictor"] == "profile"
     with pytest.raises(ApiError) as excinfo:
-        handlers.handle_predict(
+        _predict(
             state, {"name": "compress", "predictor": "no-such-predictor"}
         )
     assert excinfo.value.status == 404
 
 
 def test_stats_reports_models_cache(state):
-    handlers.handle_train(state, {"name": "compress", "predictor": LEARNED})
+    _train(state, {"name": "compress", "predictor": LEARNED})
     stats = handlers.handle_stats(state, None)
     sizes = stats["service"]["cache_sizes"]
     assert sizes["models"] == 1
