@@ -107,25 +107,43 @@ def simulate_icache(
     input_values: Sequence[int] = (),
     max_steps: int = 100_000_000,
 ) -> CacheResult:
-    """Run *program* and simulate its instruction fetch stream."""
-    addresses = assign_addresses(program)
-    cache = InstructionCache(config)
-    touch = cache.touch_range
+    """Run *program* and simulate its instruction fetch stream.
+
+    Each block's fetches — ``(cache index, line address)`` of every line
+    its words overlap — are worked out once from the layout, and the
+    per-entry callback checks the tags inline; :class:`InstructionCache`
+    is the reference it must agree with.
+    """
+    line_words, lines = config.line_words, config.lines
+    fetches: Dict[str, Dict[str, tuple]] = {}
+    for (function, label), (start, end) in assign_addresses(program).items():
+        first = start // line_words
+        stop = (end - 1) // line_words + 1 if end > start else first
+        fetches.setdefault(function, {})[label] = tuple(
+            (line % lines, line) for line in range(first, stop)
+        )
+    tags = [-1] * lines
+    accesses = misses = 0
 
     def on_block(function_name: str, label: str) -> None:
-        start, end = addresses[(function_name, label)]
-        touch(start, end)
+        nonlocal accesses, misses
+        block = fetches[function_name][label]
+        accesses += len(block)
+        for index, line in block:
+            if tags[index] != line:
+                tags[index] = line
+                misses += 1
 
-    # The per-touch path stays uninstrumented; totals are reported once
-    # after the run from the cache's own counters.
+    # The per-fetch path stays uninstrumented; totals are reported once
+    # after the run.
     with OBS.span(
         "icache.simulate", lines=config.lines, line_words=config.line_words
     ) as span:
         machine = Machine(program, input_values, max_steps, on_block=on_block)
         machine.run(*args)
-        span.set(accesses=cache.accesses, misses=cache.misses)
+        span.set(accesses=accesses, misses=misses)
     OBS.add("icache.simulations")
-    OBS.add("icache.accesses", cache.accesses)
-    OBS.add("icache.misses", cache.misses)
+    OBS.add("icache.accesses", accesses)
+    OBS.add("icache.misses", misses)
     program_words = program.size()
-    return CacheResult(config, cache.accesses, cache.misses, program_words)
+    return CacheResult(config, accesses, misses, program_words)

@@ -1,39 +1,70 @@
 """Trace-producing interpreter for the IR.
 
-:class:`Machine` executes a :class:`~repro.ir.Program` with an explicit
-call stack (no host recursion), a flat word memory, deterministic input
-and output streams, and a fuel limit.  Every executed conditional
-branch is reported to an optional ``on_branch(site, taken)`` callback —
-this is the instrumentation channel the paper's assembly-level tracing
-tool provides, and everything downstream (profiles, predictors,
-replication measurements) consumes only this event stream.
+:class:`Machine` executes a :class:`~repro.ir.Program` with a flat word
+memory, deterministic input and output streams, and a fuel limit.  Every
+executed conditional branch is reported to an optional
+``on_branch(site, taken)`` callback — this is the instrumentation
+channel the paper's assembly-level tracing tool provides, and
+everything downstream (profiles, predictors, replication measurements)
+consumes only this event stream.
 
-The interpreter is pre-decoded.  On first entry to a block in a run,
-the block's instructions are split at ``call``s into straight-line
-segments, and each segment is lowered to one Python function together
-with the exit that closes it: the call's arguments, or the block's
-branch comparison or return value.  The function is generated from
-source in which register names and immediates appear only through
-``repr()`` and opcodes only through the fixed tables below; registers
-live in Python locals inside a segment and are written back to the
-frame's register dict at its end.
+Every function activation is a generator, run by the one driver loop in
+:meth:`Machine.call`.  The driver keeps an explicit generator stack, so
+deep recursion never recurses in the host.  A call yields
+``(callee, argv)``; a return leaves its value in the machine and
+finishes its generator, which the driver then pops.  An activation runs
+in one of two tiers:
 
-Compiled segments are cached process-wide, keyed by content —
-``(instructions, exit)`` — so the replicated copies of one loop body,
-which differ only in their terminator targets, share one function.
-:data:`MAX_COMPILED_SEGMENTS` bounds the cache; the oldest entries are
-evicted first, so a long-lived service process cannot grow without
-limit.
+* **Cold.**  On first entry to a block in a run, the block's
+  instructions are split at ``call``s into straight-line segments, and
+  each segment is lowered to one Python function together with the exit
+  that closes it: the call's arguments, or the block's branch comparison
+  or return value.  Registers live in Python locals inside a segment and
+  are written back to the activation's register dict at its end.
+  Segments are cached process-wide, keyed by content —
+  ``(instructions, exit)`` — so the replicated copies of one loop body,
+  which differ only in their terminator targets, share one function;
+  :data:`MAX_COMPILED_SEGMENTS` bounds that cache.
+* **Hot.**  One generated generator for the whole function, in which
+  registers are Python locals for the whole activation.  A successor
+  whose only predecessor is the edge being emitted is inlined (nesting
+  is capped by :data:`MAX_INLINE_DEPTH`); every other block is a merge
+  point, reached through a binary if-tree on its block index.  The
+  ``on_branch``/``path_history``, ``on_block`` and ``count_edges``
+  instrumentation is compiled in for the flag set of the run.
 
-Fuel is charged per segment: its instructions plus the call or
-terminator that ends it.  Only the one segment that would cross
-``max_steps`` runs instruction by instruction, so :class:`FuelExhausted`
-fires at exactly the step, and after exactly the side effects, of a
-machine that charged every instruction on its own.
+Both tiers share the lowering of instructions, in which register names
+and immediates reach the generated source only through ``repr()`` and
+opcodes only through the fixed tables below.
+
+An activation tiers up once its function has run :data:`HOT_RATIO`
+times its static size in instructions in the current run: at its next
+block transfer into a merge point, with the registers live there loaded
+from the register dict (a register absent there stays unbound, so
+reading it raises the same undefined-register trap).  A new activation
+of such a function starts hot.  Hot functions are cached process-wide,
+keyed by content plus flag set plus the arity of every function in the
+program, so later runs start hot at activation entry;
+:data:`MAX_HOT_INSTRUCTIONS` bounds that cache.  A run looks a function
+up only when a cached entry has its name, block count and flag set, so
+a function that stays cold is never hashed whole.
+
+Fuel is charged per segment in both tiers: its instructions plus the
+call or terminator that ends it.  The cold tier checks every segment,
+and only the one segment that would cross ``max_steps`` runs
+instruction by instruction, so :class:`FuelExhausted` fires at exactly
+the step, and after exactly the side effects, of a machine that charged
+every instruction on its own.  The hot tier checks once per merge point
+and after each call, against everything the code up to the next check
+could charge; when that might not fit, the activation continues in the
+cold tier from that point, with its register dict rebuilt from the
+bound locals.  Tier-up waits while less fuel is left than the
+function's size, so the two never alternate.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -82,7 +113,7 @@ class RunResult:
         yield self.output
 
 
-# -- segment compiler ----------------------------------------------------------
+# -- lowering shared by both tiers ---------------------------------------------
 
 #: Upper bound on the process-wide cache of compiled segments.
 MAX_COMPILED_SEGMENTS = 4096
@@ -125,6 +156,18 @@ def _mod(a: int, b: int) -> int:
     return a - b * _div(a, b)
 
 
+def _inline_division(op: str, a: str, divisor: int) -> str:
+    """``_div``/``_mod`` of *a* by a nonzero immediate, as inline
+    truncating arithmetic.  The remainder takes the dividend's sign, so
+    it depends only on the divisor's magnitude."""
+    d = abs(divisor)
+    if op == "mod":
+        return f"({a} % {d} if {a} >= 0 else -(-{a} % {d}))"
+    if divisor > 0:
+        return f"({a} // {d} if {a} >= 0 else -(-{a} // {d}))"
+    return f"(-({a} // {d}) if {a} >= 0 else -{a} // {d})"
+
+
 _NAMESPACE = {"_div": _div, "_mod": _mod, "TrapError": TrapError}
 
 _compiled: Dict[tuple, Callable] = {}
@@ -132,13 +175,18 @@ _compiled_lock = threading.Lock()
 
 
 class _Lowering:
-    """Source lines of one segment function; registers map to locals
-    ``r0, r1, ...``, loaded from ``env`` just before their first read."""
+    """Source lines of straight-line code; registers map to locals
+    ``r0, r1, ...``.  For a segment (*load_env*) each register is loaded
+    from ``env`` just before its first read; a hot function's registers
+    are locals for the whole activation.  :attr:`reads` collects every
+    register read, in order, as ``(local, register)``."""
 
-    def __init__(self) -> None:
+    def __init__(self, load_env: bool = True) -> None:
         self.lines: List[str] = []
         self.locals: Dict[str, str] = {}
         self.written: Dict[str, str] = {}
+        self.load_env = load_env
+        self.reads: List[Tuple[str, str]] = []
 
     def local(self, register: str) -> str:
         name = self.locals.get(register)
@@ -149,9 +197,13 @@ class _Lowering:
     def read(self, operand) -> str:
         if type(operand) is not str:
             return f"({operand!r})"
-        if operand not in self.locals:
-            self.lines.append(f"{self.local(operand)} = env[{operand!r}]")
-        return self.locals[operand]
+        name = self.locals.get(operand)
+        if name is None:
+            name = self.local(operand)
+            if self.load_env:
+                self.lines.append(f"{name} = env[{operand!r}]")
+        self.reads.append((name, operand))
+        return name
 
     def assign(self, dest: str, expr: str) -> None:
         name = self.written[dest] = self.local(dest)
@@ -161,7 +213,11 @@ class _Lowering:
         cls = instr.__class__
         if cls is BinOp:
             a, b = self.read(instr.lhs), self.read(instr.rhs)
-            self.assign(instr.dest, _BINOP_EXPRS[instr.op].format(a=a, b=b))
+            op, divisor = instr.op, instr.rhs
+            if op in ("div", "mod") and type(divisor) is int and divisor != 0:
+                self.assign(instr.dest, _inline_division(op, a, divisor))
+            else:
+                self.assign(instr.dest, _BINOP_EXPRS[op].format(a=a, b=b))
         elif cls is Cmp:
             a, b = self.read(instr.lhs), self.read(instr.rhs)
             self.assign(instr.dest, f"1 if {a} {_CMP_OPS[instr.op]} {b} else 0")
@@ -202,6 +258,9 @@ class _Lowering:
         return "(" + "".join(f"{self.read(arg)}, " for arg in exit[1]) + ")"
 
 
+# -- cold tier: segments --------------------------------------------------------
+
+
 def _compile(instrs: tuple, exit) -> Callable:
     lowering = _Lowering()
     for instr in instrs:
@@ -234,28 +293,31 @@ def _segment(instrs: tuple, exit) -> Callable:
     return function
 
 
-# -- decoded blocks -------------------------------------------------------------
-
 _BRANCH, _JUMP, _RETURN, _BROKEN = range(4)
 
 
+def _call_trap(call: Call, arity: Dict[str, int]) -> Optional[str]:
+    """Why *call* cannot run in a program whose functions take
+    ``arity[name]`` parameters, or ``None``."""
+    params = arity.get(call.func)
+    if params is None:
+        return f"call to unknown function {call.func!r}"
+    if params != len(call.args):
+        return f"bad arity calling {call.func!r}"
+    return None
+
+
 class _CallSite:
-    """A segment ending at a call, plus the call's resolved callee."""
+    """A segment ending at a call, plus the call's callee and its trap."""
 
-    __slots__ = ("instrs", "run", "cost", "callee", "dest", "trap", "entry")
+    __slots__ = ("instrs", "run", "cost", "callee", "dest", "trap")
 
-    def __init__(self, instrs: tuple, call: Call, program: Program) -> None:
+    def __init__(self, instrs: tuple, call: Call, arity: Dict[str, int]) -> None:
         self.instrs = instrs
         self.cost = len(instrs) + 1
         self.dest = call.dest
-        self.entry: Optional[_Block] = None
-        callee = program.functions.get(call.func)
-        self.trap: Optional[str] = None
-        if callee is None:
-            self.trap = f"call to unknown function {call.func!r}"
-        elif len(call.args) != len(callee.params):
-            self.trap = f"bad arity calling {call.func!r}"
-        self.callee = None if self.trap else callee
+        self.callee = call.func
+        self.trap = _call_trap(call, arity)
         self.run = _segment(instrs, None if self.trap else ("call", tuple(call.args)))
 
 
@@ -266,18 +328,17 @@ class _Block:
     outcome (``False``/``True``), or by 0 for a jump."""
 
     __slots__ = (
-        "function", "label", "calls", "n_calls", "instrs", "run", "cost",
+        "label", "calls", "n_calls", "instrs", "run", "cost",
         "kind", "site", "targets", "edges", "next", "trap",
     )
 
-    def __init__(self, function: Function, block: BasicBlock, program: Program) -> None:
-        self.function = function
+    def __init__(self, function: Function, block: BasicBlock, arity: Dict[str, int]) -> None:
         self.label = block.label
         calls = []
         start = 0
         for index, instr in enumerate(block.instrs):
             if instr.__class__ is Call:
-                calls.append(_CallSite(tuple(block.instrs[start:index]), instr, program))
+                calls.append(_CallSite(tuple(block.instrs[start:index]), instr, arity))
                 start = index + 1
         self.calls = tuple(calls)
         self.n_calls = len(calls)
@@ -308,10 +369,474 @@ class _Block:
         self.next: List[Optional[_Block]] = [None] * len(self.targets)
 
 
-def _undefined(block: _Block, error: KeyError) -> TrapError:
-    return TrapError(
-        f"{block.function.name}:{block.label}: read of undefined register {error.args[0]!r}"
+def _undefined(function: str, label: str, error: KeyError) -> TrapError:
+    return TrapError(f"{function}:{label}: read of undefined register {error.args[0]!r}")
+
+
+# -- hot tier: whole functions --------------------------------------------------
+
+#: An activation tiers up once its function has run ``HOT_RATIO`` times
+#: its static size in instructions in the current run.  Compiling costs
+#: about 45-65 us per instruction of the whole function (most of it in
+#: ``compile()``), and the hot tier saves about 0.18-0.34 us per
+#: executed instruction over the cold one (CPython 3.11, 2-vCPU Xeon),
+#: so within one run a function pays its compilation back after some
+#: 150-350 times its size.  Compiled functions are kept for later runs,
+#: so the ratio sits at the low end of that range: eagerly compiling the
+#: sweep's 46 large prefix programs, of which only a quarter of the
+#: blocks ever run, would cost more than running them all cold.
+HOT_RATIO = 200
+
+#: Upper bound on the instructions held by the process-wide cache of hot
+#: functions.  A cached instruction keeps ~0.25 KB (code object, content
+#: key, branch-site and edge constants; tracemalloc, CPython 3.11), so
+#: the cache stays near 0.5 MB: the eight benchmarks' programs under
+#: the two flag sets a pipeline reruns take ~1k instructions.
+MAX_HOT_INSTRUCTIONS = 2048
+
+#: Deepest nesting of inlined branch arms in a hot function's source.
+#: CPython refuses more than 100 indentation levels; the function, its
+#: ``try``, its loop and a dispatch tree of up to 2**20 merge points
+#: take at most 23.
+MAX_INLINE_DEPTH = 60
+
+
+class _Hot:
+    """A compiled hot function: the generator function
+    ``(machine, argv, env, block index, history)`` and the block index
+    of every merge point (the blocks it can be entered at)."""
+
+    __slots__ = ("run", "index", "shape", "size", "reused")
+
+    def __init__(self, run: Callable, index: Dict[str, int], shape: tuple, size: int) -> None:
+        self.run = run
+        self.index = index
+        self.shape = shape
+        self.size = size
+        self.reused = False
+
+
+class _HotCache:
+    """Hot functions by content key, bounded in instructions.  The least
+    recently used entry that was never reused is evicted first, so a
+    stream of one-run functions (each round's freshly replicated
+    programs) cannot push out the ones every run needs.  ``shapes``
+    counts the entries per ``(flags, name, block count)``, so a run
+    hashes a function whole only when an entry might match."""
+
+    def __init__(self) -> None:
+        self.entries: Dict[tuple, _Hot] = {}
+        self.shapes: Dict[tuple, int] = {}
+        self.size = 0
+        self.lock = threading.Lock()
+
+    def get(self, key: tuple) -> Optional[_Hot]:
+        """The entry for *key*, now the most recently used, or ``None``."""
+        with self.lock:
+            hot = self.entries.pop(key, None)
+            if hot is not None:
+                self.entries[key] = hot
+                hot.reused = True
+            return hot
+
+    def add(self, key: tuple, hot: _Hot) -> _Hot:
+        if hot.size > MAX_HOT_INSTRUCTIONS:
+            return hot
+        with self.lock:
+            found = self.entries.get(key)
+            if found is not None:
+                return found
+            while self.entries and self.size + hot.size > MAX_HOT_INSTRUCTIONS:
+                entries = self.entries
+                victim = next((k for k, e in entries.items() if not e.reused), next(iter(entries)))
+                old = entries.pop(victim)
+                self.size -= old.size
+                left = self.shapes.pop(old.shape, 1) - 1
+                if left > 0:
+                    self.shapes[old.shape] = left
+            self.entries[key] = hot
+            self.size += hot.size
+            self.shapes[hot.shape] = self.shapes.get(hot.shape, 0) + 1
+            return hot
+
+
+_hot_functions = _HotCache()
+
+
+def _content(function: Function) -> tuple:
+    """Everything a hot function's code depends on in *function*."""
+    return (
+        function.name,
+        tuple(function.params),
+        function.entry,
+        tuple(
+            (label, block.label, tuple(block.instrs), block.terminator)
+            for label, block in function.blocks.items()
+        ),
     )
+
+
+@functools.lru_cache(maxsize=4)
+def _source(key: tuple) -> "_HotSource":
+    """The regenerated source of a compiled hot function, for the rare
+    paths (fuel running out, an undefined register) that need its line
+    and register tables."""
+    return _HotSource(key)
+
+
+def _deopt(m: "Machine", key: tuple, point: int, bound: dict, history: int):
+    """The cold activation that takes over a hot one at resume *point*,
+    with the register dict rebuilt from the bound locals."""
+    source = _source(key)
+    label, segment = source.resume[point]
+    env = {register: bound[local] for local, register in source.registers if local in bound}
+    routine = m._routines[source.name]
+    return m._cold(routine, env, routine.block(label), segment, history)
+
+
+def _undefined_local(error: UnboundLocalError, bound: dict, key: tuple) -> Optional[TrapError]:
+    """The undefined-register trap for an unbound register local read on
+    a line of a hot function, or ``None`` when *error* came from
+    elsewhere (a callback).  The culprit is the first unbound register
+    in the lowering's read order, as in a segment."""
+    where = error.__traceback__
+    if where is None or where.tb_next is not None:
+        return None
+    source = _source(key)
+    trap = source.lines[where.tb_lineno - 1][2]
+    if trap is None:
+        return None
+    label, reads = trap
+    for local, register in reads:
+        if local not in bound:
+            return TrapError(f"{source.name}:{label}: read of undefined register {register!r}")
+    return None
+
+
+class _HotSource:
+    """The source of the hot function for content key *key*.
+
+    Leaves of the dispatch tree are merge points: the entry, blocks with
+    several predecessor edges, and blocks too deep to inline.  Every
+    emitted path ends in ``continue`` (to the dispatch tree), ``return``,
+    ``raise`` or ``break``, so a branch's not-taken arm follows its ``if``
+    without an ``else``.  :attr:`lines` are ``(indent, text, trap)``,
+    where *trap* is ``(label, reads)`` for a line that reads registers.
+
+    Fuel is charged per segment, but checked only where a leaf starts
+    and after each call: a leaf whose segments might not all fit leaves
+    the loop (``break``) and hands the activation to the cold tier at
+    that resume point, which runs out of fuel at the exact step.  The
+    source is a pure function of the key, so those rare paths rebuild
+    it instead of keeping tables alive in every compiled function.
+    """
+
+    def __init__(self, key: tuple) -> None:
+        flags, arity, (name, params, entry, blocks) = key
+        self.name = name
+        self.on_branch, self.history, self.on_block, self.count_edges = flags
+        self.arity = dict(arity)
+        self.blocks = {
+            label: BasicBlock(block_label, instrs, term)
+            for label, block_label, instrs, term in blocks
+        }
+        self.lowering = _Lowering(load_env=False)
+        self.namespace = dict(_NAMESPACE, _deopt=_deopt, _undefined_local=_undefined_local)
+        self.constants: Dict[tuple, str] = {}
+        #: (block label, segment index) of every fuel check
+        self.resume: List[Tuple[str, int]] = []
+        self.index: Dict[str, int] = {}
+        self.order: List[str] = []
+        self.preds = self._predecessors(entry)
+        self.target(entry)
+        leaves = []
+        while len(leaves) < len(self.order):
+            out: list = []
+            self.checks: List[int] = []
+            self.cost = 0
+            self.check(self.order[len(leaves)], 0, 0, out)
+            self.chain(self.order[len(leaves)], 0, out)
+            for line in self.checks:
+                depth, point, _ = out[line]
+                out[line] = (depth, f"if steps > limit - {self.cost}: k = {point}; break", None)
+            leaves.append(out)
+        self.lines = self._function(params, entry, leaves)
+
+    def _successors(self, label: str) -> Tuple[str, ...]:
+        term = self.blocks[label].terminator
+        cls = term.__class__
+        if cls is Branch:
+            return (term.taken, term.not_taken)
+        return (term.target,) if cls is Jump else ()
+
+    def _predecessors(self, entry: str) -> Dict[str, int]:
+        """Predecessor edges of every block reachable from the entry;
+        the entry counts its activation as one more."""
+        preds = {entry: 1}
+        work = [entry]
+        while work:
+            for target in self._successors(work.pop()):
+                if target in self.blocks:
+                    if target not in preds:
+                        work.append(target)
+                    preds[target] = preds.get(target, 0) + 1
+        return preds
+
+    def _live_at_merges(self) -> List[str]:
+        """Registers that some path from a merge point reads before it
+        writes them: the only ones a tier-up must load."""
+        gen, kill = {}, {}
+        for label in self.preds:
+            block = self.blocks[label]
+            used, defined = [], set()
+            for instr in (*block.instrs, block.terminator or Return()):
+                used += [reg for reg in instr.uses() if reg not in defined]
+                defined.update(instr.defs())
+            gen[label], kill[label] = set(used), defined
+        live = {label: set() for label in self.preds}
+        changed = True
+        while changed:
+            changed = False
+            for label in self.preds:
+                out = set()
+                for target in self._successors(label):
+                    out |= live.get(target, set())
+                new = gen[label] | (out - kill[label])
+                if new != live[label]:
+                    live[label], changed = new, True
+        return sorted(set().union(*(live[label] for label in self.order)))
+
+    def constant(self, value) -> str:
+        key = (value.__class__, value)
+        name = self.constants.get(key)
+        if name is None:
+            name = self.constants[key] = f"_k{len(self.constants)}"
+            self.namespace[name] = value
+        return name
+
+    def target(self, label: str) -> int:
+        """The dispatch index of merge point *label*."""
+        index = self.index.get(label)
+        if index is None:
+            index = self.index[label] = len(self.order)
+            self.order.append(label)
+        return index
+
+    def inlined(self, label: str, depth: int) -> bool:
+        return self.preds.get(label) == 1 and depth <= MAX_INLINE_DEPTH and label not in self.index
+
+    def trap(self, block: BasicBlock) -> Optional[tuple]:
+        reads = self.lowering.reads
+        return (block.label, tuple(reads)) if reads else None
+
+    def check(self, label: str, segment: int, depth: int, out: list) -> None:
+        """A fuel check resuming cold at *segment* of block *label*; its
+        bound, the leaf's total cost, is filled in once the leaf is done."""
+        self.checks.append(len(out))
+        out.append((depth, len(self.resume), None))
+        self.resume.append((label, segment))
+
+    # -- blocks --------------------------------------------------------------
+
+    def chain(self, label: str, depth: int, out: list) -> None:
+        """Emit block *label* and every successor inlined after it."""
+        while True:
+            block = self.blocks[label]
+            if not self.body(label, block, depth, out):
+                return
+            term = block.terminator
+            cls = term.__class__
+            if cls is Jump:
+                self.edge(block, term.target, depth, out)
+                if self.inlined(term.target, depth):
+                    label = term.target
+                    continue
+                self.goto(term.target, depth, out)
+                return
+            if cls is Branch:
+                self.lowering.reads.clear()
+                a, b = self.lowering.read(term.lhs), self.lowering.read(term.rhs)
+                condition = f"{a} {_CMP_OPS[term.op]} {b}"
+                trap = self.trap(block)
+                if self.on_branch or self.history:
+                    out.append((depth, f"t = {condition}", trap))
+                    out.append((depth, "branches += 1", None))
+                    if self.history:
+                        out.append((depth, "m.path_history = h", None))
+                        out.append((depth, "h = ((h << 1) | t) & mask", None))
+                    if self.on_branch:
+                        site = self.constant(BranchSite(self.name, block.label))
+                        out.append((depth, f"on_branch({site}, t)", None))
+                    out.append((depth, "if t:", None))
+                else:
+                    out.append((depth, "branches += 1", None))
+                    out.append((depth, f"if {condition}:", trap))
+                self.edge(block, term.taken, depth + 1, out)
+                if self.inlined(term.taken, depth + 1):
+                    self.chain(term.taken, depth + 1, out)
+                else:
+                    self.goto(term.taken, depth + 1, out)
+                self.edge(block, term.not_taken, depth, out)
+                if self.inlined(term.not_taken, depth):
+                    label = term.not_taken
+                    continue
+                self.goto(term.not_taken, depth, out)
+                return
+            if cls is Return:
+                self.lowering.reads.clear()
+                value = "None" if term.value is None else self.lowering.read(term.value)
+                out.append((depth, f"m._value = {value}", self.trap(block)))
+                out.append((depth, "m._steps = steps", None))
+                out.append((depth, "m._branches = branches", None))
+                out.append((depth, "return", None))
+                return
+            message = f"block {block.label!r} has no terminator"
+            out.append((depth, f"raise TrapError({message!r})", None))
+            return
+
+    def body(self, label: str, block: BasicBlock, depth: int, out: list) -> bool:
+        """Emit the block's segments and calls; False when a call traps."""
+        start = 0
+        segment = 0
+        instrs = block.instrs
+        for position, instr in enumerate(instrs):
+            if instr.__class__ is not Call:
+                continue
+            self.segment(block, instrs[start:position], depth, out)
+            start = position + 1
+            segment += 1
+            trap = _call_trap(instr, self.arity)
+            if trap is not None:
+                out.append((depth, f"raise TrapError({trap!r})", None))
+                return False
+            self.lowering.reads.clear()
+            argv = "".join(f"{self.lowering.read(arg)}, " for arg in instr.args)
+            out.append((depth, "m._steps = steps", None))
+            out.append((depth, "m._branches = branches", None))
+            out.append((depth, f"yield ({instr.func!r}, ({argv}))", self.trap(block)))
+            out.append((depth, "steps = m._steps", None))
+            out.append((depth, "branches = m._branches", None))
+            if instr.dest is not None:
+                local = self.lowering.local(instr.dest)
+                message = f"void return but caller expects a value in {instr.dest!r}"
+                out.append((depth, f"{local} = m._value", None))
+                out.append((depth, f"if {local} is None: raise TrapError({message!r})", None))
+            self.check(label, segment, depth, out)
+        self.segment(block, instrs[start:], depth, out)
+        return True
+
+    def segment(self, block: BasicBlock, instrs: list, depth: int, out: list) -> None:
+        """Charge fuel for *instrs* plus the instruction that closes
+        them, then emit them one line each."""
+        cost = len(instrs) + 1
+        self.cost += cost
+        out.append((depth, f"steps += {cost}", None))
+        lowering = self.lowering
+        for instr in instrs:
+            lowering.reads.clear()
+            lowering.instr(instr)
+            out.append((depth, lowering.lines.pop(), self.trap(block)))
+
+    def edge(self, block: BasicBlock, target: str, depth: int, out: list) -> None:
+        if self.count_edges:
+            edge = self.constant((self.name, block.label, target))
+            out.append((depth, f"edges[{edge}] = edges.get({edge}, 0) + 1", None))
+        if self.on_block:
+            out.append((depth, f"on_block({self.name!r}, {target!r})", None))
+
+    def goto(self, label: str, depth: int, out: list) -> None:
+        if label not in self.blocks:
+            out.append((depth, f"raise KeyError({label!r})", None))
+            return
+        out.append((depth, f"b = {self.target(label)}", None))
+        out.append((depth, "continue", None))
+
+    # -- the function --------------------------------------------------------
+
+    def _function(self, params: tuple, entry: str, leaves: list) -> list:
+        """The whole generator function ``(machine, argv, env, block
+        index, history)``: activation entry binds *argv*, a tier-up
+        loads from *env* every register live at a merge point."""
+        lowering = self.lowering
+        bind = "".join(f"{lowering.local(param)}, " for param in params)
+        live = self._live_at_merges()
+        self.registers = tuple((local, register) for register, local in lowering.locals.items())
+        lines: list = [
+            (0, "def hot(m, argv, env, b, h):", None),
+            (1, "memory, limit, on_branch, on_block, edges, mask = m._context", None),
+            (1, "steps = m._steps", None),
+            (1, "branches = m._branches", None),
+            (1, "try:", None),
+            (2, "if env is None:", None),
+            (3, f"{bind}= argv" if bind else "pass", None),
+        ]
+        if self.on_block:
+            lines.append((3, f"on_block({self.name!r}, {entry!r})", None))
+        lines.append((2, "else:", None))
+        lines += [
+            (3, f"if {register!r} in env: {lowering.local(register)} = env[{register!r}]", None)
+            for register in live
+        ] or [(3, "pass", None)]
+        lines.append((2, "while True:", None))
+        _dispatch(leaves, 0, len(leaves), 3, lines)
+        return lines + [
+            (2, "m._steps = steps", None),
+            (2, "m._branches = branches", None),
+            (2, "yield _deopt(m, _KEY, k, locals(), h)", None),
+            (1, "except UnboundLocalError as error:", None),
+            (2, "trap = _undefined_local(error, locals(), _KEY)", None),
+            (2, "if trap is None:", None),
+            (3, "raise", None),
+            (2, "raise trap from None", None),
+        ]
+
+    def compile(self, key: tuple) -> Callable:
+        source = "".join("    " * indent + text + "\n" for indent, text, _ in self.lines)
+        self.namespace["_KEY"] = key
+        exec(compile(source, f"<repro.interp hot {self.name!r}>", "exec"), self.namespace)
+        return self.namespace["hot"]
+
+
+def _dispatch(leaves: list, lo: int, hi: int, indent: int, lines: list) -> None:
+    """The binary if-tree over block index ``b`` for leaves [lo, hi)."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lines.append((indent, f"if b < {mid}:", None))
+        _dispatch(leaves, lo, mid, indent + 1, lines)
+        lo = mid
+    lines += [(indent + depth, text, trap) for depth, text, trap in leaves[lo]]
+
+
+# -- runs -----------------------------------------------------------------------
+
+
+class _Routine:
+    """One function's state in one run: its decoded blocks, the
+    instructions it may still run cold, and its hot tier."""
+
+    __slots__ = ("function", "params", "arity", "size", "left", "hot", "index", "decoded", "key")
+
+    def __init__(self, function: Function, arity: Dict[str, int]) -> None:
+        self.function = function
+        self.params = function.params
+        self.arity = arity
+        self.size = function.size()
+        self.left = HOT_RATIO * self.size
+        self.hot: Optional[Callable] = None
+        self.index: Dict[str, int] = {}
+        self.decoded: Dict[str, _Block] = {}
+        self.key: Optional[tuple] = None
+
+    def block(self, label: str) -> _Block:
+        found = self.decoded.get(label)
+        if found is None:
+            block = self.function.blocks[label]
+            found = self.decoded[label] = _Block(self.function, block, self.arity)
+        return found
+
+    def use(self, hot: _Hot) -> None:
+        self.hot = hot.run
+        self.index = hot.index
 
 
 class Machine:
@@ -407,70 +932,137 @@ class Machine:
             raise TrapError(
                 f"{func_name} expects {len(function.params)} args, got {len(args)}"
             )
-        program = self.program
-        decoded: Dict[int, _Block] = {}
-
-        def decode(function: Function, block: BasicBlock) -> _Block:
-            found = decoded.get(id(block))
-            if found is None:
-                found = decoded[id(block)] = _Block(function, block, program)
-            return found
-
-        env = dict(zip(function.params, args))
-        block = decode(function, function.entry_block())
-        on_block = self.on_block
-        if on_block is not None:
-            on_block(function.name, function.entry)
-        # Saved caller frames: (env, block, next segment, result register,
-        # branch history).
-        stack: List[tuple] = []
-        segment = 0
-        history = 0
-        steps = 0
-        branches = 0
-        memory = self.memory
-        on_branch = self.on_branch
         bits = self.track_history_bits
         mask = (1 << bits) - 1 if bits > 0 else 0
-        count_edges = self.count_edges
-        edge_counts = self.edge_counts
-        max_steps = self.max_steps
+        on_branch, on_block = self.on_branch, self.on_block
+        # The run's constants and its counters, shared by every
+        # activation; an activation keeps the counters in locals and
+        # writes them back before it yields or returns.
+        self._context = (self.memory, self.max_steps, on_branch, on_block, self.edge_counts, mask)
+        self._flags = (
+            on_branch is not None, bits > 0, on_block is not None, bool(self.count_edges)
+        )
+        self._arity = {name: len(f.params) for name, f in self.program.functions.items()}
+        self._steps = self._branches = 0
+        self._value = None
+        routines: Dict[str, _Routine] = {}
+        self._routines = routines
+        routine = routines[func_name] = self._routine(function)
+        gen = self._activate(routine, tuple(args))
+        stack = []
+        resume = next
+        while True:
+            out = resume(gen, None)
+            if out.__class__ is tuple:
+                stack.append(gen)
+                name, argv = out
+                routine = routines.get(name)
+                if routine is None:
+                    routine = routines[name] = self._routine(self.program.functions[name])
+                hot = routine.hot
+                if hot is not None:
+                    gen = hot(self, argv, None, 0, 0)
+                else:
+                    gen = self._activate(routine, argv)
+            elif out is None:
+                if not stack:
+                    return RunResult(self._value, self.output, self._steps, self._branches)
+                gen = stack.pop()
+            else:  # an activation changing tier hands over its successor
+                gen = out
 
+    def _routine(self, function: Function) -> _Routine:
+        """A function's run state, hot from the start if a cached hot
+        function has its content."""
+        routine = _Routine(function, self._arity)
+        if (self._flags, function.name, len(function.blocks)) in _hot_functions.shapes:
+            found = _hot_functions.get(self._hot_key(routine))
+            if found is not None:
+                routine.use(found)
+        return routine
+
+    def _hot_key(self, routine: _Routine) -> tuple:
+        if routine.key is None:
+            arity = tuple(sorted(self._arity.items()))
+            routine.key = (self._flags, arity, _content(routine.function))
+        return routine.key
+
+    def _tier_up(self, routine: _Routine) -> Callable:
+        """Give *routine* its hot tier, from the cache or compiled."""
+        key = self._hot_key(routine)
+        hot = _hot_functions.get(key)
+        if hot is None:
+            function = routine.function
+            source = _HotSource(key)
+            shape = (self._flags, function.name, len(function.blocks))
+            hot = _Hot(source.compile(key), source.index, shape, routine.size)
+            hot = _hot_functions.add(key, hot)
+        routine.use(hot)
+        return hot.run
+
+    def _activate(self, routine: _Routine, argv: tuple):
+        """A new activation of *routine* with arguments *argv*: hot once
+        its function has overrun its cold budget."""
+        if routine.left < 0:
+            return self._tier_up(routine)(self, argv, None, 0, 0)
+        function = routine.function
+        if self.on_block is not None:
+            self.on_block(function.name, function.entry)
+        env = dict(zip(routine.params, argv))
+        return self._cold(routine, env, routine.block(function.entry), 0, 0)
+
+    def _cold(
+        self, routine: _Routine, env: Dict[str, int], block: _Block, segment: int, history: int
+    ):
+        """An activation in the cold tier, from *segment* of *block*: the
+        segment walk."""
+        memory, max_steps, on_branch, on_block, edge_counts, mask = self._context
+        count_edges = self.count_edges
+        name = routine.function.name
+        steps = self._steps
+        branches = self._branches
+        left = routine.left
         while True:
             if segment < block.n_calls:
                 site = block.calls[segment]
                 if steps + site.cost > max_steps:
-                    self._exhaust(block, site.instrs, max_steps - steps, env)
+                    self._exhaust(name, block.label, site.instrs, max_steps - steps, env)
                 steps += site.cost
+                left -= site.cost
                 try:
                     argv = site.run(env, memory, self)
                 except KeyError as error:
-                    raise _undefined(block, error) from None
-                callee = site.callee
-                if callee is None:
+                    raise _undefined(name, block.label, error) from None
+                if site.trap is not None:
                     raise TrapError(site.trap)
-                stack.append((env, block, segment + 1, site.dest, history))
-                env = dict(zip(callee.params, argv))
-                block = site.entry
-                if block is None:
-                    block = site.entry = decode(callee, callee.entry_block())
-                segment = 0
-                history = 0
-                if on_block is not None:
-                    on_block(callee.name, callee.entry)
+                self._steps = steps
+                self._branches = branches
+                routine.left = left
+                yield (site.callee, argv)
+                steps = self._steps
+                branches = self._branches
+                left = routine.left
+                dest = site.dest
+                if dest is not None:
+                    value = self._value
+                    if value is None:
+                        raise TrapError(f"void return but caller expects a value in {dest!r}")
+                    env[dest] = value
+                segment += 1
                 continue
 
             if steps + block.cost > max_steps:
-                self._exhaust(block, block.instrs, max_steps - steps, env)
+                self._exhaust(name, block.label, block.instrs, max_steps - steps, env)
             steps += block.cost
+            left -= block.cost
             try:
                 result = block.run(env, memory, self)
             except KeyError as error:
-                raise _undefined(block, error) from None
+                raise _undefined(name, block.label, error) from None
             kind = block.kind
             if kind is _BRANCH:
                 branches += 1
-                if bits > 0:
+                if mask:
                     self.path_history = history
                     history = ((history << 1) | result) & mask
                 if on_branch is not None:
@@ -479,40 +1071,44 @@ class Machine:
             elif kind is _JUMP:
                 way = 0
             elif kind is _RETURN:
-                if not stack:
-                    return RunResult(result, self.output, steps, branches)
-                env, block, segment, dest, history = stack.pop()
-                if dest is not None:
-                    if result is None:
-                        raise TrapError(
-                            f"void return but caller expects a value in {dest!r}"
-                        )
-                    env[dest] = result
-                continue
+                self._value = result
+                self._steps = steps
+                self._branches = branches
+                routine.left = left
+                return
             else:
                 raise TrapError(block.trap)
             if count_edges:
                 edge = block.edges[way]
                 edge_counts[edge] = edge_counts.get(edge, 0) + 1
+            target = block.targets[way]
             if on_block is not None:
-                on_block(block.function.name, block.targets[way])
+                on_block(name, target)
             successor = block.next[way]
             if successor is None:
-                owner = block.function
-                successor = block.next[way] = decode(
-                    owner, owner.blocks[block.targets[way]]
-                )
+                successor = block.next[way] = routine.block(target)
             block = successor
             segment = 0
+            # Tier up while the fuel left covers the whole function, so a
+            # hot activation never hands straight back for lack of fuel.
+            if left <= 0 and max_steps - steps >= routine.size:
+                hot = routine.hot or self._tier_up(routine)
+                index = routine.index.get(target)
+                if index is not None:
+                    self._steps = steps
+                    self._branches = branches
+                    yield hot(self, None, env, index, history)
 
-    def _exhaust(self, block: _Block, instrs: tuple, budget: int, env: Dict[str, int]) -> None:
+    def _exhaust(
+        self, function: str, label: str, instrs: tuple, budget: int, env: Dict[str, int]
+    ) -> None:
         """Run the *budget* instructions of a segment that still fit in
         the fuel limit, one at a time, then raise :class:`FuelExhausted`."""
         for instr in instrs[: max(budget, 0)]:
             try:
                 _segment((instr,), None)(env, self.memory, self)
             except KeyError as error:
-                raise _undefined(block, error) from None
+                raise _undefined(function, label, error) from None
         raise FuelExhausted(f"exceeded {self.max_steps} steps")
 
 

@@ -64,7 +64,11 @@ def create_listener(host: str, port: int, backlog: int = LISTEN_BACKLOG) -> sock
 
     ``SO_REUSEPORT`` is best-effort (absent or refused on some
     platforms); inheritance across fork is what actually shares the
-    socket.
+    socket.  The socket is non-blocking: one connection wakes every
+    worker polling it, and the ones that lose the race must get
+    ``BlockingIOError`` (which the server loop ignores), not block in
+    ``accept()`` where a SIGTERM cannot reach them.  Accepted sockets
+    are blocking as usual.
     """
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
@@ -76,6 +80,7 @@ def create_listener(host: str, port: int, backlog: int = LISTEN_BACKLOG) -> sock
                 pass
         sock.bind((host, port))
         sock.listen(backlog)
+        sock.setblocking(False)
         sock.set_inheritable(True)
     except BaseException:
         sock.close()
@@ -297,7 +302,8 @@ class FleetHandle:
         return self.ready
 
     def stop(self, timeout: float = 20.0) -> int:
-        """Graceful SIGTERM; escalate to SIGKILL past *timeout*."""
+        """Graceful SIGTERM; escalate to SIGKILL past *timeout*.  The
+        ready file goes with the fleet."""
         if self.process.poll() is None:
             self.process.terminate()
             try:
@@ -305,6 +311,10 @@ class FleetHandle:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait(timeout=5.0)
+        try:
+            os.unlink(self.ready_file)
+        except FileNotFoundError:
+            pass
         return self.process.returncode
 
 

@@ -153,3 +153,18 @@ def correlated_branches():
 @pytest.fixture
 def recursive_sum():
     return parse_program(RECURSIVE_SUM)
+
+
+@pytest.fixture
+def force_tier(monkeypatch):
+    """``force_tier("cold")`` keeps every activation in the interpreter's
+    cold tier; ``force_tier("hot")`` tiers every function up at its first
+    block transfer, so later activations start hot.  Either way the
+    process-wide cache of hot functions starts empty."""
+    from repro.interp import machine
+
+    def force(tier: str) -> None:
+        monkeypatch.setattr(machine, "_hot_functions", machine._HotCache())
+        monkeypatch.setattr(machine, "HOT_RATIO", 0 if tier == "hot" else 10**12)
+
+    return force

@@ -1,6 +1,10 @@
 """Instruction-cache simulator and cost-function tests."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.icache import (
     CacheConfig,
@@ -10,8 +14,10 @@ from repro.icache import (
     evaluate_cost,
     simulate_icache,
 )
+from repro.interp import Machine
 from repro.profiling import ProfileData, trace_program
 from repro.replication import annotate_profile_predictions
+from repro.workloads import random_program
 
 
 class TestCacheConfig:
@@ -98,6 +104,41 @@ class TestSimulation:
         result = simulate_icache(alternating_loop, CacheConfig(8, 4), [20])
         assert result.program_words == alternating_loop.size()
         assert result.accesses > 0
+
+
+def _reference_fetches(program, config, args):
+    """(accesses, misses) of the fetch stream fed range by range through
+    :class:`InstructionCache`, the reference the simulator must match."""
+    addresses = assign_addresses(program)
+    cache = InstructionCache(config)
+
+    def on_block(function, label):
+        cache.touch_range(*addresses[(function, label)])
+
+    Machine(program, on_block=on_block).run(*args)
+    return cache.accesses, cache.misses
+
+
+@given(
+    st.integers(0, 200),
+    st.integers(0, 10),
+    st.integers(0, 2**32),
+    st.sampled_from([1, 2, 4, 16, 64]),
+    st.sampled_from([1, 2, 4, 8]),
+)
+@settings(deadline=None, max_examples=40)
+def test_simulation_matches_the_reference_cache(seed, arg, layout, lines, line_words):
+    """On random programs laid out in a random block order, the inline
+    tag checks count exactly what :class:`InstructionCache` counts."""
+    program = random_program(seed, helpers=seed % 3)
+    shuffle = random.Random(layout).shuffle
+    for function in program:
+        order = list(function.blocks.items())
+        shuffle(order)
+        function.blocks = dict(order)
+    config = CacheConfig(lines, line_words)
+    result = simulate_icache(program, config, [arg])
+    assert (result.accesses, result.misses) == _reference_fetches(program, config, [arg])
 
 
 class TestCostFunction:

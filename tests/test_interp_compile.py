@@ -112,6 +112,38 @@ def test_division_by_zero_traps(op, placement):
         run_program(_single(emit))
 
 
+DIVISORS = [1, -1, 7, -7, 2**40, -(2**40), 0]
+DIVIDENDS = [0, 1, -1, 6, -6, 7, -7, 13, -13, 2**40, -(2**40), 2**41 + 3, -(2**41 + 3)]
+
+
+@pytest.mark.parametrize("tier", ["cold", "hot"])
+@pytest.mark.parametrize("op", ["div", "mod"])
+@pytest.mark.parametrize("divisor", DIVISORS)
+def test_division_by_an_immediate_matches_the_helpers(op, divisor, tier, force_tier):
+    """A nonzero immediate divisor is lowered to inline arithmetic in
+    both tiers; it must agree with ``_div``/``_mod``, and zero must still
+    trap with the helpers' message, only when executed."""
+    force_tier(tier)
+    reference = machine._div if op == "div" else machine._mod
+    builder = ProgramBuilder()
+    fb = builder.function("main", params=["n"])
+    fb.branch("eq", "n", 123456789, "divide", "skip")
+    fb.label("skip")
+    quotient = fb.binop(op, "n", divisor, dest="q")
+    fb.ret(quotient)
+    fb.label("divide")
+    fb.ret(fb.binop(op, "n", divisor, dest="never"))
+    program = builder.build()
+    for dividend in DIVIDENDS:
+        if divisor == 0:
+            with pytest.raises(TrapError) as trapped:
+                reference(dividend, divisor)
+            with pytest.raises(TrapError, match=str(trapped.value)):
+                run_program(program, [dividend])
+        else:
+            assert run_program(program, [dividend]).value == reference(dividend, divisor)
+
+
 @pytest.mark.parametrize("immediate", [False, True])
 @pytest.mark.parametrize("op,a,expected", UNOP_CASES)
 def test_unops(op, a, expected, immediate):

@@ -104,6 +104,13 @@ def test_interpreter_matches_golden(name):
     assert record(name) == _load_golden()[name]
 
 
+@pytest.mark.parametrize("name", workloads.BENCHMARK_NAMES)
+@pytest.mark.parametrize("tier", ["cold", "hot"])
+def test_each_tier_matches_golden(name, tier, force_tier):
+    force_tier(tier)
+    assert record(name) == _load_golden()[name]
+
+
 def test_golden_covers_every_benchmark():
     assert sorted(_load_golden()) == sorted(workloads.BENCHMARK_NAMES)
 

@@ -192,6 +192,33 @@ class TestFleetShutdown:
                 os.kill(pid, 0)
 
 
+    def test_stop_is_prompt_with_a_keepalive_connection_open(self, tmp_path):
+        # One connection wakes every worker polling the shared listener;
+        # a worker that loses the accept race must not sit in accept()
+        # through SIGTERM, or the supervisor waits out the drain budget
+        # and SIGKILLs it.  The race is lost in roughly one boot in six
+        # on a 2-vCPU VM, so boot several fleets.
+        for attempt in range(8):
+            log = tmp_path / f"fleet-{attempt}.log"
+            handle = spawn_fleet(workers=2, threads=2, log_path=str(log))
+            time.sleep(0.5)  # both workers back in poll()
+            with ServiceClient(handle.host, handle.port, timeout=30.0) as c:
+                c.healthz()
+                started = time.monotonic()
+                assert handle.stop(timeout=30.0) == 0
+                elapsed = time.monotonic() - started
+            stderr = log.read_text()
+            assert elapsed < 5.0, stderr
+            assert stderr.count("repro-service stopped") == 2, stderr
+            assert "killed lingering workers" not in stderr
+
+    def test_stop_removes_the_ready_file(self):
+        handle = spawn_fleet(workers=2, threads=2)
+        assert os.path.exists(handle.ready_file)
+        assert handle.stop(timeout=30.0) == 0
+        assert not os.path.exists(handle.ready_file)
+
+
 class TestStartupSigterm:
     def _serve_subprocess(self, extra_env, *args):
         env = dict(os.environ, **extra_env)
