@@ -17,9 +17,15 @@ from .instructions import Branch, Instr, IRError, Terminator
 
 
 class BasicBlock:
-    """A labelled straight-line code sequence with one terminator."""
+    """A labelled straight-line code sequence with one terminator.
 
-    __slots__ = ("label", "instrs", "terminator")
+    ``origin`` is the label of the original block this one copies (its
+    own label for a block that is not a copy).  :meth:`copy` carries it
+    over, so a copy of a copy still names the first original.  It is
+    bookkeeping for the replication transforms only: never printed.
+    """
+
+    __slots__ = ("label", "instrs", "terminator", "origin")
 
     def __init__(
         self,
@@ -30,6 +36,7 @@ class BasicBlock:
         self.label = label
         self.instrs: List[Instr] = list(instrs or [])
         self.terminator: Optional[Terminator] = terminator
+        self.origin = label
 
     @property
     def branch(self) -> Optional[Branch]:
@@ -48,7 +55,9 @@ class BasicBlock:
 
     def copy(self, label: Optional[str] = None) -> "BasicBlock":
         """Clone this block, optionally under a new label."""
-        return BasicBlock(label or self.label, list(self.instrs), self.terminator)
+        clone = BasicBlock(label or self.label, list(self.instrs), self.terminator)
+        clone.origin = self.origin
+        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BasicBlock({self.label!r}, {len(self.instrs)} instrs)"

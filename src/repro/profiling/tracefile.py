@@ -33,7 +33,7 @@ from array import array
 from typing import BinaryIO, Union
 
 from ..ir import BranchSite
-from .columns import get_numpy
+from .columns import loaded_numpy
 from .trace import PackedDirections, Trace
 
 MAGIC = b"KBT1"
@@ -65,13 +65,13 @@ def _decode_site_ids(data: bytes, count: int, site_count: int) -> array:
 
     Fast path: when every site id fits in seven bits the stream is one
     byte per event, so it can be adopted wholesale (vectorized widening
-    under numpy) without the per-byte decode loop.
+    when numpy is already loaded) without the per-byte decode loop.
     """
     ids = array("i")
     if count == 0:
         return ids
     if site_count <= 0x80 and len(data) == count and max(data) < site_count:
-        np = get_numpy()
+        np = loaded_numpy()
         if np is not None:
             ids.frombytes(np.frombuffer(data, dtype=np.uint8).astype(np.intc).tobytes())
         else:

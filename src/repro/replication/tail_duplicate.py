@@ -34,8 +34,6 @@ class TailDuplicationResult:
     site: BranchSite
     #: decision pattern (value, length) -> copy label of the target block
     copies: Dict[Tuple[Tuple[int, int], Tuple[str, ...]], str]
-    #: original block label -> surviving copy labels (all copied blocks)
-    block_copies: Dict[str, List[str]]
     removed: List[str]
     size_before: int
     size_after: int
@@ -74,22 +72,19 @@ def duplicate_correlated_branch(
     function: Function,
     target: str,
     machine: CorrelatedMachine,
-    depth: Optional[int] = None,
     cfg: Optional[CFG] = None,
 ) -> TailDuplicationResult:
-    """Give every decision path of length ≤ *depth* ending at *target*
-    its own copy of the path's blocks, and plant the machine's
-    predictions in the copies of the target branch.
+    """Give every decision path ending at *target*, up to the length of
+    the machine's longest path, its own copy of the path's blocks, and
+    plant the machine's predictions in the copies of the target branch.
 
-    *depth* defaults to the machine's longest path.  *cfg*, when given,
-    is *function*'s current CFG and is kept current; otherwise one is
-    built.
+    *cfg*, when given, is *function*'s current CFG and is kept current;
+    otherwise one is built.
     """
     block = function.block(target)
     if block.branch is None:
         raise IRError(f"block {target!r} has no conditional branch")
-    if depth is None:
-        depth = max((length for _, length in machine.paths), default=0)
+    depth = max((length for _, length in machine.paths), default=0)
     site = BranchSite(function.name, target)
     if cfg is None:
         cfg = CFG.from_function(function)
@@ -99,7 +94,7 @@ def duplicate_correlated_branch(
         block.terminator = dataclasses.replace(
             block.branch, predict=machine.fallback
         )
-        return TailDuplicationResult(site, {}, {}, [], size_before, size_before)
+        return TailDuplicationResult(site, {}, [], size_before, size_before)
 
     paths = predecessor_paths(function, target, depth, cfg=cfg)
 
@@ -165,10 +160,4 @@ def duplicate_correlated_branch(
     surviving = {
         key: label for key, label in target_copies.items() if label in function.blocks
     }
-    block_copies: Dict[str, List[str]] = {}
-    for prefix, label in copy_labels.items():
-        if label in function.blocks:
-            block_copies.setdefault(prefix[-1], []).append(label)
-    return TailDuplicationResult(
-        site, surviving, block_copies, removed, size_before, cfg.size
-    )
+    return TailDuplicationResult(site, surviving, removed, size_before, cfg.size)

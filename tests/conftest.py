@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from repro.ir import parse_program
+from repro.interp import run_program
+from repro.ir import BranchSite, parse_program
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -168,3 +169,26 @@ def force_tier(monkeypatch):
         monkeypatch.setattr(machine, "HOT_RATIO", 0 if tier == "hot" else 10**12)
 
     return force
+
+
+def run_folding_copies(program, args, input_values=(), max_steps=50_000_000):
+    """Run *program* and count each branch's executions and taken
+    outcomes, every copy folded onto the site of its original block.
+
+    Returns ``(RunResult, {site: [executions, taken]})``; the counts of
+    a replicated program must equal those of the program it copies.
+    """
+    origins = {
+        (function.name, block.label): BranchSite(function.name, block.origin)
+        for function in program
+        for block in function
+    }
+    counts = {}
+
+    def on_branch(site, taken):
+        cell = counts.setdefault(origins[site], [0, 0])
+        cell[0] += 1
+        cell[1] += taken
+
+    result = run_program(program, args, input_values, max_steps, on_branch)
+    return result, counts

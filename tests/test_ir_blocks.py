@@ -12,6 +12,8 @@ from repro.ir import (
     Jump,
     Program,
     Return,
+    format_program,
+    parse_program,
 )
 
 
@@ -49,6 +51,12 @@ class TestBasicBlock:
         clone.instrs.append(Const("b", 2))
         assert len(block.instrs) == 1
         assert clone.label == "y"
+
+    def test_copy_of_a_copy_keeps_the_first_origin(self):
+        block = BasicBlock("x", [], Return(None))
+        assert block.origin == "x"
+        grandchild = block.copy("y").copy("z")
+        assert (grandchild.label, grandchild.origin) == ("z", "x")
 
 
 class TestFunction:
@@ -94,6 +102,13 @@ class TestFunction:
         clone.block("a").instrs.append(Const("z", 0))
         assert len(function.block("a").instrs) == 0
 
+    def test_copy_keeps_origins(self):
+        function = make_function()
+        function.blocks["a.1"] = function.block("a").copy("a.1")
+        clone = function.copy()
+        assert {b.label: b.origin for b in clone} == {b.label: b.origin for b in function}
+        assert clone.block("a.1").origin == "a"
+
 
 class TestProgram:
     def test_add_and_lookup(self):
@@ -127,6 +142,22 @@ class TestProgram:
         clone = program.copy()
         clone.function("f").block("a").instrs.append(Const("q", 1))
         assert len(program.function("f").block("a").instrs) == 0
+
+    def test_copy_keeps_origins(self):
+        program = Program(main="f")
+        function = program.add_function(make_function())
+        function.blocks["a.1"] = function.block("a").copy("a.1")
+        assert program.copy().function("f").block("a.1").origin == "a"
+
+    def test_printing_drops_origins(self):
+        program = Program(main="f")
+        function = program.add_function(make_function())
+        function.blocks["a.1"] = function.block("a").copy("a.1")
+        parsed = parse_program(format_program(program), main="f")
+        assert [(b.label, b.origin) for b in parsed.function("f")] == [
+            (label, label) for label in function.blocks
+        ]
+        assert format_program(parsed) == format_program(program)
 
 
 class TestBranchSite:

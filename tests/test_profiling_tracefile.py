@@ -1,6 +1,9 @@
 """Compressed trace file format tests."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -178,3 +181,37 @@ def test_stream_and_bytes_loads_agree(alternating_loop):
         assert list(loaded.events()) == list(trace.events())
     with pytest.raises(TraceFormatError, match="truncated trace header"):
         load_trace(io.BytesIO(blob[:10]))
+
+
+_DECODE_SCRIPT = """
+import sys
+from repro.ir import BranchSite
+from repro.profiling import Trace, trace_from_bytes, trace_to_bytes
+
+trace = Trace()
+for index in range(500):
+    trace.record(BranchSite("f", f"b{index % 7}"), index % 3 == 0)
+loaded = trace_from_bytes(trace_to_bytes(trace))
+assert loaded.site_ids == trace.site_ids
+print("numpy" in sys.modules)
+"""
+
+
+def test_one_byte_site_ids_decode_without_importing_numpy():
+    """Decoding a trace whose site ids each fit in one byte (the
+    wholesale fast path) must not import numpy: a process that only
+    loads warm cache entries would otherwise pay tens of megabytes."""
+    env = dict(os.environ)
+    env.pop("REPRO_NO_NUMPY", None)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _DECODE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

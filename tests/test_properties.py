@@ -45,6 +45,8 @@ from repro.statemachines import (
 )
 from repro.workloads import random_program
 
+from conftest import run_folding_copies
+
 events_strategy = st.lists(
     st.tuples(st.integers(0, 5), st.booleans()), max_size=300
 )
@@ -469,16 +471,27 @@ def _planned_random_program(seed, arg):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_replication_preserves_semantics(seed, arg):
-    """The headline property: replicated programs behave identically."""
+    """The headline property: replicated programs behave identically.
+
+    Every block of the result names a block of the same input function
+    as its origin, and folding each copy onto its origin gives every
+    original branch exactly its original executions and taken count.
+    """
     program, profile, selections = _planned_random_program(seed, arg)
     if profile is None:
         return
-    reference = run_program(program.copy(), [arg], max_steps=2_000_000)
+    reference, reference_counts = run_folding_copies(
+        program.copy(), [arg], max_steps=2_000_000
+    )
     report = apply_replication(program, selections, profile)
     validate_program(report.program)
-    transformed = run_program(report.program, [arg], max_steps=8_000_000)
+    for function in report.program:
+        original = program.function(function.name)
+        assert all(block.origin in original.blocks for block in function)
+    transformed, counts = run_folding_copies(report.program, [arg], max_steps=8_000_000)
     assert transformed.value == reference.value
     assert transformed.output == reference.output
+    assert counts == reference_counts
 
 
 @given(st.integers(0, 80), st.integers(0, 30))

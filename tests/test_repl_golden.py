@@ -7,7 +7,8 @@ realisations the ``costfn`` experiment and the ``replicate-sweep``
 benchmark make.  Per prefix it records the sha256 of the rendered
 replicated program, the program sizes before and after, and every loop
 and tail result's sizes plus the sha256 of its removed blocks (in
-order) and of its surviving copies.
+order) and of its surviving copies.  A second check runs every prefix
+and folds each copy's branch counts onto its original block.
 
 Regenerate it only when replication's output changes on purpose::
 
@@ -26,6 +27,8 @@ import pytest
 
 from repro import replication, workloads
 from repro.ir.printer import format_program
+
+from conftest import run_folding_copies
 
 GOLDEN = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "data", "replication_golden.json"
@@ -73,23 +76,27 @@ def _tail_record(result) -> Dict[str, object]:
         "copies_sha256": _sha(
             [[pattern, route, label] for (pattern, route), label in result.copies.items()]
         ),
-        "block_copies_sha256": _sha(list(result.block_copies.items())),
         "size_before": result.size_before,
         "size_after": result.size_after,
     }
 
 
-def record(name: str) -> List[Dict[str, object]]:
-    """One entry per curve prefix of benchmark *name*."""
+def realisations(name: str):
+    """The replication report of every curve prefix of benchmark *name*."""
     program = workloads.get_program(name)
     profile = workloads.get_profile(name, SCALE, 0)
     planner = replication.ReplicationPlanner(program, profile, max_states=MAX_STATES)
     points = replication.tradeoff_curve(planner, max_size_factor=MAX_SIZE_FACTOR)
-    prefixes = []
     for end in range(len(points)):
-        report = replication.apply_replication(
+        yield replication.apply_replication(
             program, curve_selections(planner, points[: end + 1]), profile
         )
+
+
+def record(name: str) -> List[Dict[str, object]]:
+    """One entry per curve prefix of benchmark *name*."""
+    prefixes = []
+    for report in realisations(name):
         rendered = format_program(report.program).encode()
         prefixes.append(
             {
@@ -111,6 +118,20 @@ def _load_golden() -> Dict[str, list]:
 @pytest.mark.parametrize("name", workloads.BENCHMARK_NAMES)
 def test_replication_matches_golden(name):
     assert record(name) == _load_golden()[name]
+
+
+@pytest.mark.parametrize("name", workloads.BENCHMARK_NAMES)
+def test_every_prefix_folds_onto_the_original_branches(name):
+    """Folding each copy onto its origin gives every original branch, at
+    every prefix, exactly the executions and taken count it has in the
+    unreplicated run, and the run's behaviour is unchanged."""
+    program = workloads.get_program(name)
+    args, input_values = workloads.get_workload(name).default_args(SCALE)
+    reference, expected = run_folding_copies(program.copy(), args, input_values)
+    for report in realisations(name):
+        result, counts = run_folding_copies(report.program, args, input_values)
+        assert (result.value, result.output) == (reference.value, reference.output)
+        assert counts == expected
 
 
 def test_golden_covers_every_prefix():

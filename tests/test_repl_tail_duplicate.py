@@ -96,9 +96,7 @@ class TestDuplication:
             program.main_function(), "second", depth
         )
         work = program.copy()
-        result = duplicate_correlated_branch(
-            work.main_function(), "second", scored.machine, depth
-        )
+        result = duplicate_correlated_branch(work.main_function(), "second", scored.machine)
         actual_growth = result.size_after - result.size_before
         # The estimate is an upper bound: pruning may reclaim copies.
         assert actual_growth <= estimate
