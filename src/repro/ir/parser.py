@@ -3,7 +3,8 @@
 The grammar is line oriented:
 
 * ``func NAME(p1, p2) {`` opens a function, ``}`` closes it;
-* ``LABEL:`` opens a basic block;
+* ``LABEL:`` opens a basic block (labels may hold the characters
+  replication puts in the names of copies, see ``_LABEL_RE``);
 * every other non-empty line is one instruction;
 * ``#`` and ``;`` start comments that run to end of line.
 """
@@ -45,14 +46,18 @@ class ParseError(Exception):
 
 
 _FUNC_RE = re.compile(r"^func\s+(\w[\w.]*)\s*\(([^)]*)\)\s*\{$")
-_LABEL_RE = re.compile(r"^(\w[\w.@|]*)\s*:$")
+#: A label's first character is a word character; the transforms name
+#: copies ``<label>~<n>`` (tail duplication) and ``<label>@<state>.<n>``
+#: (loop replication), and state names hold ``^`` (loop-exit chains),
+#: ``{``, ``,`` and ``}`` (merged states) or ``*`` (a one-state machine).
+_LABEL_RE = re.compile(r"^(\w[\w.@|~^{},*]*)\s*:$")
 _ASSIGN_RE = re.compile(r"^(\w[\w.]*)\s*=\s*(.+)$")
 _CALL_RE = re.compile(r"^call\s+(\w[\w.]*)\s*\(([^)]*)\)$")
 _BRANCH_RE = re.compile(
     r"^(br(?:\.ptr)?(?:\.[tn])?)\s+(\w+)\s+(\S+)\s*,\s*(\S+)"
     r"\s*\?\s*(\S+)\s*:\s*(\S+)$"
 )
-_IDENT_RE = re.compile(r"^\w[\w.@|]*$")
+_IDENT_RE = re.compile(r"^\w[\w.@|~]*$")
 
 
 def _operand(token: str, line_number: int) -> Operand:

@@ -273,11 +273,16 @@ class LearnedPredictor(Predictor):
         ghist = columns.history("global-grouped", bits)
         pattern = columns.history("local", bits)
         if self.scope == "hybrid":
-            pattern = (pattern << bits) | ghist
+            # Register columns have no spare high bits: widen first.
+            pattern = (pattern.astype(np.int32) << bits) | ghist
         width = self.model.config.feature_bits
         index = (sorted_ids.astype(np.int32) << width) | pattern
         site_lut, shared_lut, seen = self._cached_luts(np, columns)
-        guesses = np.where(seen[sorted_ids], site_lut[index], shared_lut[ghist])
+        guesses = np.where(
+            np.take(seen, sorted_ids),
+            np.take(site_lut, index),
+            np.take(shared_lut, ghist),
+        )
         return bincount_bool(np, sorted_ids, guesses != grouped_dirs, columns.n_sites)
 
     def _cached_luts(self, np, columns):

@@ -89,15 +89,16 @@ def _pattern_columns(
     keep = order < cut
     events = order[keep]
     if config.scope == "global":
-        patterns = ghist[events]
+        patterns = np.take(ghist, events)
     else:
         # A local register restarts with its site, so it comes from the
         # grouped local column.
         patterns = columns.history("local", bits)[keep]
         if config.scope == "hybrid":
-            patterns = (patterns << bits) | ghist[events]
+            # Register columns have no spare high bits: widen first.
+            patterns = (patterns.astype(np.int32) << bits) | np.take(ghist, events)
     patterns = patterns.tolist()
-    directions = columns.directions[events].tolist()
+    directions = np.take(columns.directions, events).tolist()
     counts = np.bincount(site_ids, minlength=columns.n_sites).tolist()
     offsets = list(itertools.accumulate([0] + counts))
     seen, first = np.unique(site_ids, return_index=True)

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 from ..ir import BranchSite
 from .base import Predictor
-from .kernels import saturating_run_wrongs
+from .kernels import run_bounds, saturating_run_wrongs
 
 
 def _grouped_direction_runs(columns):
@@ -30,9 +30,7 @@ def _grouped_direction_runs(columns):
         _, _, grouped_dirs, new_site = columns.grouped()
         run_break = np.array(new_site, dtype=bool, copy=True)
         run_break[1:] |= grouped_dirs[1:] != grouped_dirs[:-1]
-        run_starts = np.flatnonzero(run_break)
-        run_lengths = np.diff(run_starts, append=columns.n_events)
-        return run_starts, run_lengths
+        return run_bounds(np, run_break)
 
     return columns.cached(("gdir-runs",), build)
 
@@ -65,10 +63,11 @@ class LastDirection(Predictor):
         initial = 1 if self.initial else 0
         _, sorted_ids, grouped_dirs, new_site = columns.grouped()
         run_starts, _ = _grouped_direction_runs(columns)
-        wrong = grouped_dirs[run_starts] != initial
-        wrong |= ~new_site[run_starts]
-        return columns.np.bincount(
-            sorted_ids[run_starts[wrong]], minlength=columns.n_sites
+        np = columns.np
+        wrong = np.take(grouped_dirs, run_starts) != initial
+        wrong |= ~np.take(new_site, run_starts)
+        return np.bincount(
+            np.take(sorted_ids, run_starts[wrong]), minlength=columns.n_sites
         ).tolist()
 
 
@@ -121,6 +120,6 @@ class SaturatingCounter(Predictor):
             runs=_grouped_direction_runs(columns),
         )
         return np.bincount(
-            np.repeat(sorted_ids[run_starts], wrongs),
+            np.repeat(np.take(sorted_ids, run_starts), wrongs),
             minlength=columns.n_sites,
         ).tolist()

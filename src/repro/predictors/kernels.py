@@ -33,8 +33,29 @@ from __future__ import annotations
 from typing import List
 
 
+def index_dtype(np, n: int):
+    """The dtype of event indices, offsets and run lengths over *n*
+    events: int32, or int64 once *n* reaches ``2**31``.
+
+    Gather through such a column with ``np.take``: fancy indexing casts
+    a non-``intp`` index array on a buffered path about 3x slower, while
+    ``take`` runs as fast as with int64 indices.
+    """
+    return np.int32 if n < 1 << 31 else np.int64
+
+
+def run_bounds(np, run_break):
+    """``(starts, lengths)`` of the runs a boolean column cuts, where
+    ``run_break[i]`` marks the first event of every run, in
+    :func:`index_dtype`."""
+    dtype = index_dtype(np, len(run_break))
+    starts = np.flatnonzero(run_break).astype(dtype)
+    return starts, np.diff(starts, append=dtype(len(run_break)))
+
+
 def history_pack(np, dirs, bits: int, group_start=None):
-    """The shift-register contents before each event, as an int64 column.
+    """The shift-register contents before each event, as a column of the
+    smallest unsigned dtype that holds *bits* bits.
 
     ``out[t] = sum_{j=1..bits} dirs[t-j] << (j-1)`` — the register after
     shifting in events ``< t``, newest outcome in the LSB, starting from
@@ -42,42 +63,43 @@ def history_pack(np, dirs, bits: int, group_start=None):
     *group_start* (per-event index of the first event of its group),
     registers reset at group boundaries: contributions from events
     before ``group_start[t]`` are dropped, which scores one independent
-    register per group (per-site, per-set, ...) in one pass.
+    register per group (per-site, per-set, ...) in one pass.  The column
+    has no spare high bits: callers that shift it further widen it
+    first.
     """
-    dtype = np.int32 if bits < 31 else np.int64
+    dtype = np.min_scalar_type((1 << min(bits, 64)) - 1)
     n = len(dirs)
     out = np.zeros(n, dtype=dtype)
     if n == 0 or bits == 0:
         return out
-    wide = dirs.astype(dtype)
+    wide = dirs.astype(dtype, copy=False)
     for j in range(1, min(bits, n) + 1):
         out[j:] += wide[: n - j] << (j - 1)
     if group_start is not None:
         # Bit j-1 of out[t] is the outcome of event t-j; outcomes from
         # before the group are exactly the bits at positions >= the
-        # distance to the group start, so one mask drops them all.
-        window = np.arange(n, dtype=np.int64)
+        # distance to the group start, so one mask per distance drops
+        # them all.
+        window = np.arange(n, dtype=group_start.dtype)
         window -= group_start
-        window = np.minimum(window, bits).astype(dtype)
-        out &= (dtype(1) << window) - dtype(1)
+        np.minimum(window, bits, out=window)
+        masks = np.array([(1 << width) - 1 for width in range(bits + 1)], dtype=dtype)
+        out &= np.take(masks, window)
     return out
 
 
-def group_starts(np, new_group, indices=None):
-    """Per event, the index where its group begins.
+def group_starts(np, new_group):
+    """Per event, the index where its group begins, in
+    :func:`index_dtype`.
 
     *new_group* is a boolean column marking the first event of every
     group (groups are contiguous).  The result feeds
-    :func:`history_pack`'s boundary masking.  *indices* is an optional
-    precomputed ``arange(len(new_group))`` (callers on a hot path cache
-    it per trace).
+    :func:`history_pack`'s boundary masking.
     """
     n = len(new_group)
-    starts = np.zeros(n, dtype=np.int64)
+    starts = np.zeros(n, dtype=index_dtype(np, n))
     if n:
-        if indices is None:
-            indices = np.arange(n, dtype=np.int64)
-        starts[new_group] = indices[new_group]
+        starts[new_group] = np.flatnonzero(new_group)
         np.maximum.accumulate(starts, out=starts)
     return starts
 
@@ -96,7 +118,7 @@ def lut_misses(np, columns, lut, kind: str, bits: int) -> List[int]:
     else:
         _, site_ids, dirs, _ = columns.grouped()
     index = (site_ids.astype(np.int32) << bits) | columns.history(kind, bits)
-    return bincount_bool(np, site_ids, lut[index] != dirs, columns.n_sites)
+    return bincount_bool(np, site_ids, np.take(lut, index) != dirs, columns.n_sites)
 
 
 def saturating_run_wrongs(
@@ -130,12 +152,11 @@ def saturating_run_wrongs(
     else:
         run_break = np.array(new_group, dtype=bool, copy=True)
         run_break[1:] |= dirs[1:] != dirs[:-1]
-        run_starts = np.flatnonzero(run_break)
-        run_lengths = np.diff(run_starts, append=n)
+        run_starts, run_lengths = run_bounds(np, run_break)
     # 0/1 direction bytes select like booleans everywhere below; the
     # cast to bool would only add a copy.
-    run_up = dirs[run_starts]
-    run_fresh = np.asarray(new_group, dtype=bool)[run_starts]
+    run_up = np.take(dirs, run_starts)
+    run_fresh = np.take(np.asarray(new_group, dtype=bool), run_starts)
     n_runs = len(run_starts)
 
     # Each run is the saturated add v -> clip(v + delta, 0, top), i.e.
@@ -144,7 +165,7 @@ def saturating_run_wrongs(
     # memory the doubling passes touch.  Explicit minimum/maximum pairs
     # instead of np.clip: clip with Python-int bounds goes through a
     # slow bounds-normalisation path on every call.
-    lengths32 = run_lengths.astype(np.int32)
+    lengths32 = run_lengths.astype(np.int32, copy=False)
     deltas = np.where(run_up, lengths32, -lengths32)
     lower = np.minimum(np.maximum(deltas, 0), top)
     upper = np.minimum(np.maximum(deltas + top, 0), top)

@@ -25,6 +25,8 @@ from .base import Predictor
 from .kernels import (
     group_starts,
     history_pack,
+    index_dtype,
+    run_bounds,
     saturating_run_wrongs,
     wrong_positions,
 )
@@ -190,10 +192,9 @@ class TwoLevelPredictor(Predictor):
         #    is cached on the snapshot and shared by every variant with
         #    the same first level.
         def build_histories():
-            indices = columns.event_indices()
             run_sites, run_starts, run_lengths = columns.runs()
             hkey_table = np.asarray(hkeys, dtype=np.int64)
-            run_hkeys = hkey_table[run_sites]
+            run_hkeys = np.take(hkey_table, run_sites)
             # Stable integer argsort is a radix sort: the narrowest key
             # dtype that fits directly buys passes.
             sort_keys = (
@@ -205,13 +206,13 @@ class TwoLevelPredictor(Predictor):
             starts_sorted = run_starts[run_order]
             lengths_sorted = run_lengths[run_order]
             before = np.cumsum(lengths_sorted) - lengths_sorted
-            order = np.repeat(starts_sorted - before, lengths_sorted) + indices
+            order = np.repeat(starts_sorted - before, lengths_sorted) + np.arange(n)
             hkey_sorted = np.repeat(run_hkeys[run_order], lengths_sorted)
             new_register = np.empty(n, dtype=bool)
             new_register[0] = True
             np.not_equal(hkey_sorted[1:], hkey_sorted[:-1], out=new_register[1:])
             histories_sorted = history_pack(
-                np, dirs[order], bits, group_starts(np, new_register, indices)
+                np, dirs[order], bits, group_starts(np, new_register)
             )
             scattered = np.empty(n, dtype=histories_sorted.dtype)
             scattered[order] = histories_sorted
@@ -238,10 +239,11 @@ class TwoLevelPredictor(Predictor):
         #    they live in the snapshot cache too; only the counter
         #    scoring and attribution run per call.
         def build_counter_grouping():
-            counter_keys = (
-                np.asarray(pkeys, dtype=np.int32)[site_ids] << bits
-            ) | histories().astype(np.int32, copy=False)
             top_key = int(max(pkeys)) << bits | self._mask
+            wide = np.int32 if top_key < 1 << 31 else np.int64
+            counter_keys = (
+                np.take(np.asarray(pkeys, dtype=wide), site_ids) << bits
+            ) | histories().astype(wide, copy=False)
             if top_key < 1 << 16:
                 counter_keys = counter_keys.astype(np.uint16)
             order = np.argsort(counter_keys, kind="stable")
@@ -252,9 +254,12 @@ class TwoLevelPredictor(Predictor):
             dirs_sorted = dirs[order]
             run_break = new_counter.copy()
             run_break[1:] |= dirs_sorted[1:] != dirs_sorted[:-1]
-            run_starts = np.flatnonzero(run_break)
-            run_lengths = np.diff(run_starts, append=n)
-            return order, new_counter, dirs_sorted, (run_starts, run_lengths)
+            return (
+                order.astype(index_dtype(np, n)),
+                new_counter,
+                dirs_sorted,
+                run_bounds(np, run_break),
+            )
 
         order, new_counter, dirs_sorted, runs = columns.cached(
             (
@@ -271,7 +276,7 @@ class TwoLevelPredictor(Predictor):
             np, new_counter, dirs_sorted, threshold, top, threshold, runs=runs
         )
         wrong_events = order[wrong_positions(np, starts, wrongs)]
-        return np.bincount(site_ids[wrong_events], minlength=n_sites).tolist()
+        return np.bincount(np.take(site_ids, wrong_events), minlength=n_sites).tolist()
 
 
 def two_level_4k(history_bits: int = 9) -> TwoLevelPredictor:

@@ -50,7 +50,7 @@ import sys
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..predictors.kernels import group_starts, history_pack
+from ..predictors.kernels import group_starts, history_pack, index_dtype, run_bounds
 
 _numpy_module = None
 _numpy_checked = False
@@ -106,6 +106,17 @@ def unpack_bits(packed: bytes, count: int) -> bytearray:
     return out
 
 
+def _buffer_bytes(value) -> int:
+    """Total bytes of the buffers (numpy arrays, ``array``, ``bytes``)
+    in *value*, descending into tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        return sum(_buffer_bytes(item) for item in value)
+    try:
+        return memoryview(value).nbytes
+    except TypeError:
+        return 0
+
+
 class TraceColumns:
     """Columnar snapshot of one trace (see the module docstring).
 
@@ -136,8 +147,7 @@ class TraceColumns:
         else:
             self.site_ids = site_ids
             self.directions = bytes(unpack_bits(packed_directions, self.n_events))
-        self._runs: Optional[Tuple[list, list, list]] = None
-        self._indices = None
+        self._runs: Optional[Tuple[Sequence[int], Sequence[int], Sequence[int]]] = None
         self._grouped = None
         self._grouped_starts = None
         self._histories: Dict[Tuple[str, int], object] = {}
@@ -163,36 +173,47 @@ class TraceColumns:
             self._kernel_cache[key] = value
             return value
 
-    def event_indices(self):
-        """Cached ``arange(n_events)`` (numpy path only) — shared by the
-        kernels so hot calls skip the allocation."""
-        if self._indices is None:
-            self._indices = self.np.arange(self.n_events, dtype=self.np.int64)
-        return self._indices
+    def _site_dtype(self):
+        """The smallest unsigned dtype that holds every site id."""
+        return self.np.min_scalar_type(max(self.n_sites - 1, 0))
+
+    def nbytes(self) -> int:
+        """Bytes of every column this view holds: the site-id column it
+        shares with its trace, the directions and each cached column."""
+        return _buffer_bytes(
+            (
+                self.site_ids,
+                self.directions,
+                self._runs,
+                self._grouped,
+                self._grouped_starts,
+                list(self._histories.values()),
+                list(self._kernel_cache.values()),
+            )
+        )
 
     # -- run partition ---------------------------------------------------------
 
     def runs(self) -> Tuple[Sequence[int], Sequence[int], Sequence[int]]:
         """``(run_sites, run_starts, run_lengths)`` — the maximal runs of
-        equal site id, in trace order."""
+        equal site id, in trace order: site ids in the grouped column's
+        dtype, starts and lengths in the index dtype."""
         if self._runs is None:
             np = self.np
             n = self.n_events
-            if n == 0:
-                empty: list = []
-                self._runs = (empty, [], [])
-            elif np is not None:
+            if np is not None:
                 ids = self.site_ids
                 change = np.empty(n, dtype=bool)
-                change[0] = True
+                change[:1] = True
                 np.not_equal(ids[1:], ids[:-1], out=change[1:])
-                starts = np.flatnonzero(change)
-                lengths = np.diff(starts, append=n)
-                self._runs = (ids[starts], starts, lengths)
+                starts, lengths = run_bounds(np, change)
+                run_sites = np.take(ids, starts).astype(self._site_dtype())
+                self._runs = (run_sites, starts, lengths)
             else:
-                run_sites: List[int] = []
-                run_starts: List[int] = []
-                run_lengths: List[int] = []
+                index_code = "i" if n < 1 << 31 else "q"
+                run_sites = array("i")
+                run_starts = array(index_code)
+                run_lengths = array(index_code)
                 previous = -1
                 for index, sid in enumerate(self.site_ids):
                     if sid != previous:
@@ -212,18 +233,22 @@ class TraceColumns:
         sorted by site id (numpy path only).
 
         ``order`` is the stable permutation itself (event indices grouped
-        by site, each site's in trace order); ``new_site[i]`` is True
-        where ``sorted_ids[i]`` starts a new site's segment; each segment
-        of ``grouped_dirs`` is that site's direction sequence in original
+        by site, each site's in trace order, in the index dtype);
+        ``sorted_ids`` holds the site ids in the smallest unsigned dtype
+        that fits ``n_sites - 1``; ``new_site[i]`` is True where
+        ``sorted_ids[i]`` starts a new site's segment; each segment of
+        ``grouped_dirs`` is that site's direction sequence in original
         trace order.
         """
         if self._grouped is None:
             np = self.np
             if np is None:
                 raise RuntimeError("grouped() is numpy-path only")
+            # Gather with argsort's own int64 order, then narrow it.
             order = np.argsort(self.site_ids, kind="stable")
-            sorted_ids = self.site_ids[order]
+            sorted_ids = self.site_ids[order].astype(self._site_dtype())
             grouped_dirs = self.directions[order]
+            order = order.astype(index_dtype(np, self.n_events))
             new_site = np.empty(self.n_events, dtype=bool)
             if self.n_events:
                 new_site[0] = True
@@ -235,9 +260,7 @@ class TraceColumns:
         """Per grouped event, the index where its site's segment starts
         (cached companion of :meth:`grouped` for history kernels)."""
         if self._grouped_starts is None:
-            self._grouped_starts = group_starts(
-                self.np, self.grouped()[3], self.event_indices()
-            )
+            self._grouped_starts = group_starts(self.np, self.grouped()[3])
         return self._grouped_starts
 
     # -- history registers -----------------------------------------------------
@@ -254,8 +277,10 @@ class TraceColumns:
           starting from zero at each site's first event.
 
         Registers hold the newest outcome in the LSB and start all-zero,
-        exactly like a freshly reset predictor (see
-        :func:`~repro.predictors.kernels.history_pack`).
+        exactly like a freshly reset predictor, in the smallest unsigned
+        dtype that holds *bits* bits (see
+        :func:`~repro.predictors.kernels.history_pack`): widen a column
+        before shifting it further.
         """
         key = (kind, bits)
         column = self._histories.get(key)
@@ -263,7 +288,7 @@ class TraceColumns:
             if kind == "global":
                 column = history_pack(self.np, self.directions, bits)
             elif kind == "global-grouped":
-                column = self.history("global", bits)[self.grouped()[0]]
+                column = self.np.take(self.history("global", bits), self.grouped()[0])
             elif kind == "local":
                 column = history_pack(
                     self.np, self.grouped()[2], bits, self.grouped_starts()

@@ -10,15 +10,62 @@ keeps a multi-million-event trace compact in memory (one bit per
 outcome, exactly the on-disk cost before compression) and lets
 :meth:`Trace.columns` hand the evaluation engine a zero-copy columnar
 view of both streams.
+
+A view costs far more per event than its trace, so the views of all
+traces in a process share one budget, :data:`VIEW_BYTES`: past it,
+:meth:`Trace.columns` drops the views of the least recently viewed
+traces, which rebuild theirs on their next call.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from array import array
+from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..ir import BranchSite
 from .columns import TraceColumns, unpack_bits
+
+
+#: Total :meth:`~repro.profiling.columns.TraceColumns.nbytes` of the
+#: columnar views all traces of this process keep cached.
+VIEW_BYTES = 32 << 20
+
+_views_lock = threading.Lock()
+#: ``id(trace) -> weakref`` of every trace holding a view, least
+#: recently viewed first.
+_viewed: "OrderedDict[int, weakref.ref]" = OrderedDict()
+
+
+def _keep_view(trace: "Trace", view: TraceColumns) -> None:
+    """Cache *view* on *trace* as the most recently viewed, then drop the
+    least recently viewed traces' views while the total is over
+    :data:`VIEW_BYTES`; *view* itself is never dropped.  Sizes are
+    measured afresh on every call, since kernels keep adding columns to
+    a view after it is handed out."""
+    with _views_lock:
+        trace._columns = view
+        key = id(trace)
+        _viewed[key] = weakref.ref(trace)
+        _viewed.move_to_end(key)
+        held = []
+        total = 0
+        for key, ref in list(_viewed.items()):
+            other = ref()
+            if other is None or other._columns is None:
+                del _viewed[key]
+                continue
+            size = other._columns.nbytes()
+            held.append((key, other, size))
+            total += size
+        for key, other, size in held[:-1]:
+            if total <= VIEW_BYTES:
+                break
+            other._columns = None
+            del _viewed[key]
+            total -= size
 
 
 class PackedDirections:
@@ -167,14 +214,15 @@ class Trace:
         """The cached columnar view of this trace's current events.
 
         Rebuilt lazily whenever events were recorded since the last
-        call; the view itself is immutable (see
+        call, or after the view budget dropped it (see
+        :data:`VIEW_BYTES`); the view itself is immutable (see
         :class:`~repro.profiling.columns.TraceColumns`).
         """
-        if self._columns is None or self._columns.n_events != len(self):
-            self._columns = TraceColumns(
-                self.sites, self.site_ids, self.directions.packed()
-            )
-        return self._columns
+        view = self._columns
+        if view is None or view.n_events != len(self):
+            view = TraceColumns(self.sites, self.site_ids, self.directions.packed())
+        _keep_view(self, view)
+        return view
 
     def taken_counts(self) -> Dict[BranchSite, Tuple[int, int]]:
         """Per-site (not_taken, taken) totals."""

@@ -127,6 +127,16 @@ class TestProgramStructure:
         )
         assert program.main_function().block("entry").terminator == Jump("next")
 
+    def test_labels_of_replicated_copies(self):
+        labels = ["body~0", "body~1.2", "exit@1^even.4", "head@{01,11}.2", "loop@*.0"]
+        text = "func main() {\nentry:\n  jump %s\n" % labels[0]
+        for label, successor in zip(labels, labels[1:] + ["done"]):
+            text += f"{label}:\n  br.t lt 1, 2 ? {successor} : done\n"
+        program = parse_program(text + "done:\n  ret\n}")
+        function = program.main_function()
+        assert [block.label for block in function] == ["entry", *labels, "done"]
+        assert function.block("loop@*.0").terminator.taken == "done"
+
     def test_multiple_functions(self):
         program = parse_program(
             "func main() {\nentry:\n  ret\n}\nfunc helper() {\nentry:\n  ret\n}"

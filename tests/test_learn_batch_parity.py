@@ -40,14 +40,18 @@ def numpy_mode(disabled: bool):
 
 
 #: Every kind × scope, with small widths so tiny random traces still
-#: exercise seen *and* unseen pattern rows.
+#: exercise seen *and* unseen pattern rows.  The 5- and 6-bit hybrids
+#: concatenate two registers into more than the 8 bits of their uint8
+#: register columns, so they check that the numpy route widens first.
 LEARNED_CONFIGS = [
     LearnedConfig(kind="perceptron", scope="global", history_bits=3),
     LearnedConfig(kind="perceptron", scope="peraddr", history_bits=3),
     LearnedConfig(kind="perceptron", scope="hybrid", history_bits=2),
+    LearnedConfig(kind="perceptron", scope="hybrid", history_bits=5),
     LearnedConfig(kind="logistic", scope="global", history_bits=3),
     LearnedConfig(kind="logistic", scope="peraddr", history_bits=3),
     LearnedConfig(kind="logistic", scope="hybrid", history_bits=2),
+    LearnedConfig(kind="logistic", scope="hybrid", history_bits=6),
 ]
 
 

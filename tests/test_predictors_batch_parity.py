@@ -15,6 +15,7 @@ byte masked off.
 """
 
 import os
+import random
 from contextlib import contextmanager
 
 import hypothesis.strategies as st
@@ -36,7 +37,13 @@ from repro.predictors import (
     evaluate_many,
     two_level_4k,
 )
-from repro.profiling import ProfileData, Trace, trace_from_bytes, trace_to_bytes
+from repro.profiling import (
+    ProfileData,
+    Trace,
+    profile_to_bytes,
+    trace_from_bytes,
+    trace_to_bytes,
+)
 from repro.profiling.columns import get_numpy, unpack_bits
 
 
@@ -146,6 +153,63 @@ def test_numpy_and_fallback_kernels_agree(events):
             modes.append(
                 evaluate_many(family_predictors(profile), trace)
             )
+    assert_results_identical(*modes)
+
+
+#: History-register widths either side of the view's uint8 -> uint16
+#: -> uint32 column steps.
+REGISTER_WIDTHS = [8, 9, 16, 17]
+
+
+def width_predictors(profile, bits):
+    """Every kernel that reads a *bits*-bit register of the view."""
+    return [
+        two_level_4k(bits),
+        *all_yeh_patt_variants(bits).values(),
+        CorrelationPredictor(profile, bits),
+        LoopPredictor(profile, bits),
+    ]
+
+
+@pytest.mark.parametrize("bits", REGISTER_WIDTHS)
+def test_numpy_and_fallback_agree_at_register_widths(bits):
+    """Registers are stored in the narrowest dtype for their width; at
+    each width step the kernels and the columnar profile tables must
+    still equal the sequential reference and the per-event loop.  Random
+    outcomes over five sites set every register bit."""
+    if get_numpy() is None:
+        pytest.skip("numpy unavailable; only one mode to compare")
+    rng = random.Random(bits)
+    events = [(rng.randrange(5), rng.random() < 0.6) for _ in range(800)]
+    trace_bytes = trace_to_bytes(build_trace(events))
+    trace = trace_from_bytes(trace_bytes)
+    columnar = ProfileData.from_columns(trace.columns(), bits, bits)
+    reference = ProfileData.from_events(trace, bits, bits)
+    assert profile_to_bytes(columnar) == profile_to_bytes(reference)
+    modes = []
+    for disabled in (False, True):
+        with numpy_mode(disabled):
+            trace = trace_from_bytes(trace_bytes)
+            modes.append(evaluate_many(width_predictors(reference, bits), trace))
+    assert_results_identical(*modes)
+
+
+@pytest.mark.parametrize("bits", [31, 33])
+def test_two_level_counter_keys_wider_than_int32(bits):
+    """Past 31 history bits a two-level counter key no longer fits
+    int32 (and past 32 the register column is uint64), so the kernel
+    builds its keys in int64; every scope must still match the
+    sequential reference."""
+    if get_numpy() is None:
+        pytest.skip("numpy unavailable; only one mode to compare")
+    rng = random.Random(bits)
+    events = [(rng.randrange(5), rng.random() < 0.6) for _ in range(400)]
+    trace_bytes = trace_to_bytes(build_trace(events))
+    modes = []
+    for disabled in (False, True):
+        with numpy_mode(disabled):
+            trace = trace_from_bytes(trace_bytes)
+            modes.append(evaluate_many(list(all_yeh_patt_variants(bits).values()), trace))
     assert_results_identical(*modes)
 
 

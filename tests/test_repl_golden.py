@@ -8,7 +8,8 @@ benchmark make.  Per prefix it records the sha256 of the rendered
 replicated program, the program sizes before and after, and every loop
 and tail result's sizes plus the sha256 of its removed blocks (in
 order) and of its surviving copies.  A second check runs every prefix
-and folds each copy's branch counts onto its original block.
+and folds each copy's branch counts onto its original block; a third
+prints, parses and runs every prefix again.
 
 Regenerate it only when replication's output changes on purpose::
 
@@ -26,6 +27,8 @@ from typing import Dict, List
 import pytest
 
 from repro import replication, workloads
+from repro.interp import run_program
+from repro.ir import parse_program
 from repro.ir.printer import format_program
 
 from conftest import run_folding_copies
@@ -132,6 +135,21 @@ def test_every_prefix_folds_onto_the_original_branches(name):
         result, counts = run_folding_copies(report.program, args, input_values)
         assert (result.value, result.output) == (reference.value, reference.output)
         assert counts == expected
+
+
+@pytest.mark.parametrize("name", workloads.BENCHMARK_NAMES)
+def test_every_prefix_reads_back(name):
+    """Every replicated program parses back from its printed text to a
+    program that prints the same and runs to the original's value and
+    output."""
+    args, input_values = workloads.get_workload(name).default_args(SCALE)
+    expected = run_program(workloads.get_program(name), args, input_values)
+    for report in realisations(name):
+        text = format_program(report.program)
+        parsed = parse_program(text)
+        assert format_program(parsed) == text
+        result = run_program(parsed, args, input_values)
+        assert (result.value, result.output) == (expected.value, expected.output)
 
 
 def test_golden_covers_every_prefix():

@@ -1,10 +1,14 @@
 """Toolkit CLI tests (python -m repro ...)."""
 
+import os
+
 import pytest
 
 from repro.tools import main
 
 from conftest import ALTERNATING_LOOP
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 
 @pytest.fixture
@@ -72,6 +76,22 @@ def test_optimize(ir_file, tmp_path, capsys):
         if block.branch is not None
     ]
     assert all(p is not None for p in predictions)
+
+
+def test_optimized_program_runs_from_its_file(tmp_path, capsys):
+    """``optimize -o`` writes tail-duplicated copies (``~`` labels) that
+    ``run`` reads back to the original result."""
+    example = os.path.join(ROOT, "examples", "prog.ir")
+    assert main(["run", example, "--args", "100"]) == 0
+    original = capsys.readouterr().out.splitlines()[:2]
+    out_path = tmp_path / "out.ir"
+    assert main(
+        ["optimize", example, "--args", "100", "--max-states", "4", "-o", str(out_path)]
+    ) == 0
+    capsys.readouterr()
+    assert "~" in out_path.read_text()
+    assert main(["run", str(out_path), "--args", "100"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == original
 
 
 def test_machines(ir_file, capsys):
