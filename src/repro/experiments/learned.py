@@ -15,6 +15,7 @@ from typing import List, Optional
 from ..learn import DEFAULT_SPLIT, LearnedPredictor, default_learned_configs, fit, holdout_trace, training_cut
 from ..predictors import LoopCorrelationPredictor, ProfilePredictor, two_level_4k
 from ..profiling import ProfileData
+from ..profiling.columns import get_numpy
 from ..workloads import BENCHMARK_NAMES, get_trace
 from .registry import evaluate_rows, register
 from .report import Table, pct
@@ -36,6 +37,7 @@ def run(
         trace = get_trace(name, scale)
         cut = training_cut(len(trace), split)
         train_profile = ProfileData.from_trace(trace.truncated(cut))
+        get_numpy()
         columns = trace.columns()
         predictors = [
             ("profile", ProfilePredictor(train_profile)),

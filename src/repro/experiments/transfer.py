@@ -22,6 +22,7 @@ from typing import List, Optional
 
 from ..learn import LearnedConfig, LearnedPredictor, fit
 from ..predictors import LoopCorrelationPredictor, ProfilePredictor
+from ..profiling.columns import get_numpy
 from ..workloads import BENCHMARK_NAMES, get_profile, get_trace
 from .crosseval import DEFAULT_SEED_OFFSET
 from .registry import evaluate_rows, register
@@ -44,6 +45,7 @@ def run(
         list(names),
     )
 
+    get_numpy()
     models = {
         name: LearnedPredictor(
             fit(get_trace(name, scale).columns(), TRANSFER_CONFIG, split=1.0),

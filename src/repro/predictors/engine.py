@@ -12,14 +12,15 @@ cheapest route that yields identical results:
   :meth:`Predictor.step_batch` as vectorized numpy passes over the
   trace's columnar view (:meth:`~repro.profiling.trace.Trace.columns`),
   byte-identical to the sequential replay;
-* **else the sequential reference** — without numpy (not importable,
-  or ``REPRO_NO_NUMPY`` set), and for a custom ``Predictor`` subclass
-  whose ``step_batch`` returns ``None``, the predictor is scored by
+* **else the sequential reference** — without numpy, and where
+  ``step_batch`` returns ``None``, the predictor is scored by
   :func:`~repro.predictors.base.evaluate` itself, the same
   ``predict``/``update`` replay the parity suites hold every kernel to.
 
-Per-site execution and taken counts are predictor-independent and come
-from the columnar view's C-speed aggregations, shared by every result.
+Only an online predictor makes the engine load numpy, so a call that
+scores in closed form alone never imports it.  Per-site execution and
+taken counts are predictor-independent and come from the columnar
+view, shared by every result.
 
 The engine reports process-wide counters (``engine.*``: events,
 wall-clock, predictors per route) and an ``engine.evaluate_many`` span
@@ -41,6 +42,7 @@ from typing import Dict, List, Optional, Sequence
 from ..ir import BranchSite
 from ..obs import OBS
 from ..profiling import Trace
+from ..profiling.columns import get_numpy
 from .base import EvaluationResult, Predictor, SiteStats, evaluate
 
 
@@ -56,10 +58,11 @@ def evaluate_many(
     started = perf_counter()
     with OBS.span("engine.evaluate_many", predictors=len(predictors)) as span:
         sites = trace.sites
+        if not all(predictor.order_independent for predictor in predictors):
+            get_numpy()
         columns = trace.columns()
 
-        # Shared per-site bookkeeping from the columnar view (numpy
-        # bincount / run-sliced byte counts — no per-event Python work).
+        # Shared per-site bookkeeping from the columnar view.
         executions = columns.site_executions()
         taken = columns.site_taken()
 

@@ -152,7 +152,7 @@ class TwoLevelPredictor(Predictor):
             return [_site_hash(site) % sets for site in sites]
         return list(range(n_sites))
 
-    def step_batch(self, columns) -> List[int]:
+    def step_batch(self, columns) -> Optional[List[int]]:
         """Columnar scoring of the two-level predictor.
 
         The decomposition that makes an *adaptive* predictor batchable:
@@ -164,6 +164,7 @@ class TwoLevelPredictor(Predictor):
         addresses an independent 2-bit saturating counter, so grouping
         events by that joint key reduces the second level to the same
         closed-form run kernel the plain saturating counter uses.
+        ``None`` when a counter key does not fit int64.
         """
         n_sites = columns.n_sites
         n = columns.n_events
@@ -171,11 +172,14 @@ class TwoLevelPredictor(Predictor):
             return [0] * n_sites
         bits = self.config.history_bits
         threshold, top = self._threshold, self._max
-        hkeys = self._scope_keys(
-            self.config.history_scope, self.config.history_sets, n_sites, columns.sites
-        )
         pkeys = self._scope_keys(
             self.config.pattern_scope, self.config.pattern_sets, n_sites, columns.sites
+        )
+        top_key = max(pkeys) << bits | self._mask
+        if top_key >= 1 << 63:
+            return None
+        hkeys = self._scope_keys(
+            self.config.history_scope, self.config.history_sets, n_sites, columns.sites
         )
         np = columns.np
         site_ids = columns.site_ids
@@ -239,7 +243,6 @@ class TwoLevelPredictor(Predictor):
         #    they live in the snapshot cache too; only the counter
         #    scoring and attribution run per call.
         def build_counter_grouping():
-            top_key = int(max(pkeys)) << bits | self._mask
             wide = np.int32 if top_key < 1 << 31 else np.int64
             counter_keys = (
                 np.take(np.asarray(pkeys, dtype=wide), site_ids) << bits

@@ -4,13 +4,13 @@ A :class:`TraceColumns` is a read-only, per-trace-snapshot view of one
 :class:`~repro.profiling.trace.Trace` exposing the event stream as
 columns instead of per-event tuples:
 
-* **site-id column** — the interned site-id stream, run-length
-  partitioned (``run_sites``/``run_starts``/``run_lengths``): the trace
-  is a sequence of maximal runs of equal site id, so per-site counts
-  and per-key groupings work on runs instead of events;
-* **direction column** — the 0/1 outcomes, unpacked on demand from the
-  trace's bit-packed storage (``numpy.unpackbits`` when numpy is
-  importable, a pure-Python table expansion otherwise);
+* **site-id column** — the interned site-id stream, and its partition
+  into maximal runs of equal site id (``run_sites``/``run_starts``/
+  ``run_lengths``), so per-key groupings can sort runs instead of
+  events;
+* **direction column** — the 0/1 outcomes, unpacked from the trace's
+  bit-packed storage (``numpy.unpackbits`` when numpy is loaded, a
+  pure-Python expansion otherwise);
 * **site grouping (CSR)** — a stable permutation of events grouped by
   site id plus per-site offsets, giving every numpy kernel each site's
   full direction sequence, in trace order, as one contiguous slice;
@@ -31,16 +31,13 @@ learned-model trainer and the pattern tables of
 aggregate the grouped site ids and the ``"local"``/``"global-grouped"``
 registers instead of replaying the events.
 
-numpy is strictly optional: :func:`get_numpy` returns ``None`` when it
-is not importable or when ``REPRO_NO_NUMPY`` is set (the CI no-numpy
-leg).  The columns are then plain ``array``/``bytes`` objects and the
-evaluation engine scores every online predictor with the sequential
-reference instead of its numpy kernel, so only the accessors the
-closed form and training need (``runs``, ``site_executions``,
-``site_taken``) keep a pure-Python branch.  Results are identical
-either way; only the speed differs.  :func:`loaded_numpy` is the
-non-importing twin for callers that must not pull numpy into a process
-that has not loaded it yet (the profile build in fleet workers).
+numpy costs a fresh process tens of megabytes, so one rule decides
+whether it runs: a view uses numpy only if it is already loaded
+(:func:`loaded_numpy`), and only code about to run a numpy kernel
+loads it (:func:`get_numpy`).  Without numpy the columns are plain
+``array``/``bytes`` objects, only the per-site counts and the trainer's
+pattern pass work, and the engine scores every online predictor with
+the sequential reference.  Results are identical either way.
 """
 
 from __future__ import annotations
@@ -83,27 +80,35 @@ def loaded_numpy():
     """The ``numpy`` module if this process has already imported it and
     ``REPRO_NO_NUMPY`` is unset, else ``None`` — never imports it.
 
-    Importing numpy costs a fresh process tens of megabytes, so code
-    that runs in service workers uses this to take a numpy route only
-    where the memory is already paid for.
+    Views, the profile build and the trace decode use this: they take
+    a numpy route only where the memory is already paid for.
     """
     if os.environ.get("REPRO_NO_NUMPY"):
         return None
     return sys.modules.get("numpy")
 
 
-#: 256-entry table: packed byte -> its eight LSB-first bits, used by the
-#: pure-Python unpack path (one dict-free lookup per 8 events).
-_BYTE_BITS = [bytes((byte >> bit) & 1 for bit in range(8)) for byte in range(256)]
+#: Maps the digits of a binary numeral to the bytes 0 and 1.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def unpack_bits(packed: bytes, count: int) -> bytearray:
-    """Expand *count* LSB-first packed bits into one byte per bit."""
+    """Expand *count* LSB-first packed bits into one byte per bit.
+
+    The packed bytes, read little-endian, are one integer whose bit *i*
+    is event *i*, so its binary numeral read backwards is the expansion.
+    One expression, so each intermediate is freed as the next is built:
+    about 2 bytes per event at peak.
+    """
     if count == 0:
         return bytearray()
-    out = bytearray().join(_BYTE_BITS[byte] for byte in packed[: (count + 7) // 8])
-    del out[count:]
-    return out
+    width = (count + 7) // 8
+    value = int.from_bytes(packed[:width], "little")
+    return bytearray(
+        format(value, f"0{width * 8}b")[: -count - 1 : -1]
+        .encode("ascii")
+        .translate(_DIGIT_BITS)
+    )
 
 
 def _buffer_bytes(value) -> int:
@@ -121,14 +126,13 @@ class TraceColumns:
     """Columnar snapshot of one trace (see the module docstring).
 
     Instances are built by :meth:`Trace.columns` and cached per event
-    count; they must be treated as immutable.  ``np`` is the numpy
-    module when the vectorized path is active, ``None`` without numpy —
-    the engine consults it once per call to pick kernels or the
-    sequential reference.
+    count; they must be treated as immutable.  ``np`` is
+    :func:`loaded_numpy` at construction — the engine consults it once
+    per call to pick kernels or the sequential reference.
     """
 
     def __init__(self, sites, site_ids: array, packed_directions: bytes) -> None:
-        self.np = get_numpy()
+        self.np = loaded_numpy()
         self.sites = sites
         self.n_sites = len(sites)
         self.n_events = len(site_ids)
@@ -196,34 +200,19 @@ class TraceColumns:
 
     def runs(self) -> Tuple[Sequence[int], Sequence[int], Sequence[int]]:
         """``(run_sites, run_starts, run_lengths)`` — the maximal runs of
-        equal site id, in trace order: site ids in the grouped column's
-        dtype, starts and lengths in the index dtype."""
+        equal site id, in trace order (numpy path only): site ids in the
+        grouped column's dtype, starts and lengths in the index dtype."""
         if self._runs is None:
             np = self.np
-            n = self.n_events
-            if np is not None:
-                ids = self.site_ids
-                change = np.empty(n, dtype=bool)
-                change[:1] = True
-                np.not_equal(ids[1:], ids[:-1], out=change[1:])
-                starts, lengths = run_bounds(np, change)
-                run_sites = np.take(ids, starts).astype(self._site_dtype())
-                self._runs = (run_sites, starts, lengths)
-            else:
-                index_code = "i" if n < 1 << 31 else "q"
-                run_sites = array("i")
-                run_starts = array(index_code)
-                run_lengths = array(index_code)
-                previous = -1
-                for index, sid in enumerate(self.site_ids):
-                    if sid != previous:
-                        run_sites.append(sid)
-                        run_starts.append(index)
-                        run_lengths.append(1)
-                        previous = sid
-                    else:
-                        run_lengths[-1] += 1
-                self._runs = (run_sites, run_starts, run_lengths)
+            if np is None:
+                raise RuntimeError("runs() is numpy-path only")
+            ids = self.site_ids
+            change = np.empty(self.n_events, dtype=bool)
+            change[:1] = True
+            np.not_equal(ids[1:], ids[:-1], out=change[1:])
+            starts, lengths = run_bounds(np, change)
+            run_sites = np.take(ids, starts).astype(self._site_dtype())
+            self._runs = (run_sites, starts, lengths)
         return self._runs
 
     # -- site grouping (CSR) ---------------------------------------------------
@@ -314,29 +303,26 @@ class TraceColumns:
                 counts = np.bincount(self.site_ids, minlength=self.n_sites)
                 self._executions = dict(zip(sids.tolist(), counts[sids].tolist()))
             else:
+                # Without numpy one pass fills both per-site counts.
                 executions: Dict[int, int] = {}
-                run_sites, _, run_lengths = self.runs()
-                for sid, length in zip(run_sites, run_lengths):
-                    executions[sid] = executions.get(sid, 0) + length
-                self._executions = executions
+                taken = [0] * self.n_sites
+                for sid, direction in zip(self.site_ids, self.directions):
+                    executions[sid] = executions.get(sid, 0) + 1
+                    taken[sid] += direction
+                self._executions, self._taken = executions, taken
         return self._executions
 
     def site_taken(self) -> List[int]:
         """Per site id, how many of its events were taken."""
         if self._taken is None:
             np = self.np
-            if np is not None:
+            if np is None:
+                self.site_executions()
+            else:
                 self._taken = [
                     int(value)
                     for value in np.bincount(
                         self.site_ids, weights=self.directions, minlength=self.n_sites
                     )
                 ]
-            else:
-                taken = [0] * self.n_sites
-                dirs = self.directions
-                run_sites, run_starts, run_lengths = self.runs()
-                for sid, start, length in zip(run_sites, run_starts, run_lengths):
-                    taken[sid] += dirs.count(1, start, start + length)
-                self._taken = taken
         return self._taken

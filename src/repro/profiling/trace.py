@@ -26,7 +26,7 @@ from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..ir import BranchSite
-from .columns import TraceColumns, unpack_bits
+from .columns import TraceColumns, loaded_numpy, unpack_bits
 
 
 #: Total :meth:`~repro.profiling.columns.TraceColumns.nbytes` of the
@@ -76,16 +76,15 @@ class PackedDirections:
     supports the small sequence surface the trace layer needs —
     ``append``/``extend``, ``len``, indexing, slicing, iteration and
     equality — plus :meth:`packed` (the raw bytes, trailing bits
-    zeroed) and :meth:`unpacked` (a cached one-byte-per-bit expansion
-    for the legacy per-event iteration paths).
+    zeroed) and :meth:`unpacked` (a one-byte-per-bit expansion, never
+    kept, for the per-event iteration paths).
     """
 
-    __slots__ = ("_data", "_length", "_cache")
+    __slots__ = ("_data", "_length")
 
     def __init__(self, bits: Iterable[int] = ()) -> None:
         self._data = bytearray()
         self._length = 0
-        self._cache: Optional[bytearray] = None
         self.extend(bits)
 
     @classmethod
@@ -113,10 +112,8 @@ class PackedDirections:
         return bytes(self._data)
 
     def unpacked(self) -> bytearray:
-        """One byte per bit (0 or 1), cached until the next mutation."""
-        if self._cache is None:
-            self._cache = unpack_bits(self._data, self._length)
-        return self._cache
+        """One byte per bit (0 or 1), expanded afresh on every call."""
+        return unpack_bits(self._data, self._length)
 
     def append(self, bit: int) -> None:
         index = self._length
@@ -125,7 +122,6 @@ class PackedDirections:
         if bit:
             self._data[index >> 3] |= 1 << (index & 7)
         self._length = index + 1
-        self._cache = None
 
     def extend(self, bits: Iterable[int]) -> None:
         for bit in bits:
@@ -214,12 +210,12 @@ class Trace:
         """The cached columnar view of this trace's current events.
 
         Rebuilt lazily whenever events were recorded since the last
-        call, or after the view budget dropped it (see
-        :data:`VIEW_BYTES`); the view itself is immutable (see
-        :class:`~repro.profiling.columns.TraceColumns`).
+        call, after the view budget dropped it (see :data:`VIEW_BYTES`),
+        or when numpy was loaded or disabled since it was built; the view
+        itself is immutable.
         """
         view = self._columns
-        if view is None or view.n_events != len(self):
+        if view is None or view.n_events != len(self) or view.np is not loaded_numpy():
             view = TraceColumns(self.sites, self.site_ids, self.directions.packed())
         _keep_view(self, view)
         return view

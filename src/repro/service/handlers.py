@@ -53,12 +53,12 @@ from ..predictors import (
     Predictor,
     SaturatingCounter,
     all_yeh_patt_variants,
-    evaluate,
     evaluate_many,
     semistatic_suite,
     static_predictors,
     two_level_4k,
 )
+from ..profiling.columns import get_numpy
 from ..replication import ReplicationPlanner
 from ..replication.tradeoff import TradeoffPoint, tradeoff_curve
 from ..statemachines import machine_to_json
@@ -583,12 +583,7 @@ def _evaluate_predictor(artifact: Tuple[str, int, int], predictor_name: str) -> 
             f"unknown predictor {predictor_name!r}",
             available=sorted(zoo),
         )
-    # The sequential reference, not evaluate_many: the engine's columnar
-    # view imports numpy into a worker that never trains.  Routing this
-    # call through evaluate_many measured +29 MB of service-warm peak
-    # RSS (81.6 -> 110.6 MB over the fleet), although service-warm asks
-    # /predict only for "profile", which scores in closed form.
-    result = evaluate(predictor, get_trace(*artifact))
+    (result,) = evaluate_many([predictor], get_trace(*artifact))
     return _prediction_doc(artifact, predictor_name, predictor, result)
 
 
@@ -663,6 +658,7 @@ def _train_model(artifact: Tuple[str, int, int], config, split: float) -> dict:
 
     trace = get_trace(*artifact)
     started = perf_counter()
+    get_numpy()
     model = fit(trace.columns(), config, split)
     OBS.observe("learn.train_seconds", perf_counter() - started)
     OBS.add("learn.train.fits")

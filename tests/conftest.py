@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -192,3 +194,41 @@ def run_folding_copies(program, args, input_values=(), max_steps=50_000_000):
 
     result = run_program(program, args, input_values, max_steps, on_branch)
     return result, counts
+
+
+#: The ``disabled`` values :func:`numpy_mode` can run here: the no-numpy
+#: route always, the numpy one only where numpy is installed.
+NUMPY_MODES = (False, True) if importlib.util.find_spec("numpy") else (True,)
+
+
+@contextmanager
+def numpy_mode(disabled: bool):
+    """Force the no-numpy route (*disabled*) or the numpy one within the
+    block.
+
+    ``REPRO_NO_NUMPY`` is consulted live, so flipping it is the way to
+    exercise the no-numpy route without uninstalling numpy; the previous
+    value is restored on exit, so a test never leaks its mode into the
+    session (the CI no-numpy leg sets the variable globally).  A view
+    uses numpy only once it is loaded, so the numpy side loads it and
+    checks that it is loaded, skipping the test where numpy is absent:
+    otherwise a parity test could compare the pure route with itself.
+    """
+    from repro.profiling.columns import get_numpy, loaded_numpy
+
+    saved = os.environ.get("REPRO_NO_NUMPY")
+    if disabled:
+        os.environ["REPRO_NO_NUMPY"] = "1"
+    else:
+        os.environ.pop("REPRO_NO_NUMPY", None)
+    try:
+        if not disabled:
+            if get_numpy() is None:
+                pytest.skip("numpy unavailable")
+            assert loaded_numpy() is not None
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_NO_NUMPY", None)
+        else:
+            os.environ["REPRO_NO_NUMPY"] = saved

@@ -9,34 +9,15 @@ mode-independent: the weights a ``fit`` produces under numpy columns
 equal the pure-Python column pass's exactly.
 """
 
-import os
-from contextlib import contextmanager
-
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.ir import BranchSite
 from repro.learn import LearnedConfig, LearnedPredictor, fit, holdout_trace, model_to_json
 from repro.predictors import evaluate, evaluate_many
 from repro.profiling import Trace, trace_from_bytes, trace_to_bytes
-from repro.profiling.columns import get_numpy
 
-
-@contextmanager
-def numpy_mode(disabled: bool):
-    saved = os.environ.get("REPRO_NO_NUMPY")
-    if disabled:
-        os.environ["REPRO_NO_NUMPY"] = "1"
-    else:
-        os.environ.pop("REPRO_NO_NUMPY", None)
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_NUMPY", None)
-        else:
-            os.environ["REPRO_NO_NUMPY"] = saved
+from conftest import NUMPY_MODES, numpy_mode
 
 
 #: Every kind × scope, with small widths so tiny random traces still
@@ -85,7 +66,7 @@ events_strategy = st.lists(
 split_strategy = st.sampled_from([0.25, 0.5, 1.0])
 
 
-@given(events_strategy, split_strategy, st.booleans())
+@given(events_strategy, split_strategy, st.sampled_from(NUMPY_MODES))
 @settings(
     deadline=None,
     max_examples=30,
@@ -112,8 +93,6 @@ def test_learned_batch_kernels_match_sequential_evaluate(events, split, no_numpy
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_learned_numpy_and_fallback_agree(events, split):
-    if get_numpy() is None:
-        pytest.skip("numpy unavailable; only one mode to compare")
     trace_bytes = trace_to_bytes(build_trace(events))
     documents = []
     modes = []

@@ -14,9 +14,7 @@ must round-trip through the trace file format and expand to exactly
 byte masked off.
 """
 
-import os
 import random
-from contextlib import contextmanager
 
 import hypothesis.strategies as st
 import pytest
@@ -44,31 +42,9 @@ from repro.profiling import (
     trace_from_bytes,
     trace_to_bytes,
 )
-from repro.profiling.columns import get_numpy, unpack_bits
+from repro.profiling.columns import unpack_bits
 
-
-@contextmanager
-def numpy_mode(disabled: bool):
-    """Force (or release) the no-numpy route within the block.
-
-    ``get_numpy`` consults ``REPRO_NO_NUMPY`` live, so flipping the
-    environment variable is the sanctioned way to exercise the no-numpy
-    route without uninstalling numpy.  The previous value is restored
-    so the test never leaks mode into the rest of the session (the CI
-    no-numpy leg sets the variable globally).
-    """
-    saved = os.environ.get("REPRO_NO_NUMPY")
-    if disabled:
-        os.environ["REPRO_NO_NUMPY"] = "1"
-    else:
-        os.environ.pop("REPRO_NO_NUMPY", None)
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_NUMPY", None)
-        else:
-            os.environ["REPRO_NO_NUMPY"] = saved
+from conftest import NUMPY_MODES, numpy_mode
 
 
 def family_predictors(profile):
@@ -117,7 +93,7 @@ events_strategy = st.lists(
 )
 
 
-@given(events_strategy, st.booleans())
+@given(events_strategy, st.sampled_from(NUMPY_MODES))
 @settings(
     deadline=None,
     max_examples=40,
@@ -142,8 +118,6 @@ def test_batch_kernels_match_sequential_evaluate(events, no_numpy):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_numpy_and_fallback_kernels_agree(events):
-    if get_numpy() is None:
-        pytest.skip("numpy unavailable; only one mode to compare")
     trace_bytes = trace_to_bytes(build_trace(events))
     modes = []
     for disabled in (False, True):
@@ -177,13 +151,12 @@ def test_numpy_and_fallback_agree_at_register_widths(bits):
     each width step the kernels and the columnar profile tables must
     still equal the sequential reference and the per-event loop.  Random
     outcomes over five sites set every register bit."""
-    if get_numpy() is None:
-        pytest.skip("numpy unavailable; only one mode to compare")
     rng = random.Random(bits)
     events = [(rng.randrange(5), rng.random() < 0.6) for _ in range(800)]
     trace_bytes = trace_to_bytes(build_trace(events))
-    trace = trace_from_bytes(trace_bytes)
-    columnar = ProfileData.from_columns(trace.columns(), bits, bits)
+    with numpy_mode(False):
+        trace = trace_from_bytes(trace_bytes)
+        columnar = ProfileData.from_columns(trace.columns(), bits, bits)
     reference = ProfileData.from_events(trace, bits, bits)
     assert profile_to_bytes(columnar) == profile_to_bytes(reference)
     modes = []
@@ -194,16 +167,18 @@ def test_numpy_and_fallback_agree_at_register_widths(bits):
     assert_results_identical(*modes)
 
 
-@pytest.mark.parametrize("bits", [31, 33])
+@pytest.mark.parametrize("bits", [31, 33, 60, 70])
 def test_two_level_counter_keys_wider_than_int32(bits):
     """Past 31 history bits a two-level counter key no longer fits
     int32 (and past 32 the register column is uint64), so the kernel
-    builds its keys in int64; every scope must still match the
-    sequential reference."""
-    if get_numpy() is None:
-        pytest.skip("numpy unavailable; only one mode to compare")
+    builds its keys in int64.  Where a key does not fit int64 either
+    (60 bits with per-set or per-address pattern tables, 70 with any)
+    the kernel declines and the engine replays the sequential
+    reference.  Every scope must match it.  Twelve sites give two
+    per-set tables whose set indices agree in their low four bits, the
+    only ones a 60-bit shift into int64 keeps."""
     rng = random.Random(bits)
-    events = [(rng.randrange(5), rng.random() < 0.6) for _ in range(400)]
+    events = [(rng.randrange(12), rng.random() < 0.6) for _ in range(400)]
     trace_bytes = trace_to_bytes(build_trace(events))
     modes = []
     for disabled in (False, True):

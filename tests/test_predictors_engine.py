@@ -12,6 +12,7 @@ route, so the route-counting tests expect it there.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.ir import BranchSite
@@ -250,6 +251,26 @@ def test_no_numpy_scores_online_predictors_sequentially(monkeypatch):
     for act, predictor in zip(actual, predictors):
         assert_results_identical(act, evaluate(predictor, trace))
     assert actual[1].per_site == evaluate(LastDirection(), trace).per_site
+
+
+def test_view_built_without_numpy_is_rebuilt_for_a_kernel(monkeypatch):
+    # A view uses numpy only if numpy was loaded when it was built, so a
+    # view built without it is rebuilt once an online predictor loads
+    # numpy, and the kernels' results equal the sequential route's.
+    pytest.importorskip("numpy")
+    trace = build_trace([(index % 4, index % 3 == 0) for index in range(64)])
+    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    view = trace.columns()
+    assert view.np is None
+    expected = evaluate_many([LastDirection(), SaturatingCounter(2)], trace)
+    monkeypatch.delenv("REPRO_NO_NUMPY")
+    OBS.reset(prefix="engine.")
+    actual = evaluate_many([LastDirection(), SaturatingCounter(2)], trace)
+    assert engine_counters()["engine.batch_predictors"] == 2
+    rebuilt = trace.columns()
+    assert rebuilt is not view and rebuilt.np is not None
+    for act, exp in zip(actual, expected):
+        assert_results_identical(act, exp)
 
 
 def test_empty_predictor_set():

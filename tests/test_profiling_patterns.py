@@ -189,20 +189,44 @@ tradeoff_curve(planner)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
 """
 
+_CLOSED_FORM_SCRIPT = """
+import sys
+from repro.predictors import ProfilePredictor, evaluate_many, static_predictors
+from repro.service import handlers
+from repro.service.state import ServiceConfig, ServiceState
+from repro.workloads import get_profile, get_program, get_trace
 
-def test_cold_profile_and_plan_never_import_numpy(tmp_path):
+predictors = [
+    *static_predictors(get_program("compress")),
+    ProfilePredictor(get_profile("compress", 1)),
+]
+evaluate_many(predictors, get_trace("compress", 1))
+state = ServiceState(ServiceConfig())
+body = {"name": "compress", "predictor": "profile"}
+handlers.dispatch(state, "POST", "/predict", body, proxy=False)
+state.close()
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+@pytest.mark.parametrize(
+    "script", [_COLD_PLAN_SCRIPT, _CLOSED_FORM_SCRIPT], ids=["plan", "closed-form"]
+)
+def test_cold_profile_and_plan_never_import_numpy(tmp_path, script):
     """A fresh process that profiles and plans from an empty artifact
-    cache (a service worker's cold ``POST /plan``) must not import
-    numpy: the import would add tens of megabytes to every fleet
-    worker.  ``ProfileData.from_trace`` takes the columnar route only
-    where numpy is already loaded."""
+    cache (a service worker's cold ``POST /plan``), or scores the static
+    predictors and ``profile`` in closed form (``evaluate_many`` and the
+    classic ``POST /predict``), must not import numpy: the import would
+    add tens of megabytes to every fleet worker.  ``ProfileData.from_trace``
+    takes the columnar route, and a view uses numpy, only where numpy is
+    already loaded; only an online predictor's kernel loads it."""
     env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
     env.pop("REPRO_NO_NUMPY", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath("src"), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, "-c", _COLD_PLAN_SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,

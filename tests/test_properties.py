@@ -45,7 +45,7 @@ from repro.statemachines import (
 )
 from repro.workloads import random_program
 
-from conftest import run_folding_copies
+from conftest import NUMPY_MODES, numpy_mode, run_folding_copies
 
 events_strategy = st.lists(
     st.tuples(st.integers(0, 5), st.booleans()), max_size=300
@@ -215,8 +215,8 @@ def profile_dump(profile):
 def test_columnar_profile_matches_event_loop(events, interned, local_bits, global_bits):
     """The profile built from the columnar view equals the per-event
     loop's (events, site order, totals, every table in dict order and
-    the KBP1 bytes), and the numpy ``site_executions`` equals the run
-    loop's, order included.  Sites interned up front in a drawn order,
+    the KBP1 bytes), and the numpy ``site_executions`` and
+    ``site_taken`` equal the pure pass's, order included.  Sites interned up front in a drawn order,
     some never executed, make site-id order differ from first-seen
     order."""
     from repro.profiling import profile_to_bytes
@@ -231,13 +231,13 @@ def test_columnar_profile_matches_event_loop(events, interned, local_bits, globa
     columnar = ProfileData.from_columns(columns, local_bits, global_bits)
     assert profile_dump(columnar) == profile_dump(reference)
     assert profile_to_bytes(columnar) == profile_to_bytes(reference)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_NO_NUMPY", "1")
-        runs = TraceColumns(trace.sites, trace.site_ids, trace.directions.packed())
-    assert runs.np is None
+    with numpy_mode(True):
+        pure = TraceColumns(trace.sites, trace.site_ids, trace.directions.packed())
+    assert pure.np is None
     assert list(columns.site_executions().items()) == list(
-        runs.site_executions().items()
+        pure.site_executions().items()
     )
+    assert columns.site_taken() == pure.site_taken()
 
 
 @given(events_strategy)
@@ -339,9 +339,8 @@ def test_fit_matches_interleaved_reference(events, config, split):
         trace.record(BranchSite(f"f{function}", f"b{block}"), taken)
     expected = reference_fit(trace, config, split)
     packed = trace.directions.packed()
-    for no_numpy in ("", "1"):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_NO_NUMPY", no_numpy)
+    for disabled in NUMPY_MODES:
+        with numpy_mode(disabled):
             columns = TraceColumns(trace.sites, trace.site_ids, packed)
             model = fit(columns, config, split)
         assert model_to_json(model) == model_to_json(expected)

@@ -8,8 +8,12 @@ import pytest
 
 from repro.learn import FORMAT_VERSION, model_from_json
 from repro.obs import OBS
+from repro.predictors import evaluate
 from repro.service import handlers
 from repro.service.state import ApiError, ServiceConfig, ServiceState
+from repro.workloads import get_trace
+
+from conftest import NUMPY_MODES, numpy_mode
 
 LEARNED = "learned-perceptron-global-8bit"
 
@@ -149,6 +153,31 @@ def test_classic_predictors_unaffected(state):
             state, {"name": "compress", "predictor": "no-such-predictor"}
         )
     assert excinfo.value.status == 404
+
+
+@pytest.mark.parametrize(
+    "disabled", NUMPY_MODES, ids=lambda disabled: "fallback" if disabled else "numpy"
+)
+def test_classic_predict_matches_sequential_evaluate(state, disabled):
+    """Every zoo predictor's classic ``/predict`` payload carries exactly
+    the sequential reference's totals and per-site counts, whichever
+    route ``evaluate_many`` scores it by."""
+    artifact = ("compress", 1, 0)
+    trace = get_trace(*artifact)
+    with numpy_mode(disabled):
+        for name, predictor in handlers._build_zoo(artifact).items():
+            payload = _predict(state, {"name": "compress", "predictor": name})
+            expected = evaluate(predictor, trace)
+            assert payload["events"] == expected.events
+            assert payload["mispredictions"] == expected.mispredictions, name
+            sites = sorted(expected.per_site.items(), key=lambda item: str(item[0]))
+            assert [
+                (entry["site"], entry["executions"], entry["mispredictions"])
+                for entry in payload["sites"]
+            ] == [
+                (str(site), stats.executions, stats.mispredictions)
+                for site, stats in sites
+            ], name
 
 
 def test_stats_reports_models_cache(state):
