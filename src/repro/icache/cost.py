@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..interp import Machine
 from ..ir import Program
 from ..replication import measure_annotated
 from .sim import CacheConfig, CacheResult, simulate_icache
@@ -79,11 +78,9 @@ def evaluate_cost(
     """Measure instructions, mispredictions and i-cache misses of one
     annotated program run and combine them into estimated cycles."""
     measurement = measure_annotated(program, args, input_values, max_steps)
-    machine = Machine(program, input_values, max_steps)
-    run = machine.run(*args)
     cache = simulate_icache(program, cache_config, args, input_values, max_steps)
     return CostReport(
-        instructions=run.steps,
+        instructions=measurement.result.steps,
         branch_events=measurement.events,
         mispredictions=measurement.mispredictions,
         cache=cache,

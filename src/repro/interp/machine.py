@@ -1,12 +1,17 @@
 """Trace-producing interpreter for the IR.
 
 :class:`Machine` executes a :class:`~repro.ir.Program` with a flat word
-memory, deterministic input and output streams, and a fuel limit.  Every
-executed conditional branch is reported to an optional
-``on_branch(site, taken)`` callback — this is the instrumentation
-channel the paper's assembly-level tracing tool provides, and
-everything downstream (profiles, predictors, replication measurements)
-consumes only this event stream.
+memory, deterministic input and output streams, and a fuel limit.  A
+run can log every executed conditional branch into a
+:class:`BranchLog`: flat typed buffers of event codes (branch site and
+direction) and, with history bits, of the frame-local history each
+branch saw.  Both tiers append to the log from their generated code, as
+the paper's tracing tool inserts trace code into the program, and
+callers fold it in bulk once the run is over; everything downstream
+(profiles, predictors, replication measurements) consumes only this
+event stream.  An ``on_branch(site, taken)`` callback is served from
+the same log, replayed in execution order when the run returns or
+traps.
 
 Every function activation is a generator, run by the one driver loop in
 :meth:`Machine.call`.  The driver keeps an explicit generator stack, so
@@ -30,8 +35,9 @@ in one of two tiers:
   whose only predecessor is the edge being emitted is inlined (nesting
   is capped by :data:`MAX_INLINE_DEPTH`); every other block is a merge
   point, reached through a binary if-tree on its block index.  The
-  ``on_branch``/``path_history``, ``on_block`` and ``count_edges``
-  instrumentation is compiled in for the flag set of the run.
+  branch log (with or without history), ``on_block`` and
+  ``count_edges`` instrumentation is compiled in for the flag set of
+  the run.
 
 Both tiers share the lowering of instructions, in which register names
 and immediates reach the generated source only through ``repr()`` and
@@ -66,8 +72,9 @@ from __future__ import annotations
 
 import functools
 import threading
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir import (
     Alloc,
@@ -329,11 +336,15 @@ class _Block:
 
     __slots__ = (
         "label", "calls", "n_calls", "instrs", "run", "cost",
-        "kind", "site", "targets", "edges", "next", "trap",
+        "kind", "code", "targets", "edges", "next", "trap",
     )
 
-    def __init__(self, function: Function, block: BasicBlock, arity: Dict[str, int]) -> None:
+    def __init__(
+        self, function: Function, block: BasicBlock, arity: Dict[str, int], code: int
+    ) -> None:
         self.label = block.label
+        #: the block's branch-log code; the event adds its direction
+        self.code = code
         calls = []
         start = 0
         for index, instr in enumerate(block.instrs):
@@ -344,7 +355,6 @@ class _Block:
         self.n_calls = len(calls)
         self.instrs = tuple(block.instrs[start:])
         self.cost = len(self.instrs) + 1
-        self.site: Optional[BranchSite] = None
         self.targets: Tuple[str, ...] = ()
         self.trap: Optional[str] = None
         term = block.terminator
@@ -352,7 +362,6 @@ class _Block:
         exit = None
         if cls is Branch:
             self.kind = _BRANCH
-            self.site = BranchSite(function.name, block.label)
             self.targets = (term.not_taken, term.taken)
             exit = ("br", term.op, term.lhs, term.rhs)
         elif cls is Jump:
@@ -389,10 +398,14 @@ HOT_RATIO = 200
 
 #: Upper bound on the instructions held by the process-wide cache of hot
 #: functions.  A cached instruction keeps ~0.25 KB (code object, content
-#: key, branch-site and edge constants; tracemalloc, CPython 3.11), so
-#: the cache stays near 0.5 MB: the eight benchmarks' programs under
-#: the two flag sets a pipeline reruns take ~1k instructions.
-MAX_HOT_INSTRUCTIONS = 2048
+#: key and edge constants; tracemalloc, CPython 3.11), so the cache
+#: stays under 0.8 MB.  One ``replicate-cold`` round at scale 2 runs the
+#: eight benchmarks and their replicated copies under four flag sets
+#: (plain, branch log with history, branch log, ``on_block``), and the
+#: hot functions it uses take 2.28-2.34k instructions.  Under a bound
+#: of 2048 they did not fit, and every round compiled 51 functions; at
+#: 3072, rounds after the first compile 3-15, only their new copies.
+MAX_HOT_INSTRUCTIONS = 3072
 
 #: Deepest nesting of inlined branch arms in a hot function's source.
 #: CPython refuses more than 100 indentation levels; the function, its
@@ -534,12 +547,14 @@ class _HotSource:
     def __init__(self, key: tuple) -> None:
         flags, arity, (name, params, entry, blocks) = key
         self.name = name
-        self.on_branch, self.history, self.on_block, self.count_edges = flags
+        self.log, self.history, self.on_block, self.count_edges = flags
         self.arity = dict(arity)
         self.blocks = {
             label: BasicBlock(block_label, instrs, term)
             for label, block_label, instrs, term in blocks
         }
+        #: each block's branch-log code, relative to the function's base
+        self.codes = {label: 2 * position for position, label in enumerate(self.blocks)}
         self.lowering = _Lowering(load_env=False)
         self.namespace = dict(_NAMESPACE, _deopt=_deopt, _undefined_local=_undefined_local)
         self.constants: Dict[tuple, str] = {}
@@ -656,26 +671,16 @@ class _HotSource:
             if cls is Branch:
                 self.lowering.reads.clear()
                 a, b = self.lowering.read(term.lhs), self.lowering.read(term.rhs)
-                condition = f"{a} {_CMP_OPS[term.op]} {b}"
-                trap = self.trap(block)
-                if self.on_branch or self.history:
-                    out.append((depth, f"t = {condition}", trap))
-                    out.append((depth, "branches += 1", None))
-                    if self.history:
-                        out.append((depth, "m.path_history = h", None))
-                        out.append((depth, "h = ((h << 1) | t) & mask", None))
-                    if self.on_branch:
-                        site = self.constant(BranchSite(self.name, block.label))
-                        out.append((depth, f"on_branch({site}, t)", None))
-                    out.append((depth, "if t:", None))
-                else:
-                    out.append((depth, "branches += 1", None))
-                    out.append((depth, f"if {condition}:", trap))
+                out.append((depth, "branches += 1", None))
+                out.append((depth, f"if {a} {_CMP_OPS[term.op]} {b}:", self.trap(block)))
+                code = self.codes[label]
+                self.record(code + 1, depth + 1, out)
                 self.edge(block, term.taken, depth + 1, out)
                 if self.inlined(term.taken, depth + 1):
                     self.chain(term.taken, depth + 1, out)
                 else:
                     self.goto(term.taken, depth + 1, out)
+                self.record(code, depth, out)
                 self.edge(block, term.not_taken, depth, out)
                 if self.inlined(term.not_taken, depth):
                     label = term.not_taken
@@ -737,6 +742,15 @@ class _HotSource:
             lowering.instr(instr)
             out.append((depth, lowering.lines.pop(), self.trap(block)))
 
+    def record(self, code: int, depth: int, out: list) -> None:
+        """Log the branch event *code* (the block's code plus the
+        direction) and the history it saw, then shift the direction in."""
+        if self.log:
+            out.append((depth, f"log(base + {code})", None))
+        if self.history:
+            out.append((depth, "hist(h)", None))
+            out.append((depth, f"h = ({'(h << 1) | 1' if code & 1 else 'h << 1'}) & mask", None))
+
     def edge(self, block: BasicBlock, target: str, depth: int, out: list) -> None:
         if self.count_edges:
             edge = self.constant((self.name, block.label, target))
@@ -763,7 +777,11 @@ class _HotSource:
         self.registers = tuple((local, register) for register, local in lowering.locals.items())
         lines: list = [
             (0, "def hot(m, argv, env, b, h):", None),
-            (1, "memory, limit, on_branch, on_block, edges, mask = m._context", None),
+            (1, "memory, limit, log, hist, on_block, edges, mask = m._context", None),
+        ]
+        if self.log:
+            lines.append((1, f"base = m._bases[{self.name!r}]", None))
+        lines += [
             (1, "steps = m._steps", None),
             (1, "branches = m._branches", None),
             (1, "try:", None),
@@ -810,16 +828,66 @@ def _dispatch(leaves: list, lo: int, hi: int, indent: int, lines: list) -> None:
 # -- runs -----------------------------------------------------------------------
 
 
+def _buffer(limit: int):
+    """An empty buffer of the narrowest type that holds 0 .. *limit* - 1:
+    a ``bytearray``, whose ``append`` costs half an ``array``'s, else an
+    unsigned ``array``, else a list."""
+    if limit <= 256:
+        return bytearray()
+    for typecode in "HIQ":
+        if limit <= 1 << (8 * array(typecode).itemsize):
+            return array(typecode)
+    return []
+
+
+class BranchLog:
+    """The conditional branches one run executed, in execution order.
+
+    ``codes[i]`` is ``2 * block + taken`` for the *i*-th event, where
+    *block* numbers the program's blocks in order, function after
+    function.  ``history[i]`` is the frame-local history that branch
+    saw; ``history`` is ``None`` when the run tracked none.  Each is the
+    narrowest buffer that holds its values, so a run of a program of up
+    to 128 blocks logs one byte per event, plus one for up to 8 history
+    bits.  Callers fold the buffers in bulk and map the distinct codes
+    back to branch sites with :meth:`sites`.
+    """
+
+    __slots__ = ("program", "codes", "history")
+
+    def __init__(self, program: Program, codes, history) -> None:
+        self.program = program
+        self.codes = codes
+        self.history = history
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def sites(self, codes: Iterable[int]) -> Dict[int, BranchSite]:
+        """The branch site of each of *codes*."""
+        blocks = [
+            (function.name, block.label)
+            for function in self.program.functions.values()
+            for block in function.blocks.values()
+        ]
+        return {code: BranchSite(*blocks[code >> 1]) for code in codes}
+
+
 class _Routine:
     """One function's state in one run: its decoded blocks, the
     instructions it may still run cold, and its hot tier."""
 
-    __slots__ = ("function", "params", "arity", "size", "left", "hot", "index", "decoded", "key")
+    __slots__ = (
+        "function", "params", "arity", "base", "codes", "size", "left", "hot", "index",
+        "decoded", "key",
+    )
 
-    def __init__(self, function: Function, arity: Dict[str, int]) -> None:
+    def __init__(self, function: Function, arity: Dict[str, int], base: int) -> None:
         self.function = function
         self.params = function.params
         self.arity = arity
+        self.base = base
+        self.codes: Optional[Dict[str, int]] = None
         self.size = function.size()
         self.left = HOT_RATIO * self.size
         self.hot: Optional[Callable] = None
@@ -830,8 +898,13 @@ class _Routine:
     def block(self, label: str) -> _Block:
         found = self.decoded.get(label)
         if found is None:
-            block = self.function.blocks[label]
-            found = self.decoded[label] = _Block(self.function, block, self.arity)
+            blocks = self.function.blocks
+            block = blocks[label]
+            if self.codes is None:
+                self.codes = {name: self.base + 2 * i for i, name in enumerate(blocks)}
+            found = self.decoded[label] = _Block(
+                self.function, block, self.arity, self.codes[label]
+            )
         return found
 
     def use(self, hot: _Hot) -> None:
@@ -854,14 +927,22 @@ class Machine:
         randomly generated programs).
     on_branch:
         Optional callback ``(site: BranchSite, taken: bool) -> None``
-        invoked for every executed conditional branch.
+        for every executed conditional branch.  The run logs its
+        branches (see *log_branches*) and replays the log through the
+        callback, in execution order, when it returns or traps; a trap
+        is re-raised after the last callback.
     track_history_bits:
-        When positive, every call frame maintains the history of its
-        own branches (frame-local path history, bit 0 = most recent
-        outcome); just before each ``on_branch`` call the value *seen
-        by that branch* is published as :attr:`path_history`.  This is
-        what CFG-path replication can actually observe, as opposed to
-        raw global history which crosses call boundaries.
+        When positive, every call frame of a logged run maintains the
+        history of its own branches (frame-local path history, bit 0 =
+        most recent outcome), and the log keeps the value *seen by each
+        branch*; just before each ``on_branch`` call it is published as
+        :attr:`path_history`.  This is what CFG-path replication can
+        actually observe, as opposed to raw global history which
+        crosses call boundaries.
+    log_branches:
+        Log every executed conditional branch into :attr:`branch_log`
+        even without an ``on_branch`` callback, for callers that fold
+        the log in bulk.
     """
 
     def __init__(
@@ -873,13 +954,18 @@ class Machine:
         track_history_bits: int = 0,
         count_edges: bool = False,
         on_block: Optional[Callable[[str, str], None]] = None,
+        log_branches: bool = False,
     ) -> None:
         self.program = program
         self.input_values = list(input_values)
         self.max_steps = max_steps
         self.on_branch = on_branch
         self.track_history_bits = track_history_bits
-        #: frame-local history at the most recent branch event
+        self.log_branches = log_branches
+        #: the branches of the latest run, when it logged them
+        self.branch_log: Optional[BranchLog] = None
+        #: frame-local history of the branch whose ``on_branch`` call
+        #: is being replayed
         self.path_history = 0
         self.count_edges = count_edges
         #: (function, source label, target label) -> executions; only
@@ -932,23 +1018,48 @@ class Machine:
             raise TrapError(
                 f"{func_name} expects {len(function.params)} args, got {len(args)}"
             )
-        bits = self.track_history_bits
-        mask = (1 << bits) - 1 if bits > 0 else 0
-        on_branch, on_block = self.on_branch, self.on_block
+        functions = self.program.functions
+        self._arity = {name: len(f.params) for name, f in functions.items()}
+        # Block *i* of the program, counting function after function,
+        # logs its branch events as 2 * i + direction.
+        self._bases: Dict[str, int] = {}
+        codes = 0
+        for f in functions.values():
+            self._bases[f.name] = codes
+            codes += 2 * len(f.blocks)
+        log = hist = None
+        mask = 0
+        self.branch_log = None
+        if self.on_branch is not None or self.log_branches:
+            bits = self.track_history_bits
+            mask = (1 << bits) - 1 if bits > 0 else 0
+            self.branch_log = BranchLog(
+                self.program, _buffer(codes), _buffer(1 << bits) if mask else None
+            )
+            log = self.branch_log.codes.append
+            hist = self.branch_log.history.append if mask else None
+        on_block = self.on_block
         # The run's constants and its counters, shared by every
         # activation; an activation keeps the counters in locals and
         # writes them back before it yields or returns.
-        self._context = (self.memory, self.max_steps, on_branch, on_block, self.edge_counts, mask)
-        self._flags = (
-            on_branch is not None, bits > 0, on_block is not None, bool(self.count_edges)
-        )
-        self._arity = {name: len(f.params) for name, f in self.program.functions.items()}
+        self._context = (self.memory, self.max_steps, log, hist, on_block, self.edge_counts, mask)
+        self._flags = (log is not None, mask > 0, on_block is not None, bool(self.count_edges))
         self._steps = self._branches = 0
         self._value = None
         routines: Dict[str, _Routine] = {}
         self._routines = routines
         routine = routines[func_name] = self._routine(function)
-        gen = self._activate(routine, tuple(args))
+        try:
+            result = self._drive(self._activate(routine, tuple(args)))
+        except Exception:
+            self._replay()
+            raise
+        self._replay()
+        return result
+
+    def _drive(self, gen) -> RunResult:
+        """Run activation *gen* and everything it calls to completion."""
+        routines = self._routines
         stack = []
         resume = next
         while True:
@@ -971,10 +1082,28 @@ class Machine:
             else:  # an activation changing tier hands over its successor
                 gen = out
 
+    def _replay(self) -> None:
+        """Call ``on_branch`` for every logged event, in order."""
+        on_branch = self.on_branch
+        if on_branch is None:
+            return
+        log = self.branch_log
+        calls = {
+            code: (site, bool(code & 1))
+            for code, site in log.sites(dict.fromkeys(log.codes)).items()
+        }
+        if log.history is None:
+            for code in log.codes:
+                on_branch(*calls[code])
+        else:
+            for code, history in zip(log.codes, log.history):
+                self.path_history = history
+                on_branch(*calls[code])
+
     def _routine(self, function: Function) -> _Routine:
         """A function's run state, hot from the start if a cached hot
         function has its content."""
-        routine = _Routine(function, self._arity)
+        routine = _Routine(function, self._arity, self._bases[function.name])
         if (self._flags, function.name, len(function.blocks)) in _hot_functions.shapes:
             found = _hot_functions.get(self._hot_key(routine))
             if found is not None:
@@ -1016,7 +1145,7 @@ class Machine:
     ):
         """An activation in the cold tier, from *segment* of *block*: the
         segment walk."""
-        memory, max_steps, on_branch, on_block, edge_counts, mask = self._context
+        memory, max_steps, log, hist, on_block, edge_counts, mask = self._context
         count_edges = self.count_edges
         name = routine.function.name
         steps = self._steps
@@ -1062,11 +1191,11 @@ class Machine:
             kind = block.kind
             if kind is _BRANCH:
                 branches += 1
-                if mask:
-                    self.path_history = history
-                    history = ((history << 1) | result) & mask
-                if on_branch is not None:
-                    on_branch(block.site, result)
+                if log is not None:
+                    log(block.code + result)
+                    if mask:
+                        hist(history)
+                        history = ((history << 1) | result) & mask
                 way = result
             elif kind is _JUMP:
                 way = 0

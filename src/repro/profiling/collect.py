@@ -1,21 +1,50 @@
 """Trace collection: run an instrumented program and record its branches.
 
-This is the reproduction of the paper's tracing tool.  Where the paper
-inserts trace code into the assembly source, we attach a callback to
-the interpreter — the resulting event stream (branch number +
-direction) is identical in content.  :func:`instrumented_run` is the
-one place the interpreter runs to profile; the other entry points here
-are views of its result.
+This is the reproduction of the paper's tracing tool.  The paper
+inserts trace code into the assembly source; our interpreter's
+generated code appends every branch event to a flat log
+(:class:`~repro.interp.machine.BranchLog`), and this module folds the
+log into a trace after the run — the resulting event stream (branch
+number + direction) is identical in content.  :func:`instrumented_run`
+is the one place the interpreter runs to profile; the other entry
+points here are views of its result.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import Counter
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..interp import Machine, RunResult
 from ..ir import BranchSite, Program
+from .columns import pack_bits
 from .patterns import PatternTable, ProfileData
-from .trace import Trace
+from .trace import PackedDirections, Trace
+
+#: The direction (low bit) of each one-byte event code.
+_DIRECTION = bytes(code & 1 for code in range(256))
+
+
+def _low_bytes(view: memoryview) -> memoryview:
+    """The least significant byte of every item, as a strided view."""
+    size = view.itemsize
+    return view.cast("B")[0 if sys.byteorder == "little" else size - 1 :: size]
+
+
+def _site_ids(codes, interned: Dict[int, int]) -> array:
+    """The trace's site-id column: the interned site of every event code.
+    One-byte codes are mapped by ``bytes.translate`` and copied into the
+    column's low bytes."""
+    if type(codes) is not bytearray:
+        return array("i", map(interned.__getitem__, codes))
+    ids = array("i", [0]) * len(codes)
+    with memoryview(ids) as view:
+        _low_bytes(view)[:] = codes.translate(
+            bytes(interned.get(code, 0) for code in range(256))
+        )
+    return ids
 
 
 def instrumented_run(
@@ -40,31 +69,44 @@ def instrumented_run(
 
     ``max_branches`` mirrors the paper's "we traced the whole program
     up to a maximum of 100 million branch instructions": recording
-    stops (but execution continues) after that many events.
-    """
-    trace = Trace()
-    tables: Dict[BranchSite, PatternTable] = {}
-    record = trace.record
-    if history_bits > 0:
+    stops (but execution continues) after that many events.  The
+    run's log still holds every event until the fold.
 
-        def record(site: BranchSite, taken: bool) -> None:
-            trace.record(site, taken)
+    The run's branch log is folded in bulk: sites are interned in
+    first-event order, and the tables count each ``(code, history)``
+    pair once, in first-event order, so every dict comes out in the
+    order a per-event recorder would have built it.
+    """
+    machine = Machine(
+        program, input_values, max_steps, track_history_bits=history_bits, log_branches=True
+    )
+    result = machine.run(*args)
+    log = machine.branch_log
+    codes, history = log.codes, log.history
+    if max_branches is not None and len(codes) > max_branches:
+        codes = codes[:max_branches]
+        if history is not None:
+            history = history[:max_branches]
+    first = dict.fromkeys(codes)
+    sites = log.sites(first)
+    trace = Trace()
+    interned = {code: trace.site_id(sites[code]) for code in first}
+    with memoryview(codes) as view:
+        directions = _low_bytes(view).tobytes().translate(_DIRECTION)
+    trace.directions = PackedDirections.from_packed(pack_bits(directions), len(codes))
+    trace.site_ids = _site_ids(codes, interned)
+    tables: Dict[BranchSite, PatternTable] = {}
+    if history is not None:
+        for (code, pattern), count in Counter(zip(codes, history)).items():
+            site = sites[code]
             table = tables.get(site)
             if table is None:
                 table = tables[site] = PatternTable(history_bits)
-            table.add(machine.path_history, 1 if taken else 0)
-
-    if max_branches is not None:
-        record_all = record
-
-        def record(site: BranchSite, taken: bool) -> None:
-            if len(trace) < max_branches:
-                record_all(site, taken)
-
-    machine = Machine(
-        program, input_values, max_steps, record, track_history_bits=history_bits
-    )
-    return trace, tables, machine.run(*args)
+            entry = table.counts.get(pattern)
+            if entry is None:
+                entry = table.counts[pattern] = [0, 0]
+            entry[code & 1] += count
+    return trace, tables, result
 
 
 def trace_program(

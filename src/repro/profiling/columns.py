@@ -111,6 +111,19 @@ def unpack_bits(packed: bytes, count: int) -> bytearray:
     )
 
 
+#: Maps the bytes 0 and 1 to the digits of a binary numeral.
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def pack_bits(bits: bytes) -> bytes:
+    """Pack one-byte-per-bit 0/1 *bits* LSB-first: the inverse of
+    :func:`unpack_bits`, through the same binary numeral."""
+    if not bits:
+        return b""
+    value = int(bits[::-1].translate(_BIT_DIGITS), 2)
+    return value.to_bytes((len(bits) + 7) // 8, "little")
+
+
 def _buffer_bytes(value) -> int:
     """Total bytes of the buffers (numpy arrays, ``array``, ``bytes``)
     in *value*, descending into tuples and lists."""

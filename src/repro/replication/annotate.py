@@ -11,10 +11,11 @@ scoring promised.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from ..interp import Machine
+from ..interp import Machine, RunResult
 from ..ir import BranchSite, Program
 from ..profiling import ProfileData
 
@@ -53,11 +54,19 @@ def clear_predictions(program: Program) -> None:
 
 @dataclass
 class AnnotatedMeasurement:
-    """Misprediction measurement of an annotated program run."""
+    """Misprediction measurement of an annotated program run.
+
+    ``per_site`` maps every executed branch to ``(executions,
+    mispredictions)``; ``per_origin`` folds those counts onto the site
+    of the original block each copy came from (``BasicBlock.origin``),
+    so a replicated program's counts line up with its original's.
+    """
 
     events: int
     mispredictions: int
     per_site: Dict[BranchSite, tuple]
+    per_origin: Dict[BranchSite, tuple]
+    result: RunResult
 
     @property
     def misprediction_rate(self) -> float:
@@ -73,9 +82,12 @@ def measure_annotated(
 ) -> AnnotatedMeasurement:
     """Run *program* and score its planted ``predict`` bits.
 
-    Unannotated branches are scored with *default*.
+    Unannotated branches are scored with *default*.  The run's branch
+    log is counted once per event code (site and direction); the sites
+    keep the order of their first events.
     """
     predictions: Dict[BranchSite, bool] = {}
+    origins: Dict[BranchSite, BranchSite] = {}
     for function in program:
         for block in function:
             branch = block.branch
@@ -83,24 +95,24 @@ def measure_annotated(
                 continue
             site = BranchSite(function.name, block.label)
             predictions[site] = branch.predict if branch.predict is not None else default
+            origins[site] = BranchSite(function.name, block.origin)
 
-    counters: Dict[BranchSite, list] = {}
-    state = {"events": 0, "wrong": 0}
-
-    def on_branch(site: BranchSite, taken: bool) -> None:
-        state["events"] += 1
-        cell = counters.get(site)
-        if cell is None:
-            cell = counters[site] = [0, 0]
-        cell[0] += 1
-        if predictions[site] is not taken:
-            state["wrong"] += 1
-            cell[1] += 1
-
-    machine = Machine(program, input_values, max_steps, on_branch)
-    machine.run(*args)
-    return AnnotatedMeasurement(
-        state["events"],
-        state["wrong"],
-        {site: (cell[0], cell[1]) for site, cell in counters.items()},
-    )
+    machine = Machine(program, input_values, max_steps, log_branches=True)
+    result = machine.run(*args)
+    log = machine.branch_log
+    counts = Counter(log.codes)
+    sites = log.sites(counts)
+    per_site: Dict[BranchSite, tuple] = {}
+    for code, count in counts.items():
+        site = sites[code]
+        executions, wrong = per_site.get(site, (0, 0))
+        if predictions[site] is not bool(code & 1):
+            wrong += count
+        per_site[site] = (executions + count, wrong)
+    per_origin: Dict[BranchSite, tuple] = {}
+    for site, (executions, wrong) in per_site.items():
+        origin = origins[site]
+        total, total_wrong = per_origin.get(origin, (0, 0))
+        per_origin[origin] = (total + executions, total_wrong + wrong)
+    mispredictions = sum(wrong for _, wrong in per_site.values())
+    return AnnotatedMeasurement(len(log), mispredictions, per_site, per_origin, result)

@@ -8,8 +8,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.interp import run_program
-from repro.ir import BranchSite, parse_program
+from repro.ir import parse_program
+from repro.replication import clear_predictions, measure_annotated
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -177,23 +177,16 @@ def run_folding_copies(program, args, input_values=(), max_steps=50_000_000):
     """Run *program* and count each branch's executions and taken
     outcomes, every copy folded onto the site of its original block.
 
-    Returns ``(RunResult, {site: [executions, taken]})``; the counts of
+    Returns ``(RunResult, {site: (executions, taken)})``; the counts of
     a replicated program must equal those of the program it copies.
+    They are ``measure_annotated``'s per-origin counts with every
+    branch predicted not taken, so its mispredictions are the taken
+    outcomes.
     """
-    origins = {
-        (function.name, block.label): BranchSite(function.name, block.origin)
-        for function in program
-        for block in function
-    }
-    counts = {}
-
-    def on_branch(site, taken):
-        cell = counts.setdefault(origins[site], [0, 0])
-        cell[0] += 1
-        cell[1] += taken
-
-    result = run_program(program, args, input_values, max_steps, on_branch)
-    return result, counts
+    unpredicted = program.copy()
+    clear_predictions(unpredicted)
+    measured = measure_annotated(unpredicted, args, input_values, max_steps, default=False)
+    return measured.result, measured.per_origin
 
 
 #: The ``disabled`` values :func:`numpy_mode` can run here: the no-numpy
