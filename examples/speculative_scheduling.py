@@ -11,27 +11,15 @@ Run with:  python examples/speculative_scheduling.py [workload-name]
 import sys
 
 from repro.cfg import LivenessInfo
-from repro.interp import Machine
 from repro.replication import ReplicationPlanner, apply_replication
 from repro.scheduling import (
+    block_and_edge_counts,
     estimate_program_cycles,
     form_superblocks,
     schedule_blocks_individually,
     schedule_superblock,
 )
 from repro.workloads import get_profile, get_program, get_workload
-
-
-def block_and_edge_counts(program, args, input_values):
-    machine = Machine(program, input_values, count_edges=True)
-    machine.run(*args)
-    blocks = {}
-    for (function, _source, target), count in machine.edge_counts.items():
-        key = (function, target)
-        blocks[key] = blocks.get(key, 0) + count
-    for function in program:
-        blocks.setdefault((function.name, function.entry), 1)
-    return blocks, machine.edge_counts
 
 
 def main(name: str = "c-compiler") -> None:

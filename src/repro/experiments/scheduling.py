@@ -18,28 +18,13 @@ code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from ..interp import Machine
-from ..ir import Program
 from ..replication import ReplicationPlanner, apply_replication
-from ..scheduling import estimate_program_cycles
+from ..scheduling import block_and_edge_counts, estimate_program_cycles
 from ..workloads import BENCHMARK_NAMES, get_profile, get_program, get_workload
 from .registry import register
 from .report import Table
-
-
-def _profile_run(program: Program, args, input_values):
-    """(block counts, edge counts) from one instrumented run."""
-    machine = Machine(program, input_values, count_edges=True)
-    machine.run(*args)
-    counts: Dict[Tuple[str, str], int] = {}
-    for (function, _source, target), count in machine.edge_counts.items():
-        key = (function, target)
-        counts[key] = counts.get(key, 0) + count
-    for function in program:
-        counts.setdefault((function.name, function.entry), 1)
-    return counts, machine.edge_counts
 
 
 def run(
@@ -63,7 +48,7 @@ def run(
         profile = get_profile(name, scale)
 
         annotated = apply_replication(program, [], profile).program
-        counts, edges = _profile_run(annotated, args, input_values)
+        counts, edges = block_and_edge_counts(annotated, args, input_values)
         baseline, with_profile = estimate_program_cycles(annotated, counts, edges)
         base_row.append(baseline)
         profile_speedups.append(baseline / with_profile if with_profile else 1.0)
@@ -74,7 +59,7 @@ def run(
             for plan in planner.improvable_plans()
         ]
         replicated = apply_replication(program, selections, profile).program
-        rep_counts, rep_edges = _profile_run(replicated, args, input_values)
+        rep_counts, rep_edges = block_and_edge_counts(replicated, args, input_values)
         rep_baseline, rep_super = estimate_program_cycles(
             replicated, rep_counts, rep_edges
         )

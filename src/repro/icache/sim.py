@@ -109,38 +109,39 @@ def simulate_icache(
 ) -> CacheResult:
     """Run *program* and simulate its instruction fetch stream.
 
-    Each block's fetches — ``(cache index, line address)`` of every line
-    its words overlap — are worked out once from the layout, and the
-    per-entry callback checks the tags inline; :class:`InstructionCache`
-    is the reference it must agree with.
+    The run logs every block it enters (its transfer log).  Each
+    distinct code's target block's fetches — ``(cache index, line
+    address)`` of every line its words overlap — are worked out once
+    from the layout, and one walk over the log checks the tags inline;
+    :class:`InstructionCache` is the reference it must agree with.
     """
     line_words, lines = config.line_words, config.lines
-    fetches: Dict[str, Dict[str, tuple]] = {}
-    for (function, label), (start, end) in assign_addresses(program).items():
+    fetches: Dict[Tuple[str, str], tuple] = {}
+    for block, (start, end) in assign_addresses(program).items():
         first = start // line_words
         stop = (end - 1) // line_words + 1 if end > start else first
-        fetches.setdefault(function, {})[label] = tuple(
-            (line % lines, line) for line in range(first, stop)
-        )
+        fetches[block] = tuple((line % lines, line) for line in range(first, stop))
     tags = [-1] * lines
     accesses = misses = 0
-
-    def on_block(function_name: str, label: str) -> None:
-        nonlocal accesses, misses
-        block = fetches[function_name][label]
-        accesses += len(block)
-        for index, line in block:
-            if tags[index] != line:
-                tags[index] = line
-                misses += 1
-
     # The per-fetch path stays uninstrumented; totals are reported once
     # after the run.
     with OBS.span(
         "icache.simulate", lines=config.lines, line_words=config.line_words
     ) as span:
-        machine = Machine(program, input_values, max_steps, on_block=on_block)
+        machine = Machine(program, input_values, max_steps, log_transfers=True)
         machine.run(*args)
+        log = machine.transfer_log
+        blocks = {
+            code: fetches[function, target]
+            for code, (function, _source, target) in log.decode(set(log.codes)).items()
+        }
+        for code in log.codes:
+            block = blocks[code]
+            accesses += len(block)
+            for index, line in block:
+                if tags[index] != line:
+                    tags[index] = line
+                    misses += 1
         span.set(accesses=accesses, misses=misses)
     OBS.add("icache.simulations")
     OBS.add("icache.accesses", accesses)

@@ -2,16 +2,20 @@
 
 :class:`Machine` executes a :class:`~repro.ir.Program` with a flat word
 memory, deterministic input and output streams, and a fuel limit.  A
-run can log every executed conditional branch into a
-:class:`BranchLog`: flat typed buffers of event codes (branch site and
-direction) and, with history bits, of the frame-local history each
-branch saw.  Both tiers append to the log from their generated code, as
-the paper's tracing tool inserts trace code into the program, and
-callers fold it in bulk once the run is over; everything downstream
-(profiles, predictors, replication measurements) consumes only this
-event stream.  An ``on_branch(site, taken)`` callback is served from
-the same log, replayed in execution order when the run returns or
-traps.
+run reports what it did only through two logs, flat typed buffers of
+integer codes that both tiers append to from their generated code, as
+the paper's tracing tool inserts trace code into the program:
+
+* a :class:`BranchLog` of every executed conditional branch (site and
+  direction) and, with history bits, the frame-local history each
+  branch saw: the event stream that profiles, predictors and
+  replication measurements consume;
+* a :class:`TransferLog` of every activation entry and control
+  transfer: the blocks the run entered, in order, from which edge
+  counts and the instruction fetch stream are folded.
+
+A branch and the transfer it makes share one code.  Callers fold the
+logs in bulk once the run is over.
 
 Every function activation is a generator, run by the one driver loop in
 :meth:`Machine.call`.  The driver keeps an explicit generator stack, so
@@ -35,9 +39,8 @@ in one of two tiers:
   whose only predecessor is the edge being emitted is inlined (nesting
   is capped by :data:`MAX_INLINE_DEPTH`); every other block is a merge
   point, reached through a binary if-tree on its block index.  The
-  branch log (with or without history), ``on_block`` and
-  ``count_edges`` instrumentation is compiled in for the flag set of
-  the run.
+  appends to the branch log (with or without history) and to the
+  transfer log are compiled in for the flag set of the run.
 
 Both tiers share the lowering of instructions, in which register names
 and immediates reach the generated source only through ``repr()`` and
@@ -73,6 +76,7 @@ from __future__ import annotations
 import functools
 import threading
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -303,6 +307,15 @@ def _segment(instrs: tuple, exit) -> Callable:
 _BRANCH, _JUMP, _RETURN, _BROKEN = range(4)
 
 
+def _targets(terminator) -> Tuple[str, ...]:
+    """A block's successor labels, indexed by the way out: the branch
+    direction, or 0 for a jump."""
+    cls = terminator.__class__
+    if cls is Branch:
+        return (terminator.not_taken, terminator.taken)
+    return (terminator.target,) if cls is Jump else ()
+
+
 def _call_trap(call: Call, arity: Dict[str, int]) -> Optional[str]:
     """Why *call* cannot run in a program whose functions take
     ``arity[name]`` parameters, or ``None``."""
@@ -331,19 +344,17 @@ class _CallSite:
 class _Block:
     """A block decoded for one run: its call segments, its tail segment
     (closed by the terminator) and its successors, resolved lazily.
-    ``next``, ``targets`` and ``edges`` are indexed by the branch
-    outcome (``False``/``True``), or by 0 for a jump."""
+    ``next`` and ``targets`` are indexed by the branch outcome
+    (``False``/``True``), or by 0 for a jump."""
 
     __slots__ = (
         "label", "calls", "n_calls", "instrs", "run", "cost",
-        "kind", "code", "targets", "edges", "next", "trap",
+        "kind", "code", "targets", "next", "trap",
     )
 
-    def __init__(
-        self, function: Function, block: BasicBlock, arity: Dict[str, int], code: int
-    ) -> None:
+    def __init__(self, block: BasicBlock, arity: Dict[str, int], code: int) -> None:
         self.label = block.label
-        #: the block's branch-log code; the event adds its direction
+        #: the block's log code; a branch event or transfer adds its way
         self.code = code
         calls = []
         start = 0
@@ -355,18 +366,16 @@ class _Block:
         self.n_calls = len(calls)
         self.instrs = tuple(block.instrs[start:])
         self.cost = len(self.instrs) + 1
-        self.targets: Tuple[str, ...] = ()
         self.trap: Optional[str] = None
         term = block.terminator
+        self.targets = _targets(term)
         cls = term.__class__
         exit = None
         if cls is Branch:
             self.kind = _BRANCH
-            self.targets = (term.not_taken, term.taken)
             exit = ("br", term.op, term.lhs, term.rhs)
         elif cls is Jump:
             self.kind = _JUMP
-            self.targets = (term.target,)
         elif cls is Return:
             self.kind = _RETURN
             exit = ("ret", term.value)
@@ -374,7 +383,6 @@ class _Block:
             self.kind = _BROKEN
             self.trap = f"block {block.label!r} has no terminator"
         self.run = _segment(self.instrs, exit)
-        self.edges = tuple((function.name, block.label, target) for target in self.targets)
         self.next: List[Optional[_Block]] = [None] * len(self.targets)
 
 
@@ -397,12 +405,12 @@ def _undefined(function: str, label: str, error: KeyError) -> TrapError:
 HOT_RATIO = 200
 
 #: Upper bound on the instructions held by the process-wide cache of hot
-#: functions.  A cached instruction keeps ~0.25 KB (code object, content
-#: key and edge constants; tracemalloc, CPython 3.11), so the cache
-#: stays under 0.8 MB.  One ``replicate-cold`` round at scale 2 runs the
-#: eight benchmarks and their replicated copies under four flag sets
-#: (plain, branch log with history, branch log, ``on_block``), and the
-#: hot functions it uses take 2.28-2.34k instructions.  Under a bound
+#: functions.  A cached instruction keeps ~0.25 KB (code object and
+#: content key; tracemalloc, CPython 3.11), so the cache stays under
+#: 0.8 MB.  One ``replicate-cold`` round at scale 2 runs the eight
+#: benchmarks and their replicated copies under four flag sets (plain,
+#: branch log with history, branch log, transfer log), and the hot
+#: functions it uses take 2.28-2.34k instructions.  Under a bound
 #: of 2048 they did not fit, and every round compiled 51 functions; at
 #: 3072, rounds after the first compile 3-15, only their new copies.
 MAX_HOT_INSTRUCTIONS = 3072
@@ -509,9 +517,10 @@ def _deopt(m: "Machine", key: tuple, point: int, bound: dict, history: int):
 
 def _undefined_local(error: UnboundLocalError, bound: dict, key: tuple) -> Optional[TrapError]:
     """The undefined-register trap for an unbound register local read on
-    a line of a hot function, or ``None`` when *error* came from
-    elsewhere (a callback).  The culprit is the first unbound register
-    in the lowering's read order, as in a segment."""
+    a line of a hot function, or ``None`` when *error* was raised
+    anywhere else (a fault of the interpreter itself).  The culprit is
+    the first unbound register in the lowering's read order, as in a
+    segment."""
     where = error.__traceback__
     if where is None or where.tb_next is not None:
         return None
@@ -547,17 +556,16 @@ class _HotSource:
     def __init__(self, key: tuple) -> None:
         flags, arity, (name, params, entry, blocks) = key
         self.name = name
-        self.log, self.history, self.on_block, self.count_edges = flags
+        self.log, self.history, self.transfers = flags
         self.arity = dict(arity)
         self.blocks = {
             label: BasicBlock(block_label, instrs, term)
             for label, block_label, instrs, term in blocks
         }
-        #: each block's branch-log code, relative to the function's base
+        #: each block's log code, relative to the function's base
         self.codes = {label: 2 * position for position, label in enumerate(self.blocks)}
         self.lowering = _Lowering(load_env=False)
         self.namespace = dict(_NAMESPACE, _deopt=_deopt, _undefined_local=_undefined_local)
-        self.constants: Dict[tuple, str] = {}
         #: (block label, segment index) of every fuel check
         self.resume: List[Tuple[str, int]] = []
         self.index: Dict[str, int] = {}
@@ -575,14 +583,7 @@ class _HotSource:
                 depth, point, _ = out[line]
                 out[line] = (depth, f"if steps > limit - {self.cost}: k = {point}; break", None)
             leaves.append(out)
-        self.lines = self._function(params, entry, leaves)
-
-    def _successors(self, label: str) -> Tuple[str, ...]:
-        term = self.blocks[label].terminator
-        cls = term.__class__
-        if cls is Branch:
-            return (term.taken, term.not_taken)
-        return (term.target,) if cls is Jump else ()
+        self.lines = self._function(params, leaves)
 
     def _predecessors(self, entry: str) -> Dict[str, int]:
         """Predecessor edges of every block reachable from the entry;
@@ -590,7 +591,7 @@ class _HotSource:
         preds = {entry: 1}
         work = [entry]
         while work:
-            for target in self._successors(work.pop()):
+            for target in _targets(self.blocks[work.pop()].terminator):
                 if target in self.blocks:
                     if target not in preds:
                         work.append(target)
@@ -614,20 +615,12 @@ class _HotSource:
             changed = False
             for label in self.preds:
                 out = set()
-                for target in self._successors(label):
+                for target in _targets(self.blocks[label].terminator):
                     out |= live.get(target, set())
                 new = gen[label] | (out - kill[label])
                 if new != live[label]:
                     live[label], changed = new, True
         return sorted(set().union(*(live[label] for label in self.order)))
-
-    def constant(self, value) -> str:
-        key = (value.__class__, value)
-        name = self.constants.get(key)
-        if name is None:
-            name = self.constants[key] = f"_k{len(self.constants)}"
-            self.namespace[name] = value
-        return name
 
     def target(self, label: str) -> int:
         """The dispatch index of merge point *label*."""
@@ -662,7 +655,7 @@ class _HotSource:
             term = block.terminator
             cls = term.__class__
             if cls is Jump:
-                self.edge(block, term.target, depth, out)
+                self.transfer(self.codes[label], depth, out)
                 if self.inlined(term.target, depth):
                     label = term.target
                     continue
@@ -675,13 +668,13 @@ class _HotSource:
                 out.append((depth, f"if {a} {_CMP_OPS[term.op]} {b}:", self.trap(block)))
                 code = self.codes[label]
                 self.record(code + 1, depth + 1, out)
-                self.edge(block, term.taken, depth + 1, out)
+                self.transfer(code + 1, depth + 1, out)
                 if self.inlined(term.taken, depth + 1):
                     self.chain(term.taken, depth + 1, out)
                 else:
                     self.goto(term.taken, depth + 1, out)
                 self.record(code, depth, out)
-                self.edge(block, term.not_taken, depth, out)
+                self.transfer(code, depth, out)
                 if self.inlined(term.not_taken, depth):
                     label = term.not_taken
                     continue
@@ -751,12 +744,10 @@ class _HotSource:
             out.append((depth, "hist(h)", None))
             out.append((depth, f"h = ({'(h << 1) | 1' if code & 1 else 'h << 1'}) & mask", None))
 
-    def edge(self, block: BasicBlock, target: str, depth: int, out: list) -> None:
-        if self.count_edges:
-            edge = self.constant((self.name, block.label, target))
-            out.append((depth, f"edges[{edge}] = edges.get({edge}, 0) + 1", None))
-        if self.on_block:
-            out.append((depth, f"on_block({self.name!r}, {target!r})", None))
+    def transfer(self, code: int, depth: int, out: list) -> None:
+        """Log the transfer *code*: the block's code plus the way out."""
+        if self.transfers:
+            out.append((depth, f"transfer(base + {code})", None))
 
     def goto(self, label: str, depth: int, out: list) -> None:
         if label not in self.blocks:
@@ -767,7 +758,7 @@ class _HotSource:
 
     # -- the function --------------------------------------------------------
 
-    def _function(self, params: tuple, entry: str, leaves: list) -> list:
+    def _function(self, params: tuple, leaves: list) -> list:
         """The whole generator function ``(machine, argv, env, block
         index, history)``: activation entry binds *argv*, a tier-up
         loads from *env* every register live at a merge point."""
@@ -777,9 +768,9 @@ class _HotSource:
         self.registers = tuple((local, register) for register, local in lowering.locals.items())
         lines: list = [
             (0, "def hot(m, argv, env, b, h):", None),
-            (1, "memory, limit, log, hist, on_block, edges, mask = m._context", None),
+            (1, "memory, limit, log, hist, transfer, mask = m._context", None),
         ]
-        if self.log:
+        if self.log or self.transfers:
             lines.append((1, f"base = m._bases[{self.name!r}]", None))
         lines += [
             (1, "steps = m._steps", None),
@@ -788,8 +779,8 @@ class _HotSource:
             (2, "if env is None:", None),
             (3, f"{bind}= argv" if bind else "pass", None),
         ]
-        if self.on_block:
-            lines.append((3, f"on_block({self.name!r}, {entry!r})", None))
+        if self.transfers:
+            lines.append((3, f"transfer(m._entries[{self.name!r}])", None))
         lines.append((2, "else:", None))
         lines += [
             (3, f"if {register!r} in env: {lowering.local(register)} = env[{register!r}]", None)
@@ -873,6 +864,50 @@ class BranchLog:
         return {code: BranchSite(*blocks[code >> 1]) for code in codes}
 
 
+class TransferLog:
+    """The control transfers one run made, in execution order: the
+    blocks it entered, which is its instruction fetch stream.
+
+    A transfer out of a block logs ``2 * block + way``, numbering blocks
+    as :class:`BranchLog` does; *way* is the branch direction, or 0 for a
+    jump, so a branch's transfer has the code of its branch event.  An
+    activation of the *f*-th function of the program logs
+    ``entries + f``, where :attr:`entries` is twice the program's block
+    count.  A transfer to a missing label is logged before the run
+    raises ``KeyError``.  :meth:`decode` maps codes back to transfers.
+    """
+
+    __slots__ = ("program", "codes", "entries")
+
+    def __init__(self, program: Program, codes, entries: int) -> None:
+        self.program = program
+        self.codes = codes
+        self.entries = entries
+
+    def decode(self, codes: Iterable[int]) -> Dict[int, Tuple[str, Optional[str], str]]:
+        """The ``(function, source, target)`` of each of *codes*; an
+        activation entry has no source and targets the entry block."""
+        transfers: list = []
+        functions = self.program.functions.values()
+        for function in functions:
+            for block in function.blocks.values():
+                targets = _targets(block.terminator)
+                transfers += [(function.name, block.label, target) for target in targets]
+                transfers += [None] * (2 - len(targets))
+        transfers += [(function.name, None, function.entry) for function in functions]
+        return {code: transfers[code] for code in codes}
+
+    def edge_counts(self) -> Counter:
+        """Executions of every ``(function, source, target)`` edge, in
+        first-execution order; activation entries are not edges."""
+        counts = Counter(self.codes)
+        edges = self.decode(code for code in counts if code < self.entries)
+        result: Counter = Counter()
+        for code, edge in edges.items():
+            result[edge] += counts[code]
+        return result
+
+
 class _Routine:
     """One function's state in one run: its decoded blocks, the
     instructions it may still run cold, and its hot tier."""
@@ -902,9 +937,7 @@ class _Routine:
             block = blocks[label]
             if self.codes is None:
                 self.codes = {name: self.base + 2 * i for i, name in enumerate(blocks)}
-            found = self.decoded[label] = _Block(
-                self.function, block, self.arity, self.codes[label]
-            )
+            found = self.decoded[label] = _Block(block, self.arity, self.codes[label])
         return found
 
     def use(self, hot: _Hot) -> None:
@@ -913,7 +946,7 @@ class _Routine:
 
 
 class Machine:
-    """Executes IR programs and reports branch events.
+    """Executes IR programs and logs their branches and transfers.
 
     Parameters
     ----------
@@ -925,24 +958,20 @@ class Machine:
         Fuel limit in executed instructions; exceeding it raises
         :class:`FuelExhausted` (protects against runaway loops in
         randomly generated programs).
-    on_branch:
-        Optional callback ``(site: BranchSite, taken: bool) -> None``
-        for every executed conditional branch.  The run logs its
-        branches (see *log_branches*) and replays the log through the
-        callback, in execution order, when it returns or traps; a trap
-        is re-raised after the last callback.
     track_history_bits:
-        When positive, every call frame of a logged run maintains the
-        history of its own branches (frame-local path history, bit 0 =
-        most recent outcome), and the log keeps the value *seen by each
-        branch*; just before each ``on_branch`` call it is published as
-        :attr:`path_history`.  This is what CFG-path replication can
-        actually observe, as opposed to raw global history which
-        crosses call boundaries.
+        When positive, every call frame of a run that logs its branches
+        maintains the history of its own branches (frame-local path
+        history, bit 0 = most recent outcome), and the branch log keeps
+        the value *seen by each branch*.  This is what CFG-path
+        replication can actually observe, as opposed to raw global
+        history which crosses call boundaries.
     log_branches:
-        Log every executed conditional branch into :attr:`branch_log`
-        even without an ``on_branch`` callback, for callers that fold
-        the log in bulk.
+        Log every executed conditional branch into :attr:`branch_log`.
+    log_transfers:
+        Log every activation entry and control transfer into
+        :attr:`transfer_log`.
+
+    Each log holds the latest run's events, also when it trapped.
     """
 
     def __init__(
@@ -950,31 +979,20 @@ class Machine:
         program: Program,
         input_values: Sequence[int] = (),
         max_steps: int = 50_000_000,
-        on_branch: Optional[Callable[[BranchSite, bool], None]] = None,
         track_history_bits: int = 0,
-        count_edges: bool = False,
-        on_block: Optional[Callable[[str, str], None]] = None,
         log_branches: bool = False,
+        log_transfers: bool = False,
     ) -> None:
         self.program = program
         self.input_values = list(input_values)
         self.max_steps = max_steps
-        self.on_branch = on_branch
         self.track_history_bits = track_history_bits
         self.log_branches = log_branches
+        self.log_transfers = log_transfers
         #: the branches of the latest run, when it logged them
         self.branch_log: Optional[BranchLog] = None
-        #: frame-local history of the branch whose ``on_branch`` call
-        #: is being replayed
-        self.path_history = 0
-        self.count_edges = count_edges
-        #: (function, source label, target label) -> executions; only
-        #: populated when ``count_edges`` is set
-        self.edge_counts: Dict[Tuple[str, str, str], int] = {}
-        #: optional callback ``(function name, block label)`` invoked at
-        #: every block entry (function entries and control transfers) —
-        #: the instruction-fetch stream the i-cache model consumes
-        self.on_block = on_block
+        #: the transfers of the latest run, when it logged them
+        self.transfer_log: Optional[TransferLog] = None
         self.memory: Dict[int, int] = {}
         self.output: List[int] = []
         self._brk = 0x10000
@@ -1021,16 +1039,18 @@ class Machine:
         functions = self.program.functions
         self._arity = {name: len(f.params) for name, f in functions.items()}
         # Block *i* of the program, counting function after function,
-        # logs its branch events as 2 * i + direction.
+        # logs a branch event or transfer as 2 * i + way; entering
+        # function *f* logs 2 * (all blocks) + f.
         self._bases: Dict[str, int] = {}
         codes = 0
         for f in functions.values():
             self._bases[f.name] = codes
             codes += 2 * len(f.blocks)
-        log = hist = None
+        self._entries = {name: codes + f for f, name in enumerate(functions)}
+        log = hist = transfer = None
         mask = 0
-        self.branch_log = None
-        if self.on_branch is not None or self.log_branches:
+        self.branch_log = self.transfer_log = None
+        if self.log_branches:
             bits = self.track_history_bits
             mask = (1 << bits) - 1 if bits > 0 else 0
             self.branch_log = BranchLog(
@@ -1038,24 +1058,22 @@ class Machine:
             )
             log = self.branch_log.codes.append
             hist = self.branch_log.history.append if mask else None
-        on_block = self.on_block
+        if self.log_transfers:
+            self.transfer_log = TransferLog(
+                self.program, _buffer(codes + len(functions)), codes
+            )
+            transfer = self.transfer_log.codes.append
         # The run's constants and its counters, shared by every
         # activation; an activation keeps the counters in locals and
         # writes them back before it yields or returns.
-        self._context = (self.memory, self.max_steps, log, hist, on_block, self.edge_counts, mask)
-        self._flags = (log is not None, mask > 0, on_block is not None, bool(self.count_edges))
+        self._context = (self.memory, self.max_steps, log, hist, transfer, mask)
+        self._flags = (log is not None, mask > 0, transfer is not None)
         self._steps = self._branches = 0
         self._value = None
         routines: Dict[str, _Routine] = {}
         self._routines = routines
         routine = routines[func_name] = self._routine(function)
-        try:
-            result = self._drive(self._activate(routine, tuple(args)))
-        except Exception:
-            self._replay()
-            raise
-        self._replay()
-        return result
+        return self._drive(self._activate(routine, tuple(args)))
 
     def _drive(self, gen) -> RunResult:
         """Run activation *gen* and everything it calls to completion."""
@@ -1081,24 +1099,6 @@ class Machine:
                 gen = stack.pop()
             else:  # an activation changing tier hands over its successor
                 gen = out
-
-    def _replay(self) -> None:
-        """Call ``on_branch`` for every logged event, in order."""
-        on_branch = self.on_branch
-        if on_branch is None:
-            return
-        log = self.branch_log
-        calls = {
-            code: (site, bool(code & 1))
-            for code, site in log.sites(dict.fromkeys(log.codes)).items()
-        }
-        if log.history is None:
-            for code in log.codes:
-                on_branch(*calls[code])
-        else:
-            for code, history in zip(log.codes, log.history):
-                self.path_history = history
-                on_branch(*calls[code])
 
     def _routine(self, function: Function) -> _Routine:
         """A function's run state, hot from the start if a cached hot
@@ -1135,8 +1135,9 @@ class Machine:
         if routine.left < 0:
             return self._tier_up(routine)(self, argv, None, 0, 0)
         function = routine.function
-        if self.on_block is not None:
-            self.on_block(function.name, function.entry)
+        transfer = self._context[4]
+        if transfer is not None:
+            transfer(self._entries[function.name])
         env = dict(zip(routine.params, argv))
         return self._cold(routine, env, routine.block(function.entry), 0, 0)
 
@@ -1145,8 +1146,7 @@ class Machine:
     ):
         """An activation in the cold tier, from *segment* of *block*: the
         segment walk."""
-        memory, max_steps, log, hist, on_block, edge_counts, mask = self._context
-        count_edges = self.count_edges
+        memory, max_steps, log, hist, transfer, mask = self._context
         name = routine.function.name
         steps = self._steps
         branches = self._branches
@@ -1207,12 +1207,9 @@ class Machine:
                 return
             else:
                 raise TrapError(block.trap)
-            if count_edges:
-                edge = block.edges[way]
-                edge_counts[edge] = edge_counts.get(edge, 0) + 1
+            if transfer is not None:
+                transfer(block.code + way)
             target = block.targets[way]
-            if on_block is not None:
-                on_block(name, target)
             successor = block.next[way]
             if successor is None:
                 successor = block.next[way] = routine.block(target)
@@ -1246,8 +1243,6 @@ def run_program(
     args: Sequence[int] = (),
     input_values: Sequence[int] = (),
     max_steps: int = 50_000_000,
-    on_branch: Optional[Callable[[BranchSite, bool], None]] = None,
 ) -> RunResult:
     """One-shot convenience wrapper around :class:`Machine`."""
-    machine = Machine(program, input_values, max_steps, on_branch)
-    return machine.run(*args)
+    return Machine(program, input_values, max_steps).run(*args)

@@ -62,10 +62,11 @@ def profile_edges(
     max_steps: int = 100_000_000,
 ) -> Dict[str, EdgeProfile]:
     """Exact per-function edge frequencies from an instrumented run."""
-    machine = Machine(program, input_values, max_steps, count_edges=True)
+    machine = Machine(program, input_values, max_steps, log_transfers=True)
     machine.run(*args)
     profiles = {function.name: EdgeProfile(function.name) for function in program}
-    for (function_name, source, target), count in machine.edge_counts.items():
+    edge_counts = machine.transfer_log.edge_counts()
+    for (function_name, source, target), count in edge_counts.items():
         profiles[function_name].add(source, target, count)
     return profiles
 

@@ -154,7 +154,7 @@ def taken_transfer_stats(
 ) -> TransferStats:
     """Count executed intra-function control transfers that do not fall
     through under the current block layout."""
-    machine = Machine(program, input_values, max_steps, count_edges=True)
+    machine = Machine(program, input_values, max_steps, log_transfers=True)
     result = machine.run(*args)
     next_block: Dict[Tuple[str, str], Optional[str]] = {}
     for function in program:
@@ -164,7 +164,8 @@ def taken_transfer_stats(
             next_block[(function.name, label)] = following
     total = 0
     taken = 0
-    for (function_name, source, target), count in machine.edge_counts.items():
+    edge_counts = machine.transfer_log.edge_counts()
+    for (function_name, source, target), count in edge_counts.items():
         total += count
         if next_block.get((function_name, source)) != target:
             taken += count

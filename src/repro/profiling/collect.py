@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..interp import Machine, RunResult
 from ..ir import BranchSite, Program
@@ -53,7 +53,6 @@ def instrumented_run(
     input_values: Sequence[int] = (),
     max_steps: int = 100_000_000,
     history_bits: int = 0,
-    max_branches: Optional[int] = None,
 ) -> Tuple[Trace, Dict[BranchSite, PatternTable], RunResult]:
     """Execute *program* once, returning ``(trace, path_tables, result)``.
 
@@ -67,11 +66,6 @@ def instrumented_run(
     cannot be derived from the flat trace.  Without history the tables
     are empty.
 
-    ``max_branches`` mirrors the paper's "we traced the whole program
-    up to a maximum of 100 million branch instructions": recording
-    stops (but execution continues) after that many events.  The
-    run's log still holds every event until the fold.
-
     The run's branch log is folded in bulk: sites are interned in
     first-event order, and the tables count each ``(code, history)``
     pair once, in first-event order, so every dict comes out in the
@@ -83,10 +77,6 @@ def instrumented_run(
     result = machine.run(*args)
     log = machine.branch_log
     codes, history = log.codes, log.history
-    if max_branches is not None and len(codes) > max_branches:
-        codes = codes[:max_branches]
-        if history is not None:
-            history = history[:max_branches]
     first = dict.fromkeys(codes)
     sites = log.sites(first)
     trace = Trace()
@@ -114,12 +104,9 @@ def trace_program(
     args: Sequence[int] = (),
     input_values: Sequence[int] = (),
     max_steps: int = 100_000_000,
-    max_branches: Optional[int] = None,
 ) -> Tuple[Trace, RunResult]:
     """Execute *program* and collect its branch trace."""
-    trace, _, result = instrumented_run(
-        program, args, input_values, max_steps, max_branches=max_branches
-    )
+    trace, _, result = instrumented_run(program, args, input_values, max_steps)
     return trace, result
 
 

@@ -10,6 +10,7 @@ from .deps import (
 from .listsched import Schedule, list_schedule, schedule_instructions
 from .superblock import (
     Superblock,
+    block_and_edge_counts,
     estimate_program_cycles,
     form_superblocks,
     schedule_blocks_individually,
@@ -21,6 +22,7 @@ __all__ = [
     "DepGraph",
     "Schedule",
     "Superblock",
+    "block_and_edge_counts",
     "build_dep_graph",
     "estimate_program_cycles",
     "form_superblocks",

@@ -24,9 +24,10 @@ is how the region scheduler enforces the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cfg import CFG, LivenessInfo
+from ..interp import Machine
 from ..ir import BinOp, Branch, Function, Instr, Jump, Program, Terminator
 from .deps import DEFAULT_LATENCIES, build_dep_graph, has_side_effect
 from .listsched import Schedule, list_schedule
@@ -183,6 +184,25 @@ def schedule_blocks_individually(
             instrs.append(block.terminator)
         total += list_schedule(build_dep_graph(instrs, latencies), issue_width, latencies).cycles
     return total
+
+
+def block_and_edge_counts(
+    program: Program, args: Sequence[int] = (), input_values: Sequence[int] = ()
+) -> Tuple[Dict[Tuple[str, str], int], Dict[Tuple[str, str, str], int]]:
+    """The ``(block counts, edge counts)`` weights of
+    :func:`estimate_program_cycles`, from one run of *program*.  A
+    block's count is the executions of the edges into it; a function's
+    entry block that no edge enters counts 1."""
+    machine = Machine(program, input_values, log_transfers=True)
+    machine.run(*args)
+    edge_counts = machine.transfer_log.edge_counts()
+    counts: Dict[Tuple[str, str], int] = {}
+    for (function, _source, target), count in edge_counts.items():
+        key = (function, target)
+        counts[key] = counts.get(key, 0) + count
+    for function in program:
+        counts.setdefault((function.name, function.entry), 1)
+    return counts, edge_counts
 
 
 def estimate_program_cycles(

@@ -173,6 +173,23 @@ def force_tier(monkeypatch):
     return force
 
 
+def branch_events(machine):
+    """The latest run's branch log, decoded one event at a time:
+    ``(site, taken, history)``, history 0 when the run tracked none."""
+    log = machine.branch_log
+    sites = log.sites(set(log.codes))
+    history = log.history if log.history is not None else [0] * len(log.codes)
+    return [(sites[code], bool(code & 1), seen) for code, seen in zip(log.codes, history)]
+
+
+def entered_blocks(machine):
+    """The latest run's transfer log, decoded one transfer at a time:
+    the ``(function, label)`` of every block it entered, in order."""
+    log = machine.transfer_log
+    decoded = log.decode(set(log.codes))
+    return [(decoded[code][0], decoded[code][2]) for code in log.codes]
+
+
 def run_folding_copies(program, args, input_values=(), max_steps=50_000_000):
     """Run *program* and count each branch's executions and taken
     outcomes, every copy folded onto the site of its original block.

@@ -3,9 +3,9 @@
 Both interpreter tiers append every branch event to a flat log
 (:class:`~repro.interp.machine.BranchLog`), which ``instrumented_run``
 and ``measure_annotated`` fold in bulk after the run.  The oracle here
-is the per-event recorder they replaced: an ``on_branch`` callback that
-records each event into a ``Trace`` and a ``PatternTable`` as it is
-reported.  The folds must equal it exactly, dict order included.
+is the per-event recorder they replaced, walking the decoded log one
+event at a time and recording each into a ``Trace`` and a
+``PatternTable``.  The folds must equal it exactly, dict order included.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import branch_events
 from repro.interp import FuelExhausted, Machine, TrapError
 from repro.ir import BranchSite, parse_program
 from repro.profiling import PatternTable, Trace, instrumented_run
@@ -26,23 +27,27 @@ TIERS = ["cold", "hot"]
 MAX_STEPS = 2_000_000
 
 
-def reference_run(program, args, history_bits=0, max_branches=None):
+def logged_run(program, args, history_bits=0):
+    """A run with its branches logged, and its result."""
+    machine = Machine(
+        program, (), MAX_STEPS, track_history_bits=history_bits, log_branches=True
+    )
+    return machine, machine.run(*args)
+
+
+def reference_run(program, args, history_bits=0):
     """``instrumented_run`` as a per-event recorder."""
     trace = Trace()
     tables = {}
-
-    def record(site, taken):
-        if max_branches is not None and len(trace) >= max_branches:
-            return
+    machine, result = logged_run(program, args, history_bits)
+    for site, taken, history in branch_events(machine):
         trace.record(site, taken)
         if history_bits > 0:
             table = tables.get(site)
             if table is None:
                 table = tables[site] = PatternTable(history_bits)
-            table.add(machine.path_history, 1 if taken else 0)
-
-    machine = Machine(program, (), MAX_STEPS, record, track_history_bits=history_bits)
-    return trace, tables, machine.run(*args)
+            table.add(history, 1 if taken else 0)
+    return trace, tables, result
 
 
 def reference_measure(program, args, default):
@@ -57,15 +62,12 @@ def reference_measure(program, args, default):
                 predictions[site] = default if predict is None else predict
                 origins[site] = BranchSite(function.name, block.origin)
     per_site, per_origin = {}, {}
-
-    def on_branch(site, taken):
+    for site, taken, _ in branch_events(logged_run(program, args)[0]):
         wrong = predictions[site] is not taken
         for key, counts in ((site, per_site), (origins[site], per_origin)):
             cell = counts.setdefault(key, [0, 0])
             cell[0] += 1
             cell[1] += wrong
-
-    Machine(program, (), MAX_STEPS, on_branch).run(*args)
     return (
         sum(cell[0] for cell in per_site.values()),
         sum(cell[1] for cell in per_site.values()),
@@ -126,7 +128,6 @@ def ladder(rungs: int) -> str:
     seed=st.integers(0, 500),
     arg=st.integers(0, 8),
     history_bits=st.sampled_from([0, 1, 4, 8]),
-    max_branches=st.sampled_from([None, 0, 1, 7, 50]),
     tier=st.sampled_from(TIERS),
 )
 @settings(
@@ -134,14 +135,12 @@ def ladder(rungs: int) -> str:
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-def test_folds_equal_the_reference_recorder(
-    force_tier, seed, arg, history_bits, max_branches, tier
-):
+def test_folds_equal_the_reference_recorder(force_tier, seed, arg, history_bits, tier):
     program = planted(random_program(seed, helpers=seed % 3), seed)
     force_tier(tier)
-    expected = summary(*reference_run(program, [arg], history_bits, max_branches))
+    expected = summary(*reference_run(program, [arg], history_bits))
     for _ in range(2):  # the second hot run starts hot at activation entry
-        got = instrumented_run(program, [arg], (), MAX_STEPS, history_bits, max_branches)
+        got = instrumented_run(program, [arg], (), MAX_STEPS, history_bits)
         assert summary(*got) == expected
     for default in (False, True):
         assert measured(program, [arg], default) == reference_measure(program, [arg], default)
@@ -154,8 +153,8 @@ def test_wide_codes_and_history_fold_like_the_reference(force_tier, tier, histor
     (a list) take the general paths of the folds."""
     program = parse_program(ladder(60))
     force_tier(tier)
-    expected = summary(*reference_run(program, [12], history_bits, 500))
-    got = instrumented_run(program, [12], (), MAX_STEPS, history_bits, 500)
+    expected = summary(*reference_run(program, [12], history_bits))
+    got = instrumented_run(program, [12], (), MAX_STEPS, history_bits)
     assert summary(*got) == expected
     assert measured(program, [12], True) == reference_measure(program, [12], True)
 
@@ -208,40 +207,32 @@ def test_a_trap_is_raised_after_every_callback(force_tier, tier):
     program = parse_program(TRAPPING)
     force_tier(tier)
     for _ in range(2):
-        events = []
-        machine = Machine(
-            program,
-            on_branch=lambda site, taken: events.append((site, taken, machine.path_history)),
-            track_history_bits=3,
-        )
+        machine = Machine(program, track_history_bits=3, log_branches=True)
         with pytest.raises(TrapError, match="division by zero"):
             machine.run(5)
         site = BranchSite("main", "loop")
-        assert events == [
+        assert branch_events(machine) == [
             (site, True, 0), (site, True, 1), (site, True, 3),
             (site, True, 7), (site, True, 7), (site, False, 7),
         ]
 
 
-def run_program_events(program, events, max_steps):
-    Machine(program, (), max_steps, lambda site, taken: events.append((site, taken))).run(10**6)
+def events_until_fuel_runs_out(program, max_steps):
+    machine = Machine(program, (), max_steps, log_branches=True)
+    with pytest.raises(FuelExhausted):
+        machine.run(10**6)
+    return branch_events(machine)
 
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_fuel_exhaustion_replays_the_events_before_it(force_tier, tier):
     program = parse_program(TRAPPING)
     force_tier("cold")
-    events = []
-    with pytest.raises(FuelExhausted):
-        run_program_events(program, events, max_steps=40)
-    reference = list(events)
+    reference = events_until_fuel_runs_out(program, max_steps=40)
     assert 0 < len(reference) < 20
     force_tier(tier)
     for _ in range(2):
-        events.clear()
-        with pytest.raises(FuelExhausted):
-            run_program_events(program, events, max_steps=40)
-        assert events == reference
+        assert events_until_fuel_runs_out(program, max_steps=40) == reference
 
 
 #: tracemalloc peak of one ``instrumented_run`` (8 history bits) per

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import entered_blocks
 from repro.icache import (
     CacheConfig,
     CostModel,
@@ -111,11 +112,10 @@ def _reference_fetches(program, config, args):
     :class:`InstructionCache`, the reference the simulator must match."""
     addresses = assign_addresses(program)
     cache = InstructionCache(config)
-
-    def on_block(function, label):
-        cache.touch_range(*addresses[(function, label)])
-
-    Machine(program, on_block=on_block).run(*args)
+    machine = Machine(program, log_transfers=True)
+    machine.run(*args)
+    for block in entered_blocks(machine):
+        cache.touch_range(*addresses[block])
     return cache.accesses, cache.misses
 
 

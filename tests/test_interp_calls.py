@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import branch_events
 from repro.interp import Machine, TrapError, run_program
 from repro.ir import parse_program
 
@@ -121,8 +122,9 @@ def test_call_unknown_function_traps():
 
 
 def test_branch_events_cross_functions(recursive_sum):
-    events = []
-    run_program(recursive_sum, [3], on_branch=lambda s, t: events.append(s.function))
+    machine = Machine(recursive_sum, log_branches=True)
+    machine.run(3)
+    events = [site.function for site, _, _ in branch_events(machine)]
     assert set(events) == {"sum"}
     assert len(events) == 4  # n=3,2,1 recurse + n=0 base
 

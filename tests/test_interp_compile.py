@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from conftest import branch_events
 from repro.interp import Machine, TrapError, machine, run_program
 from repro.ir import BranchSite, ProgramBuilder, validate_program
 from repro.workloads import random_program
@@ -174,9 +175,9 @@ def test_cmp_and_branch(op, a, b, expected, placement):
     fb.ret(0)
     program = builder.build()
     validate_program(program)
-    events = []
-    assert run_program(program, on_branch=lambda s, t: events.append((s, t))).value == expected
-    assert events == [(BranchSite("main", "use 'them'\n"), bool(expected))]
+    machine = Machine(program, log_branches=True)
+    assert machine.run().value == expected
+    assert branch_events(machine) == [(BranchSite("main", "use 'them'\n"), bool(expected), 0)]
 
 
 def test_memory_io_and_calls_with_nasty_names():

@@ -5,8 +5,10 @@ scale 1 and seed offset 0, a fingerprint of two runs: the original
 program, and the program replicated by ``ReplicationPlanner(max_states=6)``
 plus ``tradeoff_curve(max_size_factor=2.0)``.  A fingerprint is the
 result's value, steps and branches, plus the sha256 of the output, of
-the ``on_branch`` stream with ``path_history`` at 8 bits, of the
-``on_block`` stream and of the sorted ``edge_counts``.
+the branch stream (site, direction and the frame-local history at 8
+bits), of the stream of entered blocks and of the sorted edge counts.
+The streams are rebuilt from the run's branch and transfer logs, in the
+form the per-event callbacks they replaced reported them.
 
 The fixture was recorded with the string-dispatched interpreter that the
 pre-decoded one replaced.  Regenerate it only when the interpreter's
@@ -42,20 +44,22 @@ def _sha(text: str) -> str:
 def fingerprint(program, args, inputs) -> Dict[str, object]:
     """One fully instrumented run, summarised; a second, bare run must
     agree on everything the bare run reports."""
-    branch_hash = hashlib.sha256()
-    block_hash = hashlib.sha256()
-
-    def on_branch(site, taken):
-        branch_hash.update(f"{site[0]}\t{site[1]}\t{int(taken)}\t{machine.path_history}\n".encode())
-
-    def on_block(function, label):
-        block_hash.update(f"{function}\t{label}\n".encode())
-
     machine = Machine(
-        program, inputs, MAX_STEPS, on_branch,
-        track_history_bits=HISTORY_BITS, count_edges=True, on_block=on_block,
+        program, inputs, MAX_STEPS, track_history_bits=HISTORY_BITS,
+        log_branches=True, log_transfers=True,
     )
     result = machine.run(*args)
+    branches, transfers = machine.branch_log, machine.transfer_log
+    sites = branches.sites(set(branches.codes))
+    branch_hash = hashlib.sha256()
+    for code, history in zip(branches.codes, branches.history):
+        site = sites[code]
+        branch_hash.update(f"{site[0]}\t{site[1]}\t{code & 1}\t{history}\n".encode())
+    decoded = transfers.decode(set(transfers.codes))
+    block_hash = hashlib.sha256()
+    for code in transfers.codes:
+        function, _source, target = decoded[code]
+        block_hash.update(f"{function}\t{target}\n".encode())
     bare = Machine(program, inputs, MAX_STEPS).run(*args)
     assert (bare.value, bare.output, bare.steps, bare.branches) == (
         result.value, result.output, result.steps, result.branches
@@ -67,7 +71,7 @@ def fingerprint(program, args, inputs) -> Dict[str, object]:
         "output_sha256": _sha(json.dumps(result.output)),
         "on_branch_sha256": branch_hash.hexdigest(),
         "on_block_sha256": block_hash.hexdigest(),
-        "edge_counts_sha256": _sha(json.dumps(sorted(machine.edge_counts.items()))),
+        "edge_counts_sha256": _sha(json.dumps(sorted(transfers.edge_counts().items()))),
     }
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import branch_events
 from repro.interp import FuelExhausted, Machine, TrapError, run_program
 from repro.ir import Jump, parse_program, validate_program
 
@@ -121,12 +122,13 @@ class TestControlFlow:
         assert run_program(program, [-5]).value == -1
 
     def test_branch_event_reported(self):
-        events = []
         program = parse_program(
             "func main(n) {\nentry:\n  br gt n, 0 ? pos : neg\n"
             "pos:\n  ret 1\nneg:\n  ret -1\n}"
         )
-        run_program(program, [5], on_branch=lambda s, t: events.append((str(s), t)))
+        machine = Machine(program, log_branches=True)
+        machine.run(5)
+        events = [(str(site), taken) for site, taken, _ in branch_events(machine)]
         assert events == [("main:entry", True)]
 
     def test_branch_count(self):

@@ -4,9 +4,10 @@ A cold activation walks content-keyed segments; a hot one runs its
 function's generated generator, entered at activation start or, on
 tier-up, at a merge point with its registers loaded from the register
 dict.  Every observable must be the same either way: value, output,
-steps, branches, the ``on_branch`` stream with ``path_history``, the
-``on_block`` stream, ``edge_counts``, memory and every trap, including
-:class:`FuelExhausted` at the exact step after the same side effects.
+steps, branches, the raw branch log with its history, the raw transfer
+log, memory and every trap, including :class:`FuelExhausted` at the
+exact step after the same side effects, with the same events logged
+before it.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import entered_blocks
 from repro.interp import FuelExhausted, Machine, TrapError, machine
 from repro.ir import parse_program
 from repro.workloads import random_program
@@ -24,21 +26,21 @@ TIERS = ["cold", "hot"]
 
 def observe(program, args, max_steps=2_000_000):
     """Everything one fully instrumented run shows, trap included."""
-    events, blocks = [], []
     run = Machine(
         program,
         max_steps=max_steps,
-        on_branch=lambda site, taken: events.append((site, taken, run.path_history)),
         track_history_bits=8,
-        count_edges=True,
-        on_block=lambda function, label: blocks.append((function, label)),
+        log_branches=True,
+        log_transfers=True,
     )
     try:
         result = run.run(*args)
         outcome = (result.value, result.steps, result.branches)
     except (TrapError, KeyError) as error:
         outcome = (type(error), str(error))
-    return outcome, run.output, events, blocks, run.edge_counts, run.memory
+    branches, transfers = run.branch_log, run.transfer_log
+    logs = (list(branches.codes), list(branches.history), list(transfers.codes))
+    return outcome, run.output, logs, run.memory
 
 
 # -- traps -----------------------------------------------------------------------
@@ -178,13 +180,18 @@ def test_fuel_boundary_is_exact_on_each_tier(tier, force_tier, seed, arg):
 # -- tier-up ---------------------------------------------------------------------
 
 
-def transfer_counts(program, blocks):
-    """For each event of *blocks* (an ``on_block`` stream) in ``main``,
-    the instructions ``main`` had run before it: a cold budget of each
-    count tiers ``main`` up at that transfer."""
+def transfer_counts(program, args):
+    """For each block ``main`` enters in a run, the instructions
+    ``main`` had run before it: a cold budget of each count tiers
+    ``main`` up at that transfer."""
+    run = Machine(program, max_steps=2_000_000, log_transfers=True)
+    try:
+        run.run(*args)
+    except TrapError:
+        pass
     function = program.main_function()
     counts, ran = set(), 0
-    for name, label in blocks:
+    for name, label in entered_blocks(run):
         if name == function.name:
             counts.add(ran)
             ran += len(function.blocks[label].instrs) + 1
@@ -204,7 +211,7 @@ def test_tier_up_at_every_transfer_matches_the_cold_tier(force_tier, monkeypatch
     size = program.main_function().size()
     cache = machine._HotCache()
     monkeypatch.setattr(machine, "_hot_functions", cache)
-    for count in transfer_counts(program, reference[3]):
+    for count in transfer_counts(program, [arg]):
         # main's cold budget is exactly `count`; helpers' scale with size.
         monkeypatch.setattr(machine, "HOT_RATIO", Fraction(count, size))
         # Keep the compiled functions, but make every run find them only

@@ -1,7 +1,7 @@
 """Trace data structure tests."""
 
 from repro.ir import BranchSite
-from repro.profiling import Trace, trace_program
+from repro.profiling import Trace
 
 
 def sample_trace() -> Trace:
@@ -65,7 +65,3 @@ def test_record_id_matches_record():
     assert list(trace.events()) == [(0, 1), (0, 0)]
 
 
-def test_trace_program_max_branches(alternating_loop):
-    trace, result = trace_program(alternating_loop, [50], max_branches=10)
-    assert len(trace) == 10
-    assert result.branches > 10  # execution continued past the cap

@@ -426,21 +426,14 @@ def test_rotation_and_layout_preserve_semantics(seed, arg):
 def test_scheduling_estimates_well_formed(seed):
     """Superblock estimates exist for any annotated program and never
     exceed the per-block baseline."""
-    from repro.interp import Machine
     from repro.replication import annotate_profile_predictions
-    from repro.scheduling import estimate_program_cycles
+    from repro.scheduling import block_and_edge_counts, estimate_program_cycles
 
     program = random_program(seed)
     trace, _ = trace_program(program.copy(), [seed % 7], max_steps=2_000_000)
     profile = ProfileData.from_trace(trace)
     annotate_profile_predictions(program, profile)
-    machine = Machine(program, max_steps=2_000_000, count_edges=True)
-    machine.run(seed % 7)
-    counts = {}
-    for (fn, _src, dst), count in machine.edge_counts.items():
-        counts[(fn, dst)] = counts.get((fn, dst), 0) + count
-    for function in program:
-        counts.setdefault((function.name, function.entry), 1)
+    counts, _ = block_and_edge_counts(program, [seed % 7])
     baseline, region = estimate_program_cycles(program, counts)
     assert 0 <= region <= baseline
 
