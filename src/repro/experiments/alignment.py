@@ -23,15 +23,28 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..layout import (
+    edge_profiles,
     layout_program,
-    profile_edges,
     rotate_program,
+    run_edges,
     taken_transfer_stats,
+    transfer_stats,
+    TransferStats,
 )
 from ..replication import ReplicationPlanner, apply_replication
 from ..workloads import BENCHMARK_NAMES, get_profile, get_program, get_workload
 from .registry import register
 from .report import Table
+
+
+def _lay_out(program, args, input_values) -> TransferStats:
+    """Align and chain-order *program* from one instrumented run, and
+    count that run's taken transfers under the new layout: layout moves
+    blocks and flips branches, so the run's edges and step count are the
+    laid-out program's too."""
+    edges, steps = run_edges(program, args, input_values)
+    layout_program(program, edge_profiles(program, edges))
+    return transfer_stats(program, edges, steps)
 
 
 def run(
@@ -71,10 +84,7 @@ def run(
         # Profile annotations + rotation + alignment + chain layout.
         baseline = apply_replication(program, [], profile).program
         rotate_program(baseline)
-        layout_program(baseline, profile_edges(baseline, args, input_values))
-        rows["rotated + aligned"].append(
-            taken_transfer_stats(baseline, args, input_values)
-        )
+        rows["rotated + aligned"].append(_lay_out(baseline, args, input_values))
 
         # Replicate first, then rotate + align the result.
         planner = ReplicationPlanner(program, profile, max_states)
@@ -84,10 +94,7 @@ def run(
         ]
         replicated = apply_replication(program, selections, profile).program
         rotate_program(replicated)
-        layout_program(replicated, profile_edges(replicated, args, input_values))
-        rows["replicated + aligned"].append(
-            taken_transfer_stats(replicated, args, input_values)
-        )
+        rows["replicated + aligned"].append(_lay_out(replicated, args, input_values))
 
     for label, stats_row in rows.items():
         table.add_row(

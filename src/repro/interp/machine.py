@@ -17,12 +17,15 @@ the paper's tracing tool inserts trace code into the program:
 A branch and the transfer it makes share one code.  Callers fold the
 logs in bulk once the run is over.
 
-Every function activation is a generator, run by the one driver loop in
-:meth:`Machine.call`.  The driver keeps an explicit generator stack, so
-deep recursion never recurses in the host.  A call yields
-``(callee, argv)``; a return leaves its value in the machine and
-finishes its generator, which the driver then pops.  An activation runs
-in one of two tiers:
+An activation of a function that makes calls is a generator, run by
+the one driver loop in :meth:`Machine.call`.  The driver keeps an
+explicit generator stack, so deep recursion never recurses in the host.
+A call yields ``(callee, argv)``; a return leaves its value in the
+machine and finishes its generator, which the driver then pops.  A
+*leaf*, a function without calls, compiles its hot tier to a plain
+function instead: once it has one, its caller (hot or cold), the driver
+and its own cold activation's tier-up call it in place, which adds one
+host frame and no generator.  An activation runs in one of two tiers:
 
 * **Cold.**  On first entry to a block in a run, the block's
   instructions are split at ``call``s into straight-line segments, and
@@ -34,13 +37,14 @@ in one of two tiers:
   ``(instructions, exit)`` — so the replicated copies of one loop body,
   which differ only in their terminator targets, share one function;
   :data:`MAX_COMPILED_SEGMENTS` bounds that cache.
-* **Hot.**  One generated generator for the whole function, in which
-  registers are Python locals for the whole activation.  A successor
-  whose only predecessor is the edge being emitted is inlined (nesting
-  is capped by :data:`MAX_INLINE_DEPTH`); every other block is a merge
-  point, reached through a binary if-tree on its block index.  The
-  appends to the branch log (with or without history) and to the
-  transfer log are compiled in for the flag set of the run.
+* **Hot.**  One generated function for the whole function, a generator
+  unless it is a leaf, in which registers are Python locals for the
+  whole activation.  A successor whose only predecessor is the edge
+  being emitted is inlined (nesting is capped by
+  :data:`MAX_INLINE_DEPTH`); every other block is a merge point,
+  reached through a binary if-tree on its block index.  The appends to
+  the branch log (with or without history) and to the transfer log are
+  compiled in for the flag set of the run.
 
 Both tiers share the lowering of instructions, in which register names
 and immediates reach the generated source only through ``repr()`` and
@@ -423,17 +427,21 @@ MAX_INLINE_DEPTH = 60
 
 
 class _Hot:
-    """A compiled hot function: the generator function
-    ``(machine, argv, env, block index, history)`` and the block index
-    of every merge point (the blocks it can be entered at)."""
+    """A compiled hot function: ``(machine, argv, env, block index,
+    history)``, a plain function for a *leaf* (a function without
+    calls) and a generator function otherwise, and the block index of
+    every merge point (the blocks it can be entered at)."""
 
-    __slots__ = ("run", "index", "shape", "size", "reused")
+    __slots__ = ("run", "index", "shape", "size", "leaf", "reused")
 
-    def __init__(self, run: Callable, index: Dict[str, int], shape: tuple, size: int) -> None:
+    def __init__(
+        self, run: Callable, index: Dict[str, int], shape: tuple, size: int, leaf: bool
+    ) -> None:
         self.run = run
         self.index = index
         self.shape = shape
         self.size = size
+        self.leaf = leaf
         self.reused = False
 
 
@@ -507,7 +515,9 @@ def _source(key: tuple) -> "_HotSource":
 
 def _deopt(m: "Machine", key: tuple, point: int, bound: dict, history: int):
     """The cold activation that takes over a hot one at resume *point*,
-    with the register dict rebuilt from the bound locals."""
+    with the register dict rebuilt from the bound locals.  A leaf runs
+    it to the end in place: it makes no calls, and with less fuel left
+    than the function's size it never tiers up, so it never yields."""
     source = _source(key)
     label, segment = source.resume[point]
     env = {register: bound[local] for local, register in source.registers if local in bound}
@@ -551,11 +561,20 @@ class _HotSource:
     that resume point, which runs out of fuel at the exact step.  The
     source is a pure function of the key, so those rare paths rebuild
     it instead of keeping tables alive in every compiled function.
+
+    A function without calls is a *leaf*: its source has no ``yield``,
+    so its activations run to the end in place, called directly by
+    their caller instead of through the driver.  A call site in another
+    hot function calls the callee directly when the run's leaf map has
+    it, and yields to the driver otherwise.
     """
 
     def __init__(self, key: tuple) -> None:
         flags, arity, (name, params, entry, blocks) = key
         self.name = name
+        self.leaf = not any(
+            instr.__class__ is Call for _, _, instrs, _ in blocks for instr in instrs
+        )
         self.log, self.history, self.transfers = flags
         self.arity = dict(arity)
         self.blocks = {
@@ -711,7 +730,10 @@ class _HotSource:
             argv = "".join(f"{self.lowering.read(arg)}, " for arg in instr.args)
             out.append((depth, "m._steps = steps", None))
             out.append((depth, "m._branches = branches", None))
-            out.append((depth, f"yield ({instr.func!r}, ({argv}))", self.trap(block)))
+            out.append((depth, f"args = ({argv})", self.trap(block)))
+            out.append((depth, f"leaf = leaves.get({instr.func!r})", None))
+            out.append((depth, "if leaf is not None: leaf(m, args, None, 0, 0)", None))
+            out.append((depth, f"else: yield ({instr.func!r}, args)", None))
             out.append((depth, "steps = m._steps", None))
             out.append((depth, "branches = m._branches", None))
             if instr.dest is not None:
@@ -759,16 +781,17 @@ class _HotSource:
     # -- the function --------------------------------------------------------
 
     def _function(self, params: tuple, leaves: list) -> list:
-        """The whole generator function ``(machine, argv, env, block
-        index, history)``: activation entry binds *argv*, a tier-up
-        loads from *env* every register live at a merge point."""
+        """The whole function ``(machine, argv, env, block index,
+        history)``: activation entry binds *argv*, a tier-up loads from
+        *env* every register live at a merge point."""
         lowering = self.lowering
         bind = "".join(f"{lowering.local(param)}, " for param in params)
         live = self._live_at_merges()
         self.registers = tuple((local, register) for register, local in lowering.locals.items())
+        deopt = "_deopt(m, _KEY, k, locals(), h)"
         lines: list = [
             (0, "def hot(m, argv, env, b, h):", None),
-            (1, "memory, limit, log, hist, transfer, mask = m._context", None),
+            (1, "memory, limit, log, hist, transfer, mask, leaves = m._context", None),
         ]
         if self.log or self.transfers:
             lines.append((1, f"base = m._bases[{self.name!r}]", None))
@@ -791,7 +814,7 @@ class _HotSource:
         return lines + [
             (2, "m._steps = steps", None),
             (2, "m._branches = branches", None),
-            (2, "yield _deopt(m, _KEY, k, locals(), h)", None),
+            (2, f"next({deopt}, None)" if self.leaf else f"yield {deopt}", None),
             (1, "except UnboundLocalError as error:", None),
             (2, "trap = _undefined_local(error, locals(), _KEY)", None),
             (2, "if trap is None:", None),
@@ -940,9 +963,12 @@ class _Routine:
             found = self.decoded[label] = _Block(block, self.arity, self.codes[label])
         return found
 
-    def use(self, hot: _Hot) -> None:
+    def use(self, hot: _Hot, leaves: Dict[str, Callable]) -> None:
+        """Run *hot* from now on; a leaf joins the run's leaf map."""
         self.hot = hot.run
         self.index = hot.index
+        if hot.leaf:
+            leaves[self.function.name] = hot.run
 
 
 class Machine:
@@ -1063,19 +1089,24 @@ class Machine:
                 self.program, _buffer(codes + len(functions)), codes
             )
             transfer = self.transfer_log.codes.append
-        # The run's constants and its counters, shared by every
-        # activation; an activation keeps the counters in locals and
-        # writes them back before it yields or returns.
-        self._context = (self.memory, self.max_steps, log, hist, transfer, mask)
+        # The run's constants, its hot leaves by name, and its counters,
+        # shared by every activation; an activation keeps the counters
+        # in locals and writes them back before it calls, yields or
+        # returns.
+        self._leaves: Dict[str, Callable] = {}
+        self._context = (self.memory, self.max_steps, log, hist, transfer, mask, self._leaves)
         self._flags = (log is not None, mask > 0, transfer is not None)
         self._steps = self._branches = 0
         self._value = None
         routines: Dict[str, _Routine] = {}
         self._routines = routines
         routine = routines[func_name] = self._routine(function)
-        return self._drive(self._activate(routine, tuple(args)))
+        gen = self._activate(routine, tuple(args))
+        if gen is not None:
+            self._drive(gen)
+        return RunResult(self._value, self.output, self._steps, self._branches)
 
-    def _drive(self, gen) -> RunResult:
+    def _drive(self, gen) -> None:
         """Run activation *gen* and everything it calls to completion."""
         routines = self._routines
         stack = []
@@ -1083,19 +1114,21 @@ class Machine:
         while True:
             out = resume(gen, None)
             if out.__class__ is tuple:
-                stack.append(gen)
                 name, argv = out
                 routine = routines.get(name)
                 if routine is None:
                     routine = routines[name] = self._routine(self.program.functions[name])
                 hot = routine.hot
                 if hot is not None:
-                    gen = hot(self, argv, None, 0, 0)
+                    callee = hot(self, argv, None, 0, 0)
                 else:
-                    gen = self._activate(routine, argv)
+                    callee = self._activate(routine, argv)
+                if callee is not None:  # else a hot leaf ran in place
+                    stack.append(gen)
+                    gen = callee
             elif out is None:
                 if not stack:
-                    return RunResult(self._value, self.output, self._steps, self._branches)
+                    return
                 gen = stack.pop()
             else:  # an activation changing tier hands over its successor
                 gen = out
@@ -1107,7 +1140,7 @@ class Machine:
         if (self._flags, function.name, len(function.blocks)) in _hot_functions.shapes:
             found = _hot_functions.get(self._hot_key(routine))
             if found is not None:
-                routine.use(found)
+                routine.use(found, self._leaves)
         return routine
 
     def _hot_key(self, routine: _Routine) -> tuple:
@@ -1124,16 +1157,20 @@ class Machine:
             function = routine.function
             source = _HotSource(key)
             shape = (self._flags, function.name, len(function.blocks))
-            hot = _Hot(source.compile(key), source.index, shape, routine.size)
+            hot = _Hot(source.compile(key), source.index, shape, routine.size, source.leaf)
             hot = _hot_functions.add(key, hot)
-        routine.use(hot)
+        routine.use(hot, self._leaves)
         return hot.run
 
     def _activate(self, routine: _Routine, argv: tuple):
         """A new activation of *routine* with arguments *argv*: hot once
-        its function has overrun its cold budget."""
-        if routine.left < 0:
-            return self._tier_up(routine)(self, argv, None, 0, 0)
+        its function has a hot tier or has overrun its cold budget.  A
+        hot leaf runs in place and gives ``None``."""
+        hot = routine.hot
+        if hot is None and routine.left < 0:
+            hot = self._tier_up(routine)
+        if hot is not None:
+            return hot(self, argv, None, 0, 0)
         function = routine.function
         transfer = self._context[4]
         if transfer is not None:
@@ -1146,7 +1183,7 @@ class Machine:
     ):
         """An activation in the cold tier, from *segment* of *block*: the
         segment walk."""
-        memory, max_steps, log, hist, transfer, mask = self._context
+        memory, max_steps, log, hist, transfer, mask, leaves = self._context
         name = routine.function.name
         steps = self._steps
         branches = self._branches
@@ -1167,7 +1204,11 @@ class Machine:
                 self._steps = steps
                 self._branches = branches
                 routine.left = left
-                yield (site.callee, argv)
+                leaf = leaves.get(site.callee)
+                if leaf is not None:
+                    leaf(self, argv, None, 0, 0)
+                else:
+                    yield (site.callee, argv)
                 steps = self._steps
                 branches = self._branches
                 left = routine.left
@@ -1223,6 +1264,8 @@ class Machine:
                 if index is not None:
                     self._steps = steps
                     self._branches = branches
+                    # A hot leaf runs the rest of the activation in place
+                    # and gives None, which the driver reads as its return.
                     yield hot(self, None, env, index, history)
 
     def _exhaust(

@@ -1,6 +1,13 @@
 """Profile-guided code positioning and branch alignment."""
 
-from .edges import Edge, EdgeProfile, edge_profile_from_trace, profile_edges
+from .edges import (
+    Edge,
+    EdgeProfile,
+    edge_profile_from_trace,
+    edge_profiles,
+    profile_edges,
+    run_edges,
+)
 from .rotation import rotatable_loops, rotate_loop, rotate_program
 from .positioning import (
     align_branches,
@@ -9,6 +16,7 @@ from .positioning import (
     layout_program,
     order_blocks,
     taken_transfer_stats,
+    transfer_stats,
     TransferStats,
 )
 
@@ -19,12 +27,15 @@ __all__ = [
     "apply_layout",
     "build_chains",
     "edge_profile_from_trace",
+    "edge_profiles",
     "layout_program",
     "order_blocks",
     "profile_edges",
     "rotatable_loops",
     "rotate_loop",
     "rotate_program",
+    "run_edges",
     "taken_transfer_stats",
+    "transfer_stats",
     "TransferStats",
 ]

@@ -9,6 +9,7 @@ edges exactly and leaves unconditional edges to a flow estimate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -55,6 +56,27 @@ class EdgeProfile:
         return sum(self.counts.values())
 
 
+def run_edges(
+    program: Program,
+    args: Sequence[int] = (),
+    input_values: Sequence[int] = (),
+    max_steps: int = 100_000_000,
+) -> Tuple[Counter, int]:
+    """The executed ``(function, source, target)`` edge counts and the
+    executed instructions of one instrumented run."""
+    machine = Machine(program, input_values, max_steps, log_transfers=True)
+    steps = machine.run(*args).steps
+    return machine.transfer_log.edge_counts(), steps
+
+
+def edge_profiles(program: Program, edge_counts: Counter) -> Dict[str, EdgeProfile]:
+    """Per-function edge frequencies from a run's edge counts."""
+    profiles = {function.name: EdgeProfile(function.name) for function in program}
+    for (function_name, source, target), count in edge_counts.items():
+        profiles[function_name].add(source, target, count)
+    return profiles
+
+
 def profile_edges(
     program: Program,
     args: Sequence[int] = (),
@@ -62,13 +84,7 @@ def profile_edges(
     max_steps: int = 100_000_000,
 ) -> Dict[str, EdgeProfile]:
     """Exact per-function edge frequencies from an instrumented run."""
-    machine = Machine(program, input_values, max_steps, log_transfers=True)
-    machine.run(*args)
-    profiles = {function.name: EdgeProfile(function.name) for function in program}
-    edge_counts = machine.transfer_log.edge_counts()
-    for (function_name, source, target), count in edge_counts.items():
-        profiles[function_name].add(source, target, count)
-    return profiles
+    return edge_profiles(program, run_edges(program, args, input_values, max_steps)[0])
 
 
 def edge_profile_from_trace(

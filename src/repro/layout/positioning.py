@@ -13,18 +13,19 @@ both:
   direction is the fall-through edge whenever layout permits;
 * :func:`taken_transfer_stats` — the evaluation metric: the executed
   control transfers that do NOT fall through to the next block in
-  layout order.
+  layout order; :func:`transfer_stats` folds it from a run's edge
+  counts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cfg import CFG
-from ..interp import Machine
 from ..ir import Function, IRError, Program
-from .edges import EdgeProfile
+from .edges import EdgeProfile, run_edges
 
 
 def build_chains(function: Function, profile: EdgeProfile) -> List[List[str]]:
@@ -154,8 +155,14 @@ def taken_transfer_stats(
 ) -> TransferStats:
     """Count executed intra-function control transfers that do not fall
     through under the current block layout."""
-    machine = Machine(program, input_values, max_steps, log_transfers=True)
-    result = machine.run(*args)
+    return transfer_stats(program, *run_edges(program, args, input_values, max_steps))
+
+
+def transfer_stats(program: Program, edge_counts: Counter, instructions: int) -> TransferStats:
+    """The taken transfers among a run's *edge_counts* under *program*'s
+    current block layout, which may differ from the run's: branch
+    alignment and block order change neither the edges a run takes nor
+    the instructions it executes."""
     next_block: Dict[Tuple[str, str], Optional[str]] = {}
     for function in program:
         labels = list(function.blocks)
@@ -164,10 +171,9 @@ def taken_transfer_stats(
             next_block[(function.name, label)] = following
     total = 0
     taken = 0
-    edge_counts = machine.transfer_log.edge_counts()
     for (function_name, source, target), count in edge_counts.items():
         total += count
         if next_block.get((function_name, source)) != target:
             taken += count
-    return TransferStats(taken, total, result.steps)
+    return TransferStats(taken, total, instructions)
 

@@ -47,6 +47,18 @@ class TraceFormatError(Exception):
 
 
 def _write_varints(values) -> bytes:
+    """The LEB128 varint stream of *values*.
+
+    Fast path, the inverse of :func:`_decode_site_ids`'s: when every
+    value is below 128, each is its own one-byte varint, so one C-level
+    copy makes the stream.
+    """
+    try:
+        data = bytes(iter(values))
+        if data.isascii():
+            return data
+    except ValueError:  # a value of 256 or more
+        pass
     out = bytearray()
     for value in values:
         while True:

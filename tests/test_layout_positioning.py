@@ -9,12 +9,17 @@ from repro.layout import (
     apply_layout,
     build_chains,
     layout_program,
+    edge_profiles,
     order_blocks,
     profile_edges,
+    rotate_program,
+    run_edges,
     taken_transfer_stats,
+    transfer_stats,
 )
-from repro.replication import annotate_profile_predictions
+from repro.replication import ReplicationPlanner, annotate_profile_predictions, apply_replication
 from repro.profiling import ProfileData, trace_program
+from repro.workloads import BENCHMARK_NAMES, get_profile, get_program, get_workload
 
 
 def prepared(program, args):
@@ -111,3 +116,24 @@ def test_rate_bounds(alternating_loop):
     stats = taken_transfer_stats(alternating_loop.copy(), [10])
     assert 0.0 <= stats.taken_rate <= 1.0
     assert stats.transfers > 0
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_layout_keeps_a_runs_edges_and_steps(name):
+    """Alignment flips branches and layout reorders blocks, so the
+    alignment experiment folds a laid-out program's taken transfers
+    from the run that profiled its layout."""
+    program = get_program(name)
+    args, inputs = get_workload(name).default_args(1)
+    profile = get_profile(name, 1)
+    planner = ReplicationPlanner(program, profile, 4)
+    selections = [
+        (plan.site, plan.best_option(4).scored.machine) for plan in planner.improvable_plans()
+    ]
+    for chosen in ([], selections):
+        work = apply_replication(program, chosen, profile).program
+        rotate_program(work)
+        edges, steps = run_edges(work, args, inputs)
+        assert layout_program(work, edge_profiles(work, edges)) > 0
+        assert run_edges(work, args, inputs) == (edges, steps)
+        assert transfer_stats(work, edges, steps) == taken_transfer_stats(work, args, inputs)

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.profiling import (
     trace_to_bytes,
     trace_program,
 )
+from repro.profiling.tracefile import _write_varints
 
 
 def test_empty_trace_roundtrip():
@@ -115,6 +117,23 @@ class TestVarintBoundaries:
         loaded = trace_from_bytes(trace_to_bytes(trace))
         assert loaded.sites == trace.sites
         assert list(loaded.events()) == list(trace.events())
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[], [0], [127], [0, 127, 5], [128], [0, 127, 128], [255, 0], [1 << 21, 127, 0]],
+    )
+    def test_encoder_fast_path_matches_the_loop(self, ids):
+        def reference(values):
+            out = bytearray()
+            for value in values:
+                while value >= 0x80:
+                    out.append(value & 0x7F | 0x80)
+                    value >>= 7
+                out.append(value)
+            return bytes(out)
+
+        for values in (ids, array("i", ids)):
+            assert _write_varints(values) == reference(ids)
 
     def test_empty_trace_has_no_events_or_sites(self):
         loaded = trace_from_bytes(trace_to_bytes(Trace()))
