@@ -209,7 +209,7 @@ def _process_tree_cpu_seconds(root_pid: int) -> Optional[float]:
 
 
 def traced_path_cost_us(samples: int = 5, iterations: int = 20000) -> float:
-    """Directly time the per-request work ``REPRO_TRACE_OFF=1`` skips.
+    """Directly time the per-request work ``--trace-off`` skips.
 
     One iteration is the exact warm-path tracing sequence the server
     runs per request: start a trace, open/close the ``service.request``
@@ -255,9 +255,8 @@ def trace_overhead(
     """Warm-path cost of the always-on flight recorder, on vs off.
 
     Each measurement spawns a fresh single-worker ``serve`` subprocess —
-    with ``--trace-off`` (the ``REPRO_TRACE_OFF=1`` path) or the
-    always-on tracing default — and drives the identical warm-key
-    workload.  Warm keys make every request an LRU hit, so fixed
+    with ``--trace-off`` or the always-on tracing default — and drives
+    the identical warm-key workload.  Warm keys make every request an LRU hit, so fixed
     per-request cost — exactly where the tracing layer lives —
     dominates and the comparison is maximally sensitive.
 
@@ -533,7 +532,7 @@ def main(argv=None) -> int:
                 max(args.duration, 3.0),
                 args.agreement_tolerance,
             )
-        print("trace-overhead phase (flight recorder on vs REPRO_TRACE_OFF)...")
+        print("trace-overhead phase (flight recorder on vs --trace-off)...")
         overhead = trace_overhead(
             args.benchmark, args.clients, max(args.duration, 2.0)
         )

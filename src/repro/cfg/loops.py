@@ -32,15 +32,6 @@ class Loop:
     def __contains__(self, label: str) -> bool:
         return label in self.body
 
-    def exit_edges(self, cfg: CFG) -> List[Tuple[str, str]]:
-        """Edges from inside the loop to outside it."""
-        return [
-            (label, target)
-            for label in self.body
-            for target in cfg.succs[label]
-            if target not in self.body
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Loop(header={self.header!r}, |body|={len(self.body)})"
 

@@ -27,7 +27,6 @@ from ..layout import (
     layout_program,
     rotate_program,
     run_edges,
-    taken_transfer_stats,
     transfer_stats,
     TransferStats,
 )
@@ -71,14 +70,14 @@ def run(
         profile = get_profile(name, scale)
 
         rows["original layout"].append(
-            taken_transfer_stats(program.copy(), args, input_values)
+            transfer_stats(program, *run_edges(program, args, input_values))
         )
 
         # Loop rotation alone (Mueller/Whalley jump avoidance).
         rotated = program.copy()
         rotate_program(rotated)
         rows["rotated"].append(
-            taken_transfer_stats(rotated, args, input_values)
+            transfer_stats(rotated, *run_edges(rotated, args, input_values))
         )
 
         # Profile annotations + rotation + alignment + chain layout.

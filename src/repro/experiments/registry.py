@@ -20,7 +20,7 @@ hand-rolled benchmark × predictor loops that each re-scan the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..predictors import EvaluationResult, Predictor, evaluate_many
@@ -57,13 +57,6 @@ class RunContext:
     def names_list(self) -> Optional[List[str]]:
         """The benchmark subset in the shape legacy runners expect."""
         return list(self.names) if self.names is not None else None
-
-    def with_options(self, **options: Any) -> "RunContext":
-        """A copy with *options* merged over the existing ones."""
-        merged = dict(self.options)
-        merged.update(options)
-        return replace(self, options=merged)
-
 
 @dataclass(frozen=True)
 class Experiment:

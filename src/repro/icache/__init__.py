@@ -4,9 +4,9 @@ from .cost import CostModel, CostReport, evaluate_cost
 from .sim import (
     CacheConfig,
     CacheResult,
-    InstructionCache,
     assign_addresses,
     simulate_icache,
+    walk_fetches,
 )
 
 __all__ = [
@@ -14,8 +14,8 @@ __all__ = [
     "CacheResult",
     "CostModel",
     "CostReport",
-    "InstructionCache",
     "assign_addresses",
     "evaluate_cost",
     "simulate_icache",
+    "walk_fetches",
 ]

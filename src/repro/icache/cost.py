@@ -11,8 +11,9 @@ The estimated cycle count of a run combines three measurable terms:
            + miss_penalty x instruction cache misses
 
 ``evaluate_cost`` measures all three on a concrete (possibly
-replicated) program, so replication plans can be compared end to end:
-more states -> fewer mispredictions but more cache misses.
+replicated) program from one run that logs both its branches and its
+transfers, so replication plans can be compared end to end: more
+states -> fewer mispredictions but more cache misses.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..interp import Machine
 from ..ir import Program
-from ..replication import measure_annotated
-from .sim import CacheConfig, CacheResult, simulate_icache
+from ..replication import fold_mispredictions
+from .sim import CacheConfig, CacheResult, walk_fetches
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,17 @@ def evaluate_cost(
     max_steps: int = 100_000_000,
 ) -> CostReport:
     """Measure instructions, mispredictions and i-cache misses of one
-    annotated program run and combine them into estimated cycles."""
-    measurement = measure_annotated(program, args, input_values, max_steps)
-    cache = simulate_icache(program, cache_config, args, input_values, max_steps)
+    annotated program run and combine them into estimated cycles.
+
+    The run logs its branches and its transfers;
+    :func:`~repro.replication.fold_mispredictions` and
+    :func:`walk_fetches` fold the two logs."""
+    machine = Machine(program, input_values, max_steps, log_branches=True, log_transfers=True)
+    result = machine.run(*args)
+    measurement = fold_mispredictions(program, machine.branch_log, result)
+    cache = walk_fetches(program, cache_config, machine.transfer_log)
     return CostReport(
-        instructions=measurement.result.steps,
+        instructions=result.steps,
         branch_events=measurement.events,
         mispredictions=measurement.mispredictions,
         cache=cache,

@@ -3,7 +3,7 @@
 The paper's cost function weighs the misprediction gain of replication
 against its "negative impact on instruction cache miss rate".  This
 module provides that substrate: program text is laid out at one word
-per instruction in block-layout order, and an instrumented run feeds
+per instruction in block-layout order, and a run's transfer log feeds
 the fetch stream (every entered block touches its address range)
 through a direct-mapped cache.
 """
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from ..interp import Machine
+from ..interp.machine import TransferLog
 from ..ir import Program
 from ..obs import OBS
 
@@ -31,10 +32,6 @@ class CacheConfig:
         if self.lines & (self.lines - 1) or self.line_words & (self.line_words - 1):
             raise ValueError("cache dimensions must be powers of two")
 
-    @property
-    def capacity_words(self) -> int:
-        return self.lines * self.line_words
-
 
 def assign_addresses(program: Program) -> Dict[Tuple[str, str], Tuple[int, int]]:
     """Lay the program out at one word per instruction.
@@ -51,39 +48,6 @@ def assign_addresses(program: Program) -> Dict[Tuple[str, str], Tuple[int, int]]
             addresses[(function.name, block.label)] = (cursor, cursor + size)
             cursor += size
     return addresses
-
-
-class InstructionCache:
-    """Direct-mapped cache fed with word-address ranges."""
-
-    def __init__(self, config: CacheConfig) -> None:
-        self.config = config
-        self._tags = [-1] * config.lines
-        self.accesses = 0
-        self.misses = 0
-
-    def touch_range(self, start: int, end: int) -> None:
-        """Fetch every line overlapping [start, end)."""
-        line_words = self.config.line_words
-        lines = self.config.lines
-        first = start // line_words
-        last = (end - 1) // line_words if end > start else first - 1
-        tags = self._tags
-        for line_address in range(first, last + 1):
-            index = line_address % lines
-            self.accesses += 1
-            if tags[index] != line_address:
-                tags[index] = line_address
-                self.misses += 1
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    def reset(self) -> None:
-        self._tags = [-1] * self.config.lines
-        self.accesses = 0
-        self.misses = 0
 
 
 @dataclass
@@ -107,13 +71,20 @@ def simulate_icache(
     input_values: Sequence[int] = (),
     max_steps: int = 100_000_000,
 ) -> CacheResult:
-    """Run *program* and simulate its instruction fetch stream.
+    """Run *program*, logging its transfers, and simulate its
+    instruction fetch stream with :func:`walk_fetches`."""
+    machine = Machine(program, input_values, max_steps, log_transfers=True)
+    machine.run(*args)
+    return walk_fetches(program, config, machine.transfer_log)
 
-    The run logs every block it enters (its transfer log).  Each
-    distinct code's target block's fetches — ``(cache index, line
-    address)`` of every line its words overlap — are worked out once
-    from the layout, and one walk over the log checks the tags inline;
-    :class:`InstructionCache` is the reference it must agree with.
+
+def walk_fetches(program: Program, config: CacheConfig, log: TransferLog) -> CacheResult:
+    """Feed a finished run's fetch stream through a direct-mapped cache.
+
+    Every block the run entered (its *log*) fetches each line its words
+    overlap.  Each distinct code's ``(cache index, line address)``
+    fetches are worked out once from the layout, and one walk over the
+    log checks the tags inline.
     """
     line_words, lines = config.line_words, config.lines
     fetches: Dict[Tuple[str, str], tuple] = {}
@@ -124,13 +95,8 @@ def simulate_icache(
     tags = [-1] * lines
     accesses = misses = 0
     # The per-fetch path stays uninstrumented; totals are reported once
-    # after the run.
-    with OBS.span(
-        "icache.simulate", lines=config.lines, line_words=config.line_words
-    ) as span:
-        machine = Machine(program, input_values, max_steps, log_transfers=True)
-        machine.run(*args)
-        log = machine.transfer_log
+    # after the walk.
+    with OBS.span("icache.simulate", lines=lines, line_words=line_words) as span:
         blocks = {
             code: fetches[function, target]
             for code, (function, _source, target) in log.decode(set(log.codes)).items()
@@ -146,5 +112,4 @@ def simulate_icache(
     OBS.add("icache.simulations")
     OBS.add("icache.accesses", accesses)
     OBS.add("icache.misses", misses)
-    program_words = program.size()
-    return CacheResult(config, accesses, misses, program_words)
+    return CacheResult(config, accesses, misses, program.size())

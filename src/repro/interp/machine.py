@@ -1034,14 +1034,6 @@ class Machine:
         self._brk += size + 1  # one guard word between regions
         return base
 
-    def poke(self, addr: int, value: int) -> None:
-        """Write a memory word directly (used to preload workload data)."""
-        self.memory[addr] = value
-
-    def peek(self, addr: int) -> int:
-        """Read a memory word directly."""
-        return self.memory.get(addr, 0)
-
     def _next_input(self) -> int:
         """Consume the next word of the input stream (``in``)."""
         if self._input_pos >= len(self.input_values):

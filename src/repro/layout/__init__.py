@@ -3,9 +3,7 @@
 from .edges import (
     Edge,
     EdgeProfile,
-    edge_profile_from_trace,
     edge_profiles,
-    profile_edges,
     run_edges,
 )
 from .rotation import rotatable_loops, rotate_loop, rotate_program
@@ -15,7 +13,6 @@ from .positioning import (
     build_chains,
     layout_program,
     order_blocks,
-    taken_transfer_stats,
     transfer_stats,
     TransferStats,
 )
@@ -26,16 +23,13 @@ __all__ = [
     "align_branches",
     "apply_layout",
     "build_chains",
-    "edge_profile_from_trace",
     "edge_profiles",
     "layout_program",
     "order_blocks",
-    "profile_edges",
     "rotatable_loops",
     "rotate_loop",
     "rotate_program",
     "run_edges",
-    "taken_transfer_stats",
     "transfer_stats",
     "TransferStats",
 ]

@@ -1,10 +1,9 @@
 """Edge-frequency profiles for code positioning.
 
-Block layout needs to know how often each CFG edge executes.  The
-preferred source is an instrumented run (:func:`profile_edges`), which
-counts every control transfer exactly.  When only a branch trace is
-available, :func:`edge_profile_from_trace` recovers the conditional
-edges exactly and leaves unconditional edges to a flow estimate.
+Block layout needs to know how often each CFG edge executes.
+:func:`run_edges` runs the program, logging its transfers, and counts
+every control transfer exactly; :func:`edge_profiles` folds those
+counts into one :class:`EdgeProfile` per function.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..cfg import CFG
 from ..interp import Machine
-from ..ir import Jump, Program
-from ..profiling import Trace
+from ..ir import Program
 
 Edge = Tuple[str, str]
 
@@ -74,53 +72,4 @@ def edge_profiles(program: Program, edge_counts: Counter) -> Dict[str, EdgeProfi
     profiles = {function.name: EdgeProfile(function.name) for function in program}
     for (function_name, source, target), count in edge_counts.items():
         profiles[function_name].add(source, target, count)
-    return profiles
-
-
-def profile_edges(
-    program: Program,
-    args: Sequence[int] = (),
-    input_values: Sequence[int] = (),
-    max_steps: int = 100_000_000,
-) -> Dict[str, EdgeProfile]:
-    """Exact per-function edge frequencies from an instrumented run."""
-    return edge_profiles(program, run_edges(program, args, input_values, max_steps)[0])
-
-
-def edge_profile_from_trace(
-    program: Program, trace: Trace
-) -> Dict[str, EdgeProfile]:
-    """Approximate edge frequencies from a branch trace alone.
-
-    Conditional edges are exact.  A jump-terminated block's outgoing
-    edge is estimated by the block's incoming flow, iterated to a fixed
-    point; function entries and blocks reached only through calls keep
-    zero counts.  Good enough to rank hot edges for layout.
-    """
-    profiles = {function.name: EdgeProfile(function.name) for function in program}
-    for site, (not_taken, taken) in trace.taken_counts().items():
-        function = program.functions.get(site.function)
-        if function is None or site.block not in function.blocks:
-            continue
-        branch = function.block(site.block).branch
-        if branch is None:
-            continue
-        profile = profiles[site.function]
-        profile.add(site.block, branch.taken, taken)
-        profile.add(site.block, branch.not_taken, not_taken)
-    for function in program:
-        profile = profiles[function.name]
-        cfg = CFG.from_function(function)
-        for _ in range(len(function.blocks)):
-            changed = False
-            for block in function:
-                if not isinstance(block.terminator, Jump):
-                    continue
-                flow = profile.block_frequency(block.label, cfg)
-                edge = (block.label, block.terminator.target)
-                if flow > profile.counts.get(edge, 0):
-                    profile.counts[edge] = flow
-                    changed = True
-            if not changed:
-                break
     return profiles

@@ -11,10 +11,9 @@ both:
   chains, chains are emitted hottest-first, the entry chain first;
 * :func:`align_branches` — flip branch polarity so that the predicted
   direction is the fall-through edge whenever layout permits;
-* :func:`taken_transfer_stats` — the evaluation metric: the executed
+* :func:`transfer_stats` — the evaluation metric: the executed
   control transfers that do NOT fall through to the next block in
-  layout order; :func:`transfer_stats` folds it from a run's edge
-  counts.
+  layout order, folded from a run's edge counts (:func:`run_edges`).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cfg import CFG
 from ..ir import Function, IRError, Program
-from .edges import EdgeProfile, run_edges
+from .edges import EdgeProfile
 
 
 def build_chains(function: Function, profile: EdgeProfile) -> List[List[str]]:
@@ -138,24 +137,6 @@ class TransferStats:
     def taken_rate(self) -> float:
         """Taken transfers as a fraction of all transfers."""
         return self.taken / self.transfers if self.transfers else 0.0
-
-    @property
-    def taken_per_instruction(self) -> float:
-        """Taken transfers per executed instruction — comparable across
-        program variants that execute different instruction counts
-        (e.g. before/after loop rotation)."""
-        return self.taken / self.instructions if self.instructions else 0.0
-
-
-def taken_transfer_stats(
-    program: Program,
-    args: Sequence[int] = (),
-    input_values: Sequence[int] = (),
-    max_steps: int = 100_000_000,
-) -> TransferStats:
-    """Count executed intra-function control transfers that do not fall
-    through under the current block layout."""
-    return transfer_stats(program, *run_edges(program, args, input_values, max_steps))
 
 
 def transfer_stats(program: Program, edge_counts: Counter, instructions: int) -> TransferStats:

@@ -76,30 +76,6 @@ def _collect_stacks(
             counts[tuple(reversed(stack))] += 1
 
 
-def sample_stacks(
-    seconds: float,
-    interval: float = DEFAULT_INTERVAL,
-    skip_threads: Iterable[int] = (),
-) -> "Counter[Stack]":
-    """Sample every thread for *seconds*, inline on the calling thread.
-
-    The calling thread is excluded from its own samples (it would only
-    ever show this sampling loop).  Raises :class:`ProfilerBusy` if a
-    profile is already running in this process.
-    """
-    if not _PROFILE_LOCK.acquire(blocking=False):
-        raise ProfilerBusy("a profile is already running in this process")
-    try:
-        counts: "Counter[Stack]" = Counter()
-        deadline = time.monotonic() + max(0.0, seconds)
-        while time.monotonic() < deadline:
-            _collect_stacks(counts, skip_threads)
-            time.sleep(interval)
-        return counts
-    finally:
-        _PROFILE_LOCK.release()
-
-
 def collapsed_stacks(counts: Dict[Stack, int]) -> str:
     """*counts* in collapsed-stack text form, heaviest stacks first."""
     lines = [

@@ -31,7 +31,6 @@ import re
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import ObsSnapshot
-from .hist import Histogram
 
 #: Prefix applied to every exported metric name.
 NAMESPACE = "repro"
@@ -342,9 +341,3 @@ def delta_bucket_counts(
         (bound, max(0.0, after.get(bound, 0.0) - before.get(bound, 0.0)))
         for bound in sorted(set(before) | set(after))
     ]
-
-
-def snapshot_histogram(hist: Histogram) -> str:  # pragma: no cover - convenience
-    """Render a single histogram family (debugging aid)."""
-    snapshot = ObsSnapshot({}, frozenset(), {"histogram": hist})
-    return render_prometheus(snapshot)

@@ -4,6 +4,7 @@ from .annotate import (
     AnnotatedMeasurement,
     annotate_profile_predictions,
     clear_predictions,
+    fold_mispredictions,
     measure_annotated,
 )
 from .apply import ReplicationReport, apply_replication
@@ -37,6 +38,7 @@ __all__ = [
     "collect_joint_tables",
     "duplicate_correlated_branch",
     "estimate_duplication_cost",
+    "fold_mispredictions",
     "loop_membership",
     "measure_annotated",
     "plan_joint_machines",

@@ -2,10 +2,10 @@
 
 After replication every conditional branch carries a ``predict`` bit.
 ``annotate_profile_predictions`` plants the plain profile prediction on
-unannotated branches; ``measure_annotated`` runs the program and counts
-how often the planted bits are wrong — the end-to-end check that the
-replicated program achieves the misprediction rate the state-machine
-scoring promised.
+unannotated branches; ``measure_annotated`` runs the program and
+``fold_mispredictions`` counts from its branch log how often the planted
+bits are wrong — the end-to-end check that the replicated program
+achieves the misprediction rate the state-machine scoring promised.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from ..interp import Machine, RunResult
+from ..interp.machine import BranchLog
 from ..ir import BranchSite, Program
 from ..profiling import ProfileData
 
@@ -80,11 +81,22 @@ def measure_annotated(
     max_steps: int = 100_000_000,
     default: bool = True,
 ) -> AnnotatedMeasurement:
-    """Run *program* and score its planted ``predict`` bits.
+    """Run *program*, logging its branches, and score its planted
+    ``predict`` bits with :func:`fold_mispredictions`."""
+    machine = Machine(program, input_values, max_steps, log_branches=True)
+    result = machine.run(*args)
+    return fold_mispredictions(program, machine.branch_log, result, default)
 
-    Unannotated branches are scored with *default*.  The run's branch
-    log is counted once per event code (site and direction); the sites
-    keep the order of their first events.
+
+def fold_mispredictions(
+    program: Program, log: BranchLog, result: RunResult, default: bool = True
+) -> AnnotatedMeasurement:
+    """Score *program*'s planted ``predict`` bits against a finished
+    run's branch *log*; *result* is that run's.
+
+    Unannotated branches are scored with *default*.  The log is counted
+    once per event code (site and direction); the sites keep the order
+    of their first events.
     """
     predictions: Dict[BranchSite, bool] = {}
     origins: Dict[BranchSite, BranchSite] = {}
@@ -97,9 +109,6 @@ def measure_annotated(
             predictions[site] = branch.predict if branch.predict is not None else default
             origins[site] = BranchSite(function.name, block.origin)
 
-    machine = Machine(program, input_values, max_steps, log_branches=True)
-    result = machine.run(*args)
-    log = machine.branch_log
     counts = Counter(log.codes)
     sites = log.sites(counts)
     per_site: Dict[BranchSite, tuple] = {}

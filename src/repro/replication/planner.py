@@ -226,9 +226,5 @@ class ReplicationPlanner:
         correct = sum(plan.best_correct(max_states) for plan in self.plans.values())
         return (total - correct) / total
 
-    def improved_branch_count(self) -> int:
-        """Branches where some machine beats profile prediction."""
-        return sum(1 for plan in self.plans.values() if plan.improvable)
-
     def improvable_plans(self) -> List[BranchPlan]:
         return [plan for plan in self.plans.values() if plan.improvable]

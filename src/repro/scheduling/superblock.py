@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cfg import CFG, LivenessInfo
-from ..interp import Machine
 from ..ir import BinOp, Branch, Function, Instr, Jump, Program, Terminator
+from ..layout import run_edges
 from .deps import DEFAULT_LATENCIES, build_dep_graph, has_side_effect
 from .listsched import Schedule, list_schedule
 
@@ -193,9 +193,7 @@ def block_and_edge_counts(
     :func:`estimate_program_cycles`, from one run of *program*.  A
     block's count is the executions of the edges into it; a function's
     entry block that no edge enters counts 1."""
-    machine = Machine(program, input_values, log_transfers=True)
-    machine.run(*args)
-    edge_counts = machine.transfer_log.edge_counts()
+    edge_counts, _steps = run_edges(program, args, input_values)
     counts: Dict[Tuple[str, str], int] = {}
     for (function, _source, target), count in edge_counts.items():
         key = (function, target)

@@ -15,7 +15,6 @@ One :class:`ServiceState` lives for the life of the daemon.  It owns
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,11 +23,6 @@ from typing import Any, Callable, List, Optional
 
 from ..obs import OBS, FlightRecorder
 from .coalesce import ComputeCache
-
-#: Environment kill-switch for the always-on tracing layer (the bench
-#: overhead baseline boots with this set); config.trace_off is the
-#: programmatic equivalent.
-TRACE_OFF_ENV = "REPRO_TRACE_OFF"
 
 #: Service wire-format version, reported by /healthz.
 SERVICE_VERSION = 1
@@ -91,7 +85,7 @@ class ServiceConfig:
     #: once the listener is accepting; tests and the CI chaos job poll it
     ready_file: Optional[str] = None
     #: disable the always-on tracing layer (no per-request traces, no
-    #: flight recorder, no exemplars); REPRO_TRACE_OFF=1 does the same
+    #: flight recorder, no exemplars); ``--trace-off`` sets it
     trace_off: bool = False
     #: probabilistic keep rate for unremarkable requests in the flight
     #: recorder (errors and slow-tail requests are always kept);
@@ -111,7 +105,7 @@ class ServiceConfig:
     @property
     def tracing_enabled(self) -> bool:
         """Whether the always-on tracing layer is live for this process."""
-        return not self.trace_off and os.environ.get(TRACE_OFF_ENV, "") != "1"
+        return not self.trace_off
 
 
 class ServiceState:

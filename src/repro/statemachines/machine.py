@@ -123,24 +123,6 @@ class PredictionMachine:
                     stack.append(succ)
         return sorted(seen)
 
-    def is_strongly_connected(self) -> bool:
-        """True when every state can reach every other state — the
-        paper's validity requirement for intra-loop machines."""
-        count = len(self.states)
-        for start in range(count):
-            seen = {start}
-            stack = [start]
-            while stack:
-                index = stack.pop()
-                state = self.states[index]
-                for succ in (state.on_not_taken, state.on_taken):
-                    if succ not in seen:
-                        seen.add(succ)
-                        stack.append(succ)
-            if len(seen) != count:
-                return False
-        return True
-
     def describe(self) -> str:
         """One-line-per-state textual summary."""
         lines = [f"{self.kind} machine, {self.n_states} states, initial "

@@ -345,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "on stderr (request id, route, status, duration)")
     p.add_argument("--trace-off", action="store_true",
                    help="disable the always-on request tracing layer "
-                        "(flight recorder, /trace, exemplars); "
-                        "REPRO_TRACE_OFF=1 does the same")
+                        "(flight recorder, /trace, exemplars)")
     p.add_argument("--trace-sample", type=float, default=0.01,
                    metavar="RATE",
                    help="flight-recorder keep rate for unremarkable "

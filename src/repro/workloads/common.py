@@ -8,7 +8,7 @@ into a program; callers thread the state register through their code.
 
 from __future__ import annotations
 
-from ..ir import FunctionBuilder, ProgramBuilder
+from ..ir import ProgramBuilder
 
 #: Classic glibc LCG constants.
 LCG_MULTIPLIER = 1103515245
@@ -23,22 +23,6 @@ def add_lcg(pb: ProgramBuilder) -> None:
     summed = fb.add(product, LCG_INCREMENT)
     fb.binop("and", summed, LCG_MASK, "state")
     fb.ret("state")
-
-
-def lcg_step(fb: FunctionBuilder, state_reg: str) -> str:
-    """Advance the LCG state in *state_reg*; returns the register."""
-    fb.call("lcg", [state_reg], dest=state_reg)
-    return state_reg
-
-
-def lcg_value(fb: FunctionBuilder, state_reg: str, modulus: int) -> str:
-    """Extract a fresh pseudo-random value in ``[0, modulus)``.
-
-    Advances the state first, then uses the higher-quality upper bits.
-    """
-    lcg_step(fb, state_reg)
-    shifted = fb.shr(state_reg, 16)
-    return fb.mod(shifted, modulus)
 
 
 #: Memory cell where the global generator keeps its state.

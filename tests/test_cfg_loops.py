@@ -85,15 +85,6 @@ def test_top_level():
     assert [loop.header for loop in forest.top_level()] == ["outer"]
 
 
-def test_exit_edges():
-    forest = forest_of(NESTED)
-    cfg = forest.cfg
-    inner = forest.loop_with_header("inner")
-    assert inner.exit_edges(cfg) == [("inner", "outer_next")]
-    outer = forest.loop_with_header("outer")
-    assert outer.exit_edges(cfg) == [("outer", "done")]
-
-
 def test_two_back_edges_merge_into_one_loop():
     forest = forest_of(
         """

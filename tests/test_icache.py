@@ -10,21 +10,61 @@ from conftest import entered_blocks
 from repro.icache import (
     CacheConfig,
     CostModel,
-    InstructionCache,
     assign_addresses,
     evaluate_cost,
     simulate_icache,
 )
 from repro.interp import Machine
 from repro.profiling import ProfileData, trace_program
-from repro.replication import annotate_profile_predictions
-from repro.workloads import random_program
+from repro.replication import (
+    ReplicationPlanner,
+    annotate_profile_predictions,
+    apply_replication,
+    measure_annotated,
+)
+from repro.workloads import (
+    BENCHMARK_NAMES,
+    get_profile,
+    get_program,
+    get_workload,
+    random_program,
+)
+
+
+class InstructionCache:
+    """Direct-mapped cache fed with word-address ranges: the reference
+    that :func:`simulate_icache` must agree with."""
+
+    def __init__(self, config: CacheConfig) -> None:
+        self.config = config
+        self._tags = [-1] * config.lines
+        self.accesses = 0
+        self.misses = 0
+
+    def touch_range(self, start: int, end: int) -> None:
+        """Fetch every line overlapping [start, end)."""
+        line_words = self.config.line_words
+        lines = self.config.lines
+        first = start // line_words
+        last = (end - 1) // line_words if end > start else first - 1
+        for line_address in range(first, last + 1):
+            index = line_address % lines
+            self.accesses += 1
+            if self._tags[index] != line_address:
+                self._tags[index] = line_address
+                self.misses += 1
+
+    @property
+    def miss_rate(self) -> float:
+        return self.misses / self.accesses if self.accesses else 0.0
+
+    def reset(self) -> None:
+        self._tags = [-1] * self.config.lines
+        self.accesses = 0
+        self.misses = 0
 
 
 class TestCacheConfig:
-    def test_capacity(self):
-        assert CacheConfig(64, 8).capacity_words == 512
-
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
             CacheConfig(lines=3)
@@ -175,3 +215,36 @@ class TestCostFunction:
         improved = evaluate_cost(improved_program, [200], cache_config=config)
         assert improved.mispredictions < baseline.mispredictions
         assert improved.cycles < baseline.cycles
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_one_run_cost_equals_the_separate_runs(name, monkeypatch):
+    """On each benchmark's replicated program, ``evaluate_cost`` runs the
+    interpreter once and folds both logs to exactly what a
+    ``measure_annotated`` run and a ``simulate_icache`` run count."""
+    program = get_program(name)
+    args, inputs = get_workload(name).default_args(1)
+    profile = get_profile(name, 1)
+    planner = ReplicationPlanner(program, profile, 4)
+    selections = [
+        (plan.site, plan.best_option(4).scored.machine) for plan in planner.improvable_plans()
+    ]
+    replicated = apply_replication(program, selections, profile).program
+    config = CacheConfig(16, 4)
+    measured = measure_annotated(replicated, args, inputs)
+    fetched = simulate_icache(replicated, config, args, inputs)
+
+    runs = []
+    run = Machine.run
+
+    def counting_run(machine, *run_args):
+        runs.append(machine)
+        return run(machine, *run_args)
+
+    monkeypatch.setattr(Machine, "run", counting_run)
+    report = evaluate_cost(replicated, args, inputs, cache_config=config)
+    assert len(runs) == 1
+    assert report.instructions == measured.result.steps
+    assert report.branch_events == measured.events
+    assert report.mispredictions == measured.mispredictions
+    assert (report.cache.accesses, report.cache.misses) == (fetched.accesses, fetched.misses)

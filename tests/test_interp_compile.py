@@ -201,7 +201,7 @@ def test_memory_io_and_calls_with_nasty_names():
     result = machine_.run(12)
     assert result.value == 42
     assert result.output == [42, 41]
-    assert machine_.peek(0x10000 + 2) == 12
+    assert machine_.memory[0x10000 + 2] == 12
 
 
 def test_replicated_copies_share_compiled_segments():

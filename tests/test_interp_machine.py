@@ -91,13 +91,6 @@ class TestMemory:
         with pytest.raises(TrapError):
             run_body("  p = alloc -1\n  ret p")
 
-    def test_peek_poke(self):
-        program = parse_program("func main() {\nentry:\n  x = load 100, 0\n  ret x\n}")
-        machine = Machine(program)
-        machine.poke(100, 55)
-        assert machine.run().value == 55
-        assert machine.peek(100) == 55
-
 
 class TestIO:
     def test_input_stream_ordered(self):

@@ -1,12 +1,15 @@
-"""Edge-profile tests: exact instrumented counts and trace estimates."""
+"""Edge-profile tests: exact counts from a run's transfer log."""
 
 from repro.cfg import CFG
-from repro.layout import EdgeProfile, edge_profile_from_trace, profile_edges
-from repro.profiling import trace_program
+from repro.layout import EdgeProfile, edge_profiles, run_edges
+
+
+def run_profiles(program, args):
+    return edge_profiles(program, run_edges(program, args)[0])
 
 
 def test_exact_edge_counts(alternating_loop):
-    profiles = profile_edges(alternating_loop, [10])
+    profiles = run_profiles(alternating_loop, [10])
     main = profiles["main"]
     # loop -> body taken 10 times, loop -> done once.
     assert main.count("loop", "body") == 10
@@ -21,38 +24,27 @@ def test_exact_edge_counts(alternating_loop):
 
 
 def test_exact_counts_across_functions(recursive_sum):
-    profiles = profile_edges(recursive_sum, [5])
+    profiles = run_profiles(recursive_sum, [5])
     assert profiles["sum"].count("entry", "rec") == 5
     assert profiles["sum"].count("entry", "base") == 1
 
 
 def test_block_frequency(alternating_loop):
-    profiles = profile_edges(alternating_loop, [10])
+    profiles = run_profiles(alternating_loop, [10])
     cfg = CFG.from_function(alternating_loop.main_function())
     assert profiles["main"].block_frequency("body", cfg) == 10
     assert profiles["main"].block_frequency("done", cfg) == 1
 
 
 def test_hot_edges_sorted(alternating_loop):
-    profiles = profile_edges(alternating_loop, [50])
+    profiles = run_profiles(alternating_loop, [50])
     hot = profiles["main"].hot_edges()
     counts = [count for _, count in hot]
     assert counts == sorted(counts, reverse=True)
 
 
-def test_trace_estimate_matches_branch_edges(alternating_loop):
-    trace, _ = trace_program(alternating_loop.copy(), [10])
-    estimated = edge_profile_from_trace(alternating_loop, trace)["main"]
-    exact = profile_edges(alternating_loop, [10])["main"]
-    # Branch-sourced edges are identical.
-    for edge in (("loop", "body"), ("loop", "done"), ("body", "odd")):
-        assert estimated.count(*edge) == exact.count(*edge)
-    # Jump edges are estimated within the loop.
-    assert estimated.count("cont", "loop") == exact.count("cont", "loop")
-
-
 def test_profile_total(alternating_loop):
-    profiles = profile_edges(alternating_loop, [10])
+    profiles = run_profiles(alternating_loop, [10])
     # Every executed control transfer is recorded.
     assert profiles["main"].total() > 30
 

@@ -11,10 +11,8 @@ from repro.layout import (
     layout_program,
     edge_profiles,
     order_blocks,
-    profile_edges,
     rotate_program,
     run_edges,
-    taken_transfer_stats,
     transfer_stats,
 )
 from repro.replication import ReplicationPlanner, annotate_profile_predictions, apply_replication
@@ -25,7 +23,11 @@ from repro.workloads import BENCHMARK_NAMES, get_profile, get_program, get_workl
 def prepared(program, args):
     trace, _ = trace_program(program.copy(), args)
     profile = ProfileData.from_trace(trace)
-    return profile, profile_edges(program, args)
+    return profile, edge_profiles(program, run_edges(program, args)[0])
+
+
+def run_transfer_stats(program, args):
+    return transfer_stats(program, *run_edges(program, args))
 
 
 class TestChains:
@@ -98,12 +100,12 @@ class TestAlignment:
 
     def test_layout_reduces_taken_transfers(self, correlated_branches):
         args = [100]
-        before = taken_transfer_stats(correlated_branches.copy(), args)
+        before = run_transfer_stats(correlated_branches.copy(), args)
         profile, edges = prepared(correlated_branches, args)
         work = correlated_branches.copy()
         annotate_profile_predictions(work, profile)
         layout_program(work, edges)
-        after = taken_transfer_stats(work, args)
+        after = run_transfer_stats(work, args)
         assert after.transfers == before.transfers
         assert after.taken_rate <= before.taken_rate
 
@@ -113,7 +115,7 @@ class TestAlignment:
 
 
 def test_rate_bounds(alternating_loop):
-    stats = taken_transfer_stats(alternating_loop.copy(), [10])
+    stats = run_transfer_stats(alternating_loop.copy(), [10])
     assert 0.0 <= stats.taken_rate <= 1.0
     assert stats.transfers > 0
 
@@ -136,4 +138,3 @@ def test_layout_keeps_a_runs_edges_and_steps(name):
         edges, steps = run_edges(work, args, inputs)
         assert layout_program(work, edge_profiles(work, edges)) > 0
         assert run_edges(work, args, inputs) == (edges, steps)
-        assert transfer_stats(work, edges, steps) == taken_transfer_stats(work, args, inputs)

@@ -401,7 +401,7 @@ def test_fuel_boundary_is_exact(seed, arg):
 )
 def test_rotation_and_layout_preserve_semantics(seed, arg):
     """Loop rotation + alignment + chain layout never change behaviour."""
-    from repro.layout import layout_program, profile_edges, rotate_program
+    from repro.layout import edge_profiles, layout_program, rotate_program, run_edges
     from repro.replication import annotate_profile_predictions
 
     program = random_program(seed)
@@ -410,7 +410,7 @@ def test_rotation_and_layout_preserve_semantics(seed, arg):
     profile = ProfileData.from_trace(trace)
     annotate_profile_predictions(program, profile)
     rotate_program(program)
-    layout_program(program, profile_edges(program, [arg]))
+    layout_program(program, edge_profiles(program, run_edges(program, [arg])[0]))
     validate_program(program)
     transformed = run_program(program, [arg], max_steps=2_000_000)
     assert transformed.value == reference.value

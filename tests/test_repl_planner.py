@@ -85,8 +85,9 @@ class TestQueries:
 
     def test_improved_branch_count(self, alternating_loop):
         planner = planner_for(alternating_loop, [100])
-        assert planner.improved_branch_count() >= 1
-        assert len(planner.improvable_plans()) == planner.improved_branch_count()
+        improvable = planner.improvable_plans()
+        assert len(improvable) >= 1
+        assert all(plan.improvable for plan in improvable)
 
     def test_total_executions_matches_trace(self, alternating_loop):
         trace, _ = trace_program(alternating_loop.copy(), [100])

@@ -14,7 +14,7 @@ runs against a ``spawn_fleet`` subprocess, same as
   parser round-trips;
 * ``GET /debug/profile`` returns non-empty collapsed stacks, rejects
   bad durations, and 429s a concurrent profile;
-* ``trace_off`` (the ``REPRO_TRACE_OFF=1`` path) disables all of it;
+* ``trace_off`` (the ``--trace-off`` path) disables all of it;
 * a 2-worker fleet stitches a proxied request across both pids with
   exactly one root span, and both workers' access logs carry the
   trace id (owner-side ``owner: true``, client-facing

@@ -10,6 +10,7 @@ from repro.statemachines import (
     pattern_suffix,
     single_state_machine,
 )
+from repro.statemachines.trie import _strongly_connected
 
 
 def two_state_alternator() -> PredictionMachine:
@@ -22,6 +23,11 @@ def two_state_alternator() -> PredictionMachine:
         initial=0,
         kind="intra-loop",
     )
+
+
+def strongly_connected(machine: PredictionMachine) -> bool:
+    """The trie search's connectivity check on *machine*'s transitions."""
+    return _strongly_connected([(state.on_not_taken, state.on_taken) for state in machine.states])
 
 
 class TestPatternHelpers:
@@ -90,7 +96,7 @@ class TestSimulation:
         assert machine.reachable_states() == [0, 1]
 
     def test_strong_connectivity(self):
-        assert two_state_alternator().is_strongly_connected()
+        assert strongly_connected(two_state_alternator())
 
     def test_sink_state_not_strongly_connected(self):
         machine = PredictionMachine(
@@ -100,7 +106,7 @@ class TestSimulation:
             ),
             initial=0,
         )
-        assert not machine.is_strongly_connected()
+        assert not strongly_connected(machine)
 
     def test_describe_mentions_states(self):
         text = two_state_alternator().describe()

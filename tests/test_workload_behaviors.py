@@ -64,7 +64,7 @@ class TestDoduc:
         planner = ReplicationPlanner(
             get_program("doduc"), get_profile("doduc", 1), 6
         )
-        assert planner.improved_branch_count() == 0
+        assert planner.improvable_plans() == []
 
     def test_loop_exits_dominate(self):
         trace = get_trace("doduc", 1)
