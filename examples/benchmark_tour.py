@@ -61,17 +61,13 @@ def main(name: str = "ghostview") -> None:
 
     print("\n=== replication plan (4-state budget) ===")
     planner = ReplicationPlanner(program, profile, max_states=4)
-    for plan in planner.improvable_plans():
-        option = plan.best_option(4)
+    selections = []
+    for plan, option in planner.picks():
         gain = option.correct - plan.profile_correct
         print(f"  {str(plan.site):30s} {plan.info.kind.value:10s} "
               f"{option.family:10s} {option.n_states} states  "
               f"+{gain} correct  +{option.extra_size} instrs")
-
-    selections = [
-        (plan.site, plan.best_option(4).scored.machine)
-        for plan in planner.improvable_plans()
-    ]
+        selections.append((plan.site, option.scored.machine))
     report = apply_replication(program, selections, profile)
     reference = run_program(program.copy(), args, input_values)
     transformed = run_program(report.program, args, input_values)

@@ -10,7 +10,7 @@ Run with:  python examples/custom_workload.py
 
 from repro.ir import ProgramBuilder, validate_program
 from repro.interp import run_program
-from repro.profiling import ProfileData, instrumented_run
+from repro.profiling import profile_program
 from repro.replication import (
     ReplicationPlanner,
     apply_replication,
@@ -70,25 +70,18 @@ def main() -> None:
 
     # One instrumented run records the trace and the frame-local
     # path-history tables the correlated-branch planner trains on.
-    trace, path_tables, result = instrumented_run(program, args, history_bits=8)
+    profile, result = profile_program(program, args)
     print(f"parsed 500 messages, checksum={result.value}, "
-          f"{len(trace)} branch events")
-
-    profile = ProfileData.from_trace(trace)
-    profile.attach_path_tables(path_tables)
+          f"{profile.events} branch events")
 
     planner = ReplicationPlanner(program, profile, max_states=6)
     print("\nimprovable branches:")
-    for plan in planner.improvable_plans():
-        option = plan.best_option(6)
+    selections = []
+    for plan, option in planner.picks():
         print(f"  {plan.site}: {plan.info.kind.value}, best machine "
               f"{option.n_states} states ({option.family}), "
               f"{plan.profile_correct} -> {option.correct} correct")
-
-    selections = [
-        (plan.site, plan.best_option(6).scored.machine)
-        for plan in planner.improvable_plans()
-    ]
+        selections.append((plan.site, option.scored.machine))
     report = apply_replication(program, selections, profile)
     assert run_program(report.program, args).value == result.value
 

@@ -53,8 +53,7 @@ def main(name: str = "c-compiler") -> None:
 
     planner = ReplicationPlanner(program, profile, max_states=4)
     selections = [
-        (plan.site, plan.best_option(4).scored.machine)
-        for plan in planner.improvable_plans()
+        (plan.site, option.scored.machine) for plan, option in planner.picks()
     ]
     replicated = apply_replication(program, selections, profile).program
     rep_counts, rep_edges = block_and_edge_counts(replicated, args, input_values)

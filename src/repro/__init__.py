@@ -11,18 +11,19 @@ harness regenerating every table and figure.
 Typical use::
 
     from repro import (
-        parse_program, trace_program, ProfileData,
+        parse_program, profile_program,
         ReplicationPlanner, apply_replication, measure_annotated,
     )
 
     program = parse_program(source_text)
-    trace, _ = trace_program(program, args=[1000])
-    profile = ProfileData.from_trace(trace)
+    profile, _ = profile_program(program, args=[1000])
     planner = ReplicationPlanner(program, profile, max_states=4)
-    plan = max(planner.improvable_plans(), key=lambda p: p.executions)
-    option = plan.best_option(4)
-    report = apply_replication(program, [(plan.site, option.scored.machine)], profile)
+    selections = [(plan.site, option.scored.machine) for plan, option in planner.picks()]
+    report = apply_replication(program, selections, profile)
     print(measure_annotated(report.program, args=[1000]).misprediction_rate)
+
+The profile carries the run's frame-local path tables, the only
+history the planner trains correlated machines on.
 """
 
 from .cfg import (
@@ -68,6 +69,7 @@ from .profiling import (
     ProfileData,
     Trace,
     load_trace,
+    profile_program,
     save_trace,
     trace_program,
 )
@@ -142,6 +144,7 @@ __all__ = [
     "measure_annotated",
     "parse_function",
     "parse_program",
+    "profile_program",
     "replicate_loop_branch",
     "run_program",
     "save_trace",

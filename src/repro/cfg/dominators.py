@@ -41,13 +41,6 @@ class DominatorTree:
             b = self.idom[b]  # type: ignore[assignment]
         return a == b
 
-    def strictly_dominates(self, a: str, b: str) -> bool:
-        return a != b and self.dominates(a, b)
-
-    def immediate_dominator(self, label: str) -> Optional[str]:
-        """The idom of *label* (None for the entry)."""
-        parent = self.idom[label]
-        return None if parent == label else parent
 
 
 def _compute_idoms(cfg: CFG) -> Dict[str, Optional[str]]:

@@ -58,10 +58,6 @@ class LoopForest:
     def loop_with_header(self, header: str) -> Optional[Loop]:
         return self._by_header.get(header)
 
-    def top_level(self) -> List[Loop]:
-        """Loops not nested in any other loop."""
-        return [loop for loop in self.loops if loop.parent is None]
-
     def __iter__(self):
         return iter(self.loops)
 

@@ -88,8 +88,8 @@ def run(
         # Replicate first, then rotate + align the result.
         planner = ReplicationPlanner(program, profile, max_states)
         selections = [
-            (plan.site, plan.best_option(max_states).scored.machine)
-            for plan in planner.improvable_plans()
+            (plan.site, option.scored.machine)
+            for plan, option in planner.picks()
         ]
         replicated = apply_replication(program, selections, profile).program
         rotate_program(replicated)

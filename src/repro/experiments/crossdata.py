@@ -71,8 +71,7 @@ def run(
         args_other, _ = workload.seeded_args(scale, seed_offset)
         planner = ReplicationPlanner(program, train_profile, max_states=4)
         selections = [
-            (plan.site, plan.best_option(4).scored.machine)
-            for plan in planner.improvable_plans()
+            (plan.site, option.scored.machine) for plan, option in planner.picks()
         ]
         replicated = apply_replication(program, selections, train_profile).program
         rows["replicated (same data)"].append(

@@ -55,8 +55,8 @@ def run(
 
         planner = ReplicationPlanner(program, profile, max_states)
         selections = [
-            (plan.site, plan.best_option(max_states).scored.machine)
-            for plan in planner.improvable_plans()
+            (plan.site, option.scored.machine)
+            for plan, option in planner.picks()
         ]
         replicated = apply_replication(program, selections, profile).program
         rep_counts, rep_edges = block_and_edge_counts(replicated, args, input_values)

@@ -75,7 +75,6 @@ def evaluate_cost(
     input_values: Sequence[int] = (),
     cache_config: CacheConfig = CacheConfig(),
     model: CostModel = CostModel(),
-    max_steps: int = 100_000_000,
 ) -> CostReport:
     """Measure instructions, mispredictions and i-cache misses of one
     annotated program run and combine them into estimated cycles.
@@ -83,7 +82,7 @@ def evaluate_cost(
     The run logs its branches and its transfers;
     :func:`~repro.replication.fold_mispredictions` and
     :func:`walk_fetches` fold the two logs."""
-    machine = Machine(program, input_values, max_steps, log_branches=True, log_transfers=True)
+    machine = Machine(program, input_values, log_branches=True, log_transfers=True)
     result = machine.run(*args)
     measurement = fold_mispredictions(program, machine.branch_log, result)
     cache = walk_fetches(program, cache_config, machine.transfer_log)

@@ -69,11 +69,10 @@ def simulate_icache(
     config: CacheConfig,
     args: Sequence[int] = (),
     input_values: Sequence[int] = (),
-    max_steps: int = 100_000_000,
 ) -> CacheResult:
     """Run *program*, logging its transfers, and simulate its
     instruction fetch stream with :func:`walk_fetches`."""
-    machine = Machine(program, input_values, max_steps, log_transfers=True)
+    machine = Machine(program, input_values, log_transfers=True)
     machine.run(*args)
     return walk_fetches(program, config, machine.transfer_log)
 

@@ -983,7 +983,9 @@ class Machine:
     max_steps:
         Fuel limit in executed instructions; exceeding it raises
         :class:`FuelExhausted` (protects against runaway loops in
-        randomly generated programs).
+        randomly generated programs).  Every other entry point runs
+        with the default, 100 million (the paper traces "up to a
+        maximum of 100 million branch instructions").
     track_history_bits:
         When positive, every call frame of a run that logs its branches
         maintains the history of its own branches (frame-local path
@@ -1004,7 +1006,7 @@ class Machine:
         self,
         program: Program,
         input_values: Sequence[int] = (),
-        max_steps: int = 50_000_000,
+        max_steps: int = 100_000_000,
         track_history_bits: int = 0,
         log_branches: bool = False,
         log_transfers: bool = False,
@@ -1277,7 +1279,6 @@ def run_program(
     program: Program,
     args: Sequence[int] = (),
     input_values: Sequence[int] = (),
-    max_steps: int = 50_000_000,
 ) -> RunResult:
     """One-shot convenience wrapper around :class:`Machine`."""
-    return Machine(program, input_values, max_steps).run(*args)
+    return Machine(program, input_values).run(*args)

@@ -172,12 +172,11 @@ class Program:
 
     def branch_sites(self) -> List["BranchSite"]:
         """All conditional-branch sites in the program, in a stable order."""
-        sites = []
-        for function in self:
-            for block in function:
-                if block.branch is not None:
-                    sites.append(BranchSite(function.name, block.label))
-        return sites
+        return [
+            BranchSite(function.name, block.label)
+            for function in self
+            for block in function.branch_blocks()
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Program({list(self.functions)!r})"

@@ -58,11 +58,10 @@ def run_edges(
     program: Program,
     args: Sequence[int] = (),
     input_values: Sequence[int] = (),
-    max_steps: int = 100_000_000,
 ) -> Tuple[Counter, int]:
     """The executed ``(function, source, target)`` edge counts and the
     executed instructions of one instrumented run."""
-    machine = Machine(program, input_values, max_steps, log_transfers=True)
+    machine = Machine(program, input_values, log_transfers=True)
     steps = machine.run(*args).steps
     return machine.transfer_log.edge_counts(), steps
 

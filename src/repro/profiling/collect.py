@@ -51,7 +51,6 @@ def instrumented_run(
     program: Program,
     args: Sequence[int] = (),
     input_values: Sequence[int] = (),
-    max_steps: int = 100_000_000,
     history_bits: int = 0,
 ) -> Tuple[Trace, Dict[BranchSite, PatternTable], RunResult]:
     """Execute *program* once, returning ``(trace, path_tables, result)``.
@@ -72,7 +71,7 @@ def instrumented_run(
     order a per-event recorder would have built it.
     """
     machine = Machine(
-        program, input_values, max_steps, track_history_bits=history_bits, log_branches=True
+        program, input_values, track_history_bits=history_bits, log_branches=True
     )
     result = machine.run(*args)
     log = machine.branch_log
@@ -103,10 +102,9 @@ def trace_program(
     program: Program,
     args: Sequence[int] = (),
     input_values: Sequence[int] = (),
-    max_steps: int = 100_000_000,
 ) -> Tuple[Trace, RunResult]:
     """Execute *program* and collect its branch trace."""
-    trace, _, result = instrumented_run(program, args, input_values, max_steps)
+    trace, _, result = instrumented_run(program, args, input_values)
     return trace, result
 
 
@@ -116,8 +114,16 @@ def profile_program(
     input_values: Sequence[int] = (),
     local_bits: int = 9,
     global_bits: int = 8,
-    max_steps: int = 100_000_000,
 ) -> Tuple[ProfileData, RunResult]:
-    """Run the program once and fold its trace into pattern tables."""
-    trace, result = trace_program(program, args, input_values, max_steps)
-    return ProfileData.from_trace(trace, local_bits, global_bits), result
+    """Run the program once and fold its trace into pattern tables.
+
+    The profile carries the run's frame-local path tables at depth
+    *global_bits*, as :func:`repro.workloads.get_profile`'s does: the
+    planner trains correlated machines on nothing else.
+    """
+    trace, tables, result = instrumented_run(
+        program, args, input_values, history_bits=global_bits
+    )
+    profile = ProfileData.from_trace(trace, local_bits, global_bits)
+    profile.path_tables = tables
+    return profile, result

@@ -61,11 +61,6 @@ class PatternTable:
         direction — the upper bound the state machines approximate."""
         return sum(max(entry) for entry in self.counts.values())
 
-    def correct_if_single(self) -> int:
-        """Correct predictions under a single per-branch direction
-        (the plain *profile* strategy)."""
-        return max(self.total())
-
     def marginalize(self, bits: int) -> "PatternTable":
         """Collapse to a shorter history depth by summing over patterns
         with equal low *bits* bits ("this information is used to compute
@@ -139,6 +134,12 @@ class ProfileData:
         Per-site (not_taken, taken) — the classic profile counts.
     events:
         Number of trace events consumed.
+    path_tables:
+        Per-site table keyed by frame-local path history (see
+        :func:`repro.profiling.collect.instrumented_run`), from the run
+        that recorded the trace; the only tables the planner trains
+        correlated machines on.  They cannot be derived from the flat
+        trace, so a profile built from a trace alone has none.
     """
 
     def __init__(self, local_bits: int = 9, global_bits: int = 8) -> None:
@@ -150,11 +151,7 @@ class ProfileData:
         self.global_tables: Dict[BranchSite, PatternTable] = {}
         self.totals: Dict[BranchSite, Tuple[int, int]] = {}
         self.events = 0
-        #: per-branch tables keyed by frame-local path history (see
-        #: :func:`repro.profiling.collect.instrumented_run`); these
-        #: cannot be derived from the flat trace, so they are attached
-        #: from the run that recorded it when available.
-        self.path_tables: Optional[Dict[BranchSite, PatternTable]] = None
+        self.path_tables: Dict[BranchSite, PatternTable] = {}
 
     @classmethod
     def from_trace(
@@ -280,19 +277,6 @@ class ProfileData:
                     },
                 )
         return data
-
-    def attach_path_tables(
-        self, tables: Dict[BranchSite, PatternTable]
-    ) -> None:
-        """Attach frame-local path-history tables from the same run."""
-        self.path_tables = tables
-
-    def correlation_table(self, site: BranchSite) -> Optional[PatternTable]:
-        """The table the correlated-branch planner should train on:
-        path-history when attached, else raw global history."""
-        if self.path_tables is not None and site in self.path_tables:
-            return self.path_tables[site]
-        return self.global_tables.get(site)
 
     # -- queries ---------------------------------------------------------------
 

@@ -53,7 +53,7 @@ def _int(value: object, what: str, low: int = 0, high: float = float("inf")) -> 
 
 
 def profile_to_bytes(profile: ProfileData) -> bytes:
-    """Serialise *profile* (including path tables when attached)."""
+    """Serialise *profile*, with its path tables."""
     document = {
         "version": VERSION,
         "local_bits": profile.local_bits,
@@ -68,8 +68,7 @@ def profile_to_bytes(profile: ProfileData) -> bytes:
                 "global": _table_to_json(profile.global_tables[site]),
                 **(
                     {"path": _table_to_json(profile.path_tables[site])}
-                    if profile.path_tables is not None
-                    and site in profile.path_tables
+                    if site in profile.path_tables
                     else {}
                 ),
             }
@@ -106,7 +105,6 @@ def _profile_from_document(document: Dict) -> ProfileData:
         _int(document["global_bits"], "global_bits", 1, 24),
     )
     profile.events = _int(document["events"], "events")
-    path_tables: Dict[BranchSite, PatternTable] = {}
     for entry in document["sites"]:
         function, block = entry["function"], entry["block"]
         if type(function) is not str or type(block) is not str:
@@ -122,9 +120,7 @@ def _profile_from_document(document: Dict) -> ProfileData:
         if "path" in entry:
             path = entry["path"]
             bits = _int(path["bits"], "path bits", 1, 24)
-            path_tables[site] = _table_from_json(path, bits)
-    if path_tables:
-        profile.attach_path_tables(path_tables)
+            profile.path_tables[site] = _table_from_json(path, bits)
     return profile
 
 

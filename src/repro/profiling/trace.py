@@ -183,13 +183,8 @@ class Trace:
         return index
 
     def record(self, site: BranchSite, taken: bool) -> None:
-        """Append one event (the tracing callback)."""
+        """Append one event, interning its site."""
         self.site_ids.append(self.site_id(site))
-        self.directions.append(1 if taken else 0)
-
-    def record_id(self, site_id: int, taken: bool) -> None:
-        """Append one event for an already-interned site id."""
-        self.site_ids.append(site_id)
         self.directions.append(1 if taken else 0)
 
     # -- access ----------------------------------------------------------------
@@ -219,17 +214,6 @@ class Trace:
             view = TraceColumns(self.sites, self.site_ids, self.directions.packed())
         _keep_view(self, view)
         return view
-
-    def taken_counts(self) -> Dict[BranchSite, Tuple[int, int]]:
-        """Per-site (not_taken, taken) totals."""
-        counts = [[0, 0] for _ in self.sites]
-        for sid, direction in self.events():
-            counts[sid][direction] += 1
-        return {
-            self.sites[i]: (c[0], c[1])
-            for i, c in enumerate(counts)
-            if c[0] or c[1]
-        }
 
     def truncated(self, max_events: int) -> "Trace":
         """A copy limited to the first *max_events* events."""

@@ -78,12 +78,11 @@ def measure_annotated(
     program: Program,
     args: Sequence[int] = (),
     input_values: Sequence[int] = (),
-    max_steps: int = 100_000_000,
     default: bool = True,
 ) -> AnnotatedMeasurement:
     """Run *program*, logging its branches, and score its planted
     ``predict`` bits with :func:`fold_mispredictions`."""
-    machine = Machine(program, input_values, max_steps, log_branches=True)
+    machine = Machine(program, input_values, log_branches=True)
     result = machine.run(*args)
     return fold_mispredictions(program, machine.branch_log, result, default)
 

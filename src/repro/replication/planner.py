@@ -10,6 +10,13 @@ replication.  From these plans it answers:
 * the trade-off curve's question — which (branch, machine) upgrade buys
   the most correct predictions per added instruction (see
   :mod:`repro.replication.tradeoff`).
+
+Correlated machines are trained only on the profile's path tables:
+frame-local path history, which is what tail duplication can encode.
+Raw global history also sees callee branches, which no intraprocedural
+transform can track, so the planner never reads it.  A branch without
+a path table gets no correlated machine; a profile built from a trace
+alone (empty ``path_tables``) therefore plans loop machines only.
 """
 
 from __future__ import annotations
@@ -129,24 +136,21 @@ class ReplicationPlanner:
         """Collect strictly-improving options for *plan*.
 
         Following Section 5, correlated machines are computed for
-        *every* branch; loop branches additionally get their intra-loop
-        or loop-exit machines, and per size the more accurate family
-        wins ("the best available strategy for each branch is chosen").
+        *every* branch with a path table; loop branches additionally get
+        their intra-loop or loop-exit machines, and per size the more
+        accurate family wins ("the best available strategy for each
+        branch is chosen").
         """
         site = plan.site
         info = plan.info
         function = self.program.function(site.function)
 
-        # Train correlated machines on the path-history table when one
-        # is attached: raw global history also sees callee branches,
-        # which tail duplication cannot track.
-        correlation_table = self.profile.correlation_table(site)
-        if correlation_table is not None:
-            correlated = correlated_machine_options(
-                correlation_table, self.max_states, max_candidates
-            )
-        else:  # pragma: no cover - every executed site has a global table
-            correlated = []
+        path_table = self.profile.path_tables.get(site)
+        correlated = (
+            correlated_machine_options(path_table, self.max_states, max_candidates)
+            if path_table is not None
+            else []
+        )
 
         loop = info.loop
         if loop is not None:
@@ -228,3 +232,12 @@ class ReplicationPlanner:
 
     def improvable_plans(self) -> List[BranchPlan]:
         return [plan for plan in self.plans.values() if plan.improvable]
+
+    def picks(self) -> List[Tuple[BranchPlan, PlanOption]]:
+        """Each improvable plan with its best option, in plan order.
+        ``(plan.site, option.scored.machine)`` is the selection
+        :func:`~repro.replication.apply_replication` takes."""
+        return [
+            (plan, plan.best_option(self.max_states))
+            for plan in self.improvable_plans()
+        ]

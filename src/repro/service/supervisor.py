@@ -45,7 +45,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from ..obs import OBS
-from .control import socket_path
 from .server import serve_worker, write_ready_file
 from .state import ServiceConfig
 
@@ -289,11 +288,6 @@ class FleetHandle:
     @property
     def control_dir(self) -> Optional[str]:
         return self.ready.get("control_dir")
-
-    def worker_socket(self, shard: int) -> str:
-        if not self.control_dir:
-            raise RuntimeError("not a fleet (no control_dir)")
-        return socket_path(self.control_dir, shard)
 
     def refresh_ready(self) -> dict:
         """Re-read the ready file (pids change after a worker restart)."""

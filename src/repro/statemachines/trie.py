@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .machine import Pattern, pattern_str
+from .machine import Pattern
 
 #: Trie shape: a leaf is the string "L"; an internal node is a pair
 #: (child-on-0, child-on-1), where the branching bit is "the next older
@@ -106,9 +106,6 @@ class TrieMachineShape:
     @property
     def n_states(self) -> int:
         return len(self.leaves)
-
-    def state_names(self) -> List[str]:
-        return [pattern_str(leaf) for leaf in self.leaves]
 
 
 def analyze_shape(shape: Shape) -> Optional[TrieMachineShape]:

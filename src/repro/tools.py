@@ -36,7 +36,6 @@ from .cfg import classify_branches
 from .ir import BranchSite, format_program, parse_program, validate_program
 from .interp import run_program
 from .profiling import (
-    ProfileData,
     load_profile,
     profile_program,
     save_profile,
@@ -91,11 +90,10 @@ def cmd_trace(options) -> int:
 
 def cmd_analyze(options) -> int:
     program = _load(options.program)
-    trace, _ = trace_program(program, _parse_args_list(options.args))
-    profile = ProfileData.from_trace(trace)
+    profile, _ = profile_program(program, _parse_args_list(options.args))
     infos = classify_branches(program)
     print(f"{options.program}: {program.size()} instructions, "
-          f"{len(program.branch_sites())} branches, {len(trace)} events\n")
+          f"{len(program.branch_sites())} branches, {profile.events} events\n")
     print(f"{'branch':30s} {'class':12s} {'execs':>8s} {'taken%':>8s} "
           f"{'profile-miss%':>14s}")
     for site, counts in sorted(profile.totals.items()):
@@ -129,14 +127,10 @@ def cmd_optimize(options) -> int:
         print(f"using saved profile {options.profile} "
               f"({profile.events} events)")
     else:
-        trace, _ = trace_program(program, args)
-        profile = ProfileData.from_trace(trace)
+        profile, _ = profile_program(program, args)
     planner = ReplicationPlanner(program, profile, options.max_states)
     selections = []
-    for plan in planner.improvable_plans():
-        option = plan.best_option(options.max_states)
-        if option is None:
-            continue
+    for plan, option in planner.picks():
         selections.append((plan.site, option.scored.machine))
         print(f"improving {plan.site}: {option.family} machine, "
               f"{option.n_states} states")
@@ -160,9 +154,7 @@ def cmd_optimize(options) -> int:
 
 def cmd_machines(options) -> int:
     program = _load(options.program)
-    args = _parse_args_list(options.args)
-    trace, _ = trace_program(program, args)
-    profile = ProfileData.from_trace(trace)
+    profile, _ = profile_program(program, _parse_args_list(options.args))
     planner = ReplicationPlanner(program, profile, options.max_states)
     function_name, _, block = options.branch.partition(":")
     site = BranchSite(function_name, block)

@@ -64,10 +64,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: ``global_bits`` of :func:`repro.workloads.get_profile`.
 DEFAULT_HISTORY_BITS = 8
 
-#: Fuel limit of the reference run (the paper traces "up to a maximum
-#: of 100 million branch instructions").
-MAX_STEPS = 100_000_000
-
 
 class ArtifactFormatError(Exception):
     """Raised internally when a cached artifact entry is malformed."""
@@ -120,7 +116,7 @@ def _collect(
         "workload.run", benchmark=name, scale=scale, seed_offset=seed_offset
     ) as span:
         trace, tables, result = instrumented_run(
-            get_program(name), args, input_values, MAX_STEPS, history_bits
+            get_program(name), args, input_values, history_bits
         )
         span.set(steps=result.steps, events=len(trace))
     elapsed = time.perf_counter() - started

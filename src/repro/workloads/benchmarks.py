@@ -169,8 +169,8 @@ def get_run_steps(name: str, scale: int = 1, seed_offset: int = 0) -> int:
 def get_profile(
     name: str, scale: int = 1, seed_offset: int = 0, local_bits: int = 9, global_bits: int = 8
 ) -> ProfileData:
-    """Cached profile data for a workload trace, with frame-local path
-    tables attached — all derived from the same single-pass artifacts."""
+    """Cached profile data for a workload trace, with the frame-local
+    path tables of the same single-pass artifacts."""
     from ..obs import OBS
     from .artifacts import get_artifacts
 
@@ -181,7 +181,7 @@ def get_profile(
         "profiling.build", benchmark=name, scale=scale, seed_offset=seed_offset
     ) as span:
         profile = ProfileData.from_trace(artifacts.trace, local_bits, global_bits)
-        profile.attach_path_tables(artifacts.path_tables)
+        profile.path_tables = artifacts.path_tables
         span.set(sites=len(profile.totals))
     OBS.add("profiling.builds")
     return profile

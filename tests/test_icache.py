@@ -226,9 +226,7 @@ def test_one_run_cost_equals_the_separate_runs(name, monkeypatch):
     args, inputs = get_workload(name).default_args(1)
     profile = get_profile(name, 1)
     planner = ReplicationPlanner(program, profile, 4)
-    selections = [
-        (plan.site, plan.best_option(4).scored.machine) for plan in planner.improvable_plans()
-    ]
+    selections = [(plan.site, option.scored.machine) for plan, option in planner.picks()]
     replicated = apply_replication(program, selections, profile).program
     config = CacheConfig(16, 4)
     measured = measure_annotated(replicated, args, inputs)

@@ -27,11 +27,7 @@ def test_full_pipeline_improves_misprediction(name):
     profile = get_profile(name, 1)
     planner = ReplicationPlanner(program, profile, max_states=4)
 
-    selections = []
-    for plan in planner.improvable_plans():
-        option = plan.best_option(4)
-        if option is not None:
-            selections.append((plan.site, option.scored.machine))
+    selections = [(plan.site, option.scored.machine) for plan, option in planner.picks()]
     assert selections, f"{name} should have improvable branches"
 
     report = apply_replication(program, selections, profile)
@@ -64,9 +60,7 @@ def test_measured_rate_close_to_planned_across_suite():
         profile = get_profile(name, 1)
         planner = ReplicationPlanner(program, profile, max_states=3)
         selections = [
-            (plan.site, plan.best_option(3).scored.machine)
-            for plan in planner.improvable_plans()
-            if plan.best_option(3) is not None
+            (plan.site, option.scored.machine) for plan, option in planner.picks()
         ]
         report = apply_replication(program, selections, profile)
         validate_program(report.program)

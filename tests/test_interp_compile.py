@@ -227,12 +227,12 @@ def test_replicated_copies_share_compiled_segments():
 
 def test_compiled_cache_is_bounded(monkeypatch):
     programs = [random_program(seed, helpers=2) for seed in range(10)]
-    expected = [run_program(p.copy(), [3], max_steps=2_000_000) for p in programs]
+    expected = [Machine(p.copy(), max_steps=2_000_000).run(3) for p in programs]
     monkeypatch.setattr(machine, "_compiled", {})
     monkeypatch.setattr(machine, "MAX_COMPILED_SEGMENTS", 16)
     for program, reference in zip(programs, expected):
         # Evicted segments recompile transparently.
-        result = run_program(program, [3], max_steps=2_000_000)
+        result = Machine(program, max_steps=2_000_000).run(3)
         assert (result.value, result.output, result.steps) == (
             reference.value, reference.output, reference.steps
         )
@@ -243,7 +243,7 @@ def test_cache_eviction_under_concurrent_runs(monkeypatch):
     """Threads sharing a tiny cache evict each other's segments
     constantly; every run must still be exact and the bound must hold."""
     programs = [random_program(seed, helpers=2) for seed in range(6)]
-    expected = [run_program(p.copy(), [5], max_steps=2_000_000) for p in programs]
+    expected = [Machine(p.copy(), max_steps=2_000_000).run(5) for p in programs]
     monkeypatch.setattr(machine, "_compiled", {})
     monkeypatch.setattr(machine, "MAX_COMPILED_SEGMENTS", 8)
     errors = []
@@ -252,7 +252,7 @@ def test_cache_eviction_under_concurrent_runs(monkeypatch):
         try:
             for _ in range(5):
                 program = programs[index % len(programs)]
-                result = run_program(program, [5], max_steps=2_000_000)
+                result = Machine(program, max_steps=2_000_000).run(5)
                 reference = expected[index % len(programs)]
                 assert (result.value, result.output, result.steps) == (
                     reference.value, reference.output, reference.steps

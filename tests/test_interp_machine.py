@@ -138,7 +138,7 @@ class TestControlFlow:
             "func main() {\nentry:\n  jump entry\n}"
         )
         with pytest.raises(FuelExhausted):
-            run_program(program, max_steps=100)
+            Machine(program, max_steps=100).run()
 
     def test_fuel_boundary_is_exact_with_calls_mid_block(self):
         program = parse_program(
@@ -148,7 +148,7 @@ class TestControlFlow:
         )
         # Step at which each output word is written, counted by hand.
         writes = [(3, 1), (6, 2), (8, 2), (12, 5)]
-        result = run_program(program, max_steps=13)
+        result = Machine(program, max_steps=13).run()
         assert (result.value, result.output, result.steps) == (5, [1, 2, 2, 5], 13)
         for budget in range(13):
             machine = Machine(program, max_steps=budget)

@@ -129,9 +129,7 @@ def test_layout_keeps_a_runs_edges_and_steps(name):
     args, inputs = get_workload(name).default_args(1)
     profile = get_profile(name, 1)
     planner = ReplicationPlanner(program, profile, 4)
-    selections = [
-        (plan.site, plan.best_option(4).scored.machine) for plan in planner.improvable_plans()
-    ]
+    selections = [(plan.site, option.scored.machine) for plan, option in planner.picks()]
     for chosen in ([], selections):
         work = apply_replication(program, chosen, profile).program
         rotate_program(work)

@@ -54,7 +54,10 @@ class TestOnlineProfiler:
         assert runs == [(50,)]
         assert result.value == 75
         assert streamed.events == result.branches
-        assert streamed.path_tables is None
+        _, tables, _ = instrumented_run(alternating_loop, [50], history_bits=8)
+        assert {s: t.counts for s, t in streamed.path_tables.items()} == {
+            s: t.counts for s, t in tables.items()
+        }
 
     def test_custom_depths(self, alternating_loop):
         streamed, _ = profile_program(
@@ -116,15 +119,12 @@ class TestProfileSerialisation:
         profile = ProfileData.from_trace(trace)
         loaded = profile_from_bytes(profile_to_bytes(profile))
         assert profiles_equal(profile, loaded)
-        assert loaded.path_tables is None
+        assert loaded.path_tables == {}
 
     def test_roundtrip_with_path_tables(self, correlated_branches):
-        trace, _ = trace_program(correlated_branches.copy(), [80])
-        profile = ProfileData.from_trace(trace)
-        _, tables, _ = instrumented_run(correlated_branches, [80], history_bits=8)
-        profile.attach_path_tables(tables)
+        profile, _ = profile_program(correlated_branches, [80])
         loaded = profile_from_bytes(profile_to_bytes(profile))
-        assert loaded.path_tables is not None
+        assert loaded.path_tables.keys() == profile.path_tables.keys()
         for site, table in profile.path_tables.items():
             assert loaded.path_tables[site].counts == table.counts
 

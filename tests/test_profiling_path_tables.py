@@ -6,7 +6,16 @@ unlike raw global history.
 """
 
 from repro.ir import BranchSite, parse_program
-from repro.profiling import ProfileData, instrumented_run, trace_program
+from repro.profiling import (
+    PatternTable,
+    ProfileData,
+    instrumented_run,
+    profile_program,
+    trace_program,
+)
+from repro.replication import ReplicationPlanner
+
+from conftest import planned_options
 
 CALLS_BETWEEN = """
 func noisy() {
@@ -75,15 +84,23 @@ def test_global_history_is_polluted_by_callee():
     assert mixed, "global history should be uninformative here"
 
 
-def test_correlation_table_prefers_path_tables():
+def test_the_planner_never_reads_global_history():
+    """A profile built from a trace alone has no path tables, so it
+    plans loop machines only, whatever its global tables say."""
     program = parse_program(CALLS_BETWEEN)
     trace, _ = trace_program(program, [40])
     profile = ProfileData.from_trace(trace)
-    site = BranchSite("main", "second")
-    assert profile.correlation_table(site) is profile.global_tables[site]
-    _, tables, _ = instrumented_run(program, [40], history_bits=8)
-    profile.attach_path_tables(tables)
-    assert profile.correlation_table(site) is tables[site]
+    assert profile.path_tables == {}
+    real = planned_options(ReplicationPlanner(program, profile, max_states=4))
+    # Junk that would predict every branch perfectly from one bit.
+    for site, (not_taken, taken) in profile.totals.items():
+        profile.global_tables[site] = PatternTable(
+            profile.global_bits, {0: [0, taken], 1: [not_taken, 0]}
+        )
+    junk = planned_options(ReplicationPlanner(program, profile, max_states=4))
+    assert junk == real
+    families = {option[3] for options in real.values() for option in options}
+    assert families == {"loop"}
 
 
 def test_new_frames_start_with_empty_history():
@@ -98,12 +115,8 @@ def test_new_frames_start_with_empty_history():
 
 
 def test_planner_rejects_call_polluted_correlation():
-    from repro.replication import ReplicationPlanner
-
     program = parse_program(CALLS_BETWEEN)
-    trace, tables, _ = instrumented_run(program, [60], history_bits=8)
-    profile = ProfileData.from_trace(trace)
-    profile.attach_path_tables(tables)
+    profile, _ = profile_program(program, [60])
     planner = ReplicationPlanner(program, profile, max_states=4)
     plan = planner.plans[BranchSite("main", "second")]
     best = plan.best_option(4)

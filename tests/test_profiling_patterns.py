@@ -35,13 +35,6 @@ class TestPatternTable:
         table.add(0b11, 0)
         assert table.correct_if_per_pattern() == 3
 
-    def test_correct_if_single(self):
-        table = PatternTable(2)
-        table.add(0b00, 1)
-        table.add(0b11, 0)
-        table.add(0b01, 0)
-        assert table.correct_if_single() == 2
-
     def test_marginalize_sums_matching_suffixes(self):
         table = PatternTable(3)
         table.add(0b110, 1)  # low bit 0

@@ -1,7 +1,7 @@
 """Trace data structure tests."""
 
 from repro.ir import BranchSite
-from repro.profiling import Trace
+from repro.profiling import ProfileData, Trace
 
 
 def sample_trace() -> Trace:
@@ -37,7 +37,7 @@ def test_iteration_yields_sites():
 
 
 def test_taken_counts():
-    counts = sample_trace().taken_counts()
+    counts = ProfileData.from_trace(sample_trace()).totals
     assert counts[BranchSite("f", "a")] == (1, 2)
     assert counts[BranchSite("f", "b")] == (1, 0)
 
@@ -54,14 +54,5 @@ def test_from_events_roundtrip():
     trace = sample_trace()
     rebuilt = Trace.from_events(iter(trace))
     assert list(rebuilt.events()) == list(trace.events())
-
-
-def test_record_id_matches_record():
-    trace = Trace()
-    site = BranchSite("f", "x")
-    sid = trace.site_id(site)
-    trace.record_id(sid, True)
-    trace.record(site, False)
-    assert list(trace.events()) == [(0, 1), (0, 0)]
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from repro.cfg import CFG, DominatorTree, LoopForest, classify_branches
-from repro.interp import FuelExhausted, Machine, run_program
+from repro.interp import FuelExhausted, Machine
 from repro.ir import BranchSite, format_program, parse_program, validate_program
 from repro.learn import (
     LearnedConfig,
@@ -28,6 +28,7 @@ from repro.profiling import (
     PatternTable,
     ProfileData,
     Trace,
+    profile_program,
     trace_from_bytes,
     trace_to_bytes,
     trace_program,
@@ -382,8 +383,8 @@ def test_fuel_boundary_is_exact(seed, arg):
     one step less raises FuelExhausted having run everything but the
     final ``ret``, so with the whole output written."""
     program = random_program(seed, helpers=seed % 3)
-    full = run_program(program, [arg], max_steps=2_000_000)
-    exact = run_program(program, [arg], max_steps=full.steps)
+    full = Machine(program, max_steps=2_000_000).run(arg)
+    exact = Machine(program, max_steps=full.steps).run(arg)
     assert (exact.value, exact.output, exact.steps, exact.branches) == (
         full.value, full.output, full.steps, full.branches
     )
@@ -405,14 +406,14 @@ def test_rotation_and_layout_preserve_semantics(seed, arg):
     from repro.replication import annotate_profile_predictions
 
     program = random_program(seed)
-    reference = run_program(program.copy(), [arg], max_steps=2_000_000)
-    trace, _ = trace_program(program.copy(), [arg], max_steps=2_000_000)
+    reference = Machine(program.copy(), max_steps=2_000_000).run(arg)
+    trace, _ = trace_program(program.copy(), [arg])
     profile = ProfileData.from_trace(trace)
     annotate_profile_predictions(program, profile)
     rotate_program(program)
     layout_program(program, edge_profiles(program, run_edges(program, [arg])[0]))
     validate_program(program)
-    transformed = run_program(program, [arg], max_steps=2_000_000)
+    transformed = Machine(program, max_steps=2_000_000).run(arg)
     assert transformed.value == reference.value
     assert transformed.output == reference.output
 
@@ -430,7 +431,8 @@ def test_scheduling_estimates_well_formed(seed):
     from repro.scheduling import block_and_edge_counts, estimate_program_cycles
 
     program = random_program(seed)
-    trace, _ = trace_program(program.copy(), [seed % 7], max_steps=2_000_000)
+    Machine(program.copy(), max_steps=2_000_000).run(seed % 7)  # a runaway fails fast
+    trace, _ = trace_program(program.copy(), [seed % 7])
     profile = ProfileData.from_trace(trace)
     annotate_profile_predictions(program, profile)
     counts, _ = block_and_edge_counts(program, [seed % 7])
@@ -443,16 +445,12 @@ def _planned_random_program(seed, arg):
     best machine per improvable branch; the profile is None when the
     run takes no branch."""
     program = random_program(seed, helpers=seed % 3)
-    trace, _ = trace_program(program.copy(), [arg], max_steps=2_000_000)
-    if len(trace) == 0:
+    Machine(program.copy(), max_steps=2_000_000).run(arg)  # a runaway fails fast
+    profile, _ = profile_program(program.copy(), [arg])
+    if profile.events == 0:
         return program, None, []
-    profile = ProfileData.from_trace(trace)
     planner = ReplicationPlanner(program, profile, max_states=4)
-    selections = []
-    for plan in planner.improvable_plans():
-        option = plan.best_option(4)
-        if option is not None:
-            selections.append((plan.site, option.scored.machine))
+    selections = [(plan.site, option.scored.machine) for plan, option in planner.picks()]
     return program, profile, selections
 
 

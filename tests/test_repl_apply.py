@@ -3,7 +3,7 @@
 from repro.ir import BranchSite
 from repro.interp import run_program
 from repro.ir import validate_program
-from repro.profiling import ProfileData, trace_program
+from repro.profiling import profile_program
 from repro.replication import (
     ReplicationPlanner,
     apply_replication,
@@ -13,8 +13,7 @@ from repro.statemachines import best_intra_machine, best_loop_exit_machine
 
 
 def profile_of(program, args):
-    trace, _ = trace_program(program.copy(), args)
-    return ProfileData.from_trace(trace)
+    return profile_program(program.copy(), args)[0]
 
 
 class TestSingleSelection:
@@ -138,12 +137,8 @@ class TestPlannerDriven:
     def test_apply_best_plan_of_each_workload_program(self, correlated_branches):
         profile = profile_of(correlated_branches, [100])
         planner = ReplicationPlanner(correlated_branches, profile, max_states=4)
-        plans = planner.improvable_plans()
-        assert plans
-        selections = []
-        for plan in plans:
-            option = plan.best_option(4)
-            selections.append((plan.site, option.scored.machine))
+        selections = [(plan.site, option.scored.machine) for plan, option in planner.picks()]
+        assert selections
         expected = run_program(correlated_branches.copy(), [100]).value
         report = apply_replication(correlated_branches, selections, profile)
         validate_program(report.program)

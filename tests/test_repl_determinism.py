@@ -18,7 +18,7 @@ SCRIPT = r"""
 import sys
 from repro.ir import parse_program
 from repro.ir.printer import format_program
-from repro.profiling import ProfileData, trace_program
+from repro.profiling import profile_program
 from repro.replication import ReplicationPlanner, apply_replication
 
 program = parse_program('''
@@ -53,13 +53,9 @@ done:
   ret a
 }
 ''')
-trace, _ = trace_program(program, [300])
-profile = ProfileData.from_trace(trace)
+profile, _ = profile_program(program, [300])
 planner = ReplicationPlanner(program, profile, max_states=4)
-selections = [
-    (plan.site, plan.best_option(4).scored.machine)
-    for plan in planner.improvable_plans()
-]
+selections = [(plan.site, option.scored.machine) for plan, option in planner.picks()]
 report = apply_replication(program, selections, profile)
 sys.stdout.write(format_program(report.program))
 """

@@ -2,14 +2,13 @@
 
 from repro.cfg import BranchClass
 from repro.ir import BranchSite
-from repro.profiling import ProfileData, trace_program
+from repro.profiling import ProfileData, profile_program, trace_program
 from repro.replication import ReplicationPlanner
 from repro.statemachines import CorrelatedMachine, PredictionMachine
 
 
 def planner_for(program, args, max_states=6):
-    trace, _ = trace_program(program.copy(), args)
-    profile = ProfileData.from_trace(trace)
+    profile, _ = profile_program(program.copy(), args)
     return ReplicationPlanner(program, profile, max_states)
 
 
@@ -61,7 +60,7 @@ class TestPlanConstruction:
     def test_correlated_chosen_for_correlated_loop_branch(
         self, correlated_branches
     ):
-        # The `second` branch is perfectly determined by the global
+        # The `second` branch is perfectly determined by the path
         # history; the correlated family should beat local history.
         planner = planner_for(correlated_branches, [100])
         plan = planner.plans[BranchSite("main", "second")]

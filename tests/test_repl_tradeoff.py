@@ -1,13 +1,12 @@
 """Trade-off curve tests (the figures' greedy walk)."""
 
 from repro.ir import BranchSite, parse_program
-from repro.profiling import ProfileData, trace_program
+from repro.profiling import profile_program
 from repro.replication import ReplicationPlanner, tradeoff_curve
 
 
 def planner_for(program, args, max_states=6):
-    trace, _ = trace_program(program.copy(), args)
-    profile = ProfileData.from_trace(trace)
+    profile, _ = profile_program(program.copy(), args)
     return ReplicationPlanner(program, profile, max_states)
 
 

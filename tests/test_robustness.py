@@ -5,6 +5,8 @@ programs, stale or mismatched profiles, and corrupted inputs must
 produce clean results or typed errors — never silent corruption.
 """
 
+import functools
+
 import pytest
 
 from repro.ir import BranchSite, parse_program, validate_program
@@ -165,11 +167,13 @@ class TestInterpreterFaultsSurface:
         with pytest.raises(TrapError):
             trace_program(program, [0])
 
-    def test_fuel_exhaustion_through_measurement(self):
+    def test_fuel_exhaustion_through_measurement(self, monkeypatch):
         program = parse_program(
             "func main() {\nentry:\n  jump entry\n}"
         )
-        from repro.interp import FuelExhausted
+        from repro.interp import FuelExhausted, Machine
+        from repro.replication import annotate
 
+        monkeypatch.setattr(annotate, "Machine", functools.partial(Machine, max_steps=1000))
         with pytest.raises(FuelExhausted):
-            measure_annotated(program, max_steps=1000)
+            measure_annotated(program)

@@ -33,6 +33,7 @@ import time
 import pytest
 
 from repro.service.client import ServiceClient
+from repro.service.control import socket_path
 from repro.service.shard import owner_shard, shard_key
 from repro.service.supervisor import spawn_fleet
 
@@ -86,7 +87,7 @@ class TestTopology:
 
     def test_control_sockets_exist_per_worker(self, fleet):
         for shard in range(WORKERS):
-            assert os.path.exists(fleet.worker_socket(shard))
+            assert os.path.exists(socket_path(fleet.control_dir, shard))
 
 
 class TestShardedRequests:

@@ -115,9 +115,5 @@ class TestValidShapes:
         shallow = valid_shapes(5, 2, require_connected=False)
         assert all(info.depth <= 2 for info in shallow)
 
-    def test_state_names(self):
-        info = analyze_shape((LEAF, LEAF))
-        assert info.state_names() == ["0", "1"]
-
     def test_caching_returns_same_object(self):
         assert valid_shapes(4, 9) is valid_shapes(4, 9)

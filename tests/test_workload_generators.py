@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.interp import run_program
+from repro.interp import Machine
 from repro.ir import format_program, parse_program, validate_program
 from repro.workloads import random_program
 
@@ -16,7 +16,7 @@ def test_generated_programs_are_valid(seed):
 @pytest.mark.parametrize("seed", range(25))
 def test_generated_programs_terminate(seed):
     program = random_program(seed)
-    result = run_program(program, [seed], max_steps=2_000_000)
+    result = Machine(program, max_steps=2_000_000).run(seed)
     assert result.steps > 0
 
 
