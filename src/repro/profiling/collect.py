@@ -12,26 +12,17 @@ points here are views of its result.
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
-from collections import Counter
-from typing import Dict, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, Sequence, Tuple
 
 from ..interp import Machine, RunResult
 from ..ir import BranchSite, Program
-from .columns import pack_bits
-from .patterns import PatternTable, ProfileData
+from .columns import DIRECTION, low_bytes, pack_bits
+from .patterns import LANE_TYPES, PatternTable, ProfileData, fold_keys
 from .trace import PackedDirections, Trace
-
-#: The direction (low bit) of each one-byte event code.
-_DIRECTION = bytes(code & 1 for code in range(256))
-
-
-def _low_bytes(view: memoryview) -> memoryview:
-    """The least significant byte of every item, as a strided view."""
-    size = view.itemsize
-    return view.cast("B")[0 if sys.byteorder == "little" else size - 1 :: size]
-
 
 def _site_ids(codes, interned: Dict[int, int]) -> array:
     """The trace's site-id column: the interned site of every event code.
@@ -41,10 +32,39 @@ def _site_ids(codes, interned: Dict[int, int]) -> array:
         return array("i", map(interned.__getitem__, codes))
     ids = array("i", [0]) * len(codes)
     with memoryview(ids) as view:
-        _low_bytes(view)[:] = codes.translate(
+        low_bytes(view)[:] = codes.translate(
             bytes(interned.get(code, 0) for code in range(256))
         )
     return ids
+
+
+def _path_keys(codes, history, history_bits: int) -> Tuple[Iterable[int], int]:
+    """Per event, ``(code << shift) | history`` as one integer key, and
+    the *shift*.
+
+    The bytes of both buffers are copied into the lanes of one unsigned
+    array, each event's history in its lane's low bytes.  A list
+    history (over 64 bits) or lanes wider than 8 bytes are combined by
+    ``map`` instead, at a shift of *history_bits*.
+    """
+    if type(history) is not list:
+        with memoryview(codes) as code_view, memoryview(history) as history_view:
+            high, low = code_view.itemsize, history_view.itemsize
+            size = next((size for size in (2, 4, 8) if size >= high + low), None)
+            if size is not None:
+                keys = array(LANE_TYPES[size], [0]) * len(codes)
+                little = sys.byteorder == "little"
+                with memoryview(keys).cast("B") as lanes:
+                    for view, width, start in (
+                        (history_view, low, 0 if little else size - low),
+                        (code_view, high, low if little else size - low - high),
+                    ):
+                        with view.cast("B") as source:
+                            for byte in range(width):
+                                lanes[start + byte :: size] = source[byte::width]
+                return keys, 8 * low
+    shifted = map(operator.lshift, codes, repeat(history_bits))
+    return map(operator.or_, shifted, history), history_bits
 
 
 def instrumented_run(
@@ -66,9 +86,9 @@ def instrumented_run(
     are empty.
 
     The run's branch log is folded in bulk: sites are interned in
-    first-event order, and the tables count each ``(code, history)``
-    pair once, in first-event order, so every dict comes out in the
-    order a per-event recorder would have built it.
+    first-event order, and the tables count one integer key per event
+    (:func:`_path_keys`) in first-event order, so every dict comes out
+    in the order a per-event recorder would have built it.
     """
     machine = Machine(
         program, input_values, track_history_bits=history_bits, log_branches=True
@@ -78,23 +98,19 @@ def instrumented_run(
     codes, history = log.codes, log.history
     first = dict.fromkeys(codes)
     sites = log.sites(first)
+    tables: Dict[BranchSite, PatternTable] = {}
+    if history is not None:
+        block_sites = {code >> 1: site for code, site in sites.items()}
+        keys, shift = _path_keys(codes, history, history_bits)
+        for block, counts in fold_keys(keys, shift).items():
+            tables[block_sites[block]] = PatternTable(history_bits, counts)
+        del keys
     trace = Trace()
     interned = {code: trace.site_id(sites[code]) for code in first}
     with memoryview(codes) as view:
-        directions = _low_bytes(view).tobytes().translate(_DIRECTION)
+        directions = low_bytes(view).tobytes().translate(DIRECTION)
     trace.directions = PackedDirections.from_packed(pack_bits(directions), len(codes))
     trace.site_ids = _site_ids(codes, interned)
-    tables: Dict[BranchSite, PatternTable] = {}
-    if history is not None:
-        for (code, pattern), count in Counter(zip(codes, history)).items():
-            site = sites[code]
-            table = tables.get(site)
-            if table is None:
-                table = tables[site] = PatternTable(history_bits)
-            entry = table.counts.get(pattern)
-            if entry is None:
-                entry = table.counts[pattern] = [0, 0]
-            entry[code & 1] += count
     return trace, tables, result
 
 

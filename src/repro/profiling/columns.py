@@ -26,8 +26,8 @@ columns instead of per-event tuples:
   every predictor result and the closed-form fast path.
 
 Three consumers read the view: the evaluation engine's kernels, the
-learned-model trainer and the pattern tables of
-:meth:`~repro.profiling.patterns.ProfileData.from_columns`, which
+learned-model trainer and, with numpy loaded, the pattern tables of
+:meth:`~repro.profiling.patterns.ProfileData.from_trace`, which
 aggregate the grouped site ids and the ``"local"``/``"global-grouped"``
 registers instead of replaying the events.
 
@@ -122,6 +122,17 @@ def pack_bits(bits: bytes) -> bytes:
         return b""
     value = int(bits[::-1].translate(_BIT_DIGITS), 2)
     return value.to_bytes((len(bits) + 7) // 8, "little")
+
+
+#: The direction (low bit) of each one-byte event code ``2 * site +
+#: direction``, as a ``bytes.translate`` table.
+DIRECTION = bytes(code & 1 for code in range(256))
+
+
+def low_bytes(view: memoryview) -> memoryview:
+    """The least significant byte of every item, as a strided view."""
+    size = view.itemsize
+    return view.cast("B")[0 if sys.byteorder == "little" else size - 1 :: size]
 
 
 def _buffer_bytes(value) -> int:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.ir import parse_program
 from repro.interp import Machine
+from repro.profiling import PatternTable, ProfileData
 from repro.replication import clear_predictions, fold_mispredictions
 
 
@@ -218,6 +219,40 @@ def run_folding_copies(program, args, input_values=(), max_steps=100_000_000):
     result = machine.run(*args)
     measured = fold_mispredictions(unpredicted, machine.branch_log, result, default=False)
     return measured.result, measured.per_origin
+
+
+def reference_profile(trace, local_bits=9, global_bits=8):
+    """``ProfileData.from_trace`` as a per-event recorder: one pass over
+    *trace* building every table, global ones included, in the dict
+    order both build routes must reproduce.
+
+    Histories start as all-zero (the convention hardware shift
+    registers use), so early events are charged to the zero patterns
+    rather than discarded.
+    """
+    data = ProfileData(local_bits, global_bits)
+    site_count = len(trace.sites)
+    local_hist = [0] * site_count
+    local_counts = [dict() for _ in range(site_count)]
+    global_counts = [dict() for _ in range(site_count)]
+    totals = [[0, 0] for _ in range(site_count)]
+    local_mask = (1 << local_bits) - 1
+    global_mask = (1 << global_bits) - 1
+    ghist = 0
+    for sid, taken in trace.events():
+        lhist = local_hist[sid]
+        local_counts[sid].setdefault(lhist, [0, 0])[taken] += 1
+        global_counts[sid].setdefault(ghist, [0, 0])[taken] += 1
+        totals[sid][taken] += 1
+        local_hist[sid] = ((lhist << 1) | taken) & local_mask
+        ghist = ((ghist << 1) | taken) & global_mask
+        data.events += 1
+    for index, site in enumerate(trace.sites):
+        if totals[index][0] or totals[index][1]:
+            data.local[site] = PatternTable(local_bits, local_counts[index])
+            data.global_tables[site] = PatternTable(global_bits, global_counts[index])
+            data.totals[site] = (totals[index][0], totals[index][1])
+    return data
 
 
 #: The ``disabled`` values :func:`numpy_mode` can run here: the no-numpy

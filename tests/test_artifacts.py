@@ -230,11 +230,13 @@ class TestDiskCacheRaces:
                 raise FileNotFoundError(path)
             return real_listdir(path)
 
-        monkeypatch.setattr(os, "listdir", vanished)
-        assert artifact_store.disk_cache_entries() == []
-        assert artifact_store.disk_cache_bytes() == 0
-        assert artifact_store.clear_disk_cache() == 0
-        monkeypatch.undo()
+        # Only the listdir patch is scoped: undoing every patch would
+        # also drop fresh_cache's REPRO_CACHE_DIR.
+        with monkeypatch.context() as scoped:
+            scoped.setattr(os, "listdir", vanished)
+            assert artifact_store.disk_cache_entries() == []
+            assert artifact_store.disk_cache_bytes() == 0
+            assert artifact_store.clear_disk_cache() == 0
         shutil.rmtree(fresh_cache)
         assert artifact_store.disk_cache_entries() == []
 

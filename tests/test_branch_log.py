@@ -11,17 +11,18 @@ event at a time and recording each into a ``Trace`` and a
 import dataclasses
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import branch_events
+from conftest import branch_events, numpy_mode
 from repro.interp import FuelExhausted, Machine, TrapError
 from repro.ir import BranchSite, parse_program
-from repro.profiling import PatternTable, Trace, instrumented_run
+from repro.profiling import PatternTable, ProfileData, Trace, instrumented_run
 from repro.replication import measure_annotated
-from repro.workloads import get_program, get_workload, random_program
+from repro.workloads import get_program, get_trace, get_workload, random_program
 
 TIERS = ["cold", "hot"]
 MAX_STEPS = 2_000_000
@@ -124,24 +125,45 @@ def ladder(rungs: int) -> str:
     return "\n".join(lines)
 
 
+def pair_counted(program, args, history_bits):
+    """``instrumented_run``'s path tables as ``Counter(zip(codes,
+    history))`` folds them: each ``(code, history)`` pair once, in
+    first-event order."""
+    log = logged_run(program, args, history_bits)[0].branch_log
+    sites = log.sites(set(log.codes))
+    tables = {}
+    for (code, pattern), count in Counter(zip(log.codes, log.history)).items():
+        table = tables.get(sites[code])
+        if table is None:
+            table = tables[sites[code]] = PatternTable(history_bits)
+        table.counts.setdefault(pattern, [0, 0])[code & 1] += count
+    return [(site, table.bits, list(table.counts.items())) for site, table in tables.items()]
+
+
 @given(
     seed=st.integers(0, 500),
     arg=st.integers(0, 8),
-    history_bits=st.sampled_from([0, 1, 4, 8]),
+    history_bits=st.sampled_from([0, 1, 4, 8, 9, 16]),
     tier=st.sampled_from(TIERS),
+    wide=st.booleans(),
 )
 @settings(
     deadline=None,
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-def test_folds_equal_the_reference_recorder(force_tier, seed, arg, history_bits, tier):
-    program = planted(random_program(seed, helpers=seed % 3), seed)
+def test_folds_equal_the_reference_recorder(force_tier, seed, arg, history_bits, tier, wide):
+    """A random program, or a *wide* one of more than 128 blocks (two-byte
+    event codes); 9 and 16 history bits log two-byte history."""
+    source = parse_program(ladder(45)) if wide else random_program(seed, helpers=seed % 3)
+    program = planted(source, seed)
     force_tier(tier)
     expected = summary(*reference_run(program, [arg], history_bits))
     for _ in range(2):  # the second hot run starts hot at activation entry
         got = instrumented_run(program, [arg], (), history_bits)
         assert summary(*got) == expected
+    if history_bits:
+        assert summary(*got)[4] == pair_counted(program, [arg], history_bits)
     for default in (False, True):
         assert measured(program, [arg], default) == reference_measure(program, [arg], default)
 
@@ -255,3 +277,34 @@ def test_recording_bytes_per_event():
         tracemalloc.stop()
     assert len(trace) > 10_000
     assert peak / len(trace) <= BYTES_PER_EVENT
+
+
+#: tracemalloc peaks of the numpy-free profile build per event of
+#: abalone at scale 20 (430,900 events): ``ProfileData.from_trace``
+#: (totals and 9-bit local tables) read 4.2, its event codes plus one
+#: site's directions and keys in 16-bit lanes; the first read of its
+#: 8-bit global tables read 10.5, all events' keys in 16-bit lanes and
+#: the big ints that build them.  Each gate is its reading plus 30%.
+PROFILE_BYTES_PER_EVENT = 5.5
+GLOBAL_TABLE_BYTES_PER_EVENT = 13.7
+
+
+def traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bulk_profile_bytes_per_event():
+    trace = get_trace("abalone", 20)
+    with numpy_mode(True):
+        ProfileData.from_trace(trace).global_tables
+        profiles = []
+        peak = traced_peak(lambda: profiles.append(ProfileData.from_trace(trace)))
+        global_peak = traced_peak(lambda: profiles[0].global_tables)
+    assert len(trace) > 400_000
+    assert peak / len(trace) <= PROFILE_BYTES_PER_EVENT
+    assert global_peak / len(trace) <= GLOBAL_TABLE_BYTES_PER_EVENT

@@ -4,10 +4,18 @@ path tables of its own run, whichever way it was built."""
 import pytest
 
 from repro.ir import format_program
-from repro.profiling import load_profile, profile_program
-from repro.replication import ReplicationPlanner
+from repro.profiling import ProfileData, load_profile, profile_program
+from repro.replication import ReplicationPlanner, apply_replication, tradeoff_curve
+from repro.service import handlers
+from repro.service.state import ServiceConfig, ServiceState
 from repro.tools import main
-from repro.workloads import BENCHMARK_NAMES, get_profile, get_program, get_workload
+from repro.workloads import (
+    BENCHMARK_NAMES,
+    clear_memory_cache,
+    get_profile,
+    get_program,
+    get_workload,
+)
 
 from conftest import planned_options
 
@@ -30,6 +38,33 @@ def test_profile_program_equals_get_profile(name):
     assert planned_options(ReplicationPlanner(program, profile, 6)) == planned_options(
         ReplicationPlanner(program, reference, 6)
     )
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_planning_never_builds_global_tables(name, monkeypatch):
+    """A profile builds its global-history tables on their first read,
+    and planning never reads them: a cold ``get_profile`` through the
+    planner, the trade-off curve and ``apply_replication``, and a
+    service ``POST /plan``, leave them unbuilt."""
+    reads = []
+    read = ProfileData.global_tables.fget
+    monkeypatch.setattr(
+        ProfileData, "global_tables", property(lambda self: reads.append(self) or read(self))
+    )
+    clear_memory_cache()
+    program = get_program(name)
+    planner = ReplicationPlanner(program, get_profile(name, 1), 6)
+    tradeoff_curve(planner, max_size_factor=2.0)
+    picks = [(plan.site, option.scored.machine) for plan, option in planner.picks()]
+    apply_replication(program, picks, planner.profile)
+    state = ServiceState(ServiceConfig())
+    try:
+        body = {"name": name, "seed_offset": 1}
+        _, payload = handlers.dispatch(state, "POST", "/plan", body, proxy=False)
+    finally:
+        state.close()
+    assert (payload["benchmark"], payload["seed_offset"]) == (name, 1)
+    assert reads == []
 
 
 def improving_lines(out):

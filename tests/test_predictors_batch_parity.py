@@ -44,7 +44,7 @@ from repro.profiling import (
 )
 from repro.profiling.columns import unpack_bits
 
-from conftest import NUMPY_MODES, numpy_mode
+from conftest import NUMPY_MODES, numpy_mode, reference_profile
 
 
 def family_predictors(profile):
@@ -149,16 +149,18 @@ def width_predictors(profile, bits):
 def test_numpy_and_fallback_agree_at_register_widths(bits):
     """Registers are stored in the narrowest dtype for their width; at
     each width step the kernels and the columnar profile tables must
-    still equal the sequential reference and the per-event loop.  Random
+    still equal the sequential reference and the per-event profile
+    oracle.  Random
     outcomes over five sites set every register bit."""
     rng = random.Random(bits)
     events = [(rng.randrange(5), rng.random() < 0.6) for _ in range(800)]
     trace_bytes = trace_to_bytes(build_trace(events))
     with numpy_mode(False):
         trace = trace_from_bytes(trace_bytes)
-        columnar = ProfileData.from_columns(trace.columns(), bits, bits)
-    reference = ProfileData.from_events(trace, bits, bits)
-    assert profile_to_bytes(columnar) == profile_to_bytes(reference)
+        columnar = ProfileData.from_trace(trace, bits, bits)
+        columnar_bytes = profile_to_bytes(columnar)
+    reference = reference_profile(trace, bits, bits)
+    assert columnar_bytes == profile_to_bytes(reference)
     modes = []
     for disabled in (False, True):
         with numpy_mode(disabled):

@@ -1,13 +1,17 @@
 """Pattern-table and profile-data tests."""
 
 import os
+import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from repro.ir import BranchSite
 from repro.profiling import PatternTable, ProfileData, Trace
+
+from conftest import NUMPY_MODES, numpy_mode, reference_profile
 
 
 def alternating_trace(n: int = 100) -> Trace:
@@ -170,6 +174,42 @@ class TestFillRateNeverExecutedSites:
         sites = get_program("compress").branch_sites()
         rate = profile.fill_rate(4, sites=sites)
         assert 0.0 < rate <= 1.0
+
+
+@pytest.mark.parametrize("disabled", NUMPY_MODES)
+def test_racing_readers_build_equal_global_tables(disabled):
+    """The global tables are built on their first read without a lock:
+    threads that read a fresh profile's tables at once may each build
+    them, and every reader must get the per-event oracle's tables."""
+    rng = random.Random(7)
+    trace = Trace()
+    for _ in range(5000):
+        trace.record(BranchSite("f", f"b{rng.randrange(6)}"), rng.random() < 0.6)
+
+    def dump(profile):
+        return [(site, list(t.counts.items())) for site, t in profile.global_tables.items()]
+
+    expected = dump(reference_profile(trace))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with numpy_mode(disabled):
+            for _ in range(5):
+                profile = ProfileData.from_trace(trace)
+                results = [None] * 8
+
+                def read(index, profile=profile):
+                    results[index] = dump(profile)
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 _COLD_PLAN_SCRIPT = """

@@ -46,7 +46,7 @@ from repro.statemachines import (
 )
 from repro.workloads import random_program
 
-from conftest import NUMPY_MODES, numpy_mode, run_folding_copies
+from conftest import NUMPY_MODES, numpy_mode, reference_profile, run_folding_copies
 
 events_strategy = st.lists(
     st.tuples(st.integers(0, 5), st.booleans()), max_size=300
@@ -227,10 +227,11 @@ def test_columnar_profile_matches_event_loop(events, interned, local_bits, globa
         trace.site_id(BranchSite("f", f"b{site_index}"))
     for site_index, taken in events:
         trace.record(BranchSite("f", f"b{site_index}"), taken)
-    columns = trace.columns()
-    reference = ProfileData.from_events(trace, local_bits, global_bits)
-    columnar = ProfileData.from_columns(columns, local_bits, global_bits)
-    assert profile_dump(columnar) == profile_dump(reference)
+    reference = reference_profile(trace, local_bits, global_bits)
+    with numpy_mode(False):
+        columns = trace.columns()
+        columnar = ProfileData.from_trace(trace, local_bits, global_bits)
+        assert profile_dump(columnar) == profile_dump(reference)
     assert profile_to_bytes(columnar) == profile_to_bytes(reference)
     with numpy_mode(True):
         pure = TraceColumns(trace.sites, trace.site_ids, trace.directions.packed())
@@ -239,6 +240,49 @@ def test_columnar_profile_matches_event_loop(events, interned, local_bits, globa
         pure.site_executions().items()
     )
     assert columns.site_taken() == pure.site_taken()
+
+
+#: History depths where the bulk route's lanes change width (1, 2 and 4
+#: bytes) or its registers fill one: 1, 8/9, 15/16 and 24 bits.
+BULK_BITS = st.sampled_from([1, 8, 9, 15, 16, 24])
+
+
+@given(
+    st.sampled_from([1, 127, 128, 300]),
+    st.lists(st.tuples(st.integers(0, 299), st.booleans()), max_size=400),
+    st.randoms(use_true_random=False),
+    BULK_BITS,
+    BULK_BITS,
+)
+@example(1, [], None, 1, 24)
+@example(300, [], None, 24, 1)
+@example(128, [(127, True), (0, False), (127, True)], None, 9, 16)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_bulk_profile_matches_event_loop(
+    site_count, events, rng, local_bits, global_bits
+):
+    """Without numpy the profile's bulk passes equal the per-event loop:
+    0 events; 1, 127, 128 and 300 sites (300 takes three chunks of
+    one-byte codes); every table in dict order and the KBP1 bytes, with
+    the global tables built on their first read.  All sites are
+    interned up front in a drawn order, so site-id order is not
+    first-seen order."""
+    from repro.profiling import profile_to_bytes
+
+    trace = Trace()
+    order = list(range(site_count))
+    if rng is not None:
+        rng.shuffle(order)
+    for site_index in order:
+        trace.site_id(BranchSite("f", f"b{site_index}"))
+    for site_index, taken in events:
+        trace.record(BranchSite("f", f"b{site_index % site_count}"), taken)
+    reference = reference_profile(trace, local_bits, global_bits)
+    with numpy_mode(True):
+        bulk = ProfileData.from_trace(trace, local_bits, global_bits)
+        assert bulk._global_trace is trace
+        assert profile_dump(bulk) == profile_dump(reference)
+        assert profile_to_bytes(bulk) == profile_to_bytes(reference)
 
 
 @given(events_strategy)
