@@ -2,8 +2,8 @@
 
 Computes immediate dominators over the reachable part of a CFG using
 the simple-and-fast iterative algorithm, and wraps them in a
-:class:`DominatorTree` with O(depth) dominance queries — all the loop
-analysis needs.
+:class:`DominatorTree` with constant-time dominance queries — all the
+loop analysis needs.
 """
 
 from __future__ import annotations
@@ -27,51 +27,62 @@ class DominatorTree:
         self._compute_depths()
 
     def _compute_depths(self) -> None:
+        """Depths, and a preorder numbering with subtree sizes, which
+        answers a dominance query in constant time."""
         self.depth[self.cfg.entry] = 0
+        preorder = []
         stack = [self.cfg.entry]
         while stack:
             label = stack.pop()
+            preorder.append(label)
+            depth = self.depth[label] + 1
             for child in self.children[label]:
-                self.depth[child] = self.depth[label] + 1
+                self.depth[child] = depth
                 stack.append(child)
+        self._number = {label: index for index, label in enumerate(preorder)}
+        self._extent = dict.fromkeys(preorder, 1)
+        for label in reversed(preorder[1:]):
+            self._extent[self.idom[label]] += self._extent[label]
 
     def dominates(self, a: str, b: str) -> bool:
         """True iff *a* dominates *b* (reflexively)."""
-        while b is not None and self.depth.get(b, -1) > self.depth.get(a, -1):
-            b = self.idom[b]  # type: ignore[assignment]
-        return a == b
-
+        first = self._number.get(a)
+        index = self._number.get(b)
+        if first is None or index is None:
+            return a == b
+        return first <= index < first + self._extent[a]
 
 
 def _compute_idoms(cfg: CFG) -> Dict[str, Optional[str]]:
-    """Cooper–Harvey–Kennedy iterative dominator computation."""
+    """Cooper–Harvey–Kennedy iterative dominator computation, over
+    reverse-postorder numbers."""
     rpo = cfg.reverse_postorder()
     index = {label: i for i, label in enumerate(rpo)}
-    idom: Dict[str, Optional[str]] = {cfg.entry: cfg.entry}
-
-    def intersect(a: str, b: str) -> str:
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]  # type: ignore[assignment]
-            while index[b] > index[a]:
-                b = idom[b]  # type: ignore[assignment]
-        return a
+    preds = [
+        [index[p] for p in cfg.preds[label] if p in index] for label in rpo
+    ]
+    idom = [-1] * len(rpo)
+    idom[0] = 0  # the entry
 
     changed = True
     while changed:
         changed = False
-        for label in rpo:
-            if label == cfg.entry:
-                continue
-            processed = [
-                p for p in cfg.preds[label] if p in index and idom.get(p) is not None
-            ]
-            if not processed:
-                continue
-            new_idom = processed[0]
-            for pred in processed[1:]:
-                new_idom = intersect(pred, new_idom)
-            if idom.get(label) != new_idom:
-                idom[label] = new_idom
+        for node in range(1, len(rpo)):
+            new_idom = -1
+            for pred in preds[node]:
+                if idom[pred] < 0:
+                    continue
+                if new_idom < 0:
+                    new_idom = pred
+                    continue
+                a, b = pred, new_idom
+                while a != b:
+                    while a > b:
+                        a = idom[a]
+                    while b > a:
+                        b = idom[b]
+                new_idom = a
+            if new_idom >= 0 and idom[node] != new_idom:
+                idom[node] = new_idom
                 changed = True
-    return idom
+    return {rpo[node]: rpo[parent] for node, parent in enumerate(idom) if parent >= 0}

@@ -175,6 +175,10 @@ class CFG:
                 sources = preds.get(target)
                 if sources is None:
                     raise _dangling(label, target)
+                if not sources or order[sources[-1]] < position:
+                    # The common case: *label* is the newest source.
+                    sources.append(label)
+                    continue
                 index = len(sources)
                 while index and order[sources[index - 1]] > position:
                     index -= 1
@@ -189,16 +193,22 @@ class CFG:
         added, self._added = self._added, []
         self._size += sum(blocks[label].size() for label in added)
         live = self.reachable()
+        if len(live) == len(blocks):
+            return []
         removed = [label for label in blocks if label not in live]
-        gone = set(removed)
+        succs = self.succs
+        preds = self.preds
+        # Live blocks keep their other sources: filter each one's list
+        # once rather than removing the dead sources one by one.
+        bereaved = set()
         for label in removed:
             self._size -= blocks[label].size()
             self.function.remove_block(label)
-            for target in self.succs.pop(label):
-                if target not in gone:
-                    self.preds[target].remove(label)
-            del self.preds[label]
+            bereaved.update(succs.pop(label))
+            del preds[label]
             del order[label]
+        for target in bereaved & live:
+            preds[target] = [source for source in preds[target] if source in live]
         return removed
 
 

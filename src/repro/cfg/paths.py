@@ -10,9 +10,9 @@ what the correlated-branch replication duplicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..ir import BranchSite, Function
+from ..ir import Branch, BranchSite, Function
 from .graph import CFG
 
 
@@ -74,44 +74,49 @@ def predecessor_paths(
     """
     if cfg is None:
         cfg = CFG.from_function(function)
-    results: List[Path] = []
-    # Worklist of (current block, steps newest-last reversed order,
-    # block route target-first, visited set).
-    stack: List[Tuple[str, Tuple[PathStep, ...], Tuple[str, ...], frozenset]] = [
-        (target, (), (target,), frozenset((target,)))
+    blocks = function.blocks
+    preds = cfg.preds
+    # Worklist of (current block, decisions as (block, taken) pairs
+    # oldest first, block route target-first); the Path objects are
+    # built once per result.
+    results: List[Tuple[Tuple[str, ...], Tuple[Tuple[str, bool], ...]]] = []
+    stack: List[Tuple[str, Tuple[Tuple[str, bool], ...], Tuple[str, ...]]] = [
+        (target, (), (target,))
     ]
     while stack and len(results) < max_paths:
-        label, steps, route, visited = stack.pop()
-        preds = cfg.preds.get(label, [])
+        label, steps, route = stack.pop()
         extended = False
         if len(steps) < max_branches:
-            for pred in preds:
-                if pred in visited:
+            for pred in preds.get(label, ()):
+                if pred in route:
                     continue
-                block = function.block(pred)
-                branch = block.branch
-                if branch is None:
-                    stack.append(
-                        (pred, steps, route + (pred,), visited | {pred})
-                    )
+                branch = blocks[pred].terminator
+                if not isinstance(branch, Branch):
+                    stack.append((pred, steps, route + (pred,)))
                     extended = True
                     continue
-                site = BranchSite(function.name, pred)
                 # The branch may reach `label` on either (or both) arms;
                 # enumerate each decision separately.
-                for direction, arm in ((True, branch.taken), (False, branch.not_taken)):
-                    if arm != label:
-                        continue
-                    step = PathStep(site, direction)
-                    stack.append(
-                        (pred, (step,) + steps, route + (pred,), visited | {pred})
-                    )
+                if branch.taken == label:
+                    stack.append((pred, ((pred, True),) + steps, route + (pred,)))
+                    extended = True
+                if branch.not_taken == label:
+                    stack.append((pred, ((pred, False),) + steps, route + (pred,)))
                     extended = True
         if not extended:
-            results.append(Path(steps, tuple(reversed(route))))
+            results.append((route, steps))
     # De-duplicate identical block routes (the decision sequence is a
-    # function of the route).
-    unique = {}
-    for path in results:
-        unique.setdefault((path.blocks, path.steps), path)
-    return list(unique.values())
+    # function of the route).  Paths share their PathStep objects: one
+    # per distinct decision.
+    name = function.name
+    made: Dict[Tuple[str, bool], PathStep] = {}
+    paths: List[Path] = []
+    for route, decisions in dict.fromkeys(results):
+        steps = []
+        for decision in decisions:
+            step = made.get(decision)
+            if step is None:
+                step = made[decision] = PathStep(BranchSite(name, decision[0]), decision[1])
+            steps.append(step)
+        paths.append(Path(tuple(steps), route[::-1]))
+    return paths

@@ -493,15 +493,33 @@ _hot_functions = _HotCache()
 
 
 def _content(function: Function) -> tuple:
-    """Everything a hot function's code depends on in *function*."""
+    """Everything a hot function's code depends on in *function*.
+
+    Neither tier reads a branch's planted ``predict`` bit, so a branch
+    enters the key as its other fields, a tuple: replicated programs
+    that differ only in their predictions share one hot function."""
     return (
         function.name,
         tuple(function.params),
         function.entry,
         tuple(
-            (label, block.label, tuple(block.instrs), block.terminator)
+            (label, block.label, tuple(block.instrs), _unpredicted(block.terminator))
             for label, block in function.blocks.items()
         ),
+    )
+
+
+def _unpredicted(terminator):
+    """*terminator*, or a branch's fields but ``predict``."""
+    if terminator.__class__ is not Branch:
+        return terminator
+    return (
+        terminator.op,
+        terminator.lhs,
+        terminator.rhs,
+        terminator.taken,
+        terminator.not_taken,
+        terminator.pointer,
     )
 
 
@@ -578,7 +596,9 @@ class _HotSource:
         self.log, self.history, self.transfers = flags
         self.arity = dict(arity)
         self.blocks = {
-            label: BasicBlock(block_label, instrs, term)
+            label: BasicBlock(
+                block_label, instrs, Branch(*term) if term.__class__ is tuple else term
+            )
             for label, block_label, instrs, term in blocks
         }
         #: each block's log code, relative to the function's base

@@ -55,7 +55,7 @@ class BasicBlock:
 
     def copy(self, label: Optional[str] = None) -> "BasicBlock":
         """Clone this block, optionally under a new label."""
-        clone = BasicBlock(label or self.label, list(self.instrs), self.terminator)
+        clone = BasicBlock(label or self.label, self.instrs, self.terminator)
         clone.origin = self.origin
         return clone
 

@@ -9,21 +9,105 @@ relies on; transforms call it after rewriting to catch bugs early:
 * the entry block exists;
 * every register used is defined somewhere in the function (a cheap
   over-approximation of def-before-use) or is a parameter.
+
+The check reads each distinct instruction object once: replicated
+blocks share their instructions, so a function grown by replication
+costs little more to check than its original.  Only a program that
+fails is walked block by block, to word every error in block order.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import List, Set
 
 from .blocks import Function, Program
-from .instructions import Call, Instr
+from .instructions import Branch, Call, Instr, Jump
 
 
 class ValidationError(Exception):
     """Raised when a program violates an IR invariant."""
 
 
-def _check_function(program: Program, function: Function, errors: List[str]) -> None:
+def validate_program(program: Program) -> None:
+    """Raise :class:`ValidationError` if *program* is malformed."""
+    functions = program.functions
+    if program.main not in functions or not all(
+        _is_valid(program, function) for function in functions.values()
+    ):
+        raise ValidationError("; ".join(_errors(program)))
+
+
+def _validate_function(program: Program, function: Function) -> None:
+    """Raise :class:`ValidationError` if *function* is malformed.
+
+    Only *function* is checked: the caller vouches that the rest of
+    *program*, the name of its entry function included, passed
+    :func:`validate_program` and has not changed since.  It then raises
+    exactly what that would.
+    """
+    if not _is_valid(program, function):
+        raise ValidationError("; ".join(_errors(program)))
+
+
+_terminator = attrgetter("terminator")
+_instrs = attrgetter("instrs")
+
+
+def _is_valid(program: Program, function: Function) -> bool:
+    """Whether *function* meets every invariant.
+
+    Jumps and branches, which replication gives every copy of its own,
+    are checked inline; every other instruction object is read once."""
+    blocks = function.blocks
+    if function.entry not in blocks:
+        return False
+    targets: Set[str] = set()
+    operands = set()
+    distinct = {}
+    for terminator in map(_terminator, blocks.values()):
+        cls = terminator.__class__
+        if cls is Branch:
+            targets.add(terminator.taken)
+            targets.add(terminator.not_taken)
+            operands.add(terminator.lhs)
+            operands.add(terminator.rhs)
+        elif cls is Jump:
+            targets.add(terminator.target)
+        elif terminator is None:
+            return False
+        else:
+            targets.update(terminator.targets())
+            distinct[id(terminator)] = terminator
+    if not targets <= blocks.keys():
+        return False
+    instrs = list(chain.from_iterable(map(_instrs, blocks.values())))
+    distinct.update(zip(map(id, instrs), instrs))
+    defined: Set[str] = set(function.params)
+    used = {operand for operand in operands if isinstance(operand, str)}
+    functions = program.functions
+    for instr in distinct.values():
+        if isinstance(instr, Call):
+            callee = functions.get(instr.func)
+            if callee is None or len(callee.params) != len(instr.args):
+                return False
+        defined.update(instr.defs())
+        used.update(instr.uses())
+    return used <= defined
+
+
+def _errors(program: Program) -> List[str]:
+    """Every invariant *program* violates, worded, in block order."""
+    errors: List[str] = []
+    if program.main not in program.functions:
+        errors.append(f"missing entry function {program.main!r}")
+    for function in program:
+        _function_errors(program, function, errors)
+    return errors
+
+
+def _function_errors(program: Program, function: Function, errors: List[str]) -> None:
     where = f"function {function.name!r}"
     if function.entry is None or function.entry not in function.blocks:
         errors.append(f"{where}: missing entry block")
@@ -61,14 +145,3 @@ def _check_function(program: Program, function: Function, errors: List[str]) -> 
                         f"{where}: call to {instr.func!r} with "
                         f"{len(instr.args)} args, expected {len(callee.params)}"
                     )
-
-
-def validate_program(program: Program) -> None:
-    """Raise :class:`ValidationError` if *program* is malformed."""
-    errors: List[str] = []
-    if program.main not in program.functions:
-        errors.append(f"missing entry function {program.main!r}")
-    for function in program:
-        _check_function(program, function, errors)
-    if errors:
-        raise ValidationError("; ".join(errors))

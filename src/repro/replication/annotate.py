@@ -97,26 +97,27 @@ def fold_mispredictions(
     once per event code (site and direction); the sites keep the order
     of their first events.
     """
-    predictions: Dict[BranchSite, bool] = {}
-    origins: Dict[BranchSite, BranchSite] = {}
-    for function in program:
-        for block in function:
-            branch = block.branch
-            if branch is None:
-                continue
-            site = BranchSite(function.name, block.label)
-            predictions[site] = branch.predict if branch.predict is not None else default
-            origins[site] = BranchSite(function.name, block.origin)
-
     counts = Counter(log.codes)
-    sites = log.sites(counts)
+    # Blocks numbered as BranchLog.sites numbers them; only the blocks
+    # the run branched in are read.
+    blocks = [
+        (function.name, block)
+        for function in program.functions.values()
+        for block in function.blocks.values()
+    ]
     per_site: Dict[BranchSite, tuple] = {}
+    origins: Dict[BranchSite, BranchSite] = {}
     for code, count in counts.items():
-        site = sites[code]
+        name, block = blocks[code >> 1]
+        site = BranchSite(name, block.label)
+        predict = block.terminator.predict
+        if predict is None:
+            predict = default
         executions, wrong = per_site.get(site, (0, 0))
-        if predictions[site] is not bool(code & 1):
+        if predict is not bool(code & 1):
             wrong += count
         per_site[site] = (executions + count, wrong)
+        origins[site] = BranchSite(name, block.origin)
     per_origin: Dict[BranchSite, tuple] = {}
     for site, (executions, wrong) in per_site.items():
         origin = origins[site]

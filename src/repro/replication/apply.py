@@ -18,7 +18,9 @@ in a loop should be improved".
 
 Each function's CFG is built once, when a selection first touches the
 function, and every transform keeps it current, so loop analysis and
-unreachable-block removal never rebuild the graph.
+unreachable-block removal never rebuild the graph.  Likewise the whole
+program is validated once, after the first selection, and each later
+selection re-validates only the function it edited.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cfg import CFG, LoopForest
 from ..ir import BranchSite, Program, validate_program
+from ..ir.validate import _validate_function
 from ..profiling import ProfileData
 from ..statemachines import CorrelatedMachine, PredictionMachine
 from .annotate import annotate_profile_predictions
@@ -70,7 +73,10 @@ def apply_replication(
         annotate_profile_predictions(work, profile)
     report = ReplicationReport(work, size_before, size_before)
     cfgs: Dict[str, CFG] = {}
-
+    # After the first selection validates the whole program, each
+    # selection re-validates only the function it edited: nothing else
+    # changed since its last check.
+    validated = False
     for site, machine in selections:
         function = work.function(site.function)
         cfg = cfgs.get(function.name)
@@ -92,7 +98,11 @@ def apply_replication(
                 report.loop_results.append(
                     replicate_loop_branch(function, loop, labels, machine, cfg=cfg)
                 )
-        validate_program(work)
+        if validated:
+            _validate_function(work, function)
+        else:
+            validate_program(work)
+            validated = True
 
     report.size_after = work.size()
     return report

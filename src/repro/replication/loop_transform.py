@@ -21,12 +21,11 @@ only successor labels are rewritten.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cfg import CFG, Loop
-from ..ir import BranchSite, Function, IRError, retarget
+from ..ir import Branch, BranchSite, Function, IRError, retarget
 from ..statemachines import PredictionMachine
 
 
@@ -120,11 +119,14 @@ def replicate_loop_branch(
                     not_taken_target = labels[
                         (machine.next_state(state_index, False), branch.not_taken)
                     ]
-                copy.terminator = dataclasses.replace(
-                    branch,
-                    taken=taken_target,
-                    not_taken=not_taken_target,
-                    predict=prediction_for(state_index, label),
+                copy.terminator = Branch(
+                    branch.op,
+                    branch.lhs,
+                    branch.rhs,
+                    taken_target,
+                    not_taken_target,
+                    branch.pointer,
+                    prediction_for(state_index, label),
                 )
             else:
                 copy.terminator = retarget(original.terminator, in_state)

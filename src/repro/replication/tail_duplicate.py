@@ -18,12 +18,11 @@ sum of the distinct path-prefix block sizes.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cfg import CFG, predecessor_paths
-from ..ir import BranchSite, Function, IRError, retarget
+from ..ir import Branch, BranchSite, Function, IRError, Jump, Terminator
 from ..statemachines import CorrelatedMachine, is_suffix
 
 
@@ -91,69 +90,51 @@ def duplicate_correlated_branch(
     size_before = cfg.size
     if depth == 0:
         # Nothing to duplicate; just annotate the catch-all prediction.
-        block.terminator = dataclasses.replace(
-            block.branch, predict=machine.fallback
-        )
+        block.terminator = _predicting(block.branch, machine.fallback)
         return TailDuplicationResult(site, {}, [], size_before, size_before)
 
     paths = predecessor_paths(function, target, depth, cfg=cfg)
+    blocks = function.blocks
 
-    # One copy per distinct path prefix (beyond the first, uncopied
-    # block).  Prefix key: the block route from the path start.
-    copy_labels: Dict[Tuple[str, ...], str] = {}
-
-    def copy_label_for(prefix: Tuple[str, ...]) -> str:
-        label = copy_labels.get(prefix)
-        if label is None:
-            label = function.fresh_label(f"{prefix[-1]}~{len(copy_labels)}")
-            copy_labels[prefix] = label
-            cfg.reserve(label)
-        return label
-
-    # Materialise copies: iterate path prefixes; each copy's edge to
-    # the next block on the path is retargeted to the next copy.
+    # The routes form a trie rooted at each route's first (uncopied)
+    # block: one copy per node and one redirect per new edge.  A node is
+    # keyed by its parent's label (the root's, or the parent copy's) and
+    # its block.  Nodes are made in the order the paths first reach
+    # them, which numbers the copies and lays them out.  A copy clones
+    # its original's terminator as it stands then: it inherits any
+    # redirect an earlier path made in that original as a route head,
+    # and its own children in the trie are then left unreachable.
+    copy_labels: Dict[Tuple[str, str], str] = {}
     target_copies: Dict[Tuple[Tuple[int, int], Tuple[str, ...]], str] = {}
     heads: Dict[str, None] = {}
     for path in paths:
         route = path.blocks
         if len(route) < 2:
             continue
-        for position in range(1, len(route)):
-            prefix = route[: position + 1]
-            label = copy_label_for(prefix)
-            original = function.block(route[position])
-            copy = function.blocks.get(label)
-            if copy is None:
-                copy = original.copy(label)
-                function.blocks[label] = copy
-            if position + 1 < len(route):
-                next_label = copy_label_for(route[: position + 2])
-                succ = route[position + 1]
-
-                def into_copy(old: str, _succ=succ, _new=next_label) -> str:
-                    return _new if old == _succ else old
-
-                copy.terminator = retarget(copy.terminator, into_copy)
+        source = route[0]  # the node holding the edge into the next one
+        for original in route[1:]:
+            label = copy_labels.get((source, original))
+            if label is None:
+                label = function.fresh_label(f"{original}~{len(copy_labels)}")
+                copy_labels[source, original] = label
+                cfg.reserve(label)
+                blocks[label] = blocks[original].copy(label)
+                parent = blocks[source]
+                parent.terminator = _redirect(parent.terminator, original, label)
+                if source == route[0]:
+                    heads[source] = None
+            source = label
         # The last copy is the target's; annotate its prediction.
-        final_label = copy_labels[route]
-        final_copy = function.blocks[final_label]
-        final_copy.terminator = dataclasses.replace(
-            final_copy.branch, predict=_prediction_for(machine, path.pattern)
+        pattern = path.pattern
+        final_copy = blocks[source]
+        final_copy.terminator = _predicting(
+            final_copy.terminator, _prediction_for(machine, pattern)
         )
-        target_copies[(path.pattern, route)] = final_label
-        # Wire the (uncopied) first block of the route into the chain.
-        head = function.block(route[0])
-        second = copy_labels[route[:2]]
-
-        def into_chain(old: str, _succ=route[1], _new=second) -> str:
-            return _new if old == _succ else old
-
-        head.terminator = retarget(head.terminator, into_chain)
-        heads[route[0]] = None
+        target_copies[(pattern, route)] = source
 
     # The original target (and possibly some join blocks) may now be
     # unreachable.
-    block.terminator = dataclasses.replace(block.branch, predict=machine.fallback)
+    block.terminator = _predicting(block.branch, machine.fallback)
     cfg.sync(copy_labels.values())
     cfg.sync(heads)
     removed = cfg.remove_unreachable()
@@ -161,3 +142,32 @@ def duplicate_correlated_branch(
         key: label for key, label in target_copies.items() if label in function.blocks
     }
     return TailDuplicationResult(site, surviving, removed, size_before, cfg.size)
+
+
+def _redirect(terminator: Terminator, old: str, new: str) -> Terminator:
+    """*terminator*, a jump or a branch, with its edges to *old* sent to
+    *new*."""
+    if terminator.__class__ is Jump:
+        return Jump(new) if terminator.target == old else terminator
+    return Branch(
+        terminator.op,
+        terminator.lhs,
+        terminator.rhs,
+        new if terminator.taken == old else terminator.taken,
+        new if terminator.not_taken == old else terminator.not_taken,
+        terminator.pointer,
+        terminator.predict,
+    )
+
+
+def _predicting(branch: Branch, predict: bool) -> Branch:
+    """*branch* predicting *predict*."""
+    return Branch(
+        branch.op,
+        branch.lhs,
+        branch.rhs,
+        branch.taken,
+        branch.not_taken,
+        branch.pointer,
+        predict,
+    )

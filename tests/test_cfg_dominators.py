@@ -105,3 +105,13 @@ done:
     assert tree.dominates("outer", "inner")
     assert tree.dominates("inner", "inner_body")
     assert tree.idom["outer_next"] == "inner"
+
+
+def test_unreachable_blocks_dominate_nothing_else():
+    tree = domtree(
+        "func f() {\na:\n  jump c\nb:\n  jump c\nc:\n  ret\n}"
+    )
+    assert "b" not in tree.idom
+    assert not tree.dominates("b", "c")
+    assert not tree.dominates("a", "b")
+    assert tree.dominates("b", "b")

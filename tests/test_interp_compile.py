@@ -7,6 +7,7 @@ any other name.  Every opcode is checked against a hand-computed value,
 with register and immediate operands in every position.
 """
 
+import dataclasses
 import sys
 import threading
 
@@ -273,3 +274,42 @@ def test_cache_eviction_under_concurrent_runs(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+def _predicting_all(program, predict):
+    """A copy of *program* with *predict* planted on every branch."""
+    clone = program.copy()
+    for function in clone:
+        for block in function:
+            if block.branch is not None:
+                block.terminator = dataclasses.replace(block.branch, predict=predict)
+    return clone
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [{}, {"log_branches": True, "track_history_bits": 8}, {"log_transfers": True}],
+    ids=["plain", "branch-log", "transfer-log"],
+)
+def test_planted_predictions_share_one_hot_function(force_tier, flags):
+    """Neither tier reads ``predict``: programs that differ only in their
+    planted bits compile once and run alike."""
+    force_tier("hot")
+
+    def observe(program):
+        run = Machine(program, [5] * 64, **flags)
+        result = run.run(4)
+        branches, transfers = run.branch_log, run.transfer_log
+        logs = (
+            None if branches is None else (list(branches.codes), list(branches.history or ())),
+            None if transfers is None else list(transfers.codes),
+        )
+        return result.value, result.output, result.steps, result.branches, logs
+
+    program = random_program(11, helpers=1)
+    first = observe(_predicting_all(program, True))
+    entries = dict(machine._hot_functions.entries)
+    second = observe(_predicting_all(program, False))
+    assert entries
+    assert machine._hot_functions.entries == entries
+    assert first == second

@@ -80,20 +80,33 @@ def test_replicated_layout_is_hashseed_independent(seeds):
 
 
 SWEEP_SCRIPT = r"""
-import json, sys
+import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
-from test_repl_golden import record
-sys.stdout.write(json.dumps(record("c-compiler")))
+from test_repl_golden import realisations, record
+
+def origins(report):
+    layout = [
+        [function.name, block.label, block.origin]
+        for function in report.program
+        for block in function
+    ]
+    return hashlib.sha256(json.dumps(layout).encode()).hexdigest()
+
+sys.stdout.write(json.dumps({
+    "golden": record("c-compiler"),
+    "origins": [origins(report) for report in realisations("c-compiler")],
+}))
 """
 
 
 def test_sweep_prefixes_are_hashseed_independent():
     """c-compiler's whole trade-off sweep (14 prefixes, up to x72 real
-    growth) renders the same programs and the same per-transform results
-    under different hash seeds — and the recorded golden ones."""
+    growth) renders the same programs, with the same block origins, and
+    the same per-transform results under different hash seeds — and the
+    recorded golden ones."""
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     fingerprints = []
-    for seed in ("1", "2"):
+    for seed in ("1", "4242"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(sys.path)
         result = subprocess.run(
@@ -106,5 +119,6 @@ def test_sweep_prefixes_are_hashseed_independent():
         fingerprints.append(json.loads(result.stdout))
     with open(os.path.join(tests_dir, "data", "replication_golden.json")) as handle:
         golden = json.load(handle)["c-compiler"]
-    assert len(fingerprints[0]) == 14
-    assert fingerprints[0] == fingerprints[1] == golden
+    assert len(fingerprints[0]["origins"]) == 14
+    assert fingerprints[0] == fingerprints[1]
+    assert fingerprints[0]["golden"] == golden
