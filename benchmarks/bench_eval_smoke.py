@@ -43,7 +43,7 @@ import sys
 import time
 from typing import Callable, Dict, List
 
-from repro.learn import LearnedPredictor, default_learned_configs, fit, holdout_trace
+from repro.learn import LearnedPredictor, default_learned_configs, fit, training_cut
 from repro.obs import OBS
 from repro.predictors import (
     CorrelationPredictor,
@@ -191,7 +191,9 @@ def main(argv: List[str] = None) -> int:
     profiles = {name: get_profile(name, args.scale) for name in names}
     traces = {name: get_artifacts(name, scale=args.scale).trace for name in names}
     columns = {name: traces[name].columns() for name in names}
-    holdouts = {name: holdout_trace(traces[name], SPLIT) for name in names}
+    holdouts = {
+        name: trace[training_cut(len(trace), SPLIT) :] for name, trace in traces.items()
+    }
     predictors = {name: predictor_set(profiles[name]) for name in names}
     events = sum(len(traces[name]) for name in names)
     n_predictors = len(predictors[names[0]])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..learn import DEFAULT_SPLIT, LearnedPredictor, default_learned_configs, fit, holdout_trace, training_cut
+from ..learn import DEFAULT_SPLIT, LearnedPredictor, default_learned_configs, fit, training_cut
 from ..predictors import LoopCorrelationPredictor, ProfilePredictor, two_level_4k
 from ..profiling import ProfileData
 from ..profiling.columns import get_numpy
@@ -36,7 +36,7 @@ def run(
     def predictors_for(name: str):
         trace = get_trace(name, scale)
         cut = training_cut(len(trace), split)
-        train_profile = ProfileData.from_trace(trace.truncated(cut))
+        train_profile = ProfileData.from_trace(trace[:cut])
         get_numpy()
         columns = trace.columns()
         predictors = [
@@ -49,9 +49,11 @@ def run(
             predictors.append((config.name, LearnedPredictor(model)))
         return predictors
 
-    rows = evaluate_rows(
-        names, predictors_for, lambda name: holdout_trace(get_trace(name, scale), split)
-    )
+    def holdout(name: str):
+        trace = get_trace(name, scale)
+        return trace[training_cut(len(trace), split) :]
+
+    rows = evaluate_rows(names, predictors_for, holdout)
     for label, values in rows.items():
         table.add_row(label, values, [pct(v) for v in values])
     return table

@@ -40,7 +40,7 @@ def run(scale: int = 1, names: Optional[List[str]] = None) -> Table:
         trace = get_trace(name, scale)
         labelled = []
         for fraction in FRACTIONS:
-            prefix = trace.truncated(max(1, int(len(trace) * fraction)))
+            prefix = trace[: max(1, int(len(trace) * fraction))]
             profile = ProfileData.from_trace(prefix)
             labelled.append((_label(fraction), LoopCorrelationPredictor(profile)))
         return labelled

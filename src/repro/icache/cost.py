@@ -84,7 +84,7 @@ def evaluate_cost(
     :func:`walk_fetches` fold the two logs."""
     machine = Machine(program, input_values, log_branches=True, log_transfers=True)
     result = machine.run(*args)
-    measurement = fold_mispredictions(program, machine.branch_log, result)
+    measurement = fold_mispredictions(machine.branch_log, result)
     cache = walk_fetches(program, cache_config, machine.transfer_log)
     return CostReport(
         instructions=result.steps,

@@ -884,7 +884,8 @@ class BranchLog:
     narrowest buffer that holds its values, so a run of a program of up
     to 128 blocks logs one byte per event, plus one for up to 8 history
     bits.  Callers fold the buffers in bulk and map the distinct codes
-    back to branch sites with :meth:`sites`.
+    back to their blocks with :meth:`blocks`, or to branch sites with
+    :meth:`sites`.
     """
 
     __slots__ = ("program", "codes", "history")
@@ -897,14 +898,21 @@ class BranchLog:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def sites(self, codes: Iterable[int]) -> Dict[int, BranchSite]:
-        """The branch site of each of *codes*."""
+    def blocks(self, codes: Iterable[int]) -> Dict[int, Tuple[str, BasicBlock]]:
+        """The ``(function name, block)`` each of *codes* branched in."""
         blocks = [
-            (function.name, block.label)
+            (function.name, block)
             for function in self.program.functions.values()
             for block in function.blocks.values()
         ]
-        return {code: BranchSite(*blocks[code >> 1]) for code in codes}
+        return {code: blocks[code >> 1] for code in codes}
+
+    def sites(self, codes: Iterable[int]) -> Dict[int, BranchSite]:
+        """The branch site of each of *codes*."""
+        return {
+            code: BranchSite(name, block.label)
+            for code, (name, block) in self.blocks(codes).items()
+        }
 
 
 class TransferLog:

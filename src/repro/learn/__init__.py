@@ -22,7 +22,7 @@ from .serialize import (
     model_from_json,
     model_to_json,
 )
-from .train import DEFAULT_SPLIT, fit, holdout_trace, training_cut
+from .train import DEFAULT_SPLIT, fit, training_cut
 
 __all__ = [
     "DEFAULT_SPLIT",
@@ -34,7 +34,6 @@ __all__ = [
     "ModelWeights",
     "default_learned_configs",
     "fit",
-    "holdout_trace",
     "model_from_json",
     "model_to_json",
     "parse_learned_name",

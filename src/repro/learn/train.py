@@ -25,7 +25,6 @@ import itertools
 import math
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..profiling.trace import Trace
 from .models import LearnedConfig, LearnedModel, ModelWeights
 
 #: Default train/eval split: first half trains, second half judges.
@@ -45,16 +44,6 @@ def training_cut(n_events: int, split: float) -> int:
     if not math.isfinite(split) or not 0.0 < split <= 1.0:
         raise ValueError(f"split must be in (0, 1], got {split!r}")
     return int(n_events * split)
-
-
-def holdout_trace(trace: Trace, split: float = DEFAULT_SPLIT) -> Trace:
-    """The evaluation suffix as a fresh trace (histories restart at the
-    boundary, matching the documented protocol)."""
-    cut = training_cut(len(trace), split)
-    suffix = Trace()
-    for sid, direction in itertools.islice(trace.events(), cut, None):
-        suffix.record(trace.sites[sid], bool(direction))
-    return suffix
 
 
 # -- pattern columns -------------------------------------------------------------

@@ -22,20 +22,7 @@ from ..interp import Machine, RunResult
 from ..ir import BranchSite, Program
 from .columns import DIRECTION, low_bytes, pack_bits
 from .patterns import LANE_TYPES, PatternTable, ProfileData, fold_keys
-from .trace import PackedDirections, Trace
-
-def _site_ids(codes, interned: Dict[int, int]) -> array:
-    """The trace's site-id column: the interned site of every event code.
-    One-byte codes are mapped by ``bytes.translate`` and copied into the
-    column's low bytes."""
-    if type(codes) is not bytearray:
-        return array("i", map(interned.__getitem__, codes))
-    ids = array("i", [0]) * len(codes)
-    with memoryview(ids) as view:
-        low_bytes(view)[:] = codes.translate(
-            bytes(interned.get(code, 0) for code in range(256))
-        )
-    return ids
+from .trace import Trace, _interned
 
 
 def _path_keys(codes, history, history_bits: int) -> Tuple[Iterable[int], int]:
@@ -96,8 +83,7 @@ def instrumented_run(
     result = machine.run(*args)
     log = machine.branch_log
     codes, history = log.codes, log.history
-    first = dict.fromkeys(codes)
-    sites = log.sites(first)
+    sites = log.sites(dict.fromkeys(codes))
     tables: Dict[BranchSite, PatternTable] = {}
     if history is not None:
         block_sites = {code >> 1: site for code, site in sites.items()}
@@ -105,12 +91,9 @@ def instrumented_run(
         for block, counts in fold_keys(keys, shift).items():
             tables[block_sites[block]] = PatternTable(history_bits, counts)
         del keys
-    trace = Trace()
-    interned = {code: trace.site_id(sites[code]) for code in first}
     with memoryview(codes) as view:
         directions = low_bytes(view).tobytes().translate(DIRECTION)
-    trace.directions = PackedDirections.from_packed(pack_bits(directions), len(codes))
-    trace.site_ids = _site_ids(codes, interned)
+    trace = Trace(*_interned(codes, sites), pack_bits(directions), len(codes))
     return trace, tables, result
 
 

@@ -149,8 +149,8 @@ def _buffer_bytes(value) -> int:
 class TraceColumns:
     """Columnar snapshot of one trace (see the module docstring).
 
-    Instances are built by :meth:`Trace.columns` and cached per event
-    count; they must be treated as immutable.  ``np`` is
+    Instances are built by :meth:`Trace.columns` and cached on their
+    (immutable) trace; they must be treated as immutable too.  ``np`` is
     :func:`loaded_numpy` at construction — the engine consults it once
     per call to pick kernels or the sequential reference.
     """

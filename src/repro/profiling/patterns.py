@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..ir import BranchSite
 from ..obs import OBS
-from .columns import DIRECTION, TraceColumns, loaded_numpy, low_bytes
+from .columns import DIRECTION, TraceColumns, loaded_numpy, low_bytes, unpack_bits
 from .trace import Trace
 
 
@@ -207,7 +207,7 @@ def _site_codes(trace: Trace) -> Iterator[Tuple[int, int, bytes]]:
     sites are one chunk, coded from the low bytes of the site-id
     column; more are split into chunks of :data:`_CHUNK`."""
     n_sites, n_events = len(trace.sites), len(trace)
-    taken = int.from_bytes(trace.directions.unpacked(), "little")
+    taken = int.from_bytes(unpack_bits(trace.directions, n_events), "little")
     if n_sites <= 128:
         with memoryview(trace.site_ids) as view:
             codes = int.from_bytes(low_bytes(view), "little") << 1
@@ -250,7 +250,7 @@ def _bulk_global(trace: Trace, bits: int) -> Dict[BranchSite, PatternTable]:
     """The global tables of *trace* without numpy: every event's site
     code and global register as one key per event."""
     tables: Dict[BranchSite, PatternTable] = {}
-    directions = trace.directions.unpacked()
+    directions = unpack_bits(trace.directions, len(trace))
     for first, count, codes in _site_codes(trace):
         groups = fold_keys(_history_keys(directions, bits, codes), bits)
         for index in range(count):

@@ -2,14 +2,20 @@
 
 A trace is the paper's instrumentation output: the ordered sequence of
 (branch number, direction) events of one program run, together with the
-table mapping branch numbers back to static branch sites.  Events are
-stored column-wise — an ``array`` of site indices plus a
-:class:`PackedDirections` holding the direction bits **bit-packed**, the
-same LSB-first layout the ``KBT1`` trace file uses on disk — which
-keeps a multi-million-event trace compact in memory (one bit per
-outcome, exactly the on-disk cost before compression) and lets
+table mapping branch numbers back to static branch sites.  As the
+paper's tracer writes each run as one finished stream, a :class:`Trace`
+is built whole, in one constructor call, and never changes afterwards:
+every producer (the branch-log fold of an interpreter run, the ``KBT1``
+decoder, a slice of another trace) hands it the complete columns.
+Events are stored column-wise — an ``array`` of site indices plus the
+direction bits **bit-packed** in plain ``bytes``, the same LSB-first
+layout the ``KBT1`` trace file uses on disk — which keeps a
+multi-million-event trace compact in memory (one bit per outcome,
+exactly the on-disk cost before compression) and lets
 :meth:`Trace.columns` hand the evaluation engine a zero-copy columnar
-view of both streams.
+view of both streams.  ``trace[start:stop]`` (a training prefix, a
+holdout suffix) is a new trace built the same way, without a per-event
+Python loop.
 
 A view costs far more per event than its trace, so the views of all
 traces in a process share one budget, :data:`VIEW_BYTES`: past it,
@@ -23,10 +29,10 @@ import threading
 import weakref
 from array import array
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..ir import BranchSite
-from .columns import TraceColumns, loaded_numpy, unpack_bits
+from .columns import TraceColumns, loaded_numpy, low_bytes, pack_bits, unpack_bits
 
 
 #: Total :meth:`~repro.profiling.columns.TraceColumns.nbytes` of the
@@ -68,166 +74,118 @@ def _keep_view(trace: "Trace", view: TraceColumns) -> None:
             total -= size
 
 
-class PackedDirections:
-    """A mutable sequence of 0/1 direction bits, stored bit-packed.
+def _interned(codes, first: Dict[int, BranchSite]) -> Tuple[List[BranchSite], array]:
+    """Intern the sites of a column of *codes* in first-event order.
 
-    The storage layout is the trace file's: LSB-first within each byte,
-    so bit *i* lives at ``data[i >> 3] & (1 << (i & 7))``.  The class
-    supports the small sequence surface the trace layer needs —
-    ``append``/``extend``, ``len``, indexing, slicing, iteration and
-    equality — plus :meth:`packed` (the raw bytes, trailing bits
-    zeroed) and :meth:`unpacked` (a one-byte-per-bit expansion, never
-    kept, for the per-event iteration paths).
+    *first* maps each distinct code, in order of first occurrence, to
+    its site (codes of one site share its id).  Returns the distinct
+    sites and every event's site id.  The column is read by C-level
+    passes only: an ``array("i")`` already numbered so is kept, other
+    buffers of codes below 256 are ``bytes.translate``-d from their low
+    bytes, and anything else is ``map``-ped.
     """
-
-    __slots__ = ("_data", "_length")
-
-    def __init__(self, bits: Iterable[int] = ()) -> None:
-        self._data = bytearray()
-        self._length = 0
-        self.extend(bits)
-
-    @classmethod
-    def from_packed(cls, data: bytes, count: int) -> "PackedDirections":
-        """Wrap *count* bits of LSB-first packed *data*.
-
-        Only ``ceil(count / 8)`` bytes are kept and the unused high bits
-        of the final byte are zeroed, so two logically equal sequences
-        are also byte-equal regardless of any trailing garbage in the
-        source buffer.
-        """
-        if len(data) * 8 < count:
-            raise ValueError(
-                f"{count} bits need {(count + 7) // 8} bytes, got {len(data)}"
-            )
-        packed = cls()
-        packed._data = bytearray(data[: (count + 7) // 8])
-        packed._length = count
-        if count & 7 and packed._data:
-            packed._data[-1] &= (1 << (count & 7)) - 1
-        return packed
-
-    def packed(self) -> bytes:
-        """The raw LSB-first packed bytes (``ceil(len / 8)`` of them)."""
-        return bytes(self._data)
-
-    def unpacked(self) -> bytearray:
-        """One byte per bit (0 or 1), expanded afresh on every call."""
-        return unpack_bits(self._data, self._length)
-
-    def append(self, bit: int) -> None:
-        index = self._length
-        if index >> 3 == len(self._data):
-            self._data.append(0)
-        if bit:
-            self._data[index >> 3] |= 1 << (index & 7)
-        self._length = index + 1
-
-    def extend(self, bits: Iterable[int]) -> None:
-        for bit in bits:
-            self.append(bit)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.unpacked())
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._length)
-            if step == 1 and start == 0:
-                # The common prefix slice stays packed: byte copy + mask.
-                return PackedDirections.from_packed(
-                    self._data[: (stop + 7) // 8], stop
-                )
-            return PackedDirections(self.unpacked()[index])
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError("direction index out of range")
-        return (self._data[index >> 3] >> (index & 7)) & 1
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PackedDirections):
-            return self._length == other._length and self._data == other._data
-        if isinstance(other, (bytes, bytearray, list, tuple)):
-            return len(other) == self._length and bytes(self.unpacked()) == bytes(
-                bytearray(other)
-            )
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"PackedDirections({list(self.unpacked())!r})"
+    index: Dict[BranchSite, int] = {}
+    ids = {code: index.setdefault(site, len(index)) for code, site in first.items()}
+    sites = list(index)
+    if isinstance(codes, array) and codes.typecode == "i" and all(
+        code == sid for code, sid in ids.items()
+    ):
+        return sites, codes
+    if isinstance(codes, (bytearray, array)) and max(ids, default=0) < 256:
+        column = array("i", [0]) * len(codes)
+        table = bytes(ids.get(code, 0) for code in range(256))
+        with memoryview(codes) as source, memoryview(column) as target:
+            low_bytes(target)[:] = low_bytes(source).tobytes().translate(table)
+        return sites, column
+    return sites, array("i", map(ids.__getitem__, codes))
 
 
 class Trace:
-    """An ordered sequence of branch events."""
+    """An ordered sequence of branch events, immutable once built.
 
-    def __init__(self) -> None:
-        self.sites: List[BranchSite] = []
-        self._site_index: Dict[BranchSite, int] = {}
-        self.site_ids = array("i")
-        self.directions = PackedDirections()
+    ``sites`` is the site table, ``site_ids`` every event's index into
+    it (an ``array`` of C ints) and ``directions`` every event's
+    outcome bit, packed LSB-first: event *i* is taken when
+    ``directions[i >> 3] >> (i & 7) & 1``.  The constructor keeps
+    ``ceil(n_events / 8)`` bytes of *directions* and zeroes the unused
+    high bits of the last, so equal traces are byte-equal.
+    """
+
+    def __init__(
+        self,
+        sites: Sequence[BranchSite],
+        site_ids: array,
+        directions: bytes,
+        n_events: int,
+    ) -> None:
+        width = (n_events + 7) // 8
+        if len(site_ids) != n_events:
+            raise ValueError(f"{n_events} events, {len(site_ids)} site ids")
+        if len(directions) < width:
+            raise ValueError(f"{n_events} bits need {width} bytes, got {len(directions)}")
+        directions = bytes(directions[:width])
+        if n_events & 7:
+            last = directions[-1] & ((1 << (n_events & 7)) - 1)
+            directions = directions[:-1] + bytes((last,))
+        self.sites: List[BranchSite] = list(sites)
+        self.site_ids = site_ids
+        self.directions = directions
         self._columns: Optional[TraceColumns] = None
 
-    # -- recording -------------------------------------------------------------
-
-    def site_id(self, site: BranchSite) -> int:
-        """Intern *site*, returning its stable small-integer id."""
-        index = self._site_index.get(site)
-        if index is None:
-            index = len(self.sites)
-            self._site_index[site] = index
-            self.sites.append(site)
-        return index
-
-    def record(self, site: BranchSite, taken: bool) -> None:
-        """Append one event, interning its site."""
-        self.site_ids.append(self.site_id(site))
-        self.directions.append(1 if taken else 0)
-
-    # -- access ----------------------------------------------------------------
+    @classmethod
+    def from_events(cls, events: Iterable[Tuple[BranchSite, bool]]) -> "Trace":
+        """Build a trace from an iterable of (site, taken) pairs, its
+        sites interned in first-event order."""
+        events = list(events)
+        column = [site for site, _ in events]
+        sites, site_ids = _interned(column, {site: site for site in dict.fromkeys(column)})
+        bits = bytes(1 if taken else 0 for _, taken in events)
+        return cls(sites, site_ids, pack_bits(bits), len(events))
 
     def __len__(self) -> int:
         return len(self.site_ids)
 
     def events(self) -> Iterator[Tuple[int, int]]:
         """Iterate (site_id, direction) pairs; direction is 0 or 1."""
-        return zip(self.site_ids, self.directions.unpacked())
+        return zip(self.site_ids, unpack_bits(self.directions, len(self)))
 
     def __iter__(self) -> Iterator[Tuple[BranchSite, bool]]:
         sites = self.sites
         for sid, direction in self.events():
             yield sites[sid], bool(direction)
 
-    def columns(self) -> TraceColumns:
-        """The cached columnar view of this trace's current events.
+    def __getitem__(self, events: slice) -> "Trace":
+        """The events ``trace[start:stop]`` as a trace of their own,
+        its sites re-interned in first-event order.
 
-        Rebuilt lazily whenever events were recorded since the last
-        call, after the view budget dropped it (see :data:`VIEW_BYTES`),
-        or when numpy was loaded or disabled since it was built; the view
-        itself is immutable.
+        A prefix of a trace whose sites are in first-event order (every
+        trace this package builds) numbers its sites as the parent
+        does.  Built without a per-event Python loop: the site ids by
+        :func:`_interned`, the directions by shifting the packed bytes
+        as one integer.
+        """
+        if not isinstance(events, slice):
+            raise TypeError("a trace is indexed by a slice of its events")
+        start, stop, step = events.indices(len(self))
+        if step != 1:
+            raise ValueError("a trace slice takes every event")
+        stop = max(start, stop)
+        ids = self.site_ids[start:stop]
+        first = {sid: self.sites[sid] for sid in dict.fromkeys(ids)}
+        sites, site_ids = _interned(ids, first)
+        taken = int.from_bytes(self.directions, "little") >> start
+        directions = taken.to_bytes(len(self.directions), "little")
+        return Trace(sites, site_ids, directions, stop - start)
+
+    def columns(self) -> TraceColumns:
+        """The cached columnar view of this trace.
+
+        Rebuilt lazily after the view budget dropped it (see
+        :data:`VIEW_BYTES`), or when numpy was loaded or disabled since
+        it was built; the view itself is immutable.
         """
         view = self._columns
-        if view is None or view.n_events != len(self) or view.np is not loaded_numpy():
-            view = TraceColumns(self.sites, self.site_ids, self.directions.packed())
+        if view is None or view.np is not loaded_numpy():
+            view = TraceColumns(self.sites, self.site_ids, self.directions)
         _keep_view(self, view)
         return view
-
-    def truncated(self, max_events: int) -> "Trace":
-        """A copy limited to the first *max_events* events."""
-        clone = Trace()
-        clone.sites = list(self.sites)
-        clone._site_index = dict(self._site_index)
-        clone.site_ids = self.site_ids[:max_events]
-        clone.directions = self.directions[: len(clone.site_ids)]
-        return clone
-
-    @classmethod
-    def from_events(cls, events: Iterable[Tuple[BranchSite, bool]]) -> "Trace":
-        """Build a trace from an iterable of (site, taken) pairs."""
-        trace = cls()
-        for site, taken in events:
-            trace.record(site, taken)
-        return trace

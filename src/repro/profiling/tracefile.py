@@ -34,7 +34,7 @@ from typing import BinaryIO, Union
 
 from ..ir import BranchSite
 from .columns import loaded_numpy
-from .trace import PackedDirections, Trace
+from .trace import Trace
 
 MAGIC = b"KBT1"
 
@@ -117,7 +117,7 @@ def save_trace(trace: Trace, destination: Union[str, BinaryIO]) -> None:
     stream = destination
     site_blob = "\n".join(f"{s.function}:{s.block}" for s in trace.sites).encode()
     id_blob = zlib.compress(_write_varints(trace.site_ids), 6)
-    dir_blob = zlib.compress(trace.directions.packed(), 6)
+    dir_blob = zlib.compress(trace.directions, 6)
     stream.write(MAGIC)
     stream.write(
         struct.pack(
@@ -136,34 +136,29 @@ def save_trace(trace: Trace, destination: Union[str, BinaryIO]) -> None:
 
 def _build_trace(site_blob, id_blob, dir_blob, site_count: int, event_count: int) -> Trace:
     """Assemble a trace from the three (still compressed) payloads."""
-    trace = Trace()
+    sites = []
     if len(site_blob):
         try:
             lines = bytes(site_blob).decode().split("\n")
         except UnicodeDecodeError as error:
             raise TraceFormatError(f"corrupt site table: {error}") from None
-        for line in lines:
-            function, _, block = line.partition(":")
-            trace.site_id(BranchSite(function, block))
-    if len(trace.sites) != site_count:
+        sites = [
+            BranchSite(function, block)
+            for function, _, block in (line.partition(":") for line in lines)
+        ]
+    if len(sites) != site_count or len(set(sites)) != site_count:
         raise TraceFormatError("site table length mismatch")
     try:
-        trace.site_ids = _decode_site_ids(
-            zlib.decompress(id_blob), event_count, site_count
-        )
+        site_ids = _decode_site_ids(zlib.decompress(id_blob), event_count, site_count)
     except zlib.error as error:
         raise TraceFormatError(f"corrupt site-id stream: {error}") from None
     try:
         packed = zlib.decompress(dir_blob)
     except zlib.error as error:
         raise TraceFormatError(f"corrupt direction stream: {error}") from None
-    try:
-        trace.directions = PackedDirections.from_packed(packed, event_count)
-    except ValueError:
-        raise TraceFormatError(
-            f"direction stream shorter than {event_count} events"
-        ) from None
-    return trace
+    if len(packed) * 8 < event_count:
+        raise TraceFormatError(f"direction stream shorter than {event_count} events")
+    return Trace(sites, site_ids, packed, event_count)
 
 
 def _parse_view(view) -> Trace:

@@ -463,11 +463,9 @@ class LiveWorld:
         """Write an unreadable cache entry for a key a journey will ask
         for next; withdraws ``pristine_cache``.  The daemon must fall
         back to recomputation (and answer 200) when it trips over it."""
-        from ..workloads.artifacts import DEFAULT_HISTORY_BITS, _entry_paths
+        from ..workloads.artifacts import _entry_paths
 
-        trace_path, aux_path = _entry_paths(
-            self.cache_dir, name, scale, seed_offset, DEFAULT_HISTORY_BITS
-        )
+        trace_path, aux_path = _entry_paths(self.cache_dir, name, scale, seed_offset)
         for path in (trace_path, aux_path):
             with open(path, "wb") as stream:
                 stream.write(b"not an artifact")

@@ -84,31 +84,24 @@ def measure_annotated(
     ``predict`` bits with :func:`fold_mispredictions`."""
     machine = Machine(program, input_values, log_branches=True)
     result = machine.run(*args)
-    return fold_mispredictions(program, machine.branch_log, result, default)
+    return fold_mispredictions(machine.branch_log, result, default)
 
 
 def fold_mispredictions(
-    program: Program, log: BranchLog, result: RunResult, default: bool = True
+    log: BranchLog, result: RunResult, default: bool = True
 ) -> AnnotatedMeasurement:
-    """Score *program*'s planted ``predict`` bits against a finished
-    run's branch *log*; *result* is that run's.
+    """Score the planted ``predict`` bits of the program a finished run
+    executed against its branch *log*; *result* is that run's.
 
     Unannotated branches are scored with *default*.  The log is counted
     once per event code (site and direction); the sites keep the order
     of their first events.
     """
     counts = Counter(log.codes)
-    # Blocks numbered as BranchLog.sites numbers them; only the blocks
-    # the run branched in are read.
-    blocks = [
-        (function.name, block)
-        for function in program.functions.values()
-        for block in function.blocks.values()
-    ]
     per_site: Dict[BranchSite, tuple] = {}
     origins: Dict[BranchSite, BranchSite] = {}
-    for code, count in counts.items():
-        name, block = blocks[code >> 1]
+    for code, (name, block) in log.blocks(counts).items():
+        count = counts[code]
         site = BranchSite(name, block.label)
         predict = block.terminator.predict
         if predict is None:

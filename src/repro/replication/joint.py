@@ -58,10 +58,6 @@ def collect_joint_tables(
     sites = trace.sites
     site_keys = [membership.get(site) for site in sites]
     for sid, taken in trace.events():
-        if sid >= len(site_keys):
-            site_keys.extend(
-                membership.get(site) for site in sites[len(site_keys):]
-            )
         key = site_keys[sid]
         if key is None:
             continue

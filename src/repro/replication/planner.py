@@ -101,7 +101,6 @@ class ReplicationPlanner:
         program: Program,
         profile: ProfileData,
         max_states: int = 10,
-        max_correlated_candidates: int = 64,
     ) -> None:
         self.program = program
         self.profile = profile
@@ -122,7 +121,7 @@ class ReplicationPlanner:
                     executions=counts[0] + counts[1],
                     profile_correct=max(counts),
                 )
-                self._fill_options(plan, max_correlated_candidates)
+                self._fill_options(plan)
                 self.plans[site] = plan
             options = sum(len(plan.options) for plan in self.plans.values())
             span.set(planned=len(self.plans), options=options)
@@ -132,7 +131,7 @@ class ReplicationPlanner:
 
     # -- plan construction ---------------------------------------------------
 
-    def _fill_options(self, plan: BranchPlan, max_candidates: int) -> None:
+    def _fill_options(self, plan: BranchPlan) -> None:
         """Collect strictly-improving options for *plan*.
 
         Following Section 5, correlated machines are computed for
@@ -147,7 +146,7 @@ class ReplicationPlanner:
 
         path_table = self.profile.path_tables.get(site)
         correlated = (
-            correlated_machine_options(path_table, self.max_states, max_candidates)
+            correlated_machine_options(path_table, self.max_states)
             if path_table is not None
             else []
         )

@@ -26,7 +26,6 @@ from ..learn import (
     LearnedPredictor,
     default_learned_configs,
     fit,
-    holdout_trace,
     model_from_json,
     model_to_json,
     parse_learned_name,
@@ -674,8 +673,7 @@ def _train_model(artifact: Tuple[str, int, int], config, split: float) -> dict:
         "model": json.loads(model_to_json(model)),
     }
     if split < 1.0:
-        holdout = holdout_trace(trace, split)
-        (result,) = evaluate_many([LearnedPredictor(model)], holdout)
+        (result,) = evaluate_many([LearnedPredictor(model)], trace[train_events:])
         payload["holdout"] = _accuracy(result)
     return payload
 
@@ -701,8 +699,10 @@ def _learned_prediction(
     # client downloading the model would compute.
     model = model_from_json(json.dumps(trained["model"]))
     predictor = LearnedPredictor(model)
-    holdout = holdout_trace(get_trace(*artifact), DEFAULT_SPLIT)
-    (result,) = evaluate_many([predictor], holdout)
+    trace = get_trace(*artifact)
+    (result,) = evaluate_many(
+        [predictor], trace[training_cut(len(trace), DEFAULT_SPLIT) :]
+    )
     payload = _prediction_doc(artifact, predictor_name, predictor, result)
     payload["learned"] = {
         key: trained[key]

@@ -142,11 +142,15 @@ class _GreedyPaths:
         self.cells.append(new)
 
 
+#: How many of a table's most frequent patterns the greedy selection
+#: considers as paths.
+MAX_CANDIDATES = 64
+
+
 def best_correlated_machine(
     table: PatternTable,
     max_states: int,
     max_path_length: Optional[int] = None,
-    max_candidates: int = 64,
     nodes: Optional[NodeCounts] = None,
 ) -> ScoredMachine:
     """Greedy exact-gain selection of at most ``max_states - 1`` paths.
@@ -155,7 +159,7 @@ def best_correlated_machine(
     longer than ``max_path_length`` (default: ``max_states - 1``, the
     paper's "maximum path length of n for an n state machine" bound to
     keep the replicated code small) are not considered.  Candidates are
-    the ``max_candidates`` most frequent observed patterns.  *nodes* is
+    the :data:`MAX_CANDIDATES` most frequent observed patterns.  *nodes* is
     ``node_counts(table)`` when the caller already has it.
     """
     if max_states < 1:
@@ -171,7 +175,7 @@ def best_correlated_machine(
         if 1 <= pattern[1] <= limit
     ]
     candidates.sort(key=lambda item: -(item[1][0] + item[1][1]))
-    candidates = [pattern for pattern, _ in candidates[:max_candidates]]
+    candidates = [pattern for pattern, _ in candidates[:MAX_CANDIDATES]]
 
     greedy = _GreedyPaths(table, candidates)
     chosen = greedy.paths
@@ -205,11 +209,7 @@ def best_correlated_machine(
     return ScoredMachine(machine, best_correct, total)
 
 
-def correlated_machine_options(
-    table: PatternTable,
-    max_states: int,
-    max_candidates: int = 64,
-) -> List[ScoredMachine]:
+def correlated_machine_options(table: PatternTable, max_states: int) -> List[ScoredMachine]:
     """One scored machine per state count 1..max_states.
 
     Runs the greedy selection once at the largest budget and derives
@@ -222,11 +222,7 @@ def correlated_machine_options(
     total = nodes.executions
     default = majority(nodes.get((0, 0), (0, 0)))
     full = best_correlated_machine(
-        table,
-        max_states,
-        max_path_length=table.bits,
-        max_candidates=max_candidates,
-        nodes=nodes,
+        table, max_states, max_path_length=table.bits, nodes=nodes
     )
     sequence: Tuple[Pattern, ...] = full.machine.paths
     options: List[ScoredMachine] = []

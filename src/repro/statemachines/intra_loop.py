@@ -27,7 +27,7 @@ from .machine import (
     single_state_machine,
 )
 from .scoring import NodeCounts, majority, node_counts, partition_score
-from .trie import TrieMachineShape, valid_shapes
+from .trie import LEAF, Shape, TrieMachineShape, analyze_shape, valid_shapes
 
 
 def machine_from_shape(
@@ -55,17 +55,14 @@ def machine_from_shape(
 def best_intra_machine(
     table: PatternTable,
     max_states: int,
-    require_connected: bool = True,
-    exact_states: bool = False,
     nodes: Optional[NodeCounts] = None,
 ) -> ScoredMachine:
     """Exhaustive search for the best intra-loop machine.
 
-    Considers machines with 1..max_states states (or exactly
-    *max_states* when *exact_states*), depth limited by the table's
-    history length.  Returns the machine with the most correct
-    predictions on the training profile; among equals, the one with
-    fewer states.  *nodes* is ``node_counts(table)``, shared by a
+    Considers the strongly connected machines with 1..max_states
+    states, depth limited by the table's history length.  Returns the
+    machine with the most correct predictions on the training profile;
+    among equals, the one with fewer states.  *nodes* is ``node_counts(table)``, shared by a
     caller that searches the same table at several budgets.
     """
     if max_states < 1:
@@ -75,17 +72,14 @@ def best_intra_machine(
     default = majority(nodes.get((0, 0), (0, 0)))
     best_machine = single_state_machine(default, "intra-loop")
     best_correct = nodes.correct.get((0, 0), 0)
-    sizes = [max_states] if exact_states else range(2, max_states + 1)
     # Search telemetry is aggregated locally and reported once per call
     # — the inner loop enumerates thousands of shapes and must stay
     # free of per-candidate observer traffic.
     candidates = 0
     improvements = 0
     with OBS.span("sm.search.intra", max_states=max_states) as span:
-        for n_states in sizes:
-            if n_states == 1:
-                continue
-            for info in valid_shapes(n_states, table.bits, require_connected):
+        for n_states in range(2, max_states + 1):
+            for info in valid_shapes(n_states, table.bits):
                 candidates += 1
                 correct = partition_score(nodes, info.leaves)
                 if correct > best_correct:
@@ -115,101 +109,49 @@ def greedy_intra_machine(
     exhaustive search finds (splits are monotone refinements).
     """
     nodes = node_counts(table)
-    total = nodes.executions
-    leaves: List[Pattern] = [(0, 0)]  # the empty pattern: predict bias
-
-    def score(current: List[Pattern]) -> int:
-        return partition_score(nodes, current)
-
+    default = majority(nodes.get((0, 0), (0, 0)))
+    # The empty pattern: predict bias.  Splitting a leaf in place into
+    # its 0- and 1-child keeps the list in trie DFS order.
+    leaves: List[Pattern] = [(0, 0)]
+    best: Optional[TrieMachineShape] = None
     while len(leaves) < max_states:
         best_gain = 0
-        best_split: Optional[int] = None
-        current = score(leaves)
+        split = None
+        current = partition_score(nodes, leaves)
         for index, (value, length) in enumerate(leaves):
             if length >= table.bits:
                 continue
-            split = [
+            candidate = leaves[:index] + [
                 (value, length + 1),
                 (value | (1 << length), length + 1),
-            ]
-            candidate = leaves[:index] + split + leaves[index + 1 :]
+            ] + leaves[index + 1 :]
             # Splits that leave some transition underdetermined (the
             # next state would depend on history the machine forgot)
-            # are invalid — the exhaustive search rejects the same
-            # shapes via analyze_shape.
-            if not _is_determined(candidate):
+            # are invalid, as in the exhaustive search.
+            info = analyze_shape(_shape(candidate))
+            if info is None:
                 continue
-            gain = score(candidate) - current
+            gain = partition_score(nodes, candidate) - current
             if gain > best_gain:
                 best_gain = gain
-                best_split = index
-        if best_split is None:
+                split = candidate, info
+        if split is None:
             break
-        value, length = leaves[best_split]
-        leaves[best_split : best_split + 1] = [
-            (value, length + 1),
-            (value | (1 << length), length + 1),
-        ]
-    machine = _machine_from_partition(leaves, nodes, "intra-loop")
-    return ScoredMachine(machine, score(leaves), total)
+        leaves, best = split
+    if best is None:
+        machine = single_state_machine(default, "intra-loop")
+    else:
+        machine = machine_from_shape(best, nodes)
+    return ScoredMachine(machine, partition_score(nodes, leaves), nodes.executions)
 
 
-def _is_determined(leaves: List[Pattern]) -> bool:
-    """True when every transition of the partition machine resolves
-    using only the bits the source state knows."""
+def _shape(leaves: List[Pattern]) -> Shape:
+    """The trie shape whose leaves are *leaves* (a full trie)."""
     members = set(leaves)
 
-    def resolves(value: int, length: int) -> bool:
-        for bits in range(length, -1, -1):
-            if (value & ((1 << bits) - 1), bits) in members:
-                return True
-        return False
+    def build(value: int, depth: int) -> Shape:
+        if (value, depth) in members:
+            return LEAF
+        return (build(value, depth + 1), build(value | (1 << depth), depth + 1))
 
-    for value, length in leaves:
-        for bit in (0, 1):
-            if not resolves((value << 1) | bit, length + 1):
-                return False
-    return True
-
-
-def _machine_from_partition(
-    leaves: List[Pattern], nodes: NodeCounts, kind: str
-) -> PredictionMachine:
-    """Build a machine from an arbitrary partition of histories.
-
-    Transitions resolve to the longest leaf determined by the known
-    bits; the partition produced by leaf splitting is always a full
-    trie, so resolution is exact.
-    """
-    default = majority(nodes.get((0, 0), (0, 0)))
-    if len(leaves) == 1:
-        return single_state_machine(
-            majority(nodes.get(leaves[0], (0, 0)), default), kind
-        )
-    index = {leaf: i for i, leaf in enumerate(leaves)}
-
-    def resolve(value: int, length: int) -> int:
-        # Longest leaf that matches the known bits.
-        for bits in range(min(length, max(l for _, l in leaves)), -1, -1):
-            key = (value & ((1 << bits) - 1), bits)
-            if key in index:
-                return index[key]
-        raise AssertionError("partition must contain a matching leaf")
-
-    states: List[MachineState] = []
-    for value, length in leaves:
-        succ = []
-        for bit in (0, 1):
-            succ.append(resolve((value << 1) | bit, length + 1))
-        counts = nodes.get((value, length), (0, 0))
-        states.append(
-            MachineState(
-                pattern_str((value, length)),
-                majority(counts, default),
-                succ[0],
-                succ[1],
-                (value, length),
-            )
-        )
-    initial = resolve(0, max(l for _, l in leaves))
-    return PredictionMachine(tuple(states), initial, kind)
+    return build(0, 0)

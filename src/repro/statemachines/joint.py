@@ -120,7 +120,6 @@ class ScoredJointMachine:
 def best_joint_machine(
     tables: Mapping[BranchSite, PatternTable],
     max_states: int,
-    require_connected: bool = True,
 ) -> ScoredJointMachine:
     """Exhaustive search for the best shared machine.
 
@@ -149,7 +148,7 @@ def best_joint_machine(
         max(nodes[site].get((0, 0), (0, 0))) for site in sites
     )
     for n_states in range(2, max_states + 1):
-        for info in valid_shapes(n_states, bits, require_connected):
+        for info in valid_shapes(n_states, bits):
             correct = shape_score(info)
             if correct > best_correct:
                 best_correct = correct

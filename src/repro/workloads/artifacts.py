@@ -60,9 +60,9 @@ AUX_MAGIC = b"KBA1"
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Path-history depth collected by default — matches the default
-#: ``global_bits`` of :func:`repro.workloads.get_profile`.
-DEFAULT_HISTORY_BITS = 8
+#: Path-history depth every run collects; :func:`repro.workloads.get_profile`
+#: builds its global tables at the same depth.
+HISTORY_BITS = 8
 
 
 class ArtifactFormatError(Exception):
@@ -76,7 +76,6 @@ class RunArtifacts:
     name: str
     scale: int
     seed_offset: int
-    history_bits: int
     trace: Trace
     path_tables: Dict[BranchSite, PatternTable]
     steps: int
@@ -90,23 +89,19 @@ def cache_dir() -> Optional[str]:
     return directory or None
 
 
-def _entry_stem(name: str, scale: int, seed_offset: int, history_bits: int) -> str:
-    return f"{name}-s{scale}-o{seed_offset}-h{history_bits}-v{FORMAT_VERSION}"
+def _entry_stem(name: str, scale: int, seed_offset: int) -> str:
+    return f"{name}-s{scale}-o{seed_offset}-h{HISTORY_BITS}-v{FORMAT_VERSION}"
 
 
-def _entry_paths(
-    directory: str, name: str, scale: int, seed_offset: int, history_bits: int
-) -> Tuple[str, str]:
-    stem = os.path.join(directory, _entry_stem(name, scale, seed_offset, history_bits))
+def _entry_paths(directory: str, name: str, scale: int, seed_offset: int) -> Tuple[str, str]:
+    stem = os.path.join(directory, _entry_stem(name, scale, seed_offset))
     return stem + ".trace", stem + ".aux"
 
 
 # -- collection (the single instrumented pass) ------------------------------
 
 
-def _collect(
-    name: str, scale: int, seed_offset: int, history_bits: int
-) -> RunArtifacts:
+def _collect(name: str, scale: int, seed_offset: int) -> RunArtifacts:
     """Run the workload once, collecting trace, path tables and steps."""
     from .benchmarks import get_program, get_workload
 
@@ -116,7 +111,7 @@ def _collect(
         "workload.run", benchmark=name, scale=scale, seed_offset=seed_offset
     ) as span:
         trace, tables, result = instrumented_run(
-            get_program(name), args, input_values, history_bits
+            get_program(name), args, input_values, HISTORY_BITS
         )
         span.set(steps=result.steps, events=len(trace))
     elapsed = time.perf_counter() - started
@@ -124,9 +119,7 @@ def _collect(
     OBS.add("artifacts.interpreter.seconds", elapsed)
     OBS.observe("artifacts.run_seconds", elapsed)
     OBS.add("artifacts.trace_events", len(trace))
-    return RunArtifacts(
-        name, scale, seed_offset, history_bits, trace, tables, result.steps
-    )
+    return RunArtifacts(name, scale, seed_offset, trace, tables, result.steps)
 
 
 # -- envelope codec ----------------------------------------------------------
@@ -138,7 +131,7 @@ def _aux_to_bytes(artifacts: RunArtifacts) -> bytes:
         "name": artifacts.name,
         "scale": artifacts.scale,
         "seed_offset": artifacts.seed_offset,
-        "history_bits": artifacts.history_bits,
+        "history_bits": HISTORY_BITS,
         "steps": artifacts.steps,
         "events": len(artifacts.trace),
         "path_tables": [
@@ -168,10 +161,10 @@ def _aux_from_bytes(data: bytes) -> dict:
 
 
 def _load_entry(
-    directory: str, name: str, scale: int, seed_offset: int, history_bits: int
+    directory: str, name: str, scale: int, seed_offset: int
 ) -> Optional[RunArtifacts]:
     """Load a cached entry; ``None`` on miss or any malformed content."""
-    trace_path, aux_path = _entry_paths(directory, name, scale, seed_offset, history_bits)
+    trace_path, aux_path = _entry_paths(directory, name, scale, seed_offset)
     started = time.perf_counter()
     bytes_read = 0
     try:
@@ -187,7 +180,7 @@ def _load_entry(
             document.get("name") != name
             or document.get("scale") != scale
             or document.get("seed_offset") != seed_offset
-            or document.get("history_bits") != history_bits
+            or document.get("history_bits") != HISTORY_BITS
             or document.get("events") != len(trace)
         ):
             raise ArtifactFormatError("aux envelope does not match trace")
@@ -195,7 +188,7 @@ def _load_entry(
         for entry in document["path_tables"]:
             site = BranchSite(entry["function"], entry["block"])
             tables[site] = PatternTable(
-                history_bits, counts_from_json(entry["counts"], history_bits)
+                HISTORY_BITS, counts_from_json(entry["counts"], HISTORY_BITS)
             )
         steps = document["steps"]
         if not isinstance(steps, int):
@@ -214,7 +207,7 @@ def _load_entry(
     finally:
         OBS.add("artifacts.cache.load_seconds", time.perf_counter() - started)
     OBS.add("artifacts.cache.bytes_read", bytes_read)
-    return RunArtifacts(name, scale, seed_offset, history_bits, trace, tables, steps)
+    return RunArtifacts(name, scale, seed_offset, trace, tables, steps)
 
 
 def _atomic_write(directory: str, path: str, payload: bytes) -> None:
@@ -233,11 +226,7 @@ def _atomic_write(directory: str, path: str, payload: bytes) -> None:
 
 def _store_entry(directory: str, artifacts: RunArtifacts) -> None:
     trace_path, aux_path = _entry_paths(
-        directory,
-        artifacts.name,
-        artifacts.scale,
-        artifacts.seed_offset,
-        artifacts.history_bits,
+        directory, artifacts.name, artifacts.scale, artifacts.seed_offset
     )
     try:
         os.makedirs(directory, exist_ok=True)
@@ -259,7 +248,6 @@ def get_artifacts(
     *,
     scale: Optional[int] = None,
     seed_offset: Optional[int] = None,
-    history_bits: Optional[int] = None,
 ) -> RunArtifacts:
     """The run artifacts of one (workload, scale, seed_offset) triple.
 
@@ -273,22 +261,19 @@ def get_artifacts(
         name,
         1 if scale is None else scale,
         0 if seed_offset is None else seed_offset,
-        DEFAULT_HISTORY_BITS if history_bits is None else history_bits,
     )
 
 
 @functools.lru_cache(maxsize=64)
-def _get_artifacts_cached(
-    name: str, scale: int, seed_offset: int, history_bits: int
-) -> RunArtifacts:
+def _get_artifacts_cached(name: str, scale: int, seed_offset: int) -> RunArtifacts:
     directory = cache_dir()
     if directory is not None:
-        cached = _load_entry(directory, name, scale, seed_offset, history_bits)
+        cached = _load_entry(directory, name, scale, seed_offset)
         if cached is not None:
             OBS.add("artifacts.cache.hits")
             return cached
     OBS.add("artifacts.cache.misses")
-    artifacts = _collect(name, scale, seed_offset, history_bits)
+    artifacts = _collect(name, scale, seed_offset)
     if directory is not None:
         _store_entry(directory, artifacts)
     return artifacts
@@ -298,22 +283,17 @@ def clear_memory_cache() -> None:
     """Drop the in-process artifact memo (and the profile memo derived
     from it); the disk cache is untouched."""
     _get_artifacts_cached.cache_clear()
-    from .benchmarks import get_profile
+    from .benchmarks import _profile
 
-    get_profile.cache_clear()
+    _profile.cache_clear()
 
 
-def cached_on_disk(
-    name: str,
-    scale: int = 1,
-    seed_offset: int = 0,
-    history_bits: int = DEFAULT_HISTORY_BITS,
-) -> bool:
+def cached_on_disk(name: str, scale: int = 1, seed_offset: int = 0) -> bool:
     """Whether a disk entry exists for the triple (it may still be stale)."""
     directory = cache_dir()
     if directory is None:
         return False
-    trace_path, aux_path = _entry_paths(directory, name, scale, seed_offset, history_bits)
+    trace_path, aux_path = _entry_paths(directory, name, scale, seed_offset)
     return os.path.exists(trace_path) and os.path.exists(aux_path)
 
 
@@ -377,21 +357,19 @@ def disk_cache_bytes() -> int:
 
 # -- parallel fan-out --------------------------------------------------------
 
-Spec = Tuple[str, int, int, int]
+Spec = Tuple[str, int, int]
 
 
 def _normalize_spec(spec: Sequence) -> Spec:
     name, scale, seed_offset = (list(spec) + [1, 0])[:3]
-    return (str(name), int(scale), int(seed_offset), DEFAULT_HISTORY_BITS)
+    return (str(name), int(scale), int(seed_offset))
 
 
 def _generate_one(spec: Spec) -> Tuple[Spec, float]:
     """Populate the cache for one spec in the current process."""
-    name, scale, seed_offset, history_bits = spec
+    name, scale, seed_offset = spec
     started = time.perf_counter()
-    get_artifacts(
-        name, scale=scale, seed_offset=seed_offset, history_bits=history_bits
-    )
+    get_artifacts(name, scale=scale, seed_offset=seed_offset)
     return spec, time.perf_counter() - started
 
 
@@ -459,8 +437,6 @@ def generate_artifacts(
                 trace.add_span_dicts(spans)
     # Pull the worker-produced entries into this process's memo so the
     # experiment code that follows never re-runs the interpreter.
-    for name, scale, seed_offset, history_bits in normalized:
-        get_artifacts(
-            name, scale=scale, seed_offset=seed_offset, history_bits=history_bits
-        )
+    for name, scale, seed_offset in normalized:
+        get_artifacts(name, scale=scale, seed_offset=seed_offset)
     return timings

@@ -165,22 +165,23 @@ def get_run_steps(name: str, scale: int = 1, seed_offset: int = 0) -> int:
     return get_artifacts(name, scale=scale, seed_offset=seed_offset).steps
 
 
-@functools.lru_cache(maxsize=32)
-def get_profile(
-    name: str, scale: int = 1, seed_offset: int = 0, local_bits: int = 9, global_bits: int = 8
-) -> ProfileData:
+def get_profile(name: str, scale: int = 1, seed_offset: int = 0) -> ProfileData:
     """Cached profile data for a workload trace, with the frame-local
-    path tables of the same single-pass artifacts."""
-    from ..obs import OBS
-    from .artifacts import get_artifacts
+    path tables of the same single-pass artifacts.  One profile per run,
+    however the call spells its arguments."""
+    return _profile(name, scale, seed_offset)
 
-    artifacts = get_artifacts(
-        name, scale=scale, seed_offset=seed_offset, history_bits=global_bits
-    )
+
+@functools.lru_cache(maxsize=32)
+def _profile(name: str, scale: int, seed_offset: int) -> ProfileData:
+    from ..obs import OBS
+    from .artifacts import HISTORY_BITS, get_artifacts
+
+    artifacts = get_artifacts(name, scale=scale, seed_offset=seed_offset)
     with OBS.span(
         "profiling.build", benchmark=name, scale=scale, seed_offset=seed_offset
     ) as span:
-        profile = ProfileData.from_trace(artifacts.trace, local_bits, global_bits)
+        profile = ProfileData.from_trace(artifacts.trace, global_bits=HISTORY_BITS)
         profile.path_tables = artifacts.path_tables
         span.set(sites=len(profile.totals))
     OBS.add("profiling.builds")

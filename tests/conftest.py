@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import importlib.util
 import os
+from array import array
 from contextlib import contextmanager
 
 import pytest
 
 from repro.ir import parse_program
 from repro.interp import Machine
-from repro.profiling import PatternTable, ProfileData
+from repro.profiling import PatternTable, ProfileData, Trace
 from repro.replication import clear_predictions, fold_mispredictions
 
 
@@ -217,8 +218,34 @@ def run_folding_copies(program, args, input_values=(), max_steps=100_000_000):
     clear_predictions(unpredicted)
     machine = Machine(unpredicted, input_values, max_steps=max_steps, log_branches=True)
     result = machine.run(*args)
-    measured = fold_mispredictions(unpredicted, machine.branch_log, result, default=False)
+    measured = fold_mispredictions(machine.branch_log, result, default=False)
     return measured.result, measured.per_origin
+
+
+def recorded_trace(events, sites=()):
+    """The trace of *events*, ``(site, taken)`` pairs, recorded one
+    event at a time: *sites* are interned first, in order, then each
+    event's site when first seen; each event appends its site id and
+    sets its direction bit.  The per-event reference every bulk trace
+    builder (``Trace.from_events``, an interpreter run's fold, the
+    ``KBT1`` decoder, a slice) must equal."""
+    table, index = [], {}
+    site_ids, packed = array("i"), bytearray()
+    for site in sites:
+        if site not in index:
+            index[site] = len(table)
+            table.append(site)
+    for position, (site, taken) in enumerate(events):
+        sid = index.get(site)
+        if sid is None:
+            sid = index[site] = len(table)
+            table.append(site)
+        site_ids.append(sid)
+        if position & 7 == 0:
+            packed.append(0)
+        if taken:
+            packed[-1] |= 1 << (position & 7)
+    return Trace(table, site_ids, bytes(packed), len(site_ids))
 
 
 def reference_profile(trace, local_bits=9, global_bits=8):

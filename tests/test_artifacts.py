@@ -50,6 +50,17 @@ class TestSinglePass:
         get_trace(NAME, 2)
         assert OBS.counter("artifacts.interpreter.runs") == 3
 
+    def test_one_profile_however_the_call_is_spelled(self, fresh_cache):
+        OBS.reset(prefix="profiling.builds")
+        spellings = (
+            get_profile(NAME, 1),
+            get_profile(NAME, 1, 0),
+            get_profile(NAME, scale=1),
+            get_profile(name=NAME, scale=1, seed_offset=0),
+        )
+        assert all(profile is spellings[0] for profile in spellings)
+        assert OBS.counter("profiling.builds") == 1
+
     def test_profile_reuses_artifact_path_tables(self, fresh_cache):
         profile = get_profile(NAME, 1)
         assert profile.path_tables is not None

@@ -38,17 +38,17 @@ def logged_run(program, args, history_bits=0):
 
 def reference_run(program, args, history_bits=0):
     """``instrumented_run`` as a per-event recorder."""
-    trace = Trace()
+    events = []
     tables = {}
     machine, result = logged_run(program, args, history_bits)
     for site, taken, history in branch_events(machine):
-        trace.record(site, taken)
+        events.append((site, taken))
         if history_bits > 0:
             table = tables.get(site)
             if table is None:
                 table = tables[site] = PatternTable(history_bits)
             table.add(history, 1 if taken else 0)
-    return trace, tables, result
+    return Trace.from_events(events), tables, result
 
 
 def reference_measure(program, args, default):
@@ -82,8 +82,8 @@ def summary(trace, tables, result):
     return (
         trace.sites,
         trace.site_ids.tolist(),
-        trace.directions.packed(),
-        len(trace.directions),
+        trace.directions,
+        len(trace),
         [(site, table.bits, list(table.counts.items())) for site, table in tables.items()],
         (result.value, result.output, result.steps, result.branches),
     )

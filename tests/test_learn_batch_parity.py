@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.ir import BranchSite
-from repro.learn import LearnedConfig, LearnedPredictor, fit, holdout_trace, model_to_json
+from repro.learn import LearnedConfig, LearnedPredictor, fit, model_to_json, training_cut
 from repro.predictors import evaluate, evaluate_many
 from repro.profiling import Trace, trace_from_bytes, trace_to_bytes
 
@@ -37,10 +37,9 @@ LEARNED_CONFIGS = [
 
 
 def build_trace(events):
-    trace = Trace()
-    for site_index, taken in events:
-        trace.record(BranchSite("f", f"b{site_index}"), taken)
-    return trace
+    return Trace.from_events(
+        (BranchSite("f", f"b{site_index}"), taken) for site_index, taken in events
+    )
 
 
 def learned_predictors(trace, split):
@@ -124,9 +123,9 @@ def test_unseen_sites_use_shared_model(events):
     predict every event through its shared sub-model — identically in
     stepper and batch form."""
     foreign = build_trace(events)
-    target = Trace()
-    for index, (site_index, taken) in enumerate(events):
-        target.record(BranchSite("g", f"x{site_index}"), taken)
+    target = Trace.from_events(
+        (BranchSite("g", f"x{site_index}"), taken) for site_index, taken in events
+    )
     for config in LEARNED_CONFIGS:
         model = fit(foreign.columns(), config, 1.0)
         reference = evaluate(LearnedPredictor(model), target)
@@ -138,7 +137,7 @@ def test_unseen_sites_use_shared_model(events):
 def test_holdout_trace_is_the_suffix():
     events = [(i % 3, i % 2 == 0) for i in range(20)]
     trace = build_trace(events)
-    hold = holdout_trace(trace, 0.5)
+    hold = trace[training_cut(len(trace), 0.5) :]
     assert len(hold) == 10
     expected = [(f"b{s}", t) for s, t in events[10:]]
     got = [(hold.sites[sid].block, bool(d)) for sid, d in hold.events()]

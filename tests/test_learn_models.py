@@ -22,10 +22,9 @@ from repro.profiling import Trace
 
 
 def build_trace(n=60):
-    trace = Trace()
-    for index in range(n):
-        trace.record(BranchSite("f", f"b{index % 3}"), index % 4 != 0)
-    return trace
+    return Trace.from_events(
+        (BranchSite("f", f"b{index % 3}"), index % 4 != 0) for index in range(n)
+    )
 
 
 # -- config validation -------------------------------------------------------
@@ -102,13 +101,11 @@ def test_training_cut_bounds():
 
 
 def test_fit_learns_only_prefix_sites():
-    trace = Trace()
-    for index in range(40):
-        trace.record(BranchSite("f", "early"), True)
-    trace.record(BranchSite("f", "late"), True)
+    early, late = BranchSite("f", "early"), BranchSite("f", "late")
+    trace = Trace.from_events([(early, True)] * 40 + [(late, True)])
     model = fit(trace.columns(), LearnedConfig(history_bits=2), split=0.5)
-    assert BranchSite("f", "early") in model.sites
-    assert BranchSite("f", "late") not in model.sites
+    assert early in model.sites
+    assert late not in model.sites
 
 
 def test_unseen_site_uses_shared_model():
@@ -135,9 +132,9 @@ from repro.ir import BranchSite
 from repro.learn import LearnedConfig, fit, model_to_json
 from repro.profiling import Trace
 
-trace = Trace()
-for index in range(60):
-    trace.record(BranchSite("f", "b%d" % (index % 3)), index % 4 != 0)
+trace = Trace.from_events(
+    (BranchSite("f", "b%d" % (index % 3)), index % 4 != 0) for index in range(60)
+)
 for config in (
     LearnedConfig(),
     LearnedConfig(kind="logistic", scope="peraddr", history_bits=4),

@@ -19,11 +19,10 @@ from repro.profiling import Trace
 
 
 def build_trace():
-    trace = Trace()
     pattern = [True, True, False, True, False, False, True, True]
-    for index in range(120):
-        trace.record(BranchSite("f", f"b{index % 4}"), pattern[index % 8])
-    return trace
+    return Trace.from_events(
+        (BranchSite("f", f"b{index % 4}"), pattern[index % 8]) for index in range(120)
+    )
 
 
 CONFIGS = [

@@ -73,10 +73,9 @@ def family_predictors(profile):
 
 
 def build_trace(events):
-    trace = Trace()
-    for site_index, taken in events:
-        trace.record(BranchSite("f", f"b{site_index}"), taken)
-    return trace
+    return Trace.from_events(
+        (BranchSite("f", f"b{site_index}"), taken) for site_index, taken in events
+    )
 
 
 def assert_results_identical(reference, batch):
@@ -221,9 +220,9 @@ def test_unpack_bits_boundaries(count):
 def test_packed_directions_roundtrip_at_boundaries(count, no_numpy):
     with numpy_mode(no_numpy):
         bits = _boundary_bits(count)
-        trace = Trace()
-        for index, taken in enumerate(bits):
-            trace.record(BranchSite("f", f"b{index % 3}"), taken)
+        trace = Trace.from_events(
+            (BranchSite("f", f"b{index % 3}"), taken) for index, taken in enumerate(bits)
+        )
         loaded = trace_from_bytes(trace_to_bytes(trace))
         columns = loaded.columns()
         assert columns.n_events == count

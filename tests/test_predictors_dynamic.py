@@ -18,10 +18,7 @@ SITE = BranchSite("f", "b")
 
 
 def trace_of(bits) -> Trace:
-    trace = Trace()
-    for bit in bits:
-        trace.record(SITE, bool(bit))
-    return trace
+    return Trace.from_events((SITE, bool(bit)) for bit in bits)
 
 
 class TestLastDirection:

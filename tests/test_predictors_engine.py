@@ -43,10 +43,7 @@ events_strategy = st.lists(
 
 
 def build_trace(events):
-    trace = Trace()
-    for index, taken in events:
-        trace.record(SITES[index], taken)
-    return trace
+    return Trace.from_events((SITES[index], taken) for index, taken in events)
 
 
 def predictor_families(trace):
@@ -142,12 +139,10 @@ def test_evaluate_many_is_repeatable(events):
 
 
 def small_trace():
-    trace = Trace()
-    for taken in (True, True, False, True):
-        trace.record(SITES[0], taken)
-    for taken in (False, False):
-        trace.record(SITES[1], taken)
-    return trace
+    return Trace.from_events(
+        [(SITES[0], taken) for taken in (True, True, False, True)]
+        + [(SITES[1], taken) for taken in (False, False)]
+    )
 
 
 def test_closed_form_set_does_not_scan():
@@ -278,7 +273,7 @@ def test_empty_predictor_set():
 
 
 def test_empty_trace():
-    results = evaluate_many([AlwaysTaken(), LastDirection()], Trace())
+    results = evaluate_many([AlwaysTaken(), LastDirection()], Trace.from_events([]))
     for result in results:
         assert result.events == 0
         assert result.mispredictions == 0

@@ -18,12 +18,9 @@ B = BranchSite("f", "b")
 
 
 def mixed_trace() -> Trace:
-    trace = Trace()
-    for taken in (True, True, False):
-        trace.record(A, taken)
-    for taken in (False, False):
-        trace.record(B, taken)
-    return trace
+    return Trace.from_events(
+        [(A, True), (A, True), (A, False), (B, False), (B, False)]
+    )
 
 
 def test_event_and_misprediction_totals():

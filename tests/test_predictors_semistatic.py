@@ -1,5 +1,7 @@
 """Semi-static predictor tests: profile, correlation, loop, combined."""
 
+import random
+
 import pytest
 
 from repro.ir import BranchSite
@@ -17,10 +19,7 @@ SITE = BranchSite("f", "b")
 
 
 def trace_of(bits, site=SITE) -> Trace:
-    trace = Trace()
-    for bit in bits:
-        trace.record(site, bool(bit))
-    return trace
+    return Trace.from_events((site, bool(bit)) for bit in bits)
 
 
 class TestProfilePredictor:
@@ -75,33 +74,26 @@ class TestLoopPredictor:
             LoopPredictor(profile, 9)
 
 
+def _coin_trace(a, b):
+    """300 random coins, each seen by *a* and then repeated by *b*."""
+    rng = random.Random(7)
+    coins = [rng.random() < 0.5 for _ in range(300)]
+    return Trace.from_events(event for coin in coins for event in ((a, coin), (b, coin)))
+
+
 class TestCorrelationPredictor:
     def test_cross_branch_correlation(self):
         # Branch b always repeats what branch a just did.
-        trace = Trace()
         a, b = BranchSite("f", "a"), BranchSite("f", "b")
-        import random
-
-        rng = random.Random(7)
-        for _ in range(300):
-            coin = rng.random() < 0.5
-            trace.record(a, coin)
-            trace.record(b, coin)
+        trace = _coin_trace(a, b)
         profile = ProfileData.from_trace(trace)
         result = evaluate(CorrelationPredictor(profile, 1), trace)
         b_stats = result.per_site[b]
         assert b_stats.mispredictions <= 1
 
     def test_profile_cannot_catch_it(self):
-        trace = Trace()
         a, b = BranchSite("f", "a"), BranchSite("f", "b")
-        import random
-
-        rng = random.Random(7)
-        for _ in range(300):
-            coin = rng.random() < 0.5
-            trace.record(a, coin)
-            trace.record(b, coin)
+        trace = _coin_trace(a, b)
         profile = ProfileData.from_trace(trace)
         result = evaluate(ProfilePredictor(profile), trace)
         assert result.per_site[b].rate > 0.3
@@ -114,17 +106,15 @@ class TestCorrelationPredictor:
 
 class TestLoopCorrelation:
     def _correlated_trace(self):
-        trace = Trace()
         a, b, c = (BranchSite("f", x) for x in "abc")
-        import random
-
         rng = random.Random(3)
+        events = []
         for index in range(400):
             coin = rng.random() < 0.5
-            trace.record(a, coin)  # random: nothing helps
-            trace.record(b, coin)  # correlated with a
-            trace.record(c, index % 2 == 0)  # alternating: loop history
-        return trace, a, b, c
+            events.append((a, coin))  # random: nothing helps
+            events.append((b, coin))  # correlated with a
+            events.append((c, index % 2 == 0))  # alternating: loop history
+        return Trace.from_events(events), a, b, c
 
     def test_chooses_per_branch(self):
         trace, a, b, c = self._correlated_trace()

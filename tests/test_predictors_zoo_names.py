@@ -16,10 +16,11 @@ from repro.profiling import ProfileData, Trace
 
 
 def _zoo(alternating_loop):
-    trace = Trace()
-    for site in alternating_loop.branch_sites():
-        for bit in (1, 1, 0, 1):
-            trace.record(site, bool(bit))
+    trace = Trace.from_events(
+        (site, bool(bit))
+        for site in alternating_loop.branch_sites()
+        for bit in (1, 1, 0, 1)
+    )
     profile = ProfileData.from_trace(trace)
     return [
         *static_predictors(alternating_loop),

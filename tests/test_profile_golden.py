@@ -58,7 +58,7 @@ def record(name: str, scale: int) -> Dict[str, object]:
     if sys.byteorder == "big":
         site_ids.byteswap()
     return {
-        "trace_sha256": _sha256(site_ids.tobytes() + run.trace.directions.packed()),
+        "trace_sha256": _sha256(site_ids.tobytes() + run.trace.directions),
         "aux_sha256": _json_sha256(artifact_store._aux_to_bytes(run)),
         "profile_sha256": _json_sha256(
             profile_to_bytes(workloads.get_profile(name, scale))

@@ -166,7 +166,7 @@ class TestProfileSerialisation:
         assert planner.improvable_plans()
 
     def test_empty_profile_roundtrip(self):
-        empty = ProfileData.from_trace(Trace())
+        empty = ProfileData.from_trace(Trace.from_events([]))
         loaded = profile_from_bytes(profile_to_bytes(empty))
         assert loaded.totals == {}
         assert loaded.events == 0

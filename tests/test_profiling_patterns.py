@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+from array import array
 
 import pytest
 
@@ -15,11 +16,8 @@ from conftest import NUMPY_MODES, numpy_mode, reference_profile
 
 
 def alternating_trace(n: int = 100) -> Trace:
-    trace = Trace()
     site = BranchSite("f", "b")
-    for index in range(n):
-        trace.record(site, index % 2 == 0)
-    return trace
+    return Trace.from_events((site, index % 2 == 0) for index in range(n))
 
 
 class TestPatternTable:
@@ -79,10 +77,8 @@ class TestProfileData:
         # Outcomes T,T,N then observe: history low bits should be
         # (newest first) N,T,T = 0b011... check via the pattern seen at
         # the 4th event.
-        trace = Trace()
         site = BranchSite("f", "b")
-        for taken in (True, True, False, True):
-            trace.record(site, taken)
+        trace = Trace.from_events((site, taken) for taken in (True, True, False, True))
         profile = ProfileData.from_trace(trace, local_bits=3)
         table = profile.local[site]
         # Fourth event saw history [N, T, T] newest-first; with the
@@ -91,9 +87,8 @@ class TestProfileData:
         assert table.counts[0b110] == [0, 1]
 
     def test_initial_history_is_zero(self):
-        trace = Trace()
         site = BranchSite("f", "b")
-        trace.record(site, True)
+        trace = Trace.from_events([(site, True)])
         profile = ProfileData.from_trace(trace, local_bits=4)
         assert profile.local[site].counts == {0: [0, 1]}
 
@@ -110,10 +105,9 @@ class TestProfileData:
         assert len(table.counts) <= 10  # warmup patterns plus the two
 
     def test_global_history_spans_sites(self):
-        trace = Trace()
         a, b = BranchSite("f", "a"), BranchSite("f", "b")
-        trace.record(a, True)
-        trace.record(b, False)  # global history when b executes: 0b1
+        # global history when b executes: 0b1
+        trace = Trace.from_events([(a, True), (b, False)])
         profile = ProfileData.from_trace(trace, global_bits=4)
         assert profile.global_tables[b].counts == {0b1: [1, 0]}
 
@@ -142,9 +136,8 @@ class TestProfileData:
             ProfileData(global_bits=30)
 
     def test_unexecuted_interned_site_not_in_tables(self):
-        trace = Trace()
-        trace.site_id(BranchSite("f", "ghost"))
-        trace.record(BranchSite("f", "real"), True)
+        ghost, real = BranchSite("f", "ghost"), BranchSite("f", "real")
+        trace = Trace([ghost, real], array("i", [1]), b"\x01", 1)
         profile = ProfileData.from_trace(trace)
         assert BranchSite("f", "ghost") not in profile.totals
         assert BranchSite("f", "real") in profile.local
@@ -182,9 +175,9 @@ def test_racing_readers_build_equal_global_tables(disabled):
     threads that read a fresh profile's tables at once may each build
     them, and every reader must get the per-event oracle's tables."""
     rng = random.Random(7)
-    trace = Trace()
-    for _ in range(5000):
-        trace.record(BranchSite("f", f"b{rng.randrange(6)}"), rng.random() < 0.6)
+    trace = Trace.from_events(
+        (BranchSite("f", f"b{rng.randrange(6)}"), rng.random() < 0.6) for _ in range(5000)
+    )
 
     def dump(profile):
         return [(site, list(t.counts.items())) for site, t in profile.global_tables.items()]

@@ -2,8 +2,10 @@
 
 import io
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from array import array
 
 import pytest
@@ -22,14 +24,14 @@ from repro.profiling.tracefile import _write_varints
 
 
 def test_empty_trace_roundtrip():
-    trace = Trace()
+    trace = Trace.from_events([])
     assert list(trace_from_bytes(trace_to_bytes(trace)).events()) == []
 
 
 def test_roundtrip_preserves_everything():
-    trace = Trace()
-    for index in range(100):
-        trace.record(BranchSite("f", f"b{index % 7}"), index % 3 == 0)
+    trace = Trace.from_events(
+        (BranchSite("f", f"b{index % 7}"), index % 3 == 0) for index in range(100)
+    )
     loaded = trace_from_bytes(trace_to_bytes(trace))
     assert loaded.sites == trace.sites
     assert list(loaded.events()) == list(trace.events())
@@ -58,8 +60,7 @@ def test_bad_magic_rejected():
 
 
 def test_truncated_file_rejected():
-    trace = Trace()
-    trace.record(BranchSite("f", "a"), True)
+    trace = Trace.from_events([(BranchSite("f", "a"), True)])
     blob = trace_to_bytes(trace)
     with pytest.raises(TraceFormatError):
         trace_from_bytes(blob[: len(blob) - 1])
@@ -67,9 +68,7 @@ def test_truncated_file_rejected():
 
 def test_corrupt_site_reference_rejected():
     # Handcraft a trace, then break the site table by removing a site.
-    trace = Trace()
-    trace.record(BranchSite("f", "a"), True)
-    trace.record(BranchSite("f", "b"), False)
+    trace = Trace.from_events([(BranchSite("f", "a"), True), (BranchSite("f", "b"), False)])
     blob = bytearray(trace_to_bytes(trace))
     # Corrupting the payload should never crash with a raw exception.
     blob[-1] ^= 0xFF
@@ -78,15 +77,31 @@ def test_corrupt_site_reference_rejected():
     except TraceFormatError:
         pass
     except Exception as error:  # noqa: BLE001 - the assertion target
-        import zlib
-
         assert isinstance(error, zlib.error)
 
 
+def test_duplicate_site_names_rejected():
+    """A site table naming one site twice cannot number its events:
+    the decoder rejects it as a length mismatch, never builds a trace."""
+    trace = Trace.from_events([(BranchSite("f", "a"), True), (BranchSite("f", "b"), False)])
+    blob = trace_to_bytes(trace)
+    assert blob.count(b"f:a\nf:b") == 1
+    with pytest.raises(TraceFormatError, match="site table length mismatch"):
+        trace_from_bytes(blob.replace(b"f:a\nf:b", b"f:a\nf:a"))
+
+
+def test_short_direction_stream_rejected():
+    site_blob, ids, directions = b"f:a", zlib.compress(bytes(16)), zlib.compress(b"\xff")
+    header = struct.pack("<QQIII", 1, 16, len(site_blob), len(ids), len(directions))
+    forged = b"KBT1" + header + site_blob + ids + directions
+    with pytest.raises(TraceFormatError, match="direction stream shorter than 16 events"):
+        trace_from_bytes(forged)
+
+
 def test_sites_with_unusual_labels_roundtrip():
-    trace = Trace()
-    trace.record(BranchSite("main", "body@01.3"), True)
-    trace.record(BranchSite("main", "join~2"), False)
+    trace = Trace.from_events(
+        [(BranchSite("main", "body@01.3"), True), (BranchSite("main", "join~2"), False)]
+    )
     loaded = trace_from_bytes(trace_to_bytes(trace))
     assert loaded.sites == trace.sites
 
@@ -95,14 +110,13 @@ class TestVarintBoundaries:
     """Round trips where site ids cross varint byte boundaries."""
 
     def _many_site_trace(self, site_count: int) -> Trace:
-        trace = Trace()
         # Touch the highest ids first so late ids are exercised even if
         # an implementation truncated the site table.
-        for index in (site_count - 1, site_count // 2, 0):
-            trace.record(BranchSite("f", f"b{index}"), index % 2 == 0)
-        for index in range(site_count):
-            trace.record(BranchSite("f", f"b{index}"), index % 3 == 0)
-        return trace
+        first = [(index, index % 2 == 0) for index in (site_count - 1, site_count // 2, 0)]
+        rest = [(index, index % 3 == 0) for index in range(site_count)]
+        return Trace.from_events(
+            (BranchSite("f", f"b{index}"), taken) for index, taken in first + rest
+        )
 
     def test_two_byte_varint_ids(self):
         # ids >= 2**7 need two varint bytes.
@@ -136,7 +150,7 @@ class TestVarintBoundaries:
             assert _write_varints(values) == reference(ids)
 
     def test_empty_trace_has_no_events_or_sites(self):
-        loaded = trace_from_bytes(trace_to_bytes(Trace()))
+        loaded = trace_from_bytes(trace_to_bytes(Trace.from_events([])))
         assert len(loaded) == 0
         assert loaded.sites == []
 
@@ -144,8 +158,6 @@ class TestVarintBoundaries:
         trace = self._many_site_trace((1 << 7) + 5)
         blob = bytearray(trace_to_bytes(trace))
         # Lie about the event count so varint decoding runs dry.
-        import struct
-
         site_count, event_count, site_len, id_len, dir_len = struct.unpack(
             "<QQIII", bytes(blob[4 : 4 + struct.calcsize("<QQIII")])
         )
@@ -158,8 +170,6 @@ class TestVarintBoundaries:
     def test_garbage_compressed_payload_rejected(self):
         trace = self._many_site_trace(10)
         blob = trace_to_bytes(trace)
-        import struct
-
         header = 4 + struct.calcsize("<QQIII")
         site_count, event_count, site_len, id_len, dir_len = struct.unpack(
             "<QQIII", blob[4:header]
@@ -187,7 +197,7 @@ def test_corrupt_file_on_disk_is_a_format_error(tmp_path, alternating_loop):
             loaded = load_trace(str(path))
         except TraceFormatError:
             continue
-        assert len(loaded.directions) == len(loaded.site_ids)
+        assert len(loaded.directions) == (len(loaded.site_ids) + 7) // 8
     path.write_bytes(blob[:-1])
     with pytest.raises(TraceFormatError):
         load_trace(str(path))
@@ -207,9 +217,9 @@ import sys
 from repro.ir import BranchSite
 from repro.profiling import Trace, trace_from_bytes, trace_to_bytes
 
-trace = Trace()
-for index in range(500):
-    trace.record(BranchSite("f", f"b{index % 7}"), index % 3 == 0)
+trace = Trace.from_events(
+    (BranchSite("f", f"b{index % 7}"), index % 3 == 0) for index in range(500)
+)
 loaded = trace_from_bytes(trace_to_bytes(trace))
 assert loaded.site_ids == trace.site_ids
 print("numpy" in sys.modules)

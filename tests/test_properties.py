@@ -46,7 +46,7 @@ from repro.statemachines import (
 )
 from repro.workloads import random_program
 
-from conftest import NUMPY_MODES, numpy_mode, reference_profile, run_folding_copies
+from conftest import NUMPY_MODES, numpy_mode, recorded_trace, reference_profile, run_folding_copies
 
 events_strategy = st.lists(
     st.tuples(st.integers(0, 5), st.booleans()), max_size=300
@@ -55,9 +55,9 @@ events_strategy = st.lists(
 
 @given(events_strategy)
 def test_trace_file_roundtrip(events):
-    trace = Trace()
-    for site_index, taken in events:
-        trace.record(BranchSite("f", f"b{site_index}"), taken)
+    trace = Trace.from_events(
+        (BranchSite("f", f"b{site_index}"), taken) for site_index, taken in events
+    )
     loaded = trace_from_bytes(trace_to_bytes(trace))
     assert list(loaded.events()) == list(trace.events())
     assert loaded.sites == trace.sites
@@ -141,9 +141,9 @@ def recount(events, local_bits=9, global_bits=8):
 
 @given(events_strategy)
 def test_online_profiler_matches_batch(events):
-    trace = Trace()
-    for site_index, taken in events:
-        trace.record(BranchSite("f", f"b{site_index}"), taken)
+    trace = Trace.from_events(
+        (BranchSite("f", f"b{site_index}"), taken) for site_index, taken in events
+    )
     batch = ProfileData.from_trace(trace)
     local, global_, totals = recount(trace)
     assert batch.totals == totals
@@ -162,9 +162,9 @@ def test_history_columns_match_shift_registers(events, bits):
     """Every register column of the view equals per-event Python shift
     registers: the global one in event order and in grouped order, the
     per-site one (reset per site) in grouped order."""
-    trace = Trace()
-    for site_index, taken in events:
-        trace.record(BranchSite("f", f"b{site_index}"), taken)
+    trace = Trace.from_events(
+        (BranchSite("f", f"b{site_index}"), taken) for site_index, taken in events
+    )
     mask = (1 << bits) - 1
     ghist, lhists = 0, {}
     global_, per_site_global, per_site_local = [], {}, {}
@@ -222,11 +222,10 @@ def test_columnar_profile_matches_event_loop(events, interned, local_bits, globa
     order."""
     from repro.profiling import profile_to_bytes
 
-    trace = Trace()
-    for site_index in interned:
-        trace.site_id(BranchSite("f", f"b{site_index}"))
-    for site_index, taken in events:
-        trace.record(BranchSite("f", f"b{site_index}"), taken)
+    trace = recorded_trace(
+        [(BranchSite("f", f"b{site_index}"), taken) for site_index, taken in events],
+        [BranchSite("f", f"b{site_index}") for site_index in interned],
+    )
     reference = reference_profile(trace, local_bits, global_bits)
     with numpy_mode(False):
         columns = trace.columns()
@@ -234,7 +233,7 @@ def test_columnar_profile_matches_event_loop(events, interned, local_bits, globa
         assert profile_dump(columnar) == profile_dump(reference)
     assert profile_to_bytes(columnar) == profile_to_bytes(reference)
     with numpy_mode(True):
-        pure = TraceColumns(trace.sites, trace.site_ids, trace.directions.packed())
+        pure = TraceColumns(trace.sites, trace.site_ids, trace.directions)
     assert pure.np is None
     assert list(columns.site_executions().items()) == list(
         pure.site_executions().items()
@@ -269,14 +268,13 @@ def test_bulk_profile_matches_event_loop(
     first-seen order."""
     from repro.profiling import profile_to_bytes
 
-    trace = Trace()
     order = list(range(site_count))
     if rng is not None:
         rng.shuffle(order)
-    for site_index in order:
-        trace.site_id(BranchSite("f", f"b{site_index}"))
-    for site_index, taken in events:
-        trace.record(BranchSite("f", f"b{site_index % site_count}"), taken)
+    trace = recorded_trace(
+        [(BranchSite("f", f"b{site_index % site_count}"), taken) for site_index, taken in events],
+        [BranchSite("f", f"b{site_index}") for site_index in order],
+    )
     reference = reference_profile(trace, local_bits, global_bits)
     with numpy_mode(True):
         bulk = ProfileData.from_trace(trace, local_bits, global_bits)
@@ -289,9 +287,9 @@ def test_bulk_profile_matches_event_loop(
 def test_profile_serialisation_roundtrip(events):
     from repro.profiling import profile_from_bytes, profile_to_bytes
 
-    trace = Trace()
-    for site_index, taken in events:
-        trace.record(BranchSite("f", f"b{site_index}"), taken)
+    trace = Trace.from_events(
+        (BranchSite("f", f"b{site_index}"), taken) for site_index, taken in events
+    )
     profile = ProfileData.from_trace(trace)
     loaded = profile_from_bytes(profile_to_bytes(profile))
     assert loaded.totals == profile.totals
@@ -379,11 +377,11 @@ def test_fit_matches_interleaved_reference(events, config, split):
     """Training each model alone over its pattern column gives exactly
     the weights, and the site order, of the interleaved pass, on both
     column representations."""
-    trace = Trace()
-    for function, block, taken in events:
-        trace.record(BranchSite(f"f{function}", f"b{block}"), taken)
+    trace = Trace.from_events(
+        (BranchSite(f"f{function}", f"b{block}"), taken) for function, block, taken in events
+    )
     expected = reference_fit(trace, config, split)
-    packed = trace.directions.packed()
+    packed = trace.directions
     for disabled in NUMPY_MODES:
         with numpy_mode(disabled):
             columns = TraceColumns(trace.sites, trace.site_ids, packed)

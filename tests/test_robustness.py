@@ -57,13 +57,13 @@ class TestBranchlessProgram:
 
 class TestEmptyTrace:
     def test_profile_from_empty_trace(self):
-        profile = ProfileData.from_trace(Trace())
+        profile = ProfileData.from_trace(Trace.from_events([]))
         assert profile.events == 0
         assert profile.totals == {}
         assert profile.fill_rate(9) == 0.0
 
     def test_evaluate_on_empty_trace(self):
-        result = evaluate(LastDirection(), Trace())
+        result = evaluate(LastDirection(), Trace.from_events([]))
         assert result.events == 0
         assert result.misprediction_rate == 0.0
 
@@ -72,16 +72,14 @@ class TestMismatchedProfiles:
     def test_profile_from_other_program(self, alternating_loop):
         """A profile whose sites do not exist in the program must not
         crash planning (they are simply not plannable)."""
-        foreign = Trace()
-        foreign.record(BranchSite("ghost_func", "ghost_block"), True)
+        foreign = Trace.from_events([(BranchSite("ghost_func", "ghost_block"), True)])
         profile = ProfileData.from_trace(foreign)
         planner = ReplicationPlanner(alternating_loop, profile)
         assert planner.plans == {}
 
     def test_predictor_with_foreign_sites(self, alternating_loop):
         trace, _ = trace_program(alternating_loop.copy(), [10])
-        foreign = Trace()
-        foreign.record(BranchSite("other", "b"), True)
+        foreign = Trace.from_events([(BranchSite("other", "b"), True)])
         profile = ProfileData.from_trace(foreign)
         # Evaluating a profile trained elsewhere falls back to defaults.
         result = evaluate(ProfilePredictor(profile), trace)
@@ -91,7 +89,7 @@ class TestMismatchedProfiles:
         from repro.replication import annotate_profile_predictions
 
         count = annotate_profile_predictions(
-            alternating_loop, ProfileData.from_trace(Trace())
+            alternating_loop, ProfileData.from_trace(Trace.from_events([]))
         )
         assert count == 2  # all branches get the default
 
@@ -125,13 +123,12 @@ class TestCorruptedTraceFiles:
             except (TraceFormatError, zlib.error, ValueError, MemoryError):
                 continue
             # If it loaded, the structure must at least be coherent.
-            assert len(loaded.directions) == len(loaded.site_ids)
+            assert len(loaded.directions) == (len(loaded.site_ids) + 7) // 8
 
 
 class TestPlannerEdgeCases:
     def test_planner_with_single_event(self, alternating_loop):
-        trace = Trace()
-        trace.record(BranchSite("main", "body"), True)
+        trace = Trace.from_events([(BranchSite("main", "body"), True)])
         profile = ProfileData.from_trace(trace)
         planner = ReplicationPlanner(alternating_loop, profile)
         plan = planner.plans[BranchSite("main", "body")]

@@ -26,19 +26,18 @@ BYTES_PER_EVENT = 43.0
 def synthetic_trace(rounds: int = 400, name: str = "main") -> Trace:
     """Nested loops with a parity branch, an inner loop-exit branch and
     a rarely taken one: about 15k events over four sites."""
-    trace = Trace()
     loop, parity, inner, rare = (
         BranchSite(name, block) for block in ("loop", "parity", "inner", "rare")
     )
+    events = []
     for outer in range(rounds):
         for step in range(outer % 7 + 3):
-            trace.record(parity, step % 2 == 0)
-            for k in range(3):
-                trace.record(inner, k < 2)
-            trace.record(rare, (outer * 31 + step) % 17 == 0)
-            trace.record(loop, True)
-        trace.record(loop, False)
-    return trace
+            events.append((parity, step % 2 == 0))
+            events.extend((inner, k < 2) for k in range(3))
+            events.append((rare, (outer * 31 + step) % 17 == 0))
+            events.append((loop, True))
+        events.append((loop, False))
+    return Trace.from_events(events)
 
 
 def table1_predictors(profile):
